@@ -65,10 +65,15 @@ print(f"accuracy with each task on its own statistics: "
       f"{acc[0]:.3f} / {acc[1]:.3f}")
 
 # evaluate each task through the OTHER task's statistics: the shared
-# affine weights are identical, only the normalization swaps
+# affine weights are identical, only the normalization swaps (the values
+# are swapped, not the instances, whose arrays are views into the arena)
 for layer in grid.layers:
     for block in layer:
-        block.norms[0], block.norms[1] = block.norms[1], block.norms[0]
+        a, b = block.norms[0], block.norms[1]
+        for name in ("gamma", "beta", "run_mean", "run_var"):
+            kept = getattr(a, name).copy()
+            setattr(a, name, getattr(b, name))
+            setattr(b, name, kept)
 acc_swapped = [validate(grid, t) for t in grid.tasks]
 print(f"accuracy with statistics swapped between tasks:  "
       f"{acc_swapped[0]:.3f} / {acc_swapped[1]:.3f}")

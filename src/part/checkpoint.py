@@ -2,23 +2,30 @@
 
 Layout: magic ``PART``, u32 format version, u64 length-prefixed canonical
 JSON metadata (grid shape, task registry with paths, norm mode, frozen
-set, construction seed), then one flat little-endian float64 blob:
-layer-major, module-minor, per module W (row-major) then b then its norm
-instances in task-id order (gamma, beta, run_mean, run_var each), and
-finally head_W (row-major) and head_b. Metadata JSON is canonical
-(sorted keys, compact separators) so save -> load -> save is
-byte-identical.
+set, construction seed), then the grid's parameter arena as one flat
+little-endian float64 blob. The arena's order is the format's: layer-major,
+module-minor, per module W (row-major) then b then its norm instances in
+task-id order (gamma, beta, run_mean, run_var each), and finally head_W
+(row-major) and head_b. Metadata JSON is canonical (sorted keys, compact
+separators) so save -> load -> save is byte-identical.
+
+Saving writes a temporary file next to the target and renames it into
+place, so a checkpoint is never seen half-written. Loading rejects a
+missing or unreadable file with InputError, and a corrupt one (bad magic,
+unknown version, undecodable or inconsistent metadata, wrong blob size)
+with ContractError, before any of it reaches a grid.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path as FsPath
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, InputError
 from .net import ModuleGrid, Path, register_task
 
 MAGIC = b"PART"
@@ -48,47 +55,24 @@ def _metadata(grid: ModuleGrid) -> dict:
     }
 
 
-def _param_stream(grid: ModuleGrid):
-    for layer in grid.layers:
-        for block in layer:
-            yield block.W
-            yield block.b
-            for nk in sorted(block.norms):
-                inst = block.norms[nk]
-                yield inst.gamma
-                yield inst.beta
-                yield inst.run_mean
-                yield inst.run_var
-    yield grid.head_W
-    yield grid.head_b
-
-
 def save_checkpoint(grid: ModuleGrid, path) -> None:
+    path = FsPath(path)
     meta = json.dumps(_metadata(grid), sort_keys=True, separators=(",", ":")).encode()
-    blob = np.concatenate([np.ascontiguousarray(a, dtype="<f8").ravel()
-                           for a in _param_stream(grid)])
-    with FsPath(path).open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(meta)))
-        fh.write(meta)
-        fh.write(blob.tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(meta)))
+            fh.write(meta)
+            fh.write(grid.arena.astype("<f8", copy=False).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def load_checkpoint(path) -> ModuleGrid:
-    raw = FsPath(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != MAGIC:
-        raise ContractError(f"not a checkpoint file (bad magic): {path}")
-    (version,) = struct.unpack("<I", raw[4:8])
-    if version != FORMAT_VERSION:
-        raise ContractError(
-            f"checkpoint format version {version} not supported (expected {FORMAT_VERSION})")
-    (meta_len,) = struct.unpack("<Q", raw[8:16])
-    if len(raw) < 16 + meta_len:
-        raise ContractError(f"truncated checkpoint metadata: {path}")
-    meta = json.loads(raw[16:16 + meta_len].decode())
-    blob = np.frombuffer(raw[16 + meta_len:], dtype="<f8")
-
+def _grid_from_metadata(meta: dict) -> ModuleGrid:
     grid = ModuleGrid(meta["n_layers"], meta["n_modules"], meta["d_in"],
                       meta["d_hid"], norm_mode=meta["norm_mode"], seed=meta["seed"])
     for row in meta["tasks"]:
@@ -99,31 +83,36 @@ def load_checkpoint(path) -> ModuleGrid:
             task.path = Path(tuple(tuple(r) for r in row["path"]))
     grid.frozen = {tuple(cell) for cell in meta["frozen"]}
     grid.frozen_tasks = set(meta["frozen_tasks"])
+    return grid
 
-    offset = 0
 
-    def take(shape) -> np.ndarray:
-        nonlocal offset
-        size = int(np.prod(shape))
-        if offset + size > blob.size:
-            raise ContractError("checkpoint parameter blob is too short")
-        out = blob[offset:offset + size].reshape(shape).astype(np.float64)
-        offset += size
-        return out
-
-    for layer in grid.layers:
-        for block in layer:
-            block.W = take(block.W.shape)
-            block.b = take(block.b.shape)
-            for nk in sorted(block.norms):
-                inst = block.norms[nk]
-                inst.gamma = take(inst.gamma.shape)
-                inst.beta = take(inst.beta.shape)
-                inst.run_mean = take(inst.run_mean.shape)
-                inst.run_var = take(inst.run_var.shape)
-    grid.head_W = take(grid.head_W.shape)
-    grid.head_b = take(grid.head_b.shape)
-    if offset != blob.size:
+def load_checkpoint(path) -> ModuleGrid:
+    try:
+        raw = FsPath(path).read_bytes()
+    except OSError as e:
+        raise InputError(f"cannot read checkpoint {path}: {e.strerror or e}") from None
+    if len(raw) < 16 or raw[:4] != MAGIC:
+        raise ContractError(f"not a checkpoint file (bad magic): {path}")
+    (version,) = struct.unpack("<I", raw[4:8])
+    if version != FORMAT_VERSION:
         raise ContractError(
-            f"checkpoint parameter blob has {blob.size - offset} unread values")
+            f"checkpoint format version {version} not supported (expected {FORMAT_VERSION})")
+    (meta_len,) = struct.unpack("<Q", raw[8:16])
+    if len(raw) < 16 + meta_len:
+        raise ContractError(f"truncated checkpoint metadata: {path}")
+    try:
+        meta = json.loads(raw[16:16 + meta_len].decode())
+        grid = _grid_from_metadata(meta)
+    except (ValueError, KeyError, TypeError) as e:
+        # UnicodeDecodeError, JSONDecodeError and InputError are ValueErrors
+        raise ContractError(f"invalid checkpoint metadata in {path}: {e}") from None
+
+    blob = raw[16 + meta_len:]
+    arena = grid.arena
+    if len(blob) < arena.nbytes:
+        raise ContractError("checkpoint parameter blob is too short")
+    if len(blob) > arena.nbytes:
+        raise ContractError(
+            f"checkpoint parameter blob has {len(blob) - arena.nbytes} unread bytes")
+    arena[...] = np.frombuffer(blob, dtype="<f8")
     return grid

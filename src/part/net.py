@@ -8,17 +8,28 @@ from the task's head slice; the backward pass produces gradients for
 exactly the path blocks, the norm instances the task used, and the head
 slice. Blocks can be frozen (sequential baseline): their parameters stop
 updating and their running stats stop tracking.
+
+Every parameter lives in one float64 vector, the grid's *arena*, laid out
+in checkpoint-v1 order: layer-major, module-minor; per module W (row-major)
+then b then its norm instances in task-id order (gamma, beta, run_mean,
+run_var each); then head_W (row-major) and head_b. Block, norm and head
+arrays are views into it, and assigning to one (``blk.W = X``) copies into
+the view. The arena is laid out lazily, on first use by the optimizer, a
+checkpoint or parameter addressing; registering a task only marks it stale,
+so building an experiment never repacks the grid once per task.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContractError, InputError
+from .numerics import Segments
 
 # norm-instance key used in shared mode; real task ids are >= 0
 SHARED = -1
@@ -27,9 +38,34 @@ NORM_EPS = 1e-5
 NORM_MOMENTUM = 0.1
 
 
+class _InPlaceParams:
+    """Assigning to an array attribute named in PARAMS copies into the array
+    already there instead of rebinding the name, so an attribute that is a
+    view into the grid's arena stays one. The first assignment binds."""
+
+    PARAMS: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        current = self.__dict__.get(name) if name in self.PARAMS else None
+        if current is None:
+            super().__setattr__(name, value)
+            return
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != current.shape:
+            raise InputError(f"{name} has shape {current.shape}, got {value.shape}")
+        current[...] = value
+
+
+def _rebind(owner, name: str, array: np.ndarray) -> None:
+    """Point a parameter attribute at new storage (arena layout, head widening)."""
+    owner.__dict__[name] = array
+
+
 @dataclass
-class NormInstance:
+class NormInstance(_InPlaceParams):
     """Batch-norm parameters plus running statistics for one feature width."""
+
+    PARAMS = ("gamma", "beta", "run_mean", "run_var")
 
     gamma: np.ndarray
     beta: np.ndarray
@@ -49,12 +85,14 @@ class NormInstance:
 
 
 @dataclass
-class ModuleBlock:
+class ModuleBlock(_InPlaceParams):
     """One grid cell: affine map plus its norm instance(s).
 
     `norms` maps task id -> NormInstance in per-task mode; in shared mode
     it holds the single SHARED key.
     """
+
+    PARAMS = ("W", "b")
 
     W: np.ndarray
     b: np.ndarray
@@ -100,14 +138,17 @@ class TaskSpec:
     path: Optional[Path] = None
 
 
-class ModuleGrid:
+class ModuleGrid(_InPlaceParams):
     """L x M grid of dense blocks plus the shared partitioned head.
 
     The grid owns an init RNG so head widening at task registration is
     reproducible from the construction seed alone. `version` counts
     parameter mutations; tapes are stamped with it so a backward pass on a
-    tape from a stale parameter state is rejected.
+    tape from a stale parameter state is rejected. `arena` is the flat
+    parameter vector every block, norm and head array is a view into.
     """
+
+    PARAMS = ("head_W", "head_b")
 
     def __init__(self, n_layers: int, n_modules: int, d_in: int, d_hid: int,
                  norm_mode: str = "shared", seed: int = 0):
@@ -126,6 +167,9 @@ class ModuleGrid:
         self.frozen: set[tuple[int, int]] = set()
         self.frozen_tasks: set[int] = set()
         self.version = 0
+        self._arena: Optional[np.ndarray] = None
+        self._layout: dict = {}       # stored tensor key -> (arena offset, shape)
+        self._trainable: dict = {}    # task id -> (path, keys, Segments)
 
         self.layers: list[list[ModuleBlock]] = []
         for l in range(n_layers):
@@ -154,44 +198,76 @@ class ModuleGrid:
     def norm_key(self, task_id: int) -> int:
         return SHARED if self.norm_mode == "shared" else task_id
 
+    # -- the arena -----------------------------------------------------------
+
+    @property
+    def arena(self) -> np.ndarray:
+        """The flat parameter vector, laid out on first use after a change
+        of shape (construction, task registration)."""
+        if self._arena is None:
+            self._lay_out()
+        return self._arena
+
+    def _stored(self):
+        """(key, owner, attribute) of every stored tensor, in arena order."""
+        for l, layer in enumerate(self.layers):
+            for m, block in enumerate(layer):
+                yield ("block", l, m, "W"), block, "W"
+                yield ("block", l, m, "b"), block, "b"
+                for nk in sorted(block.norms):
+                    for which in NormInstance.PARAMS:
+                        yield ("norm", l, m, nk, which), block.norms[nk], which
+        yield ("head_W",), self, "head_W"
+        yield ("head_b",), self, "head_b"
+
+    def _lay_out(self) -> None:
+        tensors = [(key, owner, attr, getattr(owner, attr))
+                   for key, owner, attr in self._stored()]
+        arena = np.empty(sum(a.size for *_, a in tensors))
+        layout = {}
+        start = 0
+        for key, owner, attr, a in tensors:
+            view = arena[start:start + a.size].reshape(a.shape)
+            view[...] = a
+            _rebind(owner, attr, view)
+            layout[key] = (start, a.shape)
+            start += a.size
+        self._arena, self._layout = arena, layout
+        self._trainable.clear()
+
+    def _arena_stale(self) -> None:
+        """Tensors were added: lay the arena out afresh on next use. Until
+        then the old views keep every value."""
+        self._arena = None
+        self._trainable.clear()
+
     # -- parameter addressing ------------------------------------------------
     # keys: ("block", l, m, "W"|"b")
-    #       ("norm", l, m, norm_key, "gamma"|"beta")
+    #       ("norm", l, m, norm_key, "gamma"|"beta"|"run_mean"|"run_var")
     #       ("head", task_id, "W"|"b")   (the task's column slice)
 
-    def get_param(self, key) -> np.ndarray:
-        kind = key[0]
-        if kind == "block":
-            _, l, m, which = key
-            return getattr(self.layers[l][m], which).copy()
-        if kind == "norm":
-            _, l, m, nk, which = key
-            return getattr(self.layers[l][m].norms[nk], which).copy()
-        if kind == "head":
+    def _view(self, flat: np.ndarray, key) -> np.ndarray:
+        """Tensor `key` inside `flat`, a vector laid out like the arena."""
+        if key[0] == "head":
             _, tid, which = key
             start, end = self.tasks[tid].slice
             if which == "W":
-                return self.head_W[:, start:end].copy()
-            return self.head_b[start:end].copy()
-        raise InputError(f"unknown parameter key {key!r}")
+                return self._view(flat, ("head_W",))[:, start:end]
+            return self._view(flat, ("head_b",))[start:end]
+        if key not in self._layout:
+            raise InputError(f"unknown parameter key {key!r}")
+        offset, shape = self._layout[key]
+        return flat[offset:offset + math.prod(shape)].reshape(shape)
+
+    def get_param(self, key) -> np.ndarray:
+        return self._view(self.arena, key).copy()
 
     def set_param(self, key, value: np.ndarray) -> None:
-        kind = key[0]
-        if kind == "block":
-            _, l, m, which = key
-            setattr(self.layers[l][m], which, np.asarray(value, dtype=np.float64))
-        elif kind == "norm":
-            _, l, m, nk, which = key
-            setattr(self.layers[l][m].norms[nk], which, np.asarray(value, dtype=np.float64))
-        elif kind == "head":
-            _, tid, which = key
-            start, end = self.tasks[tid].slice
-            if which == "W":
-                self.head_W[:, start:end] = value
-            else:
-                self.head_b[start:end] = value
-        else:
-            raise InputError(f"unknown parameter key {key!r}")
+        target = self._view(self.arena, key)
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != target.shape:
+            raise InputError(f"parameter {key!r} has shape {target.shape}, got {value.shape}")
+        target[...] = value
         self.version += 1
 
     def param_hash(self, key) -> str:
@@ -211,8 +287,8 @@ def register_task(grid: ModuleGrid, c: int, name: str = "",
     start = grid.c_total
     bound = 1.0 / np.sqrt(grid.d_hid)
     new_cols = grid.rng.uniform(-bound, bound, size=(grid.d_hid, c))
-    grid.head_W = np.concatenate([grid.head_W, new_cols], axis=1)
-    grid.head_b = np.concatenate([grid.head_b, np.zeros(c)])
+    _rebind(grid, "head_W", np.concatenate([grid.head_W, new_cols], axis=1))
+    _rebind(grid, "head_b", np.concatenate([grid.head_b, np.zeros(c)]))
     if grid.norm_mode == "per-task":
         for layer in grid.layers:
             for block in layer:
@@ -220,6 +296,7 @@ def register_task(grid: ModuleGrid, c: int, name: str = "",
     task = TaskSpec(id=tid, c=c, slice=(start, start + c), name=name or f"task{tid}",
                     train_ds=train_ds, val_ds=val_ds)
     grid.tasks.append(task)
+    grid._arena_stale()
     grid.version += 1
     return task
 
@@ -264,12 +341,14 @@ def freeze_path(grid: ModuleGrid, path: Path) -> None:
     _check_path(grid, path)
     for cell in path.modules():
         grid.frozen.add(cell)
+    grid._trainable.clear()
 
 
 def freeze_task(grid: ModuleGrid, task: TaskSpec) -> None:
     """Freeze a finished task's own holdings: its per-task norm instances
     and its head slice (tracked via the task id)."""
     grid.frozen_tasks.add(task.id)
+    grid._trainable.clear()
 
 
 def is_frozen(grid: ModuleGrid, layer: int, module: int) -> bool:
@@ -297,6 +376,20 @@ def trainable_keys(grid: ModuleGrid, task: TaskSpec) -> list:
         keys.append(("head", task.id, "W"))
         keys.append(("head", task.id, "b"))
     return keys
+
+
+def trainable_segments(grid: ModuleGrid, task: TaskSpec) -> tuple[list, Segments]:
+    """`trainable_keys` plus the arena positions of those tensors, in key
+    order. Cached per task; freezing, registration and a new path make
+    the cache stale."""
+    cached = grid._trainable.get(task.id)
+    if cached is not None and cached[0] is task.path:
+        return cached[1], cached[2]
+    keys = trainable_keys(grid, task)
+    positions = np.arange(grid.arena.size)
+    segments = Segments.of([grid._view(positions, key).ravel() for key in keys])
+    grid._trainable[task.id] = (task.path, keys, segments)
+    return keys, segments
 
 
 @dataclass
@@ -384,8 +477,8 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
                 frozen_stats = ((l, m) in grid.frozen if nk == SHARED
                                 else stats_frozen_task)
                 if not frozen_stats:
-                    norm.run_mean = (1 - norm.momentum) * norm.run_mean + norm.momentum * mu
-                    norm.run_var = (1 - norm.momentum) * norm.run_var + norm.momentum * var
+                    norm.run_mean[:] = (1 - norm.momentum) * norm.run_mean + norm.momentum * mu
+                    norm.run_var[:] = (1 - norm.momentum) * norm.run_var + norm.momentum * var
                 batch_stats = True
             else:
                 inv_std = 1.0 / np.sqrt(norm.run_var + norm.eps)

@@ -4,6 +4,10 @@ Matrices are plain C-contiguous float64 numpy arrays throughout the
 package; this module owns the optimizer step, the loss used by every
 training procedure, and the finite-difference check that every gradient
 path is verified against.
+
+Adam has one elementwise kernel, `adam_update`. `adam_step` applies it to
+one tensor; `FlatAdam` applies it to many tensors of one flat parameter
+vector at once, with the same bits as looping `adam_step` over them.
 """
 
 from __future__ import annotations
@@ -41,6 +45,20 @@ class AdamState:
         return cls(m=np.zeros_like(param), v=np.zeros_like(param), lr=lr)
 
 
+def adam_update(params, m, v, grads, lr, c1, c2, beta1, beta2, eps):
+    """The elementwise Adam kernel; returns (new_params, new_m, new_v).
+
+    c1 and c2 are the bias corrections 1 - beta1**t and 1 - beta2**t, as
+    scalars or per element. Every caller goes through this expression, so
+    per-tensor and fused steps round identically.
+    """
+    m = beta1 * m + (1.0 - beta1) * grads
+    v = beta2 * v + (1.0 - beta2) * grads * grads
+    m_hat = m / c1
+    v_hat = v / c2
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
     """One Adam update with bias correction; returns (new_params, new_state).
 
@@ -55,17 +73,79 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
         raise InputError("Adam state shape does not match parameter shape")
     t = state.step + 1
     if not np.any(grads):
-        new_state = AdamState(m=state.m.copy(), v=state.v.copy(), lr=state.lr,
-                              step=t, beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-        return params.copy(), new_state
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        new_params, m, v = params.copy(), state.m.copy(), state.v.copy()
+    else:
+        new_params, m, v = adam_update(params, state.m, state.v, grads, state.lr,
+                                       1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t,
+                                       state.beta1, state.beta2, state.eps)
     new_state = AdamState(m=m, v=v, lr=state.lr, step=t,
                           beta1=state.beta1, beta2=state.beta2, eps=state.eps)
     return new_params, new_state
+
+
+@dataclass(frozen=True)
+class Segments:
+    """Tensors inside a flat vector: `index` lists the positions of their
+    elements, tensor after tensor; tensor i is index[starts[i]:][:lengths[i]]."""
+
+    index: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def of(cls, positions: Sequence[np.ndarray]) -> "Segments":
+        lengths = np.array([p.size for p in positions], dtype=np.int64)
+        index = np.concatenate([np.zeros(0, dtype=np.int64), *positions]).astype(np.int64)
+        return cls(index=index, starts=np.cumsum(lengths) - lengths, lengths=lengths)
+
+
+class FlatAdam:
+    """Adam over tensors of one flat parameter vector.
+
+    The moments m and v are as long as the vector. Each tensor has its own
+    step counter, kept at the position of its first element, so a tensor
+    shared by several tasks advances on every step that includes it. A step
+    updates one set of tensors at once and gives the same bits as
+    `adam_step` on each tensor in turn: the same kernel, bias corrections
+    from Python float powers (computed once per step value), and the
+    zero-gradient fixed point per tensor.
+    """
+
+    def __init__(self, size: int):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.steps = np.zeros(size, dtype=np.int64)
+        self._c1 = np.zeros(1)      # 1 - beta1**t by step t (t = 0 unused)
+        self._c2 = np.zeros(1)
+
+    def _corrections(self, t: np.ndarray):
+        top = int(t.max(initial=0))
+        if top >= self._c1.size:
+            new = range(self._c1.size, max(top + 1, 2 * self._c1.size))
+            self._c1 = np.concatenate([self._c1, [1.0 - ADAM_BETA1 ** s for s in new]])
+            self._c2 = np.concatenate([self._c2, [1.0 - ADAM_BETA2 ** s for s in new]])
+        return self._c1[t], self._c2[t]
+
+    def step(self, params: np.ndarray, grads: np.ndarray, segments: Segments,
+             lr: float) -> None:
+        """Update params in place at segments.index with grads (same order).
+        Tensors whose gradient is identically zero keep their parameters and
+        moments; their counters advance."""
+        if grads.shape != segments.index.shape:
+            raise InputError(f"expected {segments.index.size} gradient values, got {grads.shape}")
+        first = segments.index[segments.starts]
+        t = self.steps[first] + 1
+        self.steps[first] = t
+        c1, c2 = self._corrections(t)
+        index, lengths = segments.index, segments.lengths
+        active = np.logical_or.reduceat(grads != 0, segments.starts)
+        if not active.all():
+            keep = np.repeat(active, lengths)
+            index, grads = index[keep], grads[keep]
+            c1, c2, lengths = c1[active], c2[active], lengths[active]
+        params[index], self.m[index], self.v[index] = adam_update(
+            params[index], self.m[index], self.v[index], grads, lr,
+            np.repeat(c1, lengths), np.repeat(c2, lengths), ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
 
 
 def softmax_xent_slice(logits: np.ndarray, labels: np.ndarray, sl: tuple[int, int]):

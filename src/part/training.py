@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import BatchPlan, next_batches
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, NumericError
 from .net import (
     ModuleGrid,
     TaskSpec,
@@ -26,9 +27,14 @@ from .net import (
     forward_task,
     freeze_path,
     freeze_task,
-    trainable_keys,
+    trainable_keys,  # noqa: F401
+    trainable_segments,
 )
-from .numerics import AdamState, adam_step, softmax_xent_slice
+from .numerics import FlatAdam, adam_step, softmax_xent_slice  # noqa: F401
+
+# trainable_keys and adam_step are no longer called here (the fused step
+# replaced them); they stay importable from this module because the
+# benchmark's tracer (perfbench/tracer.py) wraps them under these names
 
 # spawn-key streams so every consumer of a run seed gets an independent rng
 # (grid construction uses the bare seed; stream 1 stays reserved for it)
@@ -164,7 +170,10 @@ def _task_rows(tasks: list[TaskSpec]) -> list[dict]:
     return [{"id": t.id, "c": t.c, "slice": list(t.slice)} for t in tasks]
 
 
-def _train_batch(grid, task, idx, adam_states, lr) -> float:
+def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
+    """Forward, backward and one fused Adam step over the task's trainable
+    tensors. A non-finite loss, or a non-finite value anywhere in the arena
+    afterwards (updated parameters or running statistics), fails the run."""
     ds = task.train_ds
     X = ds.features[idx]
     y = ds.labels[idx]
@@ -174,15 +183,14 @@ def _train_batch(grid, task, idx, adam_states, lr) -> float:
     full[:, start:end] = logits
     loss, dlogits = softmax_xent_slice(full, y, task.slice)
     grads = backward_task(grid, task, tape, dlogits)
-    for key in trainable_keys(grid, task):
-        param = grid.get_param(key)
-        state = adam_states.get(key)
-        if state is None:
-            state = AdamState.for_param(param, lr)
-        state.lr = lr
-        new_param, new_state = adam_step(param, grads[key], state)
-        adam_states[key] = new_state
-        grid.set_param(key, new_param)
+    keys, segments = trainable_segments(grid, task)
+    if keys:
+        flat = np.concatenate([grads[key].ravel() for key in keys])
+        adam.step(grid.arena, flat, segments, lr)
+        grid.version += 1
+    if not (math.isfinite(loss) and np.isfinite(grid.arena).all()):
+        raise NumericError(f"task {task.id} ({task.name}), epoch {epoch}: non-finite "
+                           f"loss or parameters after the optimizer step (loss {loss})")
     return loss
 
 
@@ -221,7 +229,7 @@ def train_parallel(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
     t0 = time.perf_counter()
     rngs = {t.id: batch_rng(cfg.seed, t.id) for t in tasks}
     sched_rng = derive_rng(cfg.seed, STREAM_SCHED)
-    adam_states: dict = {}
+    adam = FlatAdam(grid.arena.size)
     epoch_rows = []
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.effective_lr(epoch)
@@ -239,7 +247,7 @@ def train_parallel(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
             tid, count = grant
             task = by_id[tid]
             for idx in next_batches(task.train_ds, plans[tid], count):
-                loss = _train_batch(grid, task, idx, adam_states, lr)
+                loss = _train_batch(grid, task, idx, adam, lr, epoch)
                 loss_sum[tid] = loss_sum.get(tid, 0.0) + loss
                 loss_n[tid] = loss_n.get(tid, 0) + 1
         mean_loss = {tid: loss_sum[tid] / loss_n[tid] for tid in loss_sum}
@@ -298,7 +306,7 @@ def train_sequential(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
     _check_ready(tasks)
     t0 = time.perf_counter()
     sched_rng = derive_rng(cfg.seed, STREAM_SCHED)
-    adam_states: dict = {}
+    adam = FlatAdam(grid.arena.size)
     epoch_rows = []
     freeze_hashes: dict[str, dict] = {}
     global_epoch = 0
@@ -314,7 +322,7 @@ def train_sequential(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
             while (grant := schedule_round(sched)) is not None:
                 _, count = grant
                 for idx in next_batches(task.train_ds, plan, count):
-                    loss_sum += _train_batch(grid, task, idx, adam_states, lr)
+                    loss_sum += _train_batch(grid, task, idx, adam, lr, global_epoch)
                     loss_n += 1
             row = _epoch_row(grid, tasks, global_epoch, lr,
                              {task.id: loss_sum / max(loss_n, 1)})
@@ -341,7 +349,7 @@ def train_single(grid: ModuleGrid, task: TaskSpec, cfg: TrainConfig,
     t0 = time.perf_counter()
     rng = batch_rng(cfg.seed, task.id)
     sched_rng = derive_rng(cfg.seed, STREAM_SCHED)
-    adam_states: dict = {}
+    adam = FlatAdam(grid.arena.size)
     epoch_rows = []
     report_tasks = [t for t in grid.tasks if t.train_ds is not None and t.val_ds is not None]
     for epoch in range(1, cfg.epochs + 1):
@@ -353,7 +361,7 @@ def train_single(grid: ModuleGrid, task: TaskSpec, cfg: TrainConfig,
         while (grant := schedule_round(sched)) is not None:
             _, count = grant
             for idx in next_batches(task.train_ds, plan, count):
-                loss_sum += _train_batch(grid, task, idx, adam_states, lr)
+                loss_sum += _train_batch(grid, task, idx, adam, lr, epoch)
                 loss_n += 1
         row = _epoch_row(grid, report_tasks, epoch, lr,
                          {task.id: loss_sum / max(loss_n, 1)})

@@ -247,3 +247,92 @@ def test_checkpoint_roundtrip_via_files(tmp_path):
     resaved = out / "resaved.part"
     save_checkpoint(grid, resaved)
     assert ck.read_bytes() == resaved.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# failures surface as exit codes, never as tracebacks
+
+def _trained(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfgp = write_config(tmp_path, minimal_config(out))
+    assert main(["train", "--config", str(cfgp)]) == 0
+    capsys.readouterr()
+    return cfgp, out / "checkpoint.part"
+
+
+def _exit_and_stderr(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_missing_checkpoint_exits_2(tmp_path, capsys):
+    cfgp, ckpt = _trained(tmp_path, capsys)
+    code, err = _exit_and_stderr(["eval", "--ckpt", str(tmp_path / "nope.part"),
+                                  "--config", str(cfgp)], capsys)
+    assert code == 2 and "cannot read checkpoint" in err
+    code, _ = _exit_and_stderr(["analyze", "--ckpt", str(tmp_path),
+                                "--config", str(cfgp)], capsys)
+    assert code == 2
+
+
+@pytest.mark.parametrize("corrupt", ["undecodable", "not json", "missing field"])
+def test_corrupt_checkpoint_metadata_exits_1(tmp_path, capsys, corrupt):
+    cfgp, ckpt = _trained(tmp_path, capsys)
+    raw = bytearray(ckpt.read_bytes())
+    meta_len = int.from_bytes(raw[8:16], "little")
+    meta = bytes(raw[16:16 + meta_len])
+    if corrupt == "undecodable":
+        meta = b"\xff" + meta[1:]
+    elif corrupt == "not json":
+        meta = b"[" + meta[1:]
+    else:
+        meta = meta.replace(b'"frozen":', b'"frozzen":')
+    ckpt.write_bytes(bytes(raw[:8]) + len(meta).to_bytes(8, "little") + meta
+                     + bytes(raw[16 + meta_len:]))
+    code, err = _exit_and_stderr(["eval", "--ckpt", str(ckpt), "--config", str(cfgp)],
+                                 capsys)
+    assert code == 1 and "invalid checkpoint metadata" in err
+
+
+def test_failed_save_leaves_the_old_checkpoint(tmp_path, capsys, monkeypatch):
+    from part import checkpoint, load_checkpoint, save_checkpoint
+
+    _, ckpt = _trained(tmp_path, capsys)
+    before = ckpt.read_bytes()
+    grid = load_checkpoint(ckpt)
+    grid.head_b[:] += 1.0
+
+    def boom(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.os, "replace", boom)
+    with pytest.raises(OSError):
+        save_checkpoint(grid, ckpt)
+    assert ckpt.read_bytes() == before
+    assert sorted(p.name for p in ckpt.parent.iterdir()) == ["checkpoint.part", "report.json"]
+
+
+def test_nonfinite_training_exits_3(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    from part import experiment
+
+    real = experiment.build_experiment
+
+    def scaled(cfg):
+        grid = real(cfg)
+        for t in grid.tasks:
+            t.train_ds.features *= 1e150
+            t.val_ds.features *= 1e150
+        return grid
+
+    monkeypatch.setattr(experiment, "build_experiment", scaled)
+    doc = minimal_config(tmp_path / "run", mode="parallel")
+    doc["tasks"] = [dict(doc["tasks"][0], name=f"t{i}") for i in range(2)]
+    doc["train"]["lr0"] = 1e3
+    with np.errstate(all="ignore"):
+        code, err = _exit_and_stderr(["train", "--config", str(write_config(tmp_path, doc))],
+                                     capsys)
+    assert code == 3 and "numeric failure" in err and "epoch" in err
