@@ -5,6 +5,15 @@ cka(X,Y) = hsic(Kx,Ky)/sqrt(hsic(Kx,Kx) hsic(Ky,Ky)) with
 hsic(K,L) = tr(K H L H)/(n-1)^2, H the centering matrix. Kernels: linear
 (K = X X^T) or RBF with bandwidth sigma = frac * median pairwise distance
 of the respective representation (an absolute sigma is also accepted).
+
+Each Gram matrix depends on one representation only, so a layerwise
+report builds every representation's Gram once per layer: it checks its
+symmetry, centres it in place and takes its self-HSIC, and then each pair
+costs one elementwise product and sum. That product and sum are the ones
+a fresh cka() call makes, so the report's numbers are the same bit for
+bit. A layer's Grams are freed before the next layer's are built, and the
+task pair's two before the p module Grams, so a report holds at most p
+centred Grams plus one n x n temporary (below (p + 2) * n^2 float64s).
 """
 
 from __future__ import annotations
@@ -99,16 +108,31 @@ def shared_layers_from_label(label: str, n_layers: int) -> tuple[int, ...]:
 # HSIC / CKA
 
 def _center(K: np.ndarray) -> np.ndarray:
-    # H K H without materializing H
+    """H K H in place, without materializing H: K is overwritten and returned."""
     row = K.mean(axis=0, keepdims=True)
     col = K.mean(axis=1, keepdims=True)
-    return K - row - col + K.mean()
+    mean = K.mean()
+    K -= row
+    K -= col
+    K += mean
+    return K
+
+
+_SYMMETRY_BLOCK = 64
+
+
+def _check_symmetric(K: np.ndarray) -> None:
+    # np.allclose(K, K.T) over row blocks, so the temporaries stay small
+    for i in range(0, K.shape[0], _SYMMETRY_BLOCK):
+        if not np.allclose(K[i:i + _SYMMETRY_BLOCK], K[:, i:i + _SYMMETRY_BLOCK].T,
+                           atol=1e-10):
+            raise InputError("gram matrices must be symmetric")
 
 
 def hsic(K: np.ndarray, Lm: np.ndarray) -> float:
     """Biased HSIC estimate tr(K H Lm H)/(n-1)^2 for symmetric Gram matrices."""
-    K = np.asarray(K, dtype=np.float64)
-    Lm = np.asarray(Lm, dtype=np.float64)
+    K = np.array(K, dtype=np.float64)      # copies: centred in place below
+    Lm = np.array(Lm, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise InputError(f"K must be square, got {K.shape}")
     if Lm.shape != K.shape:
@@ -116,8 +140,8 @@ def hsic(K: np.ndarray, Lm: np.ndarray) -> float:
     n = K.shape[0]
     if n < 3:
         raise InputError(f"need n >= 3 for centering, got {n}")
-    if not np.allclose(K, K.T, atol=1e-10) or not np.allclose(Lm, Lm.T, atol=1e-10):
-        raise InputError("gram matrices must be symmetric")
+    _check_symmetric(K)
+    _check_symmetric(Lm)
     return float(np.sum(_center(K) * _center(Lm)) / (n - 1) ** 2)
 
 
@@ -126,21 +150,79 @@ def _gram_linear(X: np.ndarray) -> np.ndarray:
 
 
 def _gram_rbf(X: np.ndarray, frac: float, sigma: Optional[float]) -> np.ndarray:
+    # exp(-d2 / (2 sigma^2)) with d2 the squared pairwise distances, built in
+    # place: at most two n x n arrays are alive at once
     sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    d2 = sq[:, None] + sq[None, :]
+    xx = X @ X.T
+    xx *= 2.0
+    d2 -= xx
+    del xx
     np.maximum(d2, 0.0, out=d2)
     if sigma is None:
-        iu = np.triu_indices(X.shape[0], k=1)
-        med = float(np.median(np.sqrt(d2[iu])))
+        n = X.shape[0]
+        dist = d2[np.triu(np.ones((n, n), dtype=bool), k=1)]
+        np.sqrt(dist, out=dist)
+        med = float(np.median(dist, overwrite_input=True))
+        del dist
         if med == 0.0:
             raise DegenerateRepresentation(
                 "zero median pairwise distance: representation is constant")
         sigma = frac * med
     if sigma <= 0:
         raise InputError(f"rbf sigma must be positive, got {sigma}")
-    K = np.exp(-d2 / (2.0 * sigma * sigma))
+    np.negative(d2, out=d2)
+    d2 /= 2.0 * sigma * sigma
+    np.exp(d2, out=d2)
     # exact symmetry despite float summation order
-    return (K + K.T) / 2.0
+    K = d2 + d2.T
+    K /= 2.0
+    return K
+
+
+def _check_reps(*reps) -> list[np.ndarray]:
+    """Sample-aligned float64 representations, each check over all of them."""
+    reps = [np.asarray(R, dtype=np.float64) for R in reps]
+    if any(R.ndim != 2 for R in reps):
+        raise InputError("representations must be 2-D (samples x features)")
+    n = reps[0].shape[0]
+    for R in reps[1:]:
+        if R.shape[0] != n:
+            raise InputError(f"sample counts differ: {n} vs {R.shape[0]}")
+    if n < 3:
+        raise InputError(f"need n >= 3 samples, got {n}")
+    if not all(np.all(np.isfinite(R)) for R in reps):
+        raise InputError("representations contain non-finite values")
+    return reps
+
+
+def _prepare(X: np.ndarray, kernel: str, rbf_frac: float, rbf_sigma: Optional[float]):
+    """(centred Gram, self-HSIC, None) of one checked representation, or
+    (None, None, flag) if it is constant."""
+    try:
+        if kernel == "linear":
+            K = _gram_linear(X)
+        elif kernel == "rbf":
+            K = _gram_rbf(X, rbf_frac, rbf_sigma)
+        else:
+            raise InputError(f"kernel must be 'linear' or 'rbf', got {kernel!r}")
+    except DegenerateRepresentation as e:
+        return None, None, str(e)
+    _check_symmetric(K)
+    Kc = _center(K)
+    h = float(np.sum(Kc * Kc) / (X.shape[0] - 1) ** 2)
+    if h <= 1e-300:
+        return None, None, "constant representation: self-HSIC is zero"
+    return Kc, h, None
+
+
+def _pair_cka(a, b) -> tuple[Optional[float], Optional[str]]:
+    """(cka, None) of two prepared representations, or (None, flag)."""
+    (Ka, ha, flag_a), (Kb, hb, flag_b) = a, b
+    if flag_a or flag_b:
+        return None, flag_a or flag_b
+    n = Ka.shape[0]
+    return float(np.sum(Ka * Kb) / (n - 1) ** 2) / math.sqrt(ha * hb), None
 
 
 def cka(X: np.ndarray, Y: np.ndarray, kernel: str = "linear",
@@ -153,28 +235,12 @@ def cka(X: np.ndarray, Y: np.ndarray, kernel: str = "linear",
     set is constant across samples (self-HSIC zero), rather than
     reporting a silent 0.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2:
-        raise InputError("representations must be 2-D (samples x features)")
-    if X.shape[0] != Y.shape[0]:
-        raise InputError(f"sample counts differ: {X.shape[0]} vs {Y.shape[0]}")
-    if X.shape[0] < 3:
-        raise InputError(f"need n >= 3 samples, got {X.shape[0]}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-        raise InputError("representations contain non-finite values")
-    if kernel == "linear":
-        Kx, Ky = _gram_linear(X), _gram_linear(Y)
-    elif kernel == "rbf":
-        Kx = _gram_rbf(X, rbf_frac, rbf_sigma)
-        Ky = _gram_rbf(Y, rbf_frac, rbf_sigma)
-    else:
-        raise InputError(f"kernel must be 'linear' or 'rbf', got {kernel!r}")
-    hxx = hsic(Kx, Kx)
-    hyy = hsic(Ky, Ky)
-    if hxx <= 1e-300 or hyy <= 1e-300:
-        raise DegenerateRepresentation("constant representation: self-HSIC is zero")
-    return hsic(Kx, Ky) / math.sqrt(hxx * hyy)
+    X, Y = _check_reps(X, Y)
+    value, flag = _pair_cka(_prepare(X, kernel, rbf_frac, rbf_sigma),
+                            _prepare(Y, kernel, rbf_frac, rbf_sigma))
+    if flag:
+        raise DegenerateRepresentation(flag)
+    return value
 
 
 def kernel_label(kernel: str, rbf_frac: float = 0.5,
@@ -333,11 +399,27 @@ class CkaReport:
         return "\n".join(lines) + "\n"
 
 
-def _safe_cka(X, Y, kernel, rbf_frac, rbf_sigma):
-    try:
-        return cka(X, Y, kernel=kernel, rbf_frac=rbf_frac, rbf_sigma=rbf_sigma), None
-    except DegenerateRepresentation as e:
-        return None, str(e)
+def _layer_cka(la: ActivationSet, lb: ActivationSet, kernel: str, rbf_frac: float,
+               rbf_sigma: Optional[float]) -> LayerCka:
+    """One layer of a report. Each representation's centred Gram is built
+    once; the task pair's two are freed before the module Grams are built,
+    and all of them when the layer returns."""
+    entries = (
+        [(f"t{la.task_id}:m{m}", rep) for m, rep in la.per_module.items()]
+        + [(f"t{lb.task_id}:m{m}", rep) for m, rep in lb.per_module.items()]
+    )
+    reps = _check_reps(la.rep, lb.rep, *(rep for _, rep in entries))
+    task_val, task_flag = _pair_cka(*(_prepare(X, kernel, rbf_frac, rbf_sigma)
+                                      for X in reps[:2]))
+    mods = [_prepare(X, kernel, rbf_frac, rbf_sigma) for X in reps[2:]]
+    p = len(mods)
+    matrix: list[list[Optional[float]]] = [[None] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i, p):
+            matrix[i][j] = matrix[j][i] = _pair_cka(mods[i], mods[j])[0]
+    return LayerCka(layer=la.layer, task_cka=task_val, task_cka_flag=task_flag,
+                    labels=[name for name, _ in entries], matrix=matrix,
+                    shared_modules=sorted(set(la.per_module) & set(lb.per_module)))
 
 
 def layerwise_cka_report(set_a: list[ActivationSet], set_b: list[ActivationSet],
@@ -351,26 +433,8 @@ def layerwise_cka_report(set_a: list[ActivationSet], set_b: list[ActivationSet],
         raise InputError("empty activation sets")
     if set_a[0].rep.shape[0] != set_b[0].rep.shape[0]:
         raise InputError("activation sets have different sample counts")
-    layers = []
-    for la, lb in zip(set_a, set_b):
-        task_val, task_flag = _safe_cka(la.rep, lb.rep, kernel, rbf_frac, rbf_sigma)
-        entries = (
-            [(f"t{la.task_id}:m{m}", rep) for m, rep in la.per_module.items()]
-            + [(f"t{lb.task_id}:m{m}", rep) for m, rep in lb.per_module.items()]
-        )
-        labels = [name for name, _ in entries]
-        p = len(entries)
-        matrix: list[list[Optional[float]]] = [[None] * p for _ in range(p)]
-        for i in range(p):
-            for j in range(i, p):
-                v, _flag = _safe_cka(entries[i][1], entries[j][1],
-                                     kernel, rbf_frac, rbf_sigma)
-                matrix[i][j] = v
-                matrix[j][i] = v
-        shared = sorted(set(la.per_module) & set(lb.per_module))
-        layers.append(LayerCka(layer=la.layer, task_cka=task_val,
-                               task_cka_flag=task_flag, labels=labels,
-                               matrix=matrix, shared_modules=shared))
+    layers = [_layer_cka(la, lb, kernel, rbf_frac, rbf_sigma)
+              for la, lb in zip(set_a, set_b)]
     return CkaReport(setup=setup, kernel=kernel_label(kernel, rbf_frac, rbf_sigma),
                      task_a=set_a[0].task_id, task_b=set_b[0].task_id,
                      layers=layers, n_samples=set_a[0].rep.shape[0])

@@ -9,8 +9,9 @@ task-id order (gamma, beta, run_mean, run_var each), and finally head_W
 (row-major) and head_b. Metadata JSON is canonical (sorted keys, compact
 separators) so save -> load -> save is byte-identical.
 
-Saving writes a temporary file next to the target and renames it into
-place, so a checkpoint is never seen half-written. Loading rejects a
+Saving goes through `write_atomic` (a temporary file next to the target,
+renamed into place), so a checkpoint is never seen half-written; the
+report and analysis files are written the same way. Loading rejects a
 missing or unreadable file with InputError, and a corrupt one (bad magic,
 unknown version, undecodable or inconsistent metadata, wrong blob size)
 with ContractError, before any of it reaches a grid.
@@ -55,21 +56,27 @@ def _metadata(grid: ModuleGrid) -> dict:
     }
 
 
-def save_checkpoint(grid: ModuleGrid, path) -> None:
+def write_atomic(path, *chunks: bytes) -> None:
+    """Write `chunks` to a temporary file next to `path`, then rename it into
+    place: readers see the old file or the whole new one, never a partial
+    one. A failed write removes the temporary file and leaves `path` as it was."""
     path = FsPath(path)
-    meta = json.dumps(_metadata(grid), sort_keys=True, separators=(",", ":")).encode()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(struct.pack("<Q", len(meta)))
-            fh.write(meta)
-            fh.write(grid.arena.astype("<f8", copy=False).tobytes())
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_checkpoint(grid: ModuleGrid, path) -> None:
+    meta = json.dumps(_metadata(grid), sort_keys=True, separators=(",", ":")).encode()
+    write_atomic(path, MAGIC, struct.pack("<I", FORMAT_VERSION),
+                 struct.pack("<Q", len(meta)), meta,
+                 grid.arena.astype("<f8", copy=False).tobytes())
 
 
 def _grid_from_metadata(meta: dict) -> ModuleGrid:

@@ -20,7 +20,7 @@ from .analysis import (
     shared_layers_from_label,
     sharing_profile,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import ExperimentConfig
 from .data import gen_synthetic_task, load_csv, oversample_to_equal, standardize_pair, write_csv
 from .errors import ConfigError, InputError
@@ -120,9 +120,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, log=None) -> RunReport:
 
 
 def write_report(report: RunReport, path) -> None:
-    FsPath(path).write_text(
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
+    write_atomic(path, (json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+                        + "\n").encode("utf-8"))
 
 
 def load_report(path) -> RunReport:
@@ -156,7 +155,8 @@ def analyze_checkpoint(ckpt_path, cfg: ExperimentConfig, out_dir=None) -> dict:
     """capture_activations + layerwise CKA + sharing profile, per toggles.
 
     Writes cka_report.json, per-layer heatmap CSVs, and
-    sharing_profile.json into out/analysis/; returns the artifact index.
+    sharing_profile.json into out/analysis/, each atomically; returns the
+    artifact index.
     """
     out = FsPath(out_dir if out_dir is not None else cfg.out_dir) / "analysis"
     out.mkdir(parents=True, exist_ok=True)
@@ -168,8 +168,8 @@ def analyze_checkpoint(ckpt_path, cfg: ExperimentConfig, out_dir=None) -> dict:
         profile = sharing_profile([t.path for t in grid.tasks],
                                   grid.n_modules, grid.n_layers)
         path = out / "sharing_profile.json"
-        path.write_text(json.dumps(profile.to_json_dict(), sort_keys=True, indent=2) + "\n",
-                        encoding="utf-8")
+        write_atomic(path, (json.dumps(profile.to_json_dict(), sort_keys=True, indent=2)
+                            + "\n").encode("utf-8"))
         artifacts["sharing_profile"] = str(path)
 
     if cfg.analysis.cka:
@@ -182,12 +182,12 @@ def analyze_checkpoint(ckpt_path, cfg: ExperimentConfig, out_dir=None) -> dict:
                                       rbf_frac=cfg.analysis.rbf_frac,
                                       rbf_sigma=cfg.analysis.rbf_sigma, setup=setup)
         path = out / "cka_report.json"
-        path.write_text(report.to_json() + "\n", encoding="utf-8")
+        write_atomic(path, (report.to_json() + "\n").encode("utf-8"))
         artifacts["cka_report"] = str(path)
         heatmaps = []
         for l in range(len(report.layers)):
             hpath = out / f"cka_heatmap_layer{l}.csv"
-            hpath.write_text(report.heatmap_csv(l), encoding="utf-8")
+            write_atomic(hpath, report.heatmap_csv(l).encode("utf-8"))
             heatmaps.append(str(hpath))
         artifacts["heatmaps"] = heatmaps
     return artifacts

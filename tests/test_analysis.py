@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from part import analysis
 from part import (
     DegenerateRepresentation,
     InputError,
@@ -15,6 +18,7 @@ from part import (
     shared_layers_from_label,
     sharing_profile,
 )
+from part.analysis import ActivationSet
 from part.net import Path, build_controlled_paths, assign_random_path
 
 from conftest import make_grid
@@ -318,6 +322,50 @@ def test_degenerate_layer_is_flagged_in_report():
     for lc in report.layers:
         assert lc.task_cka is None
         assert lc.task_cka_flag is not None
+
+
+def _random_sets(n, n_layers=2, seed=0):
+    """Two tasks' layer representations, three modules each (p = 6)."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for task_id, mods in ((0, (0, 1, 2)), (1, (1, 2, 3))):
+        layers = []
+        for l in range(n_layers):
+            per_module = {m: rng.normal(size=(n, 5)) for m in mods}
+            layers.append(ActivationSet(task_id=task_id, layer=l,
+                                        rep=sum(per_module.values()), per_module=per_module))
+        sets.append(layers)
+    return sets
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_report_builds_one_gram_per_representation(monkeypatch, kernel):
+    built = []
+    for name in ("_gram_linear", "_gram_rbf"):
+        real = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name,
+                            lambda X, *args, real=real: built.append(X) or real(X, *args))
+    sa, sb = _random_sets(12, n_layers=3)
+    report = layerwise_cka_report(sa, sb, kernel=kernel)
+    p = len(report.layers[0].labels)
+    assert p == 6
+    assert len(built) == len(report.layers) * (2 + p)
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_report_peak_memory_stays_below_one_layer_of_grams(kernel):
+    # the task pair's Grams are freed before the p module Grams are built,
+    # and each layer's before the next: the peak stays under 2 + p Grams
+    n, p = 300, 6
+    layerwise_cka_report(*_random_sets(4), kernel=kernel)   # numpy's lazy imports
+    sa, sb = _random_sets(n)
+    tracemalloc.start()
+    try:
+        layerwise_cka_report(sa, sb, kernel=kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (p + 2) * n * n * 8
 
 
 def test_average_cka_reports_elementwise_mean():

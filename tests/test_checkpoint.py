@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from part import ContractError, forward_task, freeze_path, freeze_task, load_checkpoint, save_checkpoint
-from part.checkpoint import FORMAT_VERSION, MAGIC
+from part.checkpoint import FORMAT_VERSION, MAGIC, write_atomic
 
 from conftest import make_grid
 
@@ -66,3 +66,34 @@ def test_truncated_blob_rejected(tmp_path):
     p.write_bytes(raw[:-16])
     with pytest.raises(ContractError):
         load_checkpoint(p)
+
+
+def test_failed_atomic_write_keeps_the_old_file(tmp_path):
+    target = tmp_path / "cka_report.json"
+    target.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        write_atomic(target, b"new", None)        # fails after the first chunk
+    assert target.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["cka_report.json"]
+    write_atomic(target, b"new ", b"file")
+    assert target.read_bytes() == b"new file"
+    assert [p.name for p in tmp_path.iterdir()] == ["cka_report.json"]
+
+
+def test_failed_report_write_keeps_the_old_report(tmp_path, monkeypatch):
+    from part import checkpoint
+    from part.experiment import write_report
+    from part.training import RunReport
+
+    target = tmp_path / "report.json"
+    target.write_text("old\n", encoding="utf-8")
+
+    def boom(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.os, "replace", boom)
+    with pytest.raises(OSError):
+        write_report(RunReport(config_hash="x", seed=0, mode="parallel", tasks=[], epochs=[],
+                               final=[], wallclock_s=0.0), target)
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

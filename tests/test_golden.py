@@ -3,7 +3,9 @@
 Each case runs a tiny experiment through `run_experiment` and compares the
 sha256 of report.json (without its wall-clock field) and of the checkpoint
 file with hashes captured before the flat parameter arena replaced the
-per-tensor parameters. A refactor that is meant to keep the numbers must
+per-tensor parameters. The CKA cases pin `analyze`'s cka_report.json for
+both kernels the same way, and check every report entry against a copy of
+the per-pair formula. A refactor that is meant to keep the numbers must
 keep these hashes; a change that alters bits on purpose re-pins them and
 says by how much the numbers moved. The hashes hold for numpy's bundled
 OpenBLAS on x86-64; another BLAS may round matrix products differently.
@@ -11,11 +13,17 @@ OpenBLAS on x86-64; another BLAS may round matrix products differently.
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from part.analysis import ActivationSet, layerwise_cka_report
 from part.config import parse_config
-from part.experiment import CHECKPOINT_NAME, REPORT_NAME, run_experiment
+from part.errors import DegenerateRepresentation
+from part.experiment import CHECKPOINT_NAME, REPORT_NAME, analyze_checkpoint, run_experiment
 
 GOLDEN = {
     ("parallel", "per-task"): (
@@ -64,3 +72,125 @@ def test_golden_report_and_checkpoint(tmp_path, mode, norm_mode):
     got = (report_sha(tmp_path / REPORT_NAME),
            hashlib.sha256((tmp_path / CHECKPOINT_NAME).read_bytes()).hexdigest())
     assert got == GOLDEN[(mode, norm_mode)]
+
+
+# ---------------------------------------------------------------------------
+# CKA reports: pinned at the per-pair cka() implementation, before each
+# representation's centred Gram was built once per layer
+
+CKA_GOLDEN = {
+    "linear": "0484c79e00f53270a69c46456cc04207f637730734e77e8d985b66e10158651c",
+    "rbf": "a7965289f27e52d02683ac455273b8b346eba42c4c5c3cf1a525936b9e866b6b",
+}
+
+
+def cka_config(kernel, out_dir):
+    return parse_config({
+        "seed": 5, "mode": "parallel", "norm_mode": "shared", "out_dir": str(out_dir),
+        "controlled_sharing": "layer 13",
+        "grid": {"n_layers": 3, "n_modules": 4, "path_width": 2, "d_in": 4, "d_hid": 6},
+        "tasks": [{"type": "synthetic", "c": 3, "n_per_class": 20, "margin": 4.0,
+                   "name": f"t{i}"} for i in range(2)],
+        "train": {"epochs": 2, "batch_size": 8, "batch_set_size": 2, "lr0": 0.02,
+                  "lr_halve_epochs": [3]},
+        "analysis": {"pair": [0, 1], "capture_n": 12, "kernel": kernel, "rbf_frac": 0.5},
+    })
+
+
+@pytest.mark.parametrize("kernel", sorted(CKA_GOLDEN))
+def test_golden_cka_report(tmp_path, kernel):
+    cfg = cka_config(kernel, tmp_path)
+    run_experiment(cfg)
+    analyze_checkpoint(tmp_path / CHECKPOINT_NAME, cfg)
+    doc = (tmp_path / "analysis" / "cka_report.json").read_bytes()
+    assert hashlib.sha256(doc).hexdigest() == CKA_GOLDEN[kernel]
+
+
+# A copy of the per-pair formula the pins above were taken with: fresh Grams
+# for every pair, hsic(Kx,Ky)/sqrt(hsic(Kx,Kx) hsic(Ky,Ky)).
+
+def old_center(K):
+    row = K.mean(axis=0, keepdims=True)
+    col = K.mean(axis=1, keepdims=True)
+    return K - row - col + K.mean()
+
+
+def old_hsic(K, Lm):
+    n = K.shape[0]
+    return float(np.sum(old_center(K) * old_center(Lm)) / (n - 1) ** 2)
+
+
+def old_gram(X, kernel, frac, sigma):
+    if kernel == "linear":
+        return X @ X.T
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    if sigma is None:
+        iu = np.triu_indices(X.shape[0], k=1)
+        med = float(np.median(np.sqrt(d2[iu])))
+        if med == 0.0:
+            raise DegenerateRepresentation(
+                "zero median pairwise distance: representation is constant")
+        sigma = frac * med
+    K = np.exp(-d2 / (2.0 * sigma * sigma))
+    return (K + K.T) / 2.0
+
+
+def old_cka(X, Y, kernel, frac, sigma):
+    """(value, flag) of one pair, as the report recorded it."""
+    try:
+        Kx = old_gram(X, kernel, frac, sigma)
+        Ky = old_gram(Y, kernel, frac, sigma)
+        hxx, hyy = old_hsic(Kx, Kx), old_hsic(Ky, Ky)
+        if hxx <= 1e-300 or hyy <= 1e-300:
+            raise DegenerateRepresentation("constant representation: self-HSIC is zero")
+        return old_hsic(Kx, Ky) / math.sqrt(hxx * hyy), None
+    except DegenerateRepresentation as e:
+        return None, str(e)
+
+
+def activation_sets(n, n_layers, seed, constant):
+    """Two tasks' random layer representations; `constant` makes one task
+    rep ("task") or one module rep ("module") identical across samples."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for task_id in (0, 1):
+        layers = []
+        for l in range(n_layers):
+            mods = sorted(rng.choice(4, size=int(rng.integers(1, 4)), replace=False))
+            per_module = {int(m): rng.normal(size=(n, 3)) * rng.uniform(0.1, 5.0)
+                          for m in mods}
+            if constant == "module" and task_id == 1 and l == 0:
+                per_module[int(mods[0])] = np.full((n, 3), 0.25)
+            rep = sum(per_module.values())
+            if constant == "task" and task_id == 0 and l == n_layers - 1:
+                rep = np.full((n, 3), -1.5)
+            layers.append(ActivationSet(task_id=task_id, layer=l, rep=rep,
+                                        per_module=per_module))
+        sets.append(layers)
+    return sets
+
+
+CASES = st.tuples(st.integers(3, 9), st.integers(1, 2), st.integers(0, 2**32 - 1),
+                  st.sampled_from([None, "task", "module"]),
+                  st.sampled_from([("linear", None), ("rbf", None), ("rbf", 0.7),
+                                   ("rbf", 3.0)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(CASES)
+@example((3, 1, 0, "task", ("rbf", None)))       # zero median distance flag
+@example((3, 2, 1, "task", ("rbf", 0.7)))        # absolute sigma: self-HSIC flag
+@example((3, 1, 2, "module", ("linear", None)))  # constant module rep
+def test_report_entries_equal_the_old_per_pair_formula(case):
+    n, n_layers, seed, constant, (kernel, sigma) = case
+    set_a, set_b = activation_sets(n, n_layers, seed, constant)
+    report = layerwise_cka_report(set_a, set_b, kernel=kernel, rbf_frac=0.5,
+                                  rbf_sigma=sigma)
+    for la, lb, lc in zip(set_a, set_b, report.layers):
+        assert (lc.task_cka, lc.task_cka_flag) == old_cka(la.rep, lb.rep, kernel, 0.5, sigma)
+        reps = list(la.per_module.values()) + list(lb.per_module.values())
+        for i, X in enumerate(reps):
+            for j, Y in enumerate(reps):
+                assert lc.matrix[i][j] == old_cka(X, Y, kernel, 0.5, sigma)[0]
