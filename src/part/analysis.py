@@ -12,8 +12,12 @@ symmetry, centres it in place and takes its self-HSIC, and then each pair
 costs one elementwise product and sum. That product and sum are the ones
 a fresh cka() call makes, so the report's numbers are the same bit for
 bit. A layer's Grams are freed before the next layer's are built, and the
-task pair's two before the p module Grams, so a report holds at most p
-centred Grams plus one n x n temporary (below (p + 2) * n^2 float64s).
+task pair's two before the p module Grams. Module Grams are scored as they
+arrive, and each product with the last one is formed in the other Gram's
+storage, so a report holds at most the p module Grams plus block-sized
+temporaries. The peak, about (p + 0.6) n^2 float64s, comes while the last
+RBF Gram is built next to the other p - 1 and its median reads the upper
+triangle.
 """
 
 from __future__ import annotations
@@ -118,14 +122,21 @@ def _center(K: np.ndarray) -> np.ndarray:
     return K
 
 
-_SYMMETRY_BLOCK = 64
+_BLOCK = 64
+
+
+def _blocks(n: int) -> list[slice]:
+    """Row blocks of an n x n array, so per-block temporaries stay small."""
+    return [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
 
 
 def _check_symmetric(K: np.ndarray) -> None:
-    # np.allclose(K, K.T) over row blocks, so the temporaries stay small
-    for i in range(0, K.shape[0], _SYMMETRY_BLOCK):
-        if not np.allclose(K[i:i + _SYMMETRY_BLOCK], K[:, i:i + _SYMMETRY_BLOCK].T,
-                           atol=1e-10):
+    # np.allclose(K, K.T) over row blocks; an exactly symmetric block (the
+    # usual case) is settled by one boolean temporary instead of allclose's
+    # float ones
+    for rows in _blocks(K.shape[0]):
+        block, mirror = K[rows], K[:, rows].T
+        if not (np.array_equal(block, mirror) or np.allclose(block, mirror, atol=1e-10)):
             raise InputError("gram matrices must be symmetric")
 
 
@@ -151,13 +162,14 @@ def _gram_linear(X: np.ndarray) -> np.ndarray:
 
 def _gram_rbf(X: np.ndarray, frac: float, sigma: Optional[float]) -> np.ndarray:
     # exp(-d2 / (2 sigma^2)) with d2 the squared pairwise distances, built in
-    # place: at most two n x n arrays are alive at once
+    # place in one n x n array; other temporaries are row blocks, or the
+    # upper triangle while the median is taken
     sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :]
-    xx = X @ X.T
-    xx *= 2.0
-    d2 -= xx
-    del xx
+    d2 = X @ X.T
+    d2 *= 2.0
+    for rows in _blocks(X.shape[0]):
+        # (sq_i + sq_j) - 2 x_i.x_j
+        np.subtract(sq[rows, None] + sq[None, :], d2[rows], out=d2[rows])
     np.maximum(d2, 0.0, out=d2)
     if sigma is None:
         n = X.shape[0]
@@ -174,10 +186,16 @@ def _gram_rbf(X: np.ndarray, frac: float, sigma: Optional[float]) -> np.ndarray:
     np.negative(d2, out=d2)
     d2 /= 2.0 * sigma * sigma
     np.exp(d2, out=d2)
-    # exact symmetry despite float summation order
-    K = d2 + d2.T
-    K /= 2.0
-    return K
+    # exact symmetry despite float summation order: (K + K.T) / 2, in place
+    # one pair of mirrored blocks at a time (a + b == b + a bit for bit)
+    blocks = _blocks(X.shape[0])
+    for i, rows in enumerate(blocks):
+        for cols in blocks[i:]:
+            total = d2[rows, cols] + d2[cols, rows].T
+            d2[rows, cols] = total
+            d2[cols, rows] = total.T
+    d2 /= 2.0
+    return d2
 
 
 def _check_reps(*reps) -> list[np.ndarray]:
@@ -196,9 +214,11 @@ def _check_reps(*reps) -> list[np.ndarray]:
     return reps
 
 
-def _prepare(X: np.ndarray, kernel: str, rbf_frac: float, rbf_sigma: Optional[float]):
+def _prepare(X: np.ndarray, kernel: str, rbf_frac: float, rbf_sigma: Optional[float],
+             self_hsic: bool = True):
     """(centred Gram, self-HSIC, None) of one checked representation, or
-    (None, None, flag) if it is constant."""
+    (None, None, flag) if it is constant. With self_hsic=False the caller
+    takes the self-HSIC later (`_self_hsic`) and it is returned as None."""
     try:
         if kernel == "linear":
             K = _gram_linear(X)
@@ -210,19 +230,33 @@ def _prepare(X: np.ndarray, kernel: str, rbf_frac: float, rbf_sigma: Optional[fl
         return None, None, str(e)
     _check_symmetric(K)
     Kc = _center(K)
-    h = float(np.sum(Kc * Kc) / (X.shape[0] - 1) ** 2)
-    if h <= 1e-300:
-        return None, None, "constant representation: self-HSIC is zero"
-    return Kc, h, None
+    if not self_hsic:
+        return Kc, None, None
+    h, flag = _self_hsic(Kc)
+    return (None, None, flag) if flag else (Kc, h, None)
 
 
-def _pair_cka(a, b) -> tuple[Optional[float], Optional[str]]:
+def _pair_sum(Ka: np.ndarray, Kb: np.ndarray, into: Optional[np.ndarray] = None) -> float:
+    """sum(Ka * Kb) / (n-1)^2 of two centred Grams: their HSIC. The product
+    is formed in `into` (Ka or Kb at its last use) if given, else in a
+    temporary; the bits are the same either way."""
+    n = Ka.shape[0]
+    product = Ka * Kb if into is None else np.multiply(Ka, Kb, out=into)
+    return float(np.sum(product) / (n - 1) ** 2)
+
+
+def _self_hsic(Kc: np.ndarray, into: Optional[np.ndarray] = None):
+    """(self-HSIC, None) of a centred Gram, or (value, flag) if it is zero."""
+    h = _pair_sum(Kc, Kc, into)
+    return h, ("constant representation: self-HSIC is zero" if h <= 1e-300 else None)
+
+
+def _pair_cka(a, b, into: Optional[np.ndarray] = None) -> tuple[Optional[float], Optional[str]]:
     """(cka, None) of two prepared representations, or (None, flag)."""
     (Ka, ha, flag_a), (Kb, hb, flag_b) = a, b
     if flag_a or flag_b:
         return None, flag_a or flag_b
-    n = Ka.shape[0]
-    return float(np.sum(Ka * Kb) / (n - 1) ** 2) / math.sqrt(ha * hb), None
+    return _pair_sum(Ka, Kb, into) / math.sqrt(ha * hb), None
 
 
 def cka(X: np.ndarray, Y: np.ndarray, kernel: str = "linear",
@@ -317,11 +351,8 @@ def capture_activations(grid: ModuleGrid, task: TaskSpec, samples,
     _, tape = forward_task(grid, task, X, mode="eval")
     sets = []
     for l in range(grid.n_layers):
-        recs = tape.records[l]
-        sets.append(ActivationSet(
-            task_id=task.id, layer=l, rep=tape.layer_sum(l),
-            per_module={m: recs[m].out for m in sorted(recs)},
-        ))
+        sets.append(ActivationSet(task_id=task.id, layer=l, rep=tape.layer_sum(l),
+                                  per_module=tape.module_outputs(l)))
     return sets
 
 
@@ -402,21 +433,44 @@ class CkaReport:
 def _layer_cka(la: ActivationSet, lb: ActivationSet, kernel: str, rbf_frac: float,
                rbf_sigma: Optional[float]) -> LayerCka:
     """One layer of a report. Each representation's centred Gram is built
-    once; the task pair's two are freed before the module Grams are built,
-    and all of them when the layer returns."""
+    once; the task pair's two are freed before the module Grams are built.
+    Module Gram j is scored against Grams 0..j-1 as it arrives. The last
+    one's pair products are formed in the other Gram's storage (its last
+    use) and its self-HSIC, taken last, in its own, so no product
+    temporary is ever alive next to all p module Grams."""
     entries = (
         [(f"t{la.task_id}:m{m}", rep) for m, rep in la.per_module.items()]
         + [(f"t{lb.task_id}:m{m}", rep) for m, rep in lb.per_module.items()]
     )
     reps = _check_reps(la.rep, lb.rep, *(rep for _, rep in entries))
-    task_val, task_flag = _pair_cka(*(_prepare(X, kernel, rbf_frac, rbf_sigma)
-                                      for X in reps[:2]))
-    mods = [_prepare(X, kernel, rbf_frac, rbf_sigma) for X in reps[2:]]
-    p = len(mods)
+    task_a, task_b = (_prepare(X, kernel, rbf_frac, rbf_sigma) for X in reps[:2])
+    task_val, task_flag = _pair_cka(task_a, task_b, into=task_a[0])
+    del task_a, task_b
+
+    p = len(reps) - 2
+    grams, hsics, flags, sums = [], [], [], {}
+    for j, X in enumerate(reps[2:]):
+        last = j == p - 1
+        K, h, flag = _prepare(X, kernel, rbf_frac, rbf_sigma, self_hsic=not last)
+        for i in range(j):
+            if K is not None and grams[i] is not None:
+                sums[i, j] = _pair_sum(grams[i], K, into=grams[i] if last else None)
+        if last:
+            grams.clear()
+            if K is not None:
+                h, flag = _self_hsic(K, into=K)
+                del K
+        else:
+            grams.append(K)
+        hsics.append(h)
+        flags.append(flag)
     matrix: list[list[Optional[float]]] = [[None] * p for _ in range(p)]
     for i in range(p):
         for j in range(i, p):
-            matrix[i][j] = matrix[j][i] = _pair_cka(mods[i], mods[j])[0]
+            if not (flags[i] or flags[j]):
+                # the diagonal's pair sum is the self-HSIC, the same bits
+                pair = hsics[i] if i == j else sums[i, j]
+                matrix[i][j] = matrix[j][i] = pair / math.sqrt(hsics[i] * hsics[j])
     return LayerCka(layer=la.layer, task_cka=task_val, task_cka_flag=task_flag,
                     labels=[name for name, _ in entries], matrix=matrix,
                     shared_modules=sorted(set(la.per_module) & set(lb.per_module)))

@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path as FsPath
 
+from .checkpoint import write_atomic
 from .config import load_config
 from .errors import ContractError, InputError, NumericError
 from .experiment import (
@@ -72,7 +73,7 @@ def _cmd_profile_sharing(args) -> int:
     result = profile_sharing_trials(cfg, trials=args.trials)
     text = json.dumps(result, sort_keys=True, indent=2)
     if args.out:
-        FsPath(args.out).write_text(text + "\n", encoding="utf-8")
+        write_atomic(args.out, (text + "\n").encode("utf-8"))
         print(f"wrote {args.out}")
     print(text)
     return 0
@@ -88,8 +89,7 @@ def _cmd_compare(args) -> int:
               f"delta {row['delta']:+.4f}")
     print(f"mean: A {result['mean_a']:.4f}  B {result['mean_b']:.4f}  "
           f"delta {result['mean_delta']:+.4f}")
-    FsPath(args.out).write_text(json.dumps(result, sort_keys=True, indent=2) + "\n",
-                                encoding="utf-8")
+    write_atomic(args.out, (json.dumps(result, sort_keys=True, indent=2) + "\n").encode("utf-8"))
     print(f"wrote {args.out}")
     return 0
 

@@ -189,8 +189,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("train", str(e)) from None
     if train.epochs < 0:
         raise ConfigError("train.epochs", "must be >= 0")
-    if train.batch_size < 1 or train.batch_set_size < 1:
-        raise ConfigError("train.batch_size", "batch sizes must be >= 1")
+    if train.batch_size < 2:
+        raise ConfigError("train.batch_size",
+                          f"must be >= 2 (batch norm of one sample), got {train.batch_size}")
+    if train.batch_set_size < 1:
+        raise ConfigError("train.batch_set_size", "must be >= 1")
 
     single_task_index = doc.get("single_task_index", 0)
     if not (0 <= single_task_index < len(tasks)):

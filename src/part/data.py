@@ -11,6 +11,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .errors import CsvParseError, InputError
 
 
@@ -145,13 +146,13 @@ def oversample_to_equal(datasets: list[Dataset], rng: np.random.Generator) -> li
 
 
 def write_csv(path, ds: Dataset) -> None:
-    path = FsPath(path)
+    """Write `ds` in the CSV format above, atomically (see `write_atomic`)."""
     header = "label," + ",".join(f"f{j}" for j in range(ds.d))
     lines = [header]
     for i in range(ds.n):
         row = ",".join(repr(float(v)) for v in ds.features[i])
         lines.append(f"{int(ds.labels[i])},{row}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_csv(path, name: str = "") -> Dataset:
@@ -212,14 +213,15 @@ class BatchPlan:
 
     @classmethod
     def for_dataset(cls, ds: Dataset, batch_size: int, rng: np.random.Generator) -> "BatchPlan":
-        if batch_size < 1:
-            raise InputError(f"batch_size must be >= 1, got {batch_size}")
+        if batch_size < 2:
+            raise InputError(f"batch_size must be >= 2 (batch norm), got {batch_size}")
         return cls(batch_size=batch_size, order=rng.permutation(ds.n))
 
     @property
     def n_batches(self) -> int:
-        n = len(self.order)
-        return -(-n // self.batch_size)
+        """Batches per epoch: a one-sample tail joins the batch before it."""
+        full, tail = divmod(len(self.order), self.batch_size)
+        return max(1, full + (tail > 1))
 
     @property
     def remaining(self) -> int:
@@ -234,7 +236,9 @@ class BatchPlan:
 def next_batches(ds: Dataset, plan: BatchPlan, count: int) -> list[np.ndarray]:
     """Up to `count` consecutive index blocks of the epoch permutation.
 
-    The final block of an epoch may be short; an exhausted plan yields [].
+    The final block of an epoch may be short, but never one sample out of
+    several (batch norm of one sample has zero variance): a one-sample tail
+    joins the block before it. An exhausted plan yields [].
     """
     if len(plan.order) != ds.n:
         raise InputError("batch plan does not belong to this dataset")
@@ -243,6 +247,8 @@ def next_batches(ds: Dataset, plan: BatchPlan, count: int) -> list[np.ndarray]:
         if plan.cursor >= ds.n:
             break
         stop = min(plan.cursor + plan.batch_size, ds.n)
+        if ds.n - stop == 1:
+            stop = ds.n
         batches.append(plan.order[plan.cursor:stop])
         plan.cursor = stop
     return batches

@@ -14,17 +14,31 @@ in checkpoint-v1 order: layer-major, module-minor; per module W (row-major)
 then b then its norm instances in task-id order (gamma, beta, run_mean,
 run_var each); then head_W (row-major) and head_b. Block, norm and head
 arrays are views into it, and assigning to one (``blk.W = X``) copies into
-the view. The arena is laid out lazily, on first use by the optimizer, a
+the view. The arena is laid out lazily, on first use by a forward pass, a
 checkpoint or parameter addressing; registering a task only marks it stale,
 so building an experiment never repacks the grid once per task.
+
+Each task has a cached *path index* (`path_index`): per layer an (N, chunk)
+array of arena positions, one row per path module holding its W, b and the
+gamma, beta, run_mean and run_var of the norm instance the task uses. A
+layer's forward reads its parameters with one gather, runs its N blocks as
+one stacked computation over (N, n, d_hid) (a batched matmul, then batch
+norm and ReLU), sums them over the module axis and writes the running
+stats back with one scatter. The tape keeps one stacked `LayerRecord` per
+layer. The backward mirrors it and returns one flat gradient vector in path
+order: per layer and module W, b, gamma, beta, then the head slice's W and
+b; `Gradients` reads it by parameter key. The trainer hands the vector to
+the optimizer directly, masked only when something on the path is frozen.
+The stacked code gives the same bits as running the blocks one by one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -71,8 +85,8 @@ class NormInstance(_InPlaceParams):
     beta: np.ndarray
     run_mean: np.ndarray
     run_var: np.ndarray
-    momentum: float = NORM_MOMENTUM
-    eps: float = NORM_EPS
+    momentum: ClassVar[float] = NORM_MOMENTUM
+    eps: ClassVar[float] = NORM_EPS
 
     @classmethod
     def identity(cls, width: int) -> "NormInstance":
@@ -169,7 +183,7 @@ class ModuleGrid(_InPlaceParams):
         self.version = 0
         self._arena: Optional[np.ndarray] = None
         self._layout: dict = {}       # stored tensor key -> (arena offset, shape)
-        self._trainable: dict = {}    # task id -> (path, keys, Segments)
+        self._paths: dict = {}        # task id -> PathIndex
 
         self.layers: list[list[ModuleBlock]] = []
         for l in range(n_layers):
@@ -233,13 +247,13 @@ class ModuleGrid(_InPlaceParams):
             layout[key] = (start, a.shape)
             start += a.size
         self._arena, self._layout = arena, layout
-        self._trainable.clear()
+        self._paths.clear()
 
     def _arena_stale(self) -> None:
         """Tensors were added: lay the arena out afresh on next use. Until
         then the old views keep every value."""
         self._arena = None
-        self._trainable.clear()
+        self._paths.clear()
 
     # -- parameter addressing ------------------------------------------------
     # keys: ("block", l, m, "W"|"b")
@@ -341,14 +355,14 @@ def freeze_path(grid: ModuleGrid, path: Path) -> None:
     _check_path(grid, path)
     for cell in path.modules():
         grid.frozen.add(cell)
-    grid._trainable.clear()
+    grid._paths.clear()
 
 
 def freeze_task(grid: ModuleGrid, task: TaskSpec) -> None:
     """Freeze a finished task's own holdings: its per-task norm instances
     and its head slice (tracked via the task id)."""
     grid.frozen_tasks.add(task.id)
-    grid._trainable.clear()
+    grid._paths.clear()
 
 
 def is_frozen(grid: ModuleGrid, layer: int, module: int) -> bool:
@@ -378,29 +392,126 @@ def trainable_keys(grid: ModuleGrid, task: TaskSpec) -> list:
     return keys
 
 
+@dataclass(frozen=True)
+class PathIndex:
+    """Where one task's path lives in the arena and in its flat gradient.
+
+    `rows[l]` is an (N, chunk) array of arena positions, one row per module
+    of path row l: W (row-major), b, then the gamma, beta, run_mean and
+    run_var of the norm instance the task uses there, so one gather reads a
+    layer's parameters. `stats[l]` holds the run_mean/run_var positions of
+    the rows whose running statistics still track, and `live[l]` those rows
+    (None: all of them).
+
+    The flat gradient holds, per layer and module, W, b, gamma and beta,
+    then the head slice's W and b; `layout` maps each key, in that order,
+    to its (offset, shape). `trainable` masks the flat gradient down to
+    the tensors the optimizer may update (None when none is frozen); their
+    keys, in the same order, are `trainable_keys`, and their arena
+    positions `segments`.
+    """
+
+    path: Path
+    rows: tuple
+    stats: tuple
+    live: tuple
+    layout: dict
+    size: int
+    trainable: Optional[np.ndarray]
+    trainable_keys: list
+    segments: Segments
+
+
+def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
+    """The task's PathIndex. Cached per task; freezing, registration,
+    re-layout and a new `task.path` make the cache stale."""
+    cached = grid._paths.get(task.id)
+    if cached is not None and cached.path is task.path:
+        return cached
+    if task.path is None:
+        raise InputError(f"task {task.id} has no path assigned")
+    positions = np.arange(grid.arena.size)
+    nk = grid.norm_key(task.id)
+    task_frozen = task.id in grid.frozen_tasks
+    rows, stats, live = [], [], []
+    keys, views, train = [], [], []
+    for l, row in enumerate(task.path.rows):
+        cells, tracking = [], []
+        for m in row:
+            frozen_block = (l, m) in grid.frozen
+            norm_frozen = frozen_block if nk == SHARED else task_frozen
+            cell = [("block", l, m, "W"), ("block", l, m, "b")]
+            cell += [("norm", l, m, nk, which) for which in NormInstance.PARAMS]
+            where = [grid._view(positions, key) for key in cell]
+            cells.append(np.concatenate([w.ravel() for w in where]))
+            tracking.append(not norm_frozen)
+            keys += cell[:4]
+            views += where[:4]
+            train += [not frozen_block] * 2 + [not norm_frozen] * 2
+        layer = np.stack(cells)
+        rows.append(layer)
+        tracked = np.flatnonzero(tracking)
+        stats.append(layer[tracked, -2 * grid.d_hid:])
+        live.append(None if all(tracking) else tracked)
+    head = [("head", task.id, "W"), ("head", task.id, "b")]
+    keys += head
+    views += [grid._view(positions, key) for key in head]
+    train += [not task_frozen] * 2
+
+    sizes = [v.size for v in views]
+    offsets = np.cumsum(sizes) - sizes
+    index = PathIndex(
+        path=task.path, rows=tuple(rows), stats=tuple(stats), live=tuple(live),
+        layout={k: (int(o), v.shape) for k, o, v in zip(keys, offsets, views)},
+        size=int(sum(sizes)),
+        trainable=None if all(train) else np.repeat(train, sizes),
+        trainable_keys=[k for k, t in zip(keys, train) if t],
+        segments=Segments.of([v.ravel() for v, t in zip(views, train) if t]),
+    )
+    grid._paths[task.id] = index
+    return index
+
+
 def trainable_segments(grid: ModuleGrid, task: TaskSpec) -> tuple[list, Segments]:
     """`trainable_keys` plus the arena positions of those tensors, in key
-    order. Cached per task; freezing, registration and a new path make
-    the cache stale."""
-    cached = grid._trainable.get(task.id)
-    if cached is not None and cached[0] is task.path:
-        return cached[1], cached[2]
-    keys = trainable_keys(grid, task)
-    positions = np.arange(grid.arena.size)
-    segments = Segments.of([grid._view(positions, key).ravel() for key in keys])
-    grid._trainable[task.id] = (task.path, keys, segments)
-    return keys, segments
+    order, as cached in the task's PathIndex."""
+    index = path_index(grid, task)
+    return index.trainable_keys, index.segments
+
+
+class Gradients(Mapping):
+    """A task's gradients: one read-only flat vector in path order (see
+    PathIndex), read by key as views into it."""
+
+    def __init__(self, flat: np.ndarray, index: PathIndex):
+        flat.flags.writeable = False
+        self.flat = flat
+        self._index = index
+
+    def __getitem__(self, key) -> np.ndarray:
+        offset, shape = self._index.layout[key]
+        return self.flat[offset:offset + math.prod(shape)].reshape(shape)
+
+    def __iter__(self):
+        return iter(self._index.layout)
+
+    def __len__(self) -> int:
+        return len(self._index.layout)
 
 
 @dataclass
-class BlockRecord:
-    """Per-module forward intermediates needed by backward and analysis."""
+class LayerRecord:
+    """One layer's forward intermediates, stacked over its N path modules
+    (axis 0, in path-row order). Per-feature arrays keep a length-1 sample
+    axis so they broadcast against the (N, n, d_hid) ones."""
 
+    row: tuple            # module indices
+    Ws: np.ndarray        # (N, d_in, d_hid) weights as read by the forward
+    gamma: np.ndarray     # (N, 1, d_hid) norm scale as read by the forward
     zhat: np.ndarray      # normalized pre-activation
-    inv_std: np.ndarray   # 1/sqrt(var + eps) actually applied
+    inv_std: np.ndarray   # (N, 1, d_hid) 1/sqrt(var + eps) actually applied
     y: np.ndarray         # gamma*zhat + beta (pre-ReLU)
-    out: np.ndarray       # relu(y), the pre-sum module output
-    norm_key: int
+    out: np.ndarray       # relu(y), the pre-sum module outputs
     batch_stats: bool     # True if normalized with batch stats (train mode)
 
 
@@ -412,12 +523,17 @@ class Tape:
     mode: str
     grid_version: int
     inputs: list            # h_0 .. h_{L-1}: the input each layer consumed
-    records: list           # per layer: dict module -> BlockRecord
+    layers: list            # one LayerRecord per layer
     h_final: np.ndarray = None
 
     def layer_sum(self, layer: int) -> np.ndarray:
-        recs = self.records[layer]
-        return sum(r.out for r in recs.values())
+        """The summed output of a layer: the next layer's input."""
+        return self.inputs[layer + 1] if layer + 1 < len(self.inputs) else self.h_final
+
+    def module_outputs(self, layer: int) -> dict[int, np.ndarray]:
+        """Each path module's pre-sum output at a layer, by module index."""
+        rec = self.layers[layer]
+        return {m: rec.out[i] for i, m in enumerate(rec.row)}
 
 
 def _check_path(grid: ModuleGrid, path: Path) -> None:
@@ -440,10 +556,12 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
     """Run x through the task's path; returns (logits slice, tape).
 
     Per layer, each selected block computes relu(norm(x W + b)) and the
-    results are summed to feed the next layer. Train mode normalizes with
-    batch statistics and updates the running stats of the instances it
-    used (unless frozen); eval mode reads running stats and mutates
-    nothing.
+    results are summed to feed the next layer; the N blocks of a layer run
+    as one stacked computation over (N, n, d_hid). Train mode normalizes
+    with batch statistics and updates the running stats of the instances
+    it used (unless frozen); it needs at least two samples, since one
+    sample has zero batch variance. Eval mode reads running stats and
+    mutates nothing.
     """
     if mode not in ("train", "eval"):
         raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -453,59 +571,61 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
         raise InputError(f"input must be (n, {grid.d_in}), got {x.shape}")
     if x.shape[0] == 0:
         raise InputError("empty batch")
+    if mode == "train" and x.shape[0] == 1:
+        raise InputError("a training batch needs at least 2 samples")
     if not np.all(np.isfinite(x)):
         raise InputError("input contains non-finite values")
 
-    nk = grid.norm_key(task.id)
-    stats_frozen_task = task.id in grid.frozen_tasks
+    index = path_index(grid, task)
+    arena = grid.arena
+    d = grid.d_hid
+    n = x.shape[0]
     tape = Tape(task_id=task.id, mode=mode, grid_version=grid.version,
-                inputs=[], records=[])
+                inputs=[], layers=[])
     h = x
-    for l, row in enumerate(task.path.rows):
+    for row, rows, stats, live in zip(task.path.rows, index.rows, index.stats, index.live):
         tape.inputs.append(h)
-        recs = {}
-        h_next = np.zeros((h.shape[0], grid.d_hid))
-        for m in row:
-            block = grid.layers[l][m]
-            norm = block.norms[nk]
-            z = h @ block.W + block.b
-            if mode == "train":
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)
-                inv_std = 1.0 / np.sqrt(var + norm.eps)
-                zhat = (z - mu) * inv_std
-                frozen_stats = ((l, m) in grid.frozen if nk == SHARED
-                                else stats_frozen_task)
-                if not frozen_stats:
-                    norm.run_mean[:] = (1 - norm.momentum) * norm.run_mean + norm.momentum * mu
-                    norm.run_var[:] = (1 - norm.momentum) * norm.run_var + norm.momentum * var
-                batch_stats = True
-            else:
-                inv_std = 1.0 / np.sqrt(norm.run_var + norm.eps)
-                zhat = (z - norm.run_mean) * inv_std
-                batch_stats = False
-            y = norm.gamma * zhat + norm.beta
-            out = np.maximum(y, 0.0)
-            recs[m] = BlockRecord(zhat=zhat, inv_std=inv_std, y=y, out=out,
-                                  norm_key=nk, batch_stats=batch_stats)
-            h_next += out
-        tape.records.append(recs)
-        h = h_next
+        params = arena[rows]
+        N, fan_in = rows.shape[0], h.shape[1]
+        Ws = params[:, :fan_in * d].reshape(N, fan_in, d)
+        vectors = params[:, fan_in * d:].reshape(N, 5, 1, d)
+        b, gamma, beta, run_mean, run_var = vectors.swapaxes(0, 1)
+        z = h @ Ws + b
+        if mode == "train":
+            # z.mean and z.var over the batch, sharing the centred z
+            mu = z.sum(axis=1, keepdims=True) / n
+            zc = z - mu
+            var = (zc * zc).sum(axis=1, keepdims=True) / n
+            inv_std = 1.0 / np.sqrt(var + NORM_EPS)
+            zhat = zc * inv_std
+            if stats.size:
+                new = ((1 - NORM_MOMENTUM) * params[:, -2 * d:]
+                       + NORM_MOMENTUM * np.concatenate((mu, var), axis=1).reshape(N, 2 * d))
+                arena[stats] = new if live is None else new[live]
+        else:
+            inv_std = 1.0 / np.sqrt(run_var + NORM_EPS)
+            zhat = (z - run_mean) * inv_std
+        y = gamma * zhat + beta
+        out = np.maximum(y, 0.0)
+        tape.layers.append(LayerRecord(row=row, Ws=Ws, gamma=gamma, zhat=zhat, inv_std=inv_std,
+                                       y=y, out=out, batch_stats=mode == "train"))
+        h = out.sum(axis=0)
     tape.h_final = h
     start, end = task.slice
     logits = h @ grid.head_W[:, start:end] + grid.head_b[start:end]
     return logits, tape
 
 
-def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape, dlogits: np.ndarray):
+def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
+                  dlogits: np.ndarray) -> Gradients:
     """Gradients for exactly the task's trainable surface.
 
     `dlogits` is full-width (n x C_total) as produced by the sliced loss;
     only the task's slice columns are consumed, so everything off the
-    slice contributes nothing by construction. Returns a dict of
-    parameter-key -> gradient covering path blocks (frozen ones included;
-    the trainer filters), the norm instances the forward used, and the
-    head slice.
+    slice contributes nothing by construction. Returns the gradients as
+    one flat vector in path order (see PathIndex), covering path blocks
+    (frozen ones included; the trainer masks them out), the norm instances
+    the forward used, and the head slice, readable by parameter key.
     """
     _check_registered(grid, task)
     if tape.task_id != task.id:
@@ -519,32 +639,33 @@ def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape, dlogits: np.ndar
         raise InputError(f"dlogits must be ({n}, {grid.c_total}), got {dlogits.shape}")
     dslice = dlogits[:, start:end]
 
-    grads = {
-        ("head", task.id, "W"): tape.h_final.T @ dslice,
-        ("head", task.id, "b"): dslice.sum(axis=0),
-    }
+    index = path_index(grid, task)
+    d = grid.d_hid
+    flat = np.empty(index.size)
+    offset = index.layout[("head", task.id, "W")][0]
+    flat[offset:offset + d * task.c] = (tape.h_final.T @ dslice).ravel()
+    flat[offset + d * task.c:] = dslice.sum(axis=0)
     dh = dslice @ grid.head_W[:, start:end].T
     for l in range(grid.n_layers - 1, -1, -1):
-        h_prev = tape.inputs[l]
-        dh_prev = np.zeros_like(h_prev)
-        for m, rec in tape.records[l].items():
-            block = grid.layers[l][m]
-            norm = block.norms[rec.norm_key]
-            dy = dh * (rec.y > 0)
-            grads[("norm", l, m, rec.norm_key, "gamma")] = (dy * rec.zhat).sum(axis=0)
-            grads[("norm", l, m, rec.norm_key, "beta")] = dy.sum(axis=0)
-            dzhat = dy * norm.gamma
-            if rec.batch_stats:
-                # backward through batch mean/var
-                dz = rec.inv_std * (
-                    dzhat
-                    - dzhat.mean(axis=0)
-                    - rec.zhat * (dzhat * rec.zhat).mean(axis=0)
-                )
-            else:
-                dz = dzhat * rec.inv_std
-            grads[("block", l, m, "W")] = h_prev.T @ dz
-            grads[("block", l, m, "b")] = dz.sum(axis=0)
-            dh_prev += dz @ block.W.T
-        dh = dh_prev
-    return grads
+        h_prev, rec = tape.inputs[l], tape.layers[l]
+        N, dd = len(rec.row), h_prev.shape[1] * d
+        offset -= N * (dd + 3 * d)
+        grads = flat[offset:offset + N * (dd + 3 * d)].reshape(N, dd + 3 * d)
+        dy = dh * (rec.y > 0)
+        grads[:, dd + d:dd + 2 * d] = (dy * rec.zhat).sum(axis=1)
+        grads[:, dd + 2 * d:] = dy.sum(axis=1)
+        dzhat = dy * rec.gamma
+        if rec.batch_stats:
+            # backward through batch mean/var (means as sum / n, as .mean does)
+            dz = rec.inv_std * (
+                dzhat
+                - dzhat.sum(axis=1, keepdims=True) / n
+                - rec.zhat * ((dzhat * rec.zhat).sum(axis=1, keepdims=True) / n)
+            )
+        else:
+            dz = dzhat * rec.inv_std
+        grads[:, :dd] = (h_prev.T @ dz).reshape(N, dd)
+        grads[:, dd:dd + d] = dz.sum(axis=1)
+        if l:   # nothing consumes the gradient of the input x
+            dh = (dz @ rec.Ws.transpose(0, 2, 1)).sum(axis=0)
+    return Gradients(flat, index)

@@ -27,8 +27,8 @@ from .net import (
     forward_task,
     freeze_path,
     freeze_task,
+    path_index,
     trainable_keys,  # noqa: F401
-    trainable_segments,
 )
 from .numerics import FlatAdam, adam_step, softmax_xent_slice  # noqa: F401
 
@@ -172,8 +172,10 @@ def _task_rows(tasks: list[TaskSpec]) -> list[dict]:
 
 def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
     """Forward, backward and one fused Adam step over the task's trainable
-    tensors. A non-finite loss, or a non-finite value anywhere in the arena
-    afterwards (updated parameters or running statistics), fails the run."""
+    tensors: the flat path-order gradient, masked only when something on
+    the path is frozen. A non-finite loss, or a non-finite value anywhere
+    in the arena afterwards (updated parameters or running statistics),
+    fails the run."""
     ds = task.train_ds
     X = ds.features[idx]
     y = ds.labels[idx]
@@ -182,11 +184,12 @@ def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
     full = np.zeros((len(idx), grid.c_total))
     full[:, start:end] = logits
     loss, dlogits = softmax_xent_slice(full, y, task.slice)
-    grads = backward_task(grid, task, tape, dlogits)
-    keys, segments = trainable_segments(grid, task)
-    if keys:
-        flat = np.concatenate([grads[key].ravel() for key in keys])
-        adam.step(grid.arena, flat, segments, lr)
+    grads = backward_task(grid, task, tape, dlogits).flat
+    index = path_index(grid, task)
+    if index.trainable_keys:
+        if index.trainable is not None:
+            grads = grads[index.trainable]
+        adam.step(grid.arena, grads, index.segments, lr)
         grid.version += 1
     if not (math.isfinite(loss) and np.isfinite(grid.arena).all()):
         raise NumericError(f"task {task.id} ({task.name}), epoch {epoch}: non-finite "

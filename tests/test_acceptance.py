@@ -124,9 +124,8 @@ def _kink_margin(grid, task, x):
     out = np.inf
     for mode in ("train", "eval"):
         _, tape = forward_task(grid, task, x, mode=mode)
-        for recs in tape.records:
-            for rec in recs.values():
-                out = min(out, float(np.abs(rec.y).min()))
+        for rec in tape.layers:
+            out = min(out, float(np.abs(rec.y).min()))
     return out
 
 

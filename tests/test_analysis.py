@@ -355,7 +355,10 @@ def test_report_builds_one_gram_per_representation(monkeypatch, kernel):
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
 def test_report_peak_memory_stays_below_one_layer_of_grams(kernel):
     # the task pair's Grams are freed before the p module Grams are built,
-    # and each layer's before the next: the peak stays under 2 + p Grams
+    # and each layer's before the next; pair products with the last module
+    # Gram go into the other Gram's storage, so no product temporary joins
+    # the p Grams. Measured at n = 300: linear 6.12, rbf 6.64 n^2 float64s
+    # (the rbf median's upper triangle while the last Gram is built)
     n, p = 300, 6
     layerwise_cka_report(*_random_sets(4), kernel=kernel)   # numpy's lazy imports
     sa, sb = _random_sets(n)
@@ -365,7 +368,7 @@ def test_report_peak_memory_stays_below_one_layer_of_grams(kernel):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (p + 2) * n * n * 8
+    assert peak < (p + 0.75) * n * n * 8
 
 
 def test_average_cka_reports_elementwise_mean():

@@ -336,3 +336,36 @@ def test_nonfinite_training_exits_3(tmp_path, capsys, monkeypatch):
         code, err = _exit_and_stderr(["train", "--config", str(write_config(tmp_path, doc))],
                                      capsys)
     assert code == 3 and "numeric failure" in err and "epoch" in err
+
+
+def test_batch_size_below_two_exits_2(tmp_path, capsys):
+    doc = minimal_config(tmp_path / "run")
+    doc["train"]["batch_size"] = 1
+    with pytest.raises(ConfigError, match="train.batch_size"):
+        parse_config(doc)
+    code, err = _exit_and_stderr(["train", "--config", str(write_config(tmp_path, doc))],
+                                 capsys)
+    assert code == 2 and "batch_size" in err
+
+
+def test_failed_compare_and_profile_writes_keep_the_old_files(tmp_path, capsys, monkeypatch):
+    from part import checkpoint
+
+    cfgp, _ = _trained(tmp_path, capsys)
+    report = str(tmp_path / "run" / "report.json")
+    outs = {name: tmp_path / name for name in ("cmp.json", "profile.json")}
+    for path in outs.values():
+        path.write_text("old\n", encoding="utf-8")
+
+    def boom(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.os, "replace", boom)
+    with pytest.raises(OSError):
+        main(["compare", report, report, "--out", str(outs["cmp.json"])])
+    with pytest.raises(OSError):
+        main(["profile-sharing", "--config", str(cfgp), "--out", str(outs["profile.json"])])
+    for path in outs.values():
+        assert path.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "cmp.json",
+                                                         "profile.json", "run"]

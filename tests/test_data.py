@@ -184,6 +184,23 @@ def test_csv_errors_carry_line_numbers(tmp_path):
         load_csv(p3)
 
 
+def test_failed_csv_write_keeps_the_old_file(tmp_path, rng, monkeypatch):
+    from part import checkpoint
+
+    target = tmp_path / "train.csv"
+    write_csv(target, _blob(rng, 10))
+    before = target.read_bytes()
+
+    def boom(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.os, "replace", boom)
+    with pytest.raises(OSError):
+        write_csv(target, _blob(rng, 12))
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
+
+
 def test_missing_file_is_input_error():
     with pytest.raises(InputError):
         load_csv("/nonexistent/never.csv")
@@ -212,6 +229,25 @@ def test_epoch_covers_every_index_once(rng):
     plan = BatchPlan.for_dataset(ds, 5, rng)
     seen = np.concatenate(next_batches(ds, plan, 100))
     assert sorted(seen.tolist()) == list(range(23))
+
+
+@pytest.mark.parametrize("n, batch_size", [(9, 8), (13, 4), (17, 2), (3, 2), (25, 3)])
+def test_one_sample_tail_joins_the_batch_before_it(rng, n, batch_size):
+    # batch norm of a single sample has zero variance: n = 1 (mod batch_size)
+    # must not leave a size-1 batch, and still use every sample once
+    ds = _blob(rng, n)
+    plan = BatchPlan.for_dataset(ds, batch_size, rng)
+    batches = [b for _ in range(plan.n_batches) for b in next_batches(ds, plan, 1)]
+    assert len(batches) == plan.n_batches == n // batch_size
+    assert min(len(b) for b in batches) >= 2
+    assert len(batches[-1]) == (batch_size + 1 if n > batch_size else n)
+    assert sorted(np.concatenate(batches).tolist()) == list(range(n))
+    assert next_batches(ds, plan, 1) == []
+
+
+def test_batch_size_below_two_rejected(rng):
+    with pytest.raises(InputError):
+        BatchPlan.for_dataset(_blob(rng, 10), 1, rng)
 
 
 def test_reshuffle_uses_rng(rng):

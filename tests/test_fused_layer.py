@@ -1,0 +1,197 @@
+"""The stacked layer forward/backward against the per-module loop it
+replaced, bit for bit.
+
+`reference_forward`/`reference_backward` are the per-block Python loops the
+grid ran before each layer's N path modules became one stacked computation.
+They read and write the block and norm views directly; the fused code
+gathers from and scatters into the arena. Both run on identically built
+grids and must agree on every bit: logits, layer sums, module outputs,
+running statistics (hence the whole arena) and every gradient.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from part import (
+    ModuleGrid,
+    assign_random_path,
+    backward_task,
+    forward_task,
+    freeze_path,
+    freeze_task,
+    register_task,
+)
+from part.net import SHARED, path_index, trainable_keys
+
+
+def reference_forward(grid, task, x, mode):
+    nk = grid.norm_key(task.id)
+    stats_frozen_task = task.id in grid.frozen_tasks
+    inputs, records = [], []
+    h = x
+    for l, row in enumerate(task.path.rows):
+        inputs.append(h)
+        recs = {}
+        h_next = np.zeros((h.shape[0], grid.d_hid))
+        for m in row:
+            block = grid.layers[l][m]
+            norm = block.norms[nk]
+            z = h @ block.W + block.b
+            if mode == "train":
+                mu = z.mean(axis=0)
+                var = z.var(axis=0)
+                inv_std = 1.0 / np.sqrt(var + norm.eps)
+                zhat = (z - mu) * inv_std
+                frozen_stats = ((l, m) in grid.frozen if nk == SHARED
+                                else stats_frozen_task)
+                if not frozen_stats:
+                    norm.run_mean[:] = (1 - norm.momentum) * norm.run_mean + norm.momentum * mu
+                    norm.run_var[:] = (1 - norm.momentum) * norm.run_var + norm.momentum * var
+            else:
+                inv_std = 1.0 / np.sqrt(norm.run_var + norm.eps)
+                zhat = (z - norm.run_mean) * inv_std
+            y = norm.gamma * zhat + norm.beta
+            out = np.maximum(y, 0.0)
+            recs[m] = dict(zhat=zhat, inv_std=inv_std, y=y, out=out)
+            h_next += out
+        records.append(recs)
+        h = h_next
+    start, end = task.slice
+    logits = h @ grid.head_W[:, start:end] + grid.head_b[start:end]
+    return logits, inputs, records, h
+
+
+def reference_backward(grid, task, inputs, records, h_final, dlogits, mode):
+    nk = grid.norm_key(task.id)
+    start, end = task.slice
+    dslice = dlogits[:, start:end]
+    grads = {
+        ("head", task.id, "W"): h_final.T @ dslice,
+        ("head", task.id, "b"): dslice.sum(axis=0),
+    }
+    dh = dslice @ grid.head_W[:, start:end].T
+    for l in range(grid.n_layers - 1, -1, -1):
+        h_prev = inputs[l]
+        dh_prev = np.zeros_like(h_prev)
+        for m, rec in records[l].items():
+            block = grid.layers[l][m]
+            norm = block.norms[nk]
+            dy = dh * (rec["y"] > 0)
+            grads[("norm", l, m, nk, "gamma")] = (dy * rec["zhat"]).sum(axis=0)
+            grads[("norm", l, m, nk, "beta")] = dy.sum(axis=0)
+            dzhat = dy * norm.gamma
+            if mode == "train":
+                dz = rec["inv_std"] * (
+                    dzhat
+                    - dzhat.mean(axis=0)
+                    - rec["zhat"] * (dzhat * rec["zhat"]).mean(axis=0)
+                )
+            else:
+                dz = dzhat * rec["inv_std"]
+            grads[("block", l, m, "W")] = h_prev.T @ dz
+            grads[("block", l, m, "b")] = dz.sum(axis=0)
+            dh_prev += dz @ block.W.T
+        dh = dh_prev
+    return grads
+
+
+@st.composite
+def layer_problem(draw):
+    L = draw(st.integers(1, 3))
+    M = draw(st.integers(1, 4))
+    N = draw(st.integers(1, M))
+    n_tasks = draw(st.integers(1, 3))
+    return dict(
+        L=L, M=M, N=N,
+        d_in=draw(st.integers(2, 5)),
+        d_hid=draw(st.integers(1, 5)),
+        classes=draw(st.lists(st.integers(2, 4), min_size=n_tasks, max_size=n_tasks)),
+        norm_mode=draw(st.sampled_from(["shared", "per-task"])),
+        finished=draw(st.sets(st.integers(0, n_tasks - 1))),   # frozen paths and tasks
+        target=draw(st.integers(0, n_tasks - 1)),
+        mode=draw(st.sampled_from(["train", "eval"])),
+        n=draw(st.integers(2, 6)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def build(problem):
+    """A grid with random paths, norms and biases, some tasks finished
+    (their paths and own holdings frozen). Deterministic in `problem`."""
+    p = problem
+    rng = np.random.default_rng(p["seed"])
+    grid = ModuleGrid(p["L"], p["M"], p["d_in"], p["d_hid"], norm_mode=p["norm_mode"],
+                      seed=p["seed"] % 1000)
+    for c in p["classes"]:
+        register_task(grid, c).path = assign_random_path(p["M"], p["N"], p["L"], rng)
+    for layer in grid.layers:
+        for blk in layer:
+            blk.b = rng.normal(0.0, 0.5, p["d_hid"])
+            for inst in blk.norms.values():
+                inst.gamma = rng.uniform(0.5, 1.5, p["d_hid"])
+                inst.beta = rng.normal(0.0, 0.3, p["d_hid"])
+                inst.run_mean = rng.normal(0.0, 0.5, p["d_hid"])
+                inst.run_var = rng.uniform(0.5, 2.0, p["d_hid"])
+    grid.head_b[:] = rng.normal(size=grid.c_total)
+    for tid in sorted(p["finished"]):
+        freeze_path(grid, grid.tasks[tid].path)
+        freeze_task(grid, grid.tasks[tid])
+    task = grid.tasks[p["target"]]
+    x = rng.normal(size=(p["n"], p["d_in"]))
+    dlogits = rng.normal(size=(p["n"], grid.c_total))
+    return grid, task, x, dlogits
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(layer_problem())
+def test_fused_layer_matches_per_module_loop_bit_for_bit(problem):
+    mode = problem["mode"]
+    ref_grid, ref_task, x, dlogits = build(problem)
+    logits_ref, inputs, records, h_final = reference_forward(ref_grid, ref_task, x, mode)
+    grads_ref = reference_backward(ref_grid, ref_task, inputs, records, h_final, dlogits, mode)
+
+    grid, task, x2, dlogits2 = build(problem)
+    assert same_bits(x, x2) and same_bits(dlogits, dlogits2)
+    logits, tape = forward_task(grid, task, x, mode=mode)
+    grads = backward_task(grid, task, tape, dlogits)
+
+    assert same_bits(logits, logits_ref)
+    assert same_bits(tape.h_final, h_final)
+    for l, recs in enumerate(records):
+        assert same_bits(tape.layer_sum(l), sum(r["out"] for r in recs.values()))
+        outputs = tape.module_outputs(l)
+        assert list(outputs) == list(recs)
+        for m, rec in recs.items():
+            assert same_bits(outputs[m], rec["out"])
+    # running statistics written back (or left alone when frozen or in eval)
+    assert same_bits(grid.arena, ref_grid.arena)
+
+    assert set(grads) == set(grads_ref)
+    for key, g in grads.items():
+        assert same_bits(g, grads_ref[key]), key
+
+    # path order: per layer and module W, b, gamma, beta; then the head slice
+    nk = grid.norm_key(task.id)
+    order = [(kind, l, m, *([nk] if kind == "norm" else []), which)
+             for l, m in task.path.modules()
+             for kind, which in (("block", "W"), ("block", "b"),
+                                 ("norm", "gamma"), ("norm", "beta"))]
+    assert list(grads) == order + [("head", task.id, "W"), ("head", task.id, "b")]
+
+    # what the trainer hands the optimizer: trainable tensors, trainable_keys order
+    index = path_index(grid, task)
+    keys = trainable_keys(grid, task)
+    assert index.trainable_keys == keys
+    flat = grads.flat if index.trainable is None else grads.flat[index.trainable]
+    expected = np.concatenate([np.zeros(0)] + [grads_ref[k].ravel() for k in keys])
+    assert same_bits(flat, expected)
+    positions = np.arange(grid.arena.size)
+    assert same_bits(index.segments.index,
+                     np.concatenate([np.zeros(0, dtype=np.int64)]
+                                    + [grid._view(positions, k).ravel() for k in keys]))

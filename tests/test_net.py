@@ -237,6 +237,18 @@ def test_forward_input_validation():
         forward_task(grid, pathless, np.zeros((3, grid.d_in)))
 
 
+def test_one_sample_training_batch_rejected():
+    # batch norm of one sample: zero variance, zero W gradient, and running
+    # variance pulled toward 0
+    grid = make_grid(seed=7)
+    task = grid.tasks[0]
+    x = np.random.default_rng(0).normal(size=(1, grid.d_in))
+    with pytest.raises(InputError):
+        forward_task(grid, task, x, mode="train")
+    logits, _ = forward_task(grid, task, x, mode="eval")
+    assert logits.shape == (1, task.c)
+
+
 # ---------------------------------------------------------------------------
 # backward
 

@@ -266,3 +266,25 @@ def test_tasks_without_paths_or_data_rejected():
     grid.tasks[0].path = None
     with pytest.raises(ContractError):
         train_parallel(grid, grid.tasks, CFG)
+
+
+def test_one_sample_tail_never_trains_alone(monkeypatch):
+    from part import training
+
+    grid = build_pair(31)
+    task = grid.tasks[0]
+    n = task.train_ds.n
+    assert n % 5 == 1
+    sizes = []
+    real = training.forward_task
+
+    def spy(grid, task, x, mode="eval"):
+        if mode == "train":
+            sizes.append(len(x))
+        return real(grid, task, x, mode=mode)
+
+    monkeypatch.setattr(training, "forward_task", spy)
+    cfg = TrainConfig(epochs=2, batch_size=5, batch_set_size=3, lr0=3e-3, seed=4)
+    train_single(grid, task, cfg)
+    assert len(sizes) == 2 * (n // 5) and min(sizes) == 5 and max(sizes) == 6
+    assert sum(sizes) == 2 * n
