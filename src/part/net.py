@@ -25,11 +25,14 @@ layer's forward reads its parameters with one gather, runs its N blocks as
 one stacked computation over (N, n, d_hid) (a batched matmul, then batch
 norm and ReLU), sums them over the module axis and writes the running
 stats back with one scatter. The tape keeps one stacked `LayerRecord` per
-layer. The backward mirrors it and returns one flat gradient vector in path
-order: per layer and module W, b, gamma, beta, then the head slice's W and
-b; `Gradients` reads it by parameter key. The trainer hands the vector to
-the optimizer directly, masked only when something on the path is frozen.
-The stacked code gives the same bits as running the blocks one by one.
+layer. The backward mirrors it and returns one flat gradient vector over
+the task's trainable surface only (the tensors `trainable_keys` names, in
+the same order: per layer and module W, b, gamma, beta, then the head
+slice's W and b); `Gradients` reads it by parameter key and the trainer
+hands it to the optimizer as it is. The backward stops at the lowest layer
+that holds a trainable tensor, and a layer with none above it only carries
+the gradient through. The stacked code gives the same bits as running the
+blocks one by one.
 """
 
 from __future__ import annotations
@@ -401,39 +404,48 @@ class PathIndex:
     run_var of the norm instance the task uses there, so one gather reads a
     layer's parameters. `stats[l]` holds the run_mean/run_var positions of
     the rows whose running statistics still track, and `live[l]` those rows
-    (None: all of them).
+    (None: all of them). `positions` lists every arena position an eval
+    forward reads: the rows of every layer, then the head slice's W and b.
 
-    The flat gradient holds, per layer and module, W, b, gamma and beta,
-    then the head slice's W and b; `layout` maps each key, in that order,
-    to its (offset, shape). `trainable` masks the flat gradient down to
-    the tensors the optimizer may update (None when none is frozen); their
-    keys, in the same order, are `trainable_keys`, and their arena
-    positions `segments`.
+    The backward works in a vector of `size` holding, per layer and module,
+    W, b, gamma and beta, then the head slice's W and b. `learns[l]` tells
+    whether layer l holds a trainable tensor and `lowest` is the lowest
+    such layer (`len(rows)` when none does): the backward computes no
+    gradient below it and none inside a layer that does not learn.
+    `trainable` masks the work vector down to the tensors the optimizer may
+    update (None when none is frozen); their keys, in the same order, are
+    `trainable_keys`, their (offset, shape) in the masked vector `layout`,
+    and their arena positions `segments`.
     """
 
     path: Path
     rows: tuple
     stats: tuple
     live: tuple
-    layout: dict
+    positions: np.ndarray
     size: int
+    learns: tuple
+    lowest: int
     trainable: Optional[np.ndarray]
+    layout: dict
     trainable_keys: list
     segments: Segments
 
 
 def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
     """The task's PathIndex. Cached per task; freezing, registration,
-    re-layout and a new `task.path` make the cache stale."""
+    re-layout and a new `task.path` make the cache stale. Building it
+    checks the path against the grid."""
     cached = grid._paths.get(task.id)
     if cached is not None and cached.path is task.path:
         return cached
     if task.path is None:
         raise InputError(f"task {task.id} has no path assigned")
+    _check_path(grid, task.path)
     positions = np.arange(grid.arena.size)
     nk = grid.norm_key(task.id)
     task_frozen = task.id in grid.frozen_tasks
-    rows, stats, live = [], [], []
+    rows, stats, live, learns = [], [], [], []
     keys, views, train = [], [], []
     for l, row in enumerate(task.path.rows):
         cells, tracking = [], []
@@ -453,20 +465,27 @@ def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
         tracked = np.flatnonzero(tracking)
         stats.append(layer[tracked, -2 * grid.d_hid:])
         live.append(None if all(tracking) else tracked)
+        learns.append(any(train[-4 * len(row):]))
     head = [("head", task.id, "W"), ("head", task.id, "b")]
+    head_views = [grid._view(positions, key) for key in head]
     keys += head
-    views += [grid._view(positions, key) for key in head]
+    views += head_views
     train += [not task_frozen] * 2
 
     sizes = [v.size for v in views]
-    offsets = np.cumsum(sizes) - sizes
+    kept = [(k, v) for k, v, t in zip(keys, views, train) if t]
+    kept_sizes = [v.size for _, v in kept]
+    offsets = np.cumsum(kept_sizes) - kept_sizes
     index = PathIndex(
         path=task.path, rows=tuple(rows), stats=tuple(stats), live=tuple(live),
-        layout={k: (int(o), v.shape) for k, o, v in zip(keys, offsets, views)},
+        positions=np.concatenate([r.ravel() for r in rows] + [v.ravel() for v in head_views]),
         size=int(sum(sizes)),
+        learns=tuple(learns),
+        lowest=learns.index(True) if any(learns) else len(learns),
         trainable=None if all(train) else np.repeat(train, sizes),
-        trainable_keys=[k for k, t in zip(keys, train) if t],
-        segments=Segments.of([v.ravel() for v, t in zip(views, train) if t]),
+        layout={k: (int(o), v.shape) for (k, v), o in zip(kept, offsets)},
+        trainable_keys=[k for k, _ in kept],
+        segments=Segments.of([v.ravel() for _, v in kept]),
     )
     grid._paths[task.id] = index
     return index
@@ -480,8 +499,9 @@ def trainable_segments(grid: ModuleGrid, task: TaskSpec) -> tuple[list, Segments
 
 
 class Gradients(Mapping):
-    """A task's gradients: one read-only flat vector in path order (see
-    PathIndex), read by key as views into it."""
+    """A task's gradients: one read-only flat vector over its trainable
+    tensors in `trainable_keys` order (see PathIndex), read by key as views
+    into it."""
 
     def __init__(self, flat: np.ndarray, index: PathIndex):
         flat.flags.writeable = False
@@ -544,12 +564,12 @@ def _check_path(grid: ModuleGrid, path: Path) -> None:
             raise InputError(f"path row {l} selects module {max(row)} >= M={grid.n_modules}")
 
 
-def _check_registered(grid: ModuleGrid, task: TaskSpec) -> None:
+def _check_registered(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
+    """The task's PathIndex, once the task is known to be this grid's and
+    its path to fit the grid."""
     if task.id >= len(grid.tasks) or grid.tasks[task.id] is not task:
         raise InputError(f"task {task.id} is not registered on this grid")
-    if task.path is None:
-        raise InputError(f"task {task.id} has no path assigned")
-    _check_path(grid, task.path)
+    return path_index(grid, task)
 
 
 def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "eval"):
@@ -565,18 +585,21 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
     """
     if mode not in ("train", "eval"):
         raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
-    _check_registered(grid, task)
+    index = _check_registered(grid, task)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != grid.d_in:
         raise InputError(f"input must be (n, {grid.d_in}), got {x.shape}")
     if x.shape[0] == 0:
         raise InputError("empty batch")
-    if mode == "train" and x.shape[0] == 1:
+    train = mode == "train"
+    if train and x.shape[0] == 1:
         raise InputError("a training batch needs at least 2 samples")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError("input contains non-finite values")
 
-    index = path_index(grid, task)
+    # every temporary below is fresh, so the in-place forms and out= only
+    # save allocations: each value goes through the same operations
+    reduce = np.add.reduce
     arena = grid.arena
     d = grid.d_hid
     n = x.shape[0]
@@ -590,29 +613,41 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
         Ws = params[:, :fan_in * d].reshape(N, fan_in, d)
         vectors = params[:, fan_in * d:].reshape(N, 5, 1, d)
         b, gamma, beta, run_mean, run_var = vectors.swapaxes(0, 1)
-        z = h @ Ws + b
-        if mode == "train":
-            # z.mean and z.var over the batch, sharing the centred z
-            mu = z.sum(axis=1, keepdims=True) / n
-            zc = z - mu
-            var = (zc * zc).sum(axis=1, keepdims=True) / n
-            inv_std = 1.0 / np.sqrt(var + NORM_EPS)
-            zhat = zc * inv_std
-            if stats.size:
-                new = ((1 - NORM_MOMENTUM) * params[:, -2 * d:]
-                       + NORM_MOMENTUM * np.concatenate((mu, var), axis=1).reshape(N, 2 * d))
-                arena[stats] = new if live is None else new[live]
+        z = h @ Ws
+        z += b
+        if train:
+            # z.mean and z.var over the batch (sum / n), sharing the centred
+            # z; both land side by side for the running-stat update
+            moments = np.empty((N, 2, d))
+            mu, var = moments[:, :1], moments[:, 1:]
+            reduce(z, axis=1, out=mu, keepdims=True)
+            mu /= n
+            z -= mu
+            reduce(z * z, axis=1, out=var, keepdims=True)
+            var /= n
+            inv_std = var + NORM_EPS
         else:
-            inv_std = 1.0 / np.sqrt(run_var + NORM_EPS)
-            zhat = (z - run_mean) * inv_std
-        y = gamma * zhat + beta
+            z -= run_mean
+            inv_std = run_var + NORM_EPS
+        np.sqrt(inv_std, out=inv_std)
+        np.divide(1.0, inv_std, out=inv_std)
+        if train and stats.size:
+            new = (1 - NORM_MOMENTUM) * params[:, -2 * d:]
+            moments *= NORM_MOMENTUM
+            new += moments.reshape(N, 2 * d)
+            arena[stats] = new if live is None else new[live]
+        z *= inv_std
+        zhat = z
+        y = gamma * zhat
+        y += beta
         out = np.maximum(y, 0.0)
         tape.layers.append(LayerRecord(row=row, Ws=Ws, gamma=gamma, zhat=zhat, inv_std=inv_std,
-                                       y=y, out=out, batch_stats=mode == "train"))
-        h = out.sum(axis=0)
+                                       y=y, out=out, batch_stats=train))
+        h = reduce(out, axis=0)
     tape.h_final = h
     start, end = task.slice
-    logits = h @ grid.head_W[:, start:end] + grid.head_b[start:end]
+    logits = h @ grid.head_W[:, start:end]
+    logits += grid.head_b[start:end]
     return logits, tape
 
 
@@ -622,12 +657,14 @@ def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
 
     `dlogits` is full-width (n x C_total) as produced by the sliced loss;
     only the task's slice columns are consumed, so everything off the
-    slice contributes nothing by construction. Returns the gradients as
-    one flat vector in path order (see PathIndex), covering path blocks
-    (frozen ones included; the trainer masks them out), the norm instances
-    the forward used, and the head slice, readable by parameter key.
+    slice contributes nothing by construction. Returns one flat vector
+    over the tensors `trainable_keys` names, in that order (see
+    PathIndex): unfrozen path blocks, the norm instances the task trains
+    and its head slice, readable by parameter key. Nothing is computed
+    below the lowest layer that holds a trainable tensor, and a layer
+    without one above it only passes the gradient down.
     """
-    _check_registered(grid, task)
+    index = _check_registered(grid, task)
     if tape.task_id != task.id:
         raise ContractError(f"tape belongs to task {tape.task_id}, not {task.id}")
     if tape.grid_version != grid.version:
@@ -639,33 +676,45 @@ def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
         raise InputError(f"dlogits must be ({n}, {grid.c_total}), got {dlogits.shape}")
     dslice = dlogits[:, start:end]
 
-    index = path_index(grid, task)
+    # fresh temporaries are updated in place and reductions written into
+    # the work vector: the same operations, in the same order, as the
+    # expressions in the comments
+    reduce = np.add.reduce
     d = grid.d_hid
-    flat = np.empty(index.size)
-    offset = index.layout[("head", task.id, "W")][0]
-    flat[offset:offset + d * task.c] = (tape.h_final.T @ dslice).ravel()
-    flat[offset + d * task.c:] = dslice.sum(axis=0)
-    dh = dslice @ grid.head_W[:, start:end].T
-    for l in range(grid.n_layers - 1, -1, -1):
+    work = np.empty(index.size)
+    offset = index.size - (d + 1) * task.c
+    if index.trainable is None or index.trainable[-1]:     # the head slice trains
+        np.matmul(tape.h_final.T, dslice, out=work[offset:offset + d * task.c].reshape(d, task.c))
+        reduce(dslice, axis=0, out=work[offset + d * task.c:])
+    if index.lowest < grid.n_layers:
+        dh = dslice @ grid.head_W[:, start:end].T
+    for l in range(grid.n_layers - 1, index.lowest - 1, -1):
         h_prev, rec = tape.inputs[l], tape.layers[l]
         N, dd = len(rec.row), h_prev.shape[1] * d
         offset -= N * (dd + 3 * d)
-        grads = flat[offset:offset + N * (dd + 3 * d)].reshape(N, dd + 3 * d)
+        grads = work[offset:offset + N * (dd + 3 * d)].reshape(N, dd + 3 * d)
         dy = dh * (rec.y > 0)
-        grads[:, dd + d:dd + 2 * d] = (dy * rec.zhat).sum(axis=1)
-        grads[:, dd + 2 * d:] = dy.sum(axis=1)
-        dzhat = dy * rec.gamma
+        if index.learns[l]:
+            reduce(dy * rec.zhat, axis=1, out=grads[:, dd + d:dd + 2 * d])    # d gamma
+            reduce(dy, axis=1, out=grads[:, dd + 2 * d:])                     # d beta
+        dy *= rec.gamma
+        dzhat = dy
         if rec.batch_stats:
-            # backward through batch mean/var (means as sum / n, as .mean does)
-            dz = rec.inv_std * (
-                dzhat
-                - dzhat.sum(axis=1, keepdims=True) / n
-                - rec.zhat * ((dzhat * rec.zhat).sum(axis=1, keepdims=True) / n)
-            )
-        else:
-            dz = dzhat * rec.inv_std
-        grads[:, :dd] = (h_prev.T @ dz).reshape(N, dd)
-        grads[:, dd:dd + d] = dz.sum(axis=1)
-        if l:   # nothing consumes the gradient of the input x
-            dh = (dz @ rec.Ws.transpose(0, 2, 1)).sum(axis=0)
-    return Gradients(flat, index)
+            # dz = inv_std * (dzhat - mean(dzhat) - zhat * mean(dzhat * zhat)),
+            # the means as sum / n, as .mean computes them
+            mean_dzhat = reduce(dzhat, axis=1, keepdims=True)
+            mean_dzhat /= n
+            scaled = dzhat * rec.zhat
+            mean_scaled = reduce(scaled, axis=1, keepdims=True)
+            mean_scaled /= n
+            np.multiply(rec.zhat, mean_scaled, out=scaled)
+            dzhat -= mean_dzhat
+            dzhat -= scaled
+        dzhat *= rec.inv_std
+        dz = dzhat
+        if index.learns[l]:
+            np.matmul(h_prev.T, dz, out=grads[:, :dd].reshape(N, h_prev.shape[1], d))   # d W
+            reduce(dz, axis=1, out=grads[:, dd:dd + d])                                # d b
+        if l > index.lowest:   # nothing consumes the gradient below the cut
+            dh = reduce(dz @ rec.Ws.transpose(0, 2, 1), axis=0)
+    return Gradients(work if index.trainable is None else work[index.trainable], index)

@@ -5,9 +5,11 @@ package; this module owns the optimizer step, the loss used by every
 training procedure, and the finite-difference check that every gradient
 path is verified against.
 
-Adam has one elementwise kernel, `adam_update`. `adam_step` applies it to
-one tensor; `FlatAdam` applies it to many tensors of one flat parameter
-vector at once, with the same bits as looping `adam_step` over them.
+Adam has one elementwise kernel, `adam_update`, which works in place.
+`adam_step` applies it to copies of one tensor and its moments; `FlatAdam`
+applies it to many tensors of one flat parameter vector at once (gathered,
+updated, scattered back), with the same bits as looping `adam_step` over
+them.
 """
 
 from __future__ import annotations
@@ -45,18 +47,30 @@ class AdamState:
         return cls(m=np.zeros_like(param), v=np.zeros_like(param), lr=lr)
 
 
-def adam_update(params, m, v, grads, lr, c1, c2, beta1, beta2, eps):
-    """The elementwise Adam kernel; returns (new_params, new_m, new_v).
+def adam_update(params, m, v, grads, lr, c1, c2, beta1, beta2, eps) -> None:
+    """The elementwise Adam kernel, in place on params, m and v.
 
     c1 and c2 are the bias corrections 1 - beta1**t and 1 - beta2**t, as
-    scalars or per element. Every caller goes through this expression, so
-    per-tensor and fused steps round identically.
+    scalars or per element. Every caller goes through this kernel, so
+    per-tensor and fused steps round identically. Each line computes, in
+    the same order, one piece of
+        m = beta1 * m + (1 - beta1) * grads
+        v = beta2 * v + (1 - beta2) * grads * grads
+        params = params - lr * (m / c1) / (sqrt(v / c2) + eps)
     """
-    m = beta1 * m + (1.0 - beta1) * grads
-    v = beta2 * v + (1.0 - beta2) * grads * grads
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    g2 = (1.0 - beta2) * grads
+    g2 *= grads
+    v += g2
+    v_hat = np.divide(v, c2, out=g2)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += eps
     m_hat = m / c1
-    v_hat = v / c2
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+    m_hat *= lr
+    m_hat /= v_hat
+    params -= m_hat
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
@@ -72,12 +86,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
     if state.m.shape != params.shape or state.v.shape != params.shape:
         raise InputError("Adam state shape does not match parameter shape")
     t = state.step + 1
-    if not np.any(grads):
-        new_params, m, v = params.copy(), state.m.copy(), state.v.copy()
-    else:
-        new_params, m, v = adam_update(params, state.m, state.v, grads, state.lr,
-                                       1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t,
-                                       state.beta1, state.beta2, state.eps)
+    new_params, m, v = params.copy(), state.m.copy(), state.v.copy()
+    if np.any(grads):
+        adam_update(new_params, m, v, grads, state.lr,
+                    1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t,
+                    state.beta1, state.beta2, state.eps)
     new_state = AdamState(m=m, v=v, lr=state.lr, step=t,
                           beta1=state.beta1, beta2=state.beta2, eps=state.eps)
     return new_params, new_state
@@ -86,17 +99,20 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
 @dataclass(frozen=True)
 class Segments:
     """Tensors inside a flat vector: `index` lists the positions of their
-    elements, tensor after tensor; tensor i is index[starts[i]:][:lengths[i]]."""
+    elements, tensor after tensor; tensor i is index[starts[i]:][:lengths[i]]
+    and starts at position first[i]."""
 
     index: np.ndarray
     starts: np.ndarray
     lengths: np.ndarray
+    first: np.ndarray
 
     @classmethod
     def of(cls, positions: Sequence[np.ndarray]) -> "Segments":
         lengths = np.array([p.size for p in positions], dtype=np.int64)
         index = np.concatenate([np.zeros(0, dtype=np.int64), *positions]).astype(np.int64)
-        return cls(index=index, starts=np.cumsum(lengths) - lengths, lengths=lengths)
+        starts = np.cumsum(lengths) - lengths
+        return cls(index=index, starts=starts, lengths=lengths, first=index[starts])
 
 
 class FlatAdam:
@@ -115,16 +131,19 @@ class FlatAdam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.steps = np.zeros(size, dtype=np.int64)
-        self._c1 = np.zeros(1)      # 1 - beta1**t by step t (t = 0 unused)
-        self._c2 = np.zeros(1)
+        # 1 - beta1**t and 1 - beta2**t (rows) by step t (columns; t = 0 unused)
+        self._table = np.zeros((2, 1))
 
-    def _corrections(self, t: np.ndarray):
+    def _corrections(self, t: np.ndarray) -> np.ndarray:
+        """(2, len(t)): both bias corrections at each step value in t."""
+        known = self._table.shape[1]
         top = int(t.max(initial=0))
-        if top >= self._c1.size:
-            new = range(self._c1.size, max(top + 1, 2 * self._c1.size))
-            self._c1 = np.concatenate([self._c1, [1.0 - ADAM_BETA1 ** s for s in new]])
-            self._c2 = np.concatenate([self._c2, [1.0 - ADAM_BETA2 ** s for s in new]])
-        return self._c1[t], self._c2[t]
+        if top >= known:
+            new = range(known, max(top + 1, 2 * known))
+            self._table = np.concatenate([self._table, [[1.0 - ADAM_BETA1 ** s for s in new],
+                                                        [1.0 - ADAM_BETA2 ** s for s in new]]],
+                                         axis=1)
+        return self._table[:, t]
 
     def step(self, params: np.ndarray, grads: np.ndarray, segments: Segments,
              lr: float) -> None:
@@ -133,19 +152,19 @@ class FlatAdam:
         moments; their counters advance."""
         if grads.shape != segments.index.shape:
             raise InputError(f"expected {segments.index.size} gradient values, got {grads.shape}")
-        first = segments.index[segments.starts]
-        t = self.steps[first] + 1
-        self.steps[first] = t
-        c1, c2 = self._corrections(t)
+        t = self.steps[segments.first] + 1
+        self.steps[segments.first] = t
+        corrections = self._corrections(t)
         index, lengths = segments.index, segments.lengths
         active = np.logical_or.reduceat(grads != 0, segments.starts)
         if not active.all():
             keep = np.repeat(active, lengths)
             index, grads = index[keep], grads[keep]
-            c1, c2, lengths = c1[active], c2[active], lengths[active]
-        params[index], self.m[index], self.v[index] = adam_update(
-            params[index], self.m[index], self.v[index], grads, lr,
-            np.repeat(c1, lengths), np.repeat(c2, lengths), ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+            corrections, lengths = corrections[:, active], lengths[active]
+        c1, c2 = np.repeat(corrections, lengths, axis=1)
+        p, m, v = params[index], self.m[index], self.v[index]
+        adam_update(p, m, v, grads, lr, c1, c2, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+        params[index], self.m[index], self.v[index] = p, m, v
 
 
 def softmax_xent_slice(logits: np.ndarray, labels: np.ndarray, sl: tuple[int, int]):
@@ -167,20 +186,22 @@ def softmax_xent_slice(logits: np.ndarray, labels: np.ndarray, sl: tuple[int, in
     if labels.size and (labels.min() < 0 or labels.max() >= width):
         raise InputError(f"labels must lie in [0,{width}) for slice [{start},{end})")
 
+    # one exp-sum serves p and the log-softmax; the mean is sum / n, as
+    # .mean computes it, and (p - onehot) / n is formed in the output slice
     z = logits[:, start:end]
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=1, keepdims=True)
     expz = np.exp(z)
-    p = expz / expz.sum(axis=1, keepdims=True)
+    total = np.add.reduce(expz, axis=1, keepdims=True)
     rows = np.arange(n)
     # log-softmax evaluated directly for numerical honesty at saturation
-    logp = z - np.log(expz.sum(axis=1, keepdims=True))
-    loss = -logp[rows, labels].mean()
+    logp = z[rows, labels] - np.log(total[:, 0])
+    loss = -(np.add.reduce(logp) / n)
 
-    dslice = p.copy()
+    dlogits = np.zeros_like(logits)
+    dslice = dlogits[:, start:end]
+    np.divide(expz, total, out=dslice)
     dslice[rows, labels] -= 1.0
     dslice /= n
-    dlogits = np.zeros_like(logits)
-    dlogits[:, start:end] = dslice
     return float(loss), dlogits
 
 

@@ -166,16 +166,41 @@ def validate(grid: ModuleGrid, task: TaskSpec) -> float:
     return float(np.mean(pred == ds.labels))
 
 
+class _ValidationMemo:
+    """One training call's validation accuracies, by task. A task's eval
+    forward runs again only when a parameter it reads (path rows, running
+    statistics included, and head slice: `PathIndex.positions`) differs, bit
+    for bit, from its value at that task's last validation, or when those
+    positions or the `val_ds` object differ. Equal inputs give an equal
+    accuracy, so a hit returns the same number `validate` would.
+
+    The memo holds arrays and the validation set, never the grid or a task,
+    and lives as long as the training call that made it."""
+
+    def __init__(self):
+        self._last: dict[int, tuple] = {}   # task id -> (positions, val_ds, bits, accuracy)
+
+    def accuracy(self, grid: ModuleGrid, task: TaskSpec) -> float:
+        positions = path_index(grid, task).positions
+        bits = grid.arena[positions].view(np.uint64)
+        last = self._last.get(task.id)
+        if (last is not None and last[1] is task.val_ds
+                and np.array_equal(last[0], positions) and np.array_equal(last[2], bits)):
+            return last[3]
+        acc = validate(grid, task)
+        self._last[task.id] = (positions, task.val_ds, bits, acc)
+        return acc
+
+
 def _task_rows(tasks: list[TaskSpec]) -> list[dict]:
     return [{"id": t.id, "c": t.c, "slice": list(t.slice)} for t in tasks]
 
 
 def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
     """Forward, backward and one fused Adam step over the task's trainable
-    tensors: the flat path-order gradient, masked only when something on
-    the path is frozen. A non-finite loss, or a non-finite value anywhere
-    in the arena afterwards (updated parameters or running statistics),
-    fails the run."""
+    tensors, whose flat gradient the backward returns in the step's order.
+    A non-finite loss, or a non-finite value anywhere in the arena
+    afterwards (updated parameters or running statistics), fails the run."""
     ds = task.train_ds
     X = ds.features[idx]
     y = ds.labels[idx]
@@ -187,8 +212,6 @@ def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
     grads = backward_task(grid, task, tape, dlogits).flat
     index = path_index(grid, task)
     if index.trainable_keys:
-        if index.trainable is not None:
-            grads = grads[index.trainable]
         adam.step(grid.arena, grads, index.segments, lr)
         grid.version += 1
     if not (math.isfinite(loss) and np.isfinite(grid.arena).all()):
@@ -197,18 +220,18 @@ def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
     return loss
 
 
-def _epoch_row(grid, tasks, epoch, lr, loss_by_task) -> dict:
+def _epoch_row(grid, tasks, epoch, lr, loss_by_task, memo) -> dict:
     per_task = []
     for t in tasks:
         per_task.append({
             "loss": loss_by_task.get(t.id),
-            "val_acc": validate(grid, t),
+            "val_acc": memo.accuracy(grid, t),
         })
     return {"epoch": epoch, "lr": lr, "per_task": per_task}
 
 
-def _final_rows(grid, tasks) -> list[dict]:
-    return [{"task": t.id, "val_acc": validate(grid, t)} for t in tasks]
+def _final_rows(grid, tasks, memo) -> list[dict]:
+    return [{"task": t.id, "val_acc": memo.accuracy(grid, t)} for t in tasks]
 
 
 def _check_ready(tasks: list[TaskSpec]) -> None:
@@ -233,6 +256,7 @@ def train_parallel(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
     rngs = {t.id: batch_rng(cfg.seed, t.id) for t in tasks}
     sched_rng = derive_rng(cfg.seed, STREAM_SCHED)
     adam = FlatAdam(grid.arena.size)
+    memo = _ValidationMemo()
     epoch_rows = []
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.effective_lr(epoch)
@@ -254,14 +278,14 @@ def train_parallel(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
                 loss_sum[tid] = loss_sum.get(tid, 0.0) + loss
                 loss_n[tid] = loss_n.get(tid, 0) + 1
         mean_loss = {tid: loss_sum[tid] / loss_n[tid] for tid in loss_sum}
-        row = _epoch_row(grid, tasks, epoch, lr, mean_loss)
+        row = _epoch_row(grid, tasks, epoch, lr, mean_loss, memo)
         epoch_rows.append(row)
         if log:
             log(_format_epoch(row, "parallel"))
     return RunReport(
         config_hash=config_hash or cfg.canonical_hash(),
         seed=cfg.seed, mode="parallel", tasks=_task_rows(tasks),
-        epochs=epoch_rows, final=_final_rows(grid, tasks),
+        epochs=epoch_rows, final=_final_rows(grid, tasks, memo),
         wallclock_s=time.perf_counter() - t0,
     )
 
@@ -310,6 +334,7 @@ def train_sequential(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
     t0 = time.perf_counter()
     sched_rng = derive_rng(cfg.seed, STREAM_SCHED)
     adam = FlatAdam(grid.arena.size)
+    memo = _ValidationMemo()
     epoch_rows = []
     freeze_hashes: dict[str, dict] = {}
     global_epoch = 0
@@ -328,7 +353,7 @@ def train_sequential(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
                     loss_sum += _train_batch(grid, task, idx, adam, lr, global_epoch)
                     loss_n += 1
             row = _epoch_row(grid, tasks, global_epoch, lr,
-                             {task.id: loss_sum / max(loss_n, 1)})
+                             {task.id: loss_sum / max(loss_n, 1)}, memo)
             epoch_rows.append(row)
             if log:
                 log(_format_epoch(row, f"sequential[task {task.id}]"))
@@ -338,7 +363,7 @@ def train_sequential(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
     return RunReport(
         config_hash=config_hash or cfg.canonical_hash(),
         seed=cfg.seed, mode="sequential", tasks=_task_rows(tasks),
-        epochs=epoch_rows, final=_final_rows(grid, tasks),
+        epochs=epoch_rows, final=_final_rows(grid, tasks, memo),
         wallclock_s=time.perf_counter() - t0,
         freeze_hashes=freeze_hashes,
     )
@@ -353,6 +378,7 @@ def train_single(grid: ModuleGrid, task: TaskSpec, cfg: TrainConfig,
     rng = batch_rng(cfg.seed, task.id)
     sched_rng = derive_rng(cfg.seed, STREAM_SCHED)
     adam = FlatAdam(grid.arena.size)
+    memo = _ValidationMemo()
     epoch_rows = []
     report_tasks = [t for t in grid.tasks if t.train_ds is not None and t.val_ds is not None]
     for epoch in range(1, cfg.epochs + 1):
@@ -367,14 +393,14 @@ def train_single(grid: ModuleGrid, task: TaskSpec, cfg: TrainConfig,
                 loss_sum += _train_batch(grid, task, idx, adam, lr, epoch)
                 loss_n += 1
         row = _epoch_row(grid, report_tasks, epoch, lr,
-                         {task.id: loss_sum / max(loss_n, 1)})
+                         {task.id: loss_sum / max(loss_n, 1)}, memo)
         epoch_rows.append(row)
         if log:
             log(_format_epoch(row, f"single[task {task.id}]"))
     return RunReport(
         config_hash=config_hash or cfg.canonical_hash(),
         seed=cfg.seed, mode="single", tasks=_task_rows(report_tasks),
-        epochs=epoch_rows, final=_final_rows(grid, report_tasks),
+        epochs=epoch_rows, final=_final_rows(grid, report_tasks, memo),
         wallclock_s=time.perf_counter() - t0,
     )
 

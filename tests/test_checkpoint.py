@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from part import ContractError, forward_task, freeze_path, freeze_task, load_checkpoint, save_checkpoint
 from part.checkpoint import FORMAT_VERSION, MAGIC, write_atomic
@@ -19,6 +24,41 @@ def test_roundtrip_is_byte_identical(tmp_path):
     save_checkpoint(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
+
+
+@st.composite
+def saved_grid(draw):
+    """A small grid of any shape and norm mode, some tasks finished, and
+    arena values that include signed zeros, subnormals and extremes."""
+    L, M = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    classes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    grid = make_grid(L=L, M=M, N=draw(st.integers(1, M)), d_in=draw(st.integers(1, 4)),
+                     d_hid=draw(st.integers(1, 4)),
+                     norm_mode=draw(st.sampled_from(["shared", "per-task"])),
+                     seed=draw(st.integers(0, 2**16)), class_counts=classes)
+    for task in grid.tasks:
+        if draw(st.booleans()):
+            freeze_path(grid, task.path)
+            freeze_task(grid, task)
+    special = st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1.7e308, 1.0, -1.0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arena = grid.arena
+    arena[...] = rng.normal(size=arena.size) * 10.0 ** rng.uniform(-300, 300, arena.size)
+    for i in draw(st.lists(st.integers(0, arena.size - 1), max_size=5)):
+        arena[i] = draw(special)
+    return grid
+
+
+@settings(max_examples=25, deadline=None)
+@given(saved_grid())
+def test_checkpoint_roundtrip_keeps_the_arena_bytes(grid):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.part"
+        save_checkpoint(grid, path)
+        loaded = load_checkpoint(path)
+    assert loaded.arena.tobytes() == grid.arena.tobytes()
+    assert [t.path for t in loaded.tasks] == [t.path for t in grid.tasks]
+    assert (loaded.frozen, loaded.frozen_tasks) == (grid.frozen, grid.frozen_tasks)
 
 def test_loaded_grid_forwards_identically(tmp_path):
     grid = make_grid(L=2, M=4, N=2, seed=71, randomize_norms=True)

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from part import CsvParseError, InputError
 from part.data import (
@@ -165,6 +170,32 @@ def test_roundtrip_write_then_load(tmp_path, rng):
     np.testing.assert_array_equal(back.labels, ds.labels)
     assert back.c == ds.c
 
+
+
+@st.composite
+def csv_dataset(draw):
+    """Any finite features (signed zeros, subnormals and extremes included)
+    and labels covering every class."""
+    c = draw(st.integers(1, 4))
+    n = draw(st.integers(c, 8))
+    d = draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=n * d, max_size=n * d))
+    order = draw(st.permutations(range(n)))
+    return Dataset(features=np.array(values).reshape(n, d),
+                   labels=[i % c for i in order], c=c, name="rt")
+
+
+@settings(max_examples=25, deadline=None)
+@given(csv_dataset())
+def test_csv_roundtrip_keeps_every_bit(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rt.csv"
+        write_csv(path, ds)
+        back = load_csv(path)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tolist() == ds.labels.tolist()
+    assert (back.c, back.name) == (ds.c, "rt")
 
 def test_csv_errors_carry_line_numbers(tmp_path):
     p = tmp_path / "bad.csv"

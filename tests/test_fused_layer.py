@@ -6,7 +6,8 @@ grid ran before each layer's N path modules became one stacked computation.
 They read and write the block and norm views directly; the fused code
 gathers from and scatters into the arena. Both run on identically built
 grids and must agree on every bit: logits, layer sums, module outputs,
-running statistics (hence the whole arena) and every gradient.
+running statistics (hence the whole arena) and every gradient the
+backward returns, which covers the task's trainable surface only.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from part import (
     ModuleGrid,
+    Path,
     assign_random_path,
     backward_task,
     forward_task,
@@ -172,26 +174,81 @@ def test_fused_layer_matches_per_module_loop_bit_for_bit(problem):
     # running statistics written back (or left alone when frozen or in eval)
     assert same_bits(grid.arena, ref_grid.arena)
 
-    assert set(grads) == set(grads_ref)
+    # only the trainable surface comes back, in trainable_keys order, and
+    # every gradient returned is the reference's, bit for bit
+    keys = trainable_keys(grid, task)
+    assert list(grads) == keys
     for key, g in grads.items():
         assert same_bits(g, grads_ref[key]), key
 
-    # path order: per layer and module W, b, gamma, beta; then the head slice
+    # trainable_keys is path order filtered: per layer and module W, b,
+    # gamma, beta; then the head slice
     nk = grid.norm_key(task.id)
     order = [(kind, l, m, *([nk] if kind == "norm" else []), which)
              for l, m in task.path.modules()
              for kind, which in (("block", "W"), ("block", "b"),
                                  ("norm", "gamma"), ("norm", "beta"))]
-    assert list(grads) == order + [("head", task.id, "W"), ("head", task.id, "b")]
+    order += [("head", task.id, "W"), ("head", task.id, "b")]
+    assert keys == [k for k in order if k in set(keys)]
 
-    # what the trainer hands the optimizer: trainable tensors, trainable_keys order
+    # what the trainer hands the optimizer: the flat vector as it is, the
+    # tensors at the arena positions of the task's Segments
     index = path_index(grid, task)
-    keys = trainable_keys(grid, task)
     assert index.trainable_keys == keys
-    flat = grads.flat if index.trainable is None else grads.flat[index.trainable]
+    layers = [k[1] for k in keys if k[0] != "head"]
+    assert index.lowest == min(layers, default=grid.n_layers)
+    assert index.learns == tuple(l in layers for l in range(grid.n_layers))
     expected = np.concatenate([np.zeros(0)] + [grads_ref[k].ravel() for k in keys])
-    assert same_bits(flat, expected)
+    assert same_bits(grads.flat, expected)
     positions = np.arange(grid.arena.size)
     assert same_bits(index.segments.index,
                      np.concatenate([np.zeros(0, dtype=np.int64)]
                                     + [grid._view(positions, k).ravel() for k in keys]))
+
+
+def _frozen_below(rows_done, rows_task, seed):
+    """A shared-norm grid on which a finished task froze its path, and the
+    task that trains next on `rows_task`."""
+    grid = ModuleGrid(len(rows_task), 4, 5, 6, norm_mode="shared", seed=seed)
+    done, task = register_task(grid, 3), register_task(grid, 2)
+    done.path, task.path = Path(rows_done), Path(rows_task)
+    freeze_path(grid, done.path)
+    freeze_task(grid, done)
+    return grid, task
+
+
+def _train_step_inputs(grid, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(5, grid.d_in)), rng.normal(size=(5, grid.c_total))
+
+
+def test_backward_returns_only_the_head_when_every_path_cell_is_frozen():
+    rows = ((0, 1), (1, 3), (0, 2))
+    grid, task = _frozen_below(rows, rows, seed=3)
+    x, dlogits = _train_step_inputs(grid, 4)
+    _, tape = forward_task(grid, task, x, mode="train")
+    grads = backward_task(grid, task, tape, dlogits)
+    assert list(grads) == [("head", task.id, "W"), ("head", task.id, "b")]
+    assert grads.flat.size == 6 * 2 + 2
+    assert path_index(grid, task).lowest == grid.n_layers
+
+
+def test_backward_stops_at_the_lowest_trainable_layer():
+    # shared norms: a layer whose path cells are all frozen trains nothing
+    done = ((0, 1), (0, 1), (0, 1), (0, 1))
+    rows = ((0, 1), (0, 1), (2, 3), (0, 1))
+    grid, task = _frozen_below(done, rows, seed=5)
+    index = path_index(grid, task)
+    assert index.lowest == 2
+    assert index.learns == (False, False, True, False)
+    x, dlogits = _train_step_inputs(grid, 6)
+    _, tape = forward_task(grid, task, x, mode="train")
+    grads = backward_task(grid, task, tape, dlogits)
+    assert list(grads) == trainable_keys(grid, task)
+    assert {key[1] for key in grads if key[0] != "head"} == {2}
+
+    ref_grid, ref_task = _frozen_below(done, rows, seed=5)
+    _, inputs, records, h_final = reference_forward(ref_grid, ref_task, x, "train")
+    expected = reference_backward(ref_grid, ref_task, inputs, records, h_final, dlogits, "train")
+    for key, g in grads.items():
+        assert same_bits(g, expected[key]), key

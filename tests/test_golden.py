@@ -20,10 +20,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import part.training
 from part.analysis import ActivationSet, layerwise_cka_report
 from part.config import parse_config
 from part.errors import DegenerateRepresentation
-from part.experiment import CHECKPOINT_NAME, REPORT_NAME, analyze_checkpoint, run_experiment
+from part.experiment import (
+    CHECKPOINT_NAME,
+    REPORT_NAME,
+    analyze_checkpoint,
+    build_experiment,
+    run_experiment,
+)
+from part.training import train_sequential
 
 GOLDEN = {
     ("parallel", "per-task"): (
@@ -72,6 +80,63 @@ def test_golden_report_and_checkpoint(tmp_path, mode, norm_mode):
     got = (report_sha(tmp_path / REPORT_NAME),
            hashlib.sha256((tmp_path / CHECKPOINT_NAME).read_bytes()).hexdigest())
     assert got == GOLDEN[(mode, norm_mode)]
+
+
+# ---------------------------------------------------------------------------
+# validation memo: a task is evaluated again only when a parameter its eval
+# forward reads changed since its last validation in the same training call
+
+def count_eval_forwards(monkeypatch, on_eval):
+    """Wrap the forward pass training calls so that every eval-mode call
+    reports its task to `on_eval`."""
+    real = part.training.forward_task
+
+    def counting(grid, task, x, mode="eval"):
+        if mode == "eval":
+            on_eval(task)
+        return real(grid, task, x, mode=mode)
+
+    monkeypatch.setattr(part.training, "forward_task", counting)
+
+
+# eval forwards of the tiny sequential run: without the memo every one of
+# the 3 tasks is validated after each of the 3 x 4 epochs and once at the
+# end, 39 in all. With it a finished task is evaluated no more, and the
+# final row repeats the last epoch's: 4 x 3 + 4 x 2 + 4 x 1 = 24
+UNMEMOISED_EVALS = 3 * 3 * 4 + 3
+MEMO_EVALS = 24
+
+
+@pytest.mark.parametrize("norm_mode", ["per-task", "shared"])
+def test_memo_skips_unchanged_validations_and_keeps_the_pins(tmp_path, monkeypatch, norm_mode):
+    evals = []
+    count_eval_forwards(monkeypatch, lambda task: evals.append(task.id))
+    run_experiment(golden_config("sequential", norm_mode, tmp_path))
+    assert len(evals) == MEMO_EVALS < UNMEMOISED_EVALS
+    got = (report_sha(tmp_path / REPORT_NAME),
+           hashlib.sha256((tmp_path / CHECKPOINT_NAME).read_bytes()).hexdigest())
+    assert got == GOLDEN[("sequential", norm_mode)]
+
+
+@pytest.mark.parametrize("bump", [False, True])
+def test_memo_sees_a_one_ulp_change_to_a_finished_task(tmp_path, monkeypatch, bump):
+    # task 0 trains in epochs 1-4 and is frozen after them; between epochs 6
+    # and 7 one of its head biases moves by one ulp
+    epochs_done, evaluated = [], []
+    count_eval_forwards(monkeypatch, lambda task: task.id == 0 and evaluated.append(
+        len(epochs_done) + 1))
+    cfg = golden_config("sequential", "shared", tmp_path)
+    grid = build_experiment(cfg)
+
+    def log(line):
+        epochs_done.append(line)
+        if bump and len(epochs_done) == 6:
+            start = grid.tasks[0].slice[0]
+            grid.head_b[start] = np.nextafter(grid.head_b[start], np.inf)
+
+    train_sequential(grid, grid.tasks, cfg.train, log=log)
+    assert len(epochs_done) == 12
+    assert evaluated == ([1, 2, 3, 4, 7] if bump else [1, 2, 3, 4])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from part import (
     ContractError,
@@ -288,3 +290,21 @@ def test_one_sample_tail_never_trains_alone(monkeypatch):
     train_single(grid, task, cfg)
     assert len(sizes) == 2 * (n // 5) and min(sizes) == 5 and max(sizes) == 6
     assert sum(sizes) == 2 * n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.dictionaries(st.integers(0, 9), st.integers(0, 40), max_size=6),
+       st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_scheduler_grants_add_up_to_each_tasks_batches(n_batches, batch_set_size, seed):
+    sched = EpochScheduler(remaining=dict(n_batches), batch_set_size=batch_set_size,
+                           rng=np.random.default_rng(seed))
+    granted = {tid: 0 for tid in n_batches}
+    for _ in range(sum(n_batches.values()) + 1):
+        grant = schedule_round(sched)
+        if grant is None:
+            break
+        tid, count = grant
+        assert 1 <= count <= batch_set_size
+        granted[tid] += count
+    assert schedule_round(sched) is None
+    assert granted == n_batches
