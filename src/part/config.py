@@ -183,7 +183,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
             lr0=t.get("lr0", 1e-3),
             lr_halve_epochs=tuple(t.get("lr_halve_epochs", (20, 30, 40))),
             seed=seed,
-            norm_mode=norm_mode,
         )
     except ValueError as e:
         raise ConfigError("train", str(e)) from None

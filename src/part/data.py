@@ -223,15 +223,6 @@ class BatchPlan:
         full, tail = divmod(len(self.order), self.batch_size)
         return max(1, full + (tail > 1))
 
-    @property
-    def remaining(self) -> int:
-        done = self.cursor // self.batch_size
-        return self.n_batches - done
-
-    def reshuffle(self, rng: np.random.Generator) -> None:
-        self.order = rng.permutation(len(self.order))
-        self.cursor = 0
-
 
 def next_batches(ds: Dataset, plan: BatchPlan, count: int) -> list[np.ndarray]:
     """Up to `count` consecutive index blocks of the epoch permutation.

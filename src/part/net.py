@@ -491,13 +491,6 @@ def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
     return index
 
 
-def trainable_segments(grid: ModuleGrid, task: TaskSpec) -> tuple[list, Segments]:
-    """`trainable_keys` plus the arena positions of those tensors, in key
-    order, as cached in the task's PathIndex."""
-    index = path_index(grid, task)
-    return index.trainable_keys, index.segments
-
-
 class Gradients(Mapping):
     """A task's gradients: one read-only flat vector over its trainable
     tensors in `trainable_keys` order (see PathIndex), read by key as views

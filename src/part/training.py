@@ -1,20 +1,22 @@
 """The three learning procedures: parallel, sequential-with-freezing, single.
 
-Parallel training interleaves batch-sets from all tasks within each epoch,
-drawing the next task uniformly from those with untrained batches left,
-and never freezes anything. Sequential training runs tasks one after
-another and freezes each task's path (plus its own norm instances and
-head slice) when it finishes. Single-task training is the per-task
-achievable baseline.
+All three run one training loop over phases. A phase is a list of tasks
+that train together for cfg.epochs, with the LR schedule restarted; within
+an epoch, batch-sets are interleaved by drawing the next task uniformly
+from those with untrained batches left. Parallel training is one phase of
+all tasks and never freezes anything. Sequential training is one phase
+per task and freezes each task's path (plus its own norm instances and
+head slice) when its phase ends. Single-task training, the per-task
+achievable baseline, is one one-task phase reported on every task with
+data.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +68,6 @@ class TrainConfig:
     lr0: float = 1e-3
     lr_halve_epochs: tuple[int, ...] = (20, 30, 40)
     seed: int = 0
-    norm_mode: str = "shared"
 
     def __post_init__(self):
         if self.lr0 <= 0:
@@ -81,10 +82,6 @@ class TrainConfig:
         entry that has been reached."""
         n_halved = sum(1 for h in self.lr_halve_epochs if h <= epoch)
         return self.lr0 * 0.5 ** n_halved
-
-    def canonical_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass
@@ -116,7 +113,7 @@ class RunReport:
     for tasks not trained that epoch (sequential/single baselines).
     """
 
-    config_hash: str
+    config_hash: str | None   # the ExperimentConfig's hash; None for a direct call
     seed: int
     mode: str
     tasks: list[dict]
@@ -220,20 +217,6 @@ def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
     return loss
 
 
-def _epoch_row(grid, tasks, epoch, lr, loss_by_task, memo) -> dict:
-    per_task = []
-    for t in tasks:
-        per_task.append({
-            "loss": loss_by_task.get(t.id),
-            "val_acc": memo.accuracy(grid, t),
-        })
-    return {"epoch": epoch, "lr": lr, "per_task": per_task}
-
-
-def _final_rows(grid, tasks, memo) -> list[dict]:
-    return [{"task": t.id, "val_acc": memo.accuracy(grid, t)} for t in tasks]
-
-
 def _check_ready(tasks: list[TaskSpec]) -> None:
     for t in tasks:
         if t.path is None:
@@ -242,52 +225,69 @@ def _check_ready(tasks: list[TaskSpec]) -> None:
             raise ContractError(f"task {t.id} has no datasets attached")
 
 
+def _train_phases(grid, mode, phases, report_tasks, cfg, config_hash, log,
+                  freeze=False) -> RunReport:
+    """The one training loop. Each phase is a (log label, tasks) pair whose
+    tasks train together for cfg.epochs, with the LR schedule restarted;
+    with `freeze`, each task's path, norm instances and head slice are
+    frozen and fingerprinted when its phase ends. Every epoch row reports
+    on `report_tasks`; a task outside the phase has loss None. One
+    scheduler stream, optimizer and validation memo serve the whole call."""
+    t0 = time.perf_counter()
+    sched_rng = derive_rng(cfg.seed, STREAM_SCHED)
+    adam = FlatAdam(grid.arena.size)
+    memo = _ValidationMemo()
+    rows = []
+    freeze_hashes = {} if freeze else None
+    for label, tasks in phases:
+        by_id = {t.id: t for t in tasks}
+        rngs = {t.id: batch_rng(cfg.seed, t.id) for t in tasks}
+        for phase_epoch in range(1, cfg.epochs + 1):
+            epoch = len(rows) + 1
+            lr = cfg.effective_lr(phase_epoch)
+            plans = {t.id: BatchPlan.for_dataset(t.train_ds, cfg.batch_size, rngs[t.id])
+                     for t in tasks}
+            sched = EpochScheduler(remaining={tid: p.n_batches for tid, p in plans.items()},
+                                   batch_set_size=cfg.batch_set_size, rng=sched_rng)
+            # every task of the phase trains at least one batch (n_batches
+            # >= 1 and n >= c >= 2), so no average below divides by zero
+            loss_sum = dict.fromkeys(by_id, 0.0)
+            loss_n = dict.fromkeys(by_id, 0)
+            while (grant := schedule_round(sched)) is not None:
+                tid, count = grant
+                for idx in next_batches(by_id[tid].train_ds, plans[tid], count):
+                    loss_sum[tid] += _train_batch(grid, by_id[tid], idx, adam, lr, epoch)
+                    loss_n[tid] += 1
+            rows.append({"epoch": epoch, "lr": lr, "per_task": [
+                {"loss": loss_sum[t.id] / loss_n[t.id] if t.id in by_id else None,
+                 "val_acc": memo.accuracy(grid, t)} for t in report_tasks]})
+            if log:
+                log(_format_epoch(rows[-1], label))
+        if freeze:
+            for t in tasks:
+                freeze_path(grid, t.path)
+                freeze_task(grid, t)
+                freeze_hashes[str(t.id)] = freeze_fingerprint(grid, t)
+    return RunReport(
+        config_hash=config_hash, seed=cfg.seed, mode=mode, tasks=_task_rows(report_tasks),
+        epochs=rows, final=[{"task": t.id, "val_acc": memo.accuracy(grid, t)}
+                            for t in report_tasks],
+        wallclock_s=time.perf_counter() - t0, freeze_hashes=freeze_hashes,
+    )
+
+
 def train_parallel(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
                    config_hash: str | None = None, log=None) -> RunReport:
-    """Interleaved multi-task training; every epoch consumes each task's
-    full (equal-size) training set in uniformly scheduled batch-sets."""
+    """Interleaved multi-task training, one phase of all tasks; every epoch
+    consumes each task's full (equal-size) training set in uniformly
+    scheduled batch-sets."""
     _check_ready(tasks)
     if grid.frozen:
         raise ContractError("parallel training never runs on a grid with frozen modules")
     sizes = {t.train_ds.n for t in tasks}
     if len(sizes) != 1:
         raise ContractError(f"training sets must be oversampled to equal size, got {sorted(sizes)}")
-    t0 = time.perf_counter()
-    rngs = {t.id: batch_rng(cfg.seed, t.id) for t in tasks}
-    sched_rng = derive_rng(cfg.seed, STREAM_SCHED)
-    adam = FlatAdam(grid.arena.size)
-    memo = _ValidationMemo()
-    epoch_rows = []
-    for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.effective_lr(epoch)
-        plans = {t.id: BatchPlan.for_dataset(t.train_ds, cfg.batch_size, rngs[t.id])
-                 for t in tasks}
-        sched = EpochScheduler(
-            remaining={t.id: plans[t.id].n_batches for t in tasks},
-            batch_set_size=cfg.batch_set_size,
-            rng=sched_rng,
-        )
-        loss_sum: dict[int, float] = {}
-        loss_n: dict[int, int] = {}
-        by_id = {t.id: t for t in tasks}
-        while (grant := schedule_round(sched)) is not None:
-            tid, count = grant
-            task = by_id[tid]
-            for idx in next_batches(task.train_ds, plans[tid], count):
-                loss = _train_batch(grid, task, idx, adam, lr, epoch)
-                loss_sum[tid] = loss_sum.get(tid, 0.0) + loss
-                loss_n[tid] = loss_n.get(tid, 0) + 1
-        mean_loss = {tid: loss_sum[tid] / loss_n[tid] for tid in loss_sum}
-        row = _epoch_row(grid, tasks, epoch, lr, mean_loss, memo)
-        epoch_rows.append(row)
-        if log:
-            log(_format_epoch(row, "parallel"))
-    return RunReport(
-        config_hash=config_hash or cfg.canonical_hash(),
-        seed=cfg.seed, mode="parallel", tasks=_task_rows(tasks),
-        epochs=epoch_rows, final=_final_rows(grid, tasks, memo),
-        wallclock_s=time.perf_counter() - t0,
-    )
+    return _train_phases(grid, "parallel", [("parallel", tasks)], tasks, cfg, config_hash, log)
 
 
 def _freeze_surface_keys(grid: ModuleGrid, task: TaskSpec) -> list:
@@ -327,82 +327,24 @@ def freeze_fingerprint(grid: ModuleGrid, task: TaskSpec) -> dict[str, str]:
 
 def train_sequential(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
                      config_hash: str | None = None, log=None) -> RunReport:
-    """Tasks one after another, cfg.epochs each (the LR schedule restarts
-    per task, mirroring a fresh single-task run); each finished task's
-    path is frozen before the next task starts."""
+    """Tasks one after another, one phase of cfg.epochs each (the LR
+    schedule restarts per task, mirroring a fresh single-task run); each
+    finished task's path is frozen before the next task starts."""
     _check_ready(tasks)
-    t0 = time.perf_counter()
-    sched_rng = derive_rng(cfg.seed, STREAM_SCHED)
-    adam = FlatAdam(grid.arena.size)
-    memo = _ValidationMemo()
-    epoch_rows = []
-    freeze_hashes: dict[str, dict] = {}
-    global_epoch = 0
-    for task in tasks:
-        rng = batch_rng(cfg.seed, task.id)
-        for epoch in range(1, cfg.epochs + 1):
-            global_epoch += 1
-            lr = cfg.effective_lr(epoch)
-            plan = BatchPlan.for_dataset(task.train_ds, cfg.batch_size, rng)
-            sched = EpochScheduler(remaining={task.id: plan.n_batches},
-                                   batch_set_size=cfg.batch_set_size, rng=sched_rng)
-            loss_sum, loss_n = 0.0, 0
-            while (grant := schedule_round(sched)) is not None:
-                _, count = grant
-                for idx in next_batches(task.train_ds, plan, count):
-                    loss_sum += _train_batch(grid, task, idx, adam, lr, global_epoch)
-                    loss_n += 1
-            row = _epoch_row(grid, tasks, global_epoch, lr,
-                             {task.id: loss_sum / max(loss_n, 1)}, memo)
-            epoch_rows.append(row)
-            if log:
-                log(_format_epoch(row, f"sequential[task {task.id}]"))
-        freeze_path(grid, task.path)
-        freeze_task(grid, task)
-        freeze_hashes[str(task.id)] = freeze_fingerprint(grid, task)
-    return RunReport(
-        config_hash=config_hash or cfg.canonical_hash(),
-        seed=cfg.seed, mode="sequential", tasks=_task_rows(tasks),
-        epochs=epoch_rows, final=_final_rows(grid, tasks, memo),
-        wallclock_s=time.perf_counter() - t0,
-        freeze_hashes=freeze_hashes,
-    )
+    phases = [(f"sequential[task {t.id}]", [t]) for t in tasks]
+    return _train_phases(grid, "sequential", phases, tasks, cfg, config_hash, log,
+                         freeze=True)
 
 
 def train_single(grid: ModuleGrid, task: TaskSpec, cfg: TrainConfig,
                  config_hash: str | None = None, log=None) -> RunReport:
     """Train only one task from scratch; every other registered task keeps
-    its freshly initialized head slice (and norm instances)."""
+    its freshly initialized head slice (and norm instances). The report
+    covers every registered task with data."""
     _check_ready([task])
-    t0 = time.perf_counter()
-    rng = batch_rng(cfg.seed, task.id)
-    sched_rng = derive_rng(cfg.seed, STREAM_SCHED)
-    adam = FlatAdam(grid.arena.size)
-    memo = _ValidationMemo()
-    epoch_rows = []
     report_tasks = [t for t in grid.tasks if t.train_ds is not None and t.val_ds is not None]
-    for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.effective_lr(epoch)
-        plan = BatchPlan.for_dataset(task.train_ds, cfg.batch_size, rng)
-        sched = EpochScheduler(remaining={task.id: plan.n_batches},
-                               batch_set_size=cfg.batch_set_size, rng=sched_rng)
-        loss_sum, loss_n = 0.0, 0
-        while (grant := schedule_round(sched)) is not None:
-            _, count = grant
-            for idx in next_batches(task.train_ds, plan, count):
-                loss_sum += _train_batch(grid, task, idx, adam, lr, epoch)
-                loss_n += 1
-        row = _epoch_row(grid, report_tasks, epoch, lr,
-                         {task.id: loss_sum / max(loss_n, 1)}, memo)
-        epoch_rows.append(row)
-        if log:
-            log(_format_epoch(row, f"single[task {task.id}]"))
-    return RunReport(
-        config_hash=config_hash or cfg.canonical_hash(),
-        seed=cfg.seed, mode="single", tasks=_task_rows(report_tasks),
-        epochs=epoch_rows, final=_final_rows(grid, report_tasks, memo),
-        wallclock_s=time.perf_counter() - t0,
-    )
+    return _train_phases(grid, "single", [(f"single[task {task.id}]", [task])],
+                         report_tasks, cfg, config_hash, log)
 
 
 def _format_epoch(row: dict, label: str) -> str:

@@ -18,7 +18,7 @@ from part import (
     save_checkpoint,
     train_parallel,
 )
-from part.net import trainable_keys, trainable_segments
+from part.net import path_index, trainable_keys
 from part.numerics import FlatAdam, Segments
 
 from conftest import attach_synthetic, make_grid
@@ -115,19 +115,20 @@ def test_registering_after_training_keeps_every_value(norm_mode, tmp_path):
     np.testing.assert_array_equal(load_checkpoint(tmp_path / "g.part").arena, grid.arena)
 
 
-def test_trainable_segments_are_cached_until_a_freeze():
+def test_path_index_segments_are_cached_until_a_freeze():
     grid = make_grid(L=2, M=4, N=2, seed=85)
     ta, tb = grid.tasks
-    keys, seg = trainable_segments(grid, tb)
+    index = path_index(grid, tb)
+    keys, seg = index.trainable_keys, index.segments
     assert keys == trainable_keys(grid, tb)
-    assert trainable_segments(grid, tb)[1] is seg
+    assert path_index(grid, tb).segments is seg
     positions = np.arange(grid.arena.size)
     np.testing.assert_array_equal(
         seg.index, np.concatenate([grid._view(positions, k).ravel() for k in keys]))
     freeze_path(grid, ta.path)
-    keys2, seg2 = trainable_segments(grid, tb)
-    assert keys2 == trainable_keys(grid, tb)
-    assert seg2 is not seg
+    index2 = path_index(grid, tb)
+    assert index2.trainable_keys == trainable_keys(grid, tb)
+    assert index2.segments is not seg
 
 
 def test_nonfinite_training_fails_loudly():

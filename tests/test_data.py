@@ -281,16 +281,6 @@ def test_batch_size_below_two_rejected(rng):
         BatchPlan.for_dataset(_blob(rng, 10), 1, rng)
 
 
-def test_reshuffle_uses_rng(rng):
-    ds = _blob(rng, 50)
-    plan = BatchPlan.for_dataset(ds, 10, rng)
-    first = plan.order.copy()
-    plan.reshuffle(rng)
-    assert plan.cursor == 0
-    assert not np.array_equal(first, plan.order)
-    assert sorted(plan.order.tolist()) == list(range(50))
-
-
 def test_plan_must_belong_to_dataset(rng):
     ds = _blob(rng, 10)
     other = _blob(rng, 12)

@@ -3,12 +3,14 @@
 Each case runs a tiny experiment through `run_experiment` and compares the
 sha256 of report.json (without its wall-clock field) and of the checkpoint
 file with hashes captured before the flat parameter arena replaced the
-per-tensor parameters. The CKA cases pin `analyze`'s cka_report.json for
-both kernels the same way, and check every report entry against a copy of
-the per-pair formula. A refactor that is meant to keep the numbers must
-keep these hashes; a change that alters bits on purpose re-pins them and
-says by how much the numbers moved. The hashes hold for numpy's bundled
-OpenBLAS on x86-64; another BLAS may round matrix products differently.
+per-tensor parameters, and the sha256 of its console lines with one
+captured before the three procedures became one loop. The CKA cases pin
+`analyze`'s cka_report.json for both kernels the same way, and check every
+report entry against a copy of the per-pair formula. A refactor that is
+meant to keep the numbers must keep these hashes; a change that alters bits
+on purpose re-pins them and says by how much the numbers moved. The hashes
+hold for numpy's bundled OpenBLAS on x86-64; another BLAS may round matrix
+products differently.
 """
 
 import hashlib
@@ -54,6 +56,18 @@ GOLDEN = {
         "ff75a53069a731a59540214111669ab43d741074cb0c864b0bc4b765acc3df6b"),
 }
 
+# sha256 of the console lines (`log`, one per epoch, each ending in a
+# newline) of the same runs, pinned before the three procedures became one
+# loop over phases
+CONSOLE_GOLDEN = {
+    ("parallel", "per-task"): "51ceafcaaef9e811d4788104f5d518c83dfc10b69b51668976891ffd5742b0d3",
+    ("parallel", "shared"): "94636fdc974295695c7ea26ec17a03fe374a2573366eea9783685fde0ae96d11",
+    ("sequential", "per-task"): "e75b68ce2cbb4b198824346320523c8344cdc71a70f104c2e9fe718866f2bba4",
+    ("sequential", "shared"): "bf83713b54263132c0d5f7e8996aec797c23ee2f2811096ef0a4b18dbc9625f5",
+    ("single", "per-task"): "54a27d0f6acc7e445672e1d8260b01f17178dc57c86c26a0698e696c926fbe92",
+    ("single", "shared"): "f32acaa85b5ceded009906318c78c41288478035a2d85bc4b319c2c78ee34637",
+}
+
 
 def golden_config(mode, norm_mode, out_dir):
     return parse_config({
@@ -76,10 +90,15 @@ def report_sha(path):
 
 @pytest.mark.parametrize("mode,norm_mode", sorted(GOLDEN))
 def test_golden_report_and_checkpoint(tmp_path, mode, norm_mode):
-    run_experiment(golden_config(mode, norm_mode, tmp_path))
+    cfg = golden_config(mode, norm_mode, tmp_path)
+    lines = []
+    report = run_experiment(cfg, log=lines.append)
+    assert report.config_hash == cfg.config_hash()
     got = (report_sha(tmp_path / REPORT_NAME),
            hashlib.sha256((tmp_path / CHECKPOINT_NAME).read_bytes()).hexdigest())
     assert got == GOLDEN[(mode, norm_mode)]
+    console = "".join(f"{line}\n" for line in lines)
+    assert hashlib.sha256(console.encode()).hexdigest() == CONSOLE_GOLDEN[(mode, norm_mode)]
 
 
 # ---------------------------------------------------------------------------

@@ -234,11 +234,28 @@ def test_parallel_requires_equal_sizes():
         train_parallel(grid, grid.tasks, CFG)
 
 
-def test_report_lr_column_follows_schedule():
+# each procedure and the task ids of its phases, in order
+PROCEDURES = {
+    "parallel": (lambda g: train_parallel(g, g.tasks, CFG), [{0, 1}]),
+    "sequential": (lambda g: train_sequential(g, g.tasks, CFG), [{0}, {1}]),
+    "single": (lambda g: train_single(g, g.tasks[1], CFG), [{1}]),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PROCEDURES))
+def test_report_lr_column_follows_schedule(mode):
+    # the schedule restarts with each phase; a row's loss is set exactly for
+    # the tasks of its phase, and every row covers every task with data
+    train, phases = PROCEDURES[mode]
     grid = build_pair(21)
-    report = train_parallel(grid, grid.tasks, CFG)
+    report = train(grid)
+    E = CFG.epochs
+    assert [row["epoch"] for row in report.epochs] == list(range(1, len(phases) * E + 1))
+    assert [t["id"] for t in report.tasks] == [0, 1]
     for row in report.epochs:
-        assert row["lr"] == CFG.effective_lr(row["epoch"])
+        assert row["lr"] == CFG.effective_lr((row["epoch"] - 1) % E + 1)
+        trained = phases[(row["epoch"] - 1) // E]
+        assert [pt["loss"] is not None for pt in row["per_task"]] == [0 in trained, 1 in trained]
 
 
 def test_determinism_identical_reports_minus_wallclock():
@@ -251,6 +268,7 @@ def test_determinism_identical_reports_minus_wallclock():
     a.pop("wallclock_s")
     b.pop("wallclock_s")
     assert a == b
+    assert a["config_hash"] is None  # only an ExperimentConfig names a run
 
 
 def test_zero_epoch_budget_stays_at_chance():
