@@ -42,8 +42,9 @@ for i, (c, margin) in enumerate(task_shapes):
     train, val = gen_synthetic_task(rng, c, 80, 8, margin, name=f"t{i}")
     task.train_ds, task.val_ds = train, val
 
-n_instances = len(grid.block(0, 0).norms)
-print(f"per-task mode: every block now holds {n_instances} norm instances, "
+# a norm instance is addressed by key: ("norm", layer, module, task id, tensor)
+instances = [grid.get_param(("norm", 0, 0, t.id, "gamma")) for t in grid.tasks]
+print(f"per-task mode: every block now holds {len(instances)} norm instances, "
       f"one per registered task")
 
 trains = oversample_to_equal([t.train_ds for t in grid.tasks], rng)
@@ -55,8 +56,8 @@ cfg = TrainConfig(epochs=15, batch_size=16, batch_set_size=4, lr0=2e-3,
 train_parallel(grid, grid.tasks, cfg)
 
 # the two tasks imprinted different statistics on the same shared block
-blk = grid.block(1, 0)
-gap = np.abs(blk.norms[0].run_mean - blk.norms[1].run_mean)
+gap = np.abs(grid.get_param(("norm", 1, 0, 0, "run_mean"))
+             - grid.get_param(("norm", 1, 0, 1, "run_mean")))
 print(f"\nshared block (layer 1, module 0): mean running-stat gap between "
       f"the two tasks' instances: {gap.mean():.3f} (max {gap.max():.3f})")
 
@@ -65,15 +66,14 @@ print(f"accuracy with each task on its own statistics: "
       f"{acc[0]:.3f} / {acc[1]:.3f}")
 
 # evaluate each task through the OTHER task's statistics: the shared
-# affine weights are identical, only the normalization swaps (the values
-# are swapped, not the instances, whose arrays are views into the arena)
-for layer in grid.layers:
-    for block in layer:
-        a, b = block.norms[0], block.norms[1]
+# affine weights are identical, only the normalization swaps
+for l in range(grid.n_layers):
+    for m in range(grid.n_modules):
         for name in ("gamma", "beta", "run_mean", "run_var"):
-            kept = getattr(a, name).copy()
-            setattr(a, name, getattr(b, name))
-            setattr(b, name, kept)
+            key_a, key_b = ("norm", l, m, 0, name), ("norm", l, m, 1, name)
+            a, b = grid.get_param(key_a), grid.get_param(key_b)
+            grid.set_param(key_a, b)
+            grid.set_param(key_b, a)
 acc_swapped = [validate(grid, t) for t in grid.tasks]
 print(f"accuracy with statistics swapped between tasks:  "
       f"{acc_swapped[0]:.3f} / {acc_swapped[1]:.3f}")

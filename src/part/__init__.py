@@ -42,9 +42,7 @@ from .errors import (
     NumericError,
 )
 from .net import (
-    ModuleBlock,
     ModuleGrid,
-    NormInstance,
     Path,
     TaskSpec,
     assign_random_path,
@@ -53,7 +51,6 @@ from .net import (
     forward_task,
     freeze_path,
     freeze_task,
-    is_frozen,
     register_task,
     trainable_keys,
 )

@@ -142,7 +142,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    except (InputError, OSError) as e:   # OSError: an unreadable or unwritable path
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

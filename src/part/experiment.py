@@ -125,7 +125,10 @@ def write_report(report: RunReport, path) -> None:
 
 
 def load_report(path) -> RunReport:
-    return RunReport.from_json_dict(json.loads(FsPath(path).read_text(encoding="utf-8")))
+    try:
+        return RunReport.from_json_dict(json.loads(FsPath(path).read_text(encoding="utf-8")))
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise InputError(f"cannot read report {path}: {e!r}") from None
 
 
 def generate_data_files(cfg: ExperimentConfig, out_dir=None) -> list[str]:

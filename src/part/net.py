@@ -12,11 +12,14 @@ updating and their running stats stop tracking.
 Every parameter lives in one float64 vector, the grid's *arena*, laid out
 in checkpoint-v1 order: layer-major, module-minor; per module W (row-major)
 then b then its norm instances in task-id order (gamma, beta, run_mean,
-run_var each); then head_W (row-major) and head_b. Block, norm and head
-arrays are views into it, and assigning to one (``blk.W = X``) copies into
-the view. The arena is laid out lazily, on first use by a forward pass, a
-checkpoint or parameter addressing; registering a task only marks it stale,
-so building an experiment never repacks the grid once per task.
+run_var each); then head_W (row-major) and head_b. A parameter is named by
+a key (see `get_param`): `get_param` copies it out and `set_param` copies
+into the arena and bumps `version`, so a tape taken before the write is
+rejected. `head_W` and `head_b` are read-only views of the head. Newly
+made tensors (the construction draws, a registered task's head columns
+and norm instances) wait in a pending dict; the arena is laid out lazily,
+on first use by a forward pass, a checkpoint or parameter addressing, so
+building an experiment never repacks the grid once per task.
 
 Each task has a cached *path index* (`path_index`): per layer an (N, chunk)
 array of arena positions, one row per path module holding its W, b and the
@@ -40,8 +43,8 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import ClassVar, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -53,67 +56,7 @@ SHARED = -1
 
 NORM_EPS = 1e-5
 NORM_MOMENTUM = 0.1
-
-
-class _InPlaceParams:
-    """Assigning to an array attribute named in PARAMS copies into the array
-    already there instead of rebinding the name, so an attribute that is a
-    view into the grid's arena stays one. The first assignment binds."""
-
-    PARAMS: tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        current = self.__dict__.get(name) if name in self.PARAMS else None
-        if current is None:
-            super().__setattr__(name, value)
-            return
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != current.shape:
-            raise InputError(f"{name} has shape {current.shape}, got {value.shape}")
-        current[...] = value
-
-
-def _rebind(owner, name: str, array: np.ndarray) -> None:
-    """Point a parameter attribute at new storage (arena layout, head widening)."""
-    owner.__dict__[name] = array
-
-
-@dataclass
-class NormInstance(_InPlaceParams):
-    """Batch-norm parameters plus running statistics for one feature width."""
-
-    PARAMS = ("gamma", "beta", "run_mean", "run_var")
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    run_mean: np.ndarray
-    run_var: np.ndarray
-    momentum: ClassVar[float] = NORM_MOMENTUM
-    eps: ClassVar[float] = NORM_EPS
-
-    @classmethod
-    def identity(cls, width: int) -> "NormInstance":
-        return cls(
-            gamma=np.ones(width),
-            beta=np.zeros(width),
-            run_mean=np.zeros(width),
-            run_var=np.ones(width),
-        )
-
-
-@dataclass
-class ModuleBlock(_InPlaceParams):
-    """One grid cell: affine map plus its norm instance(s).
-
-    `norms` maps task id -> NormInstance in per-task mode; in shared mode
-    it holds the single SHARED key.
-    """
-
-    PARAMS = ("W", "b")
-
-    W: np.ndarray
-    b: np.ndarray
-    norms: dict[int, NormInstance] = field(default_factory=dict)
+NORM_PARAMS = ("gamma", "beta", "run_mean", "run_var")
 
 
 @dataclass(frozen=True)
@@ -155,17 +98,15 @@ class TaskSpec:
     path: Optional[Path] = None
 
 
-class ModuleGrid(_InPlaceParams):
+class ModuleGrid:
     """L x M grid of dense blocks plus the shared partitioned head.
 
     The grid owns an init RNG so head widening at task registration is
     reproducible from the construction seed alone. `version` counts
     parameter mutations; tapes are stamped with it so a backward pass on a
     tape from a stale parameter state is rejected. `arena` is the flat
-    parameter vector every block, norm and head array is a view into.
+    vector that holds every parameter.
     """
-
-    PARAMS = ("head_W", "head_b")
 
     def __init__(self, n_layers: int, n_modules: int, d_in: int, d_hid: int,
                  norm_mode: str = "shared", seed: int = 0):
@@ -181,36 +122,33 @@ class ModuleGrid(_InPlaceParams):
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.tasks: list[TaskSpec] = []
+        self.c_total = 0
         self.frozen: set[tuple[int, int]] = set()
         self.frozen_tasks: set[int] = set()
         self.version = 0
         self._arena: Optional[np.ndarray] = None
         self._layout: dict = {}       # stored tensor key -> (arena offset, shape)
+        self._pending: dict = {}      # stored tensor key -> value not yet in the arena
         self._paths: dict = {}        # task id -> PathIndex
 
-        self.layers: list[list[ModuleBlock]] = []
         for l in range(n_layers):
             fan_in = d_in if l == 0 else d_hid
-            row = []
-            for _ in range(n_modules):
-                block = ModuleBlock(W=self._he_uniform(fan_in, d_hid), b=np.zeros(d_hid))
+            for m in range(n_modules):
+                self._pending[("block", l, m, "W")] = self._he_uniform(fan_in, d_hid)
+                self._pending[("block", l, m, "b")] = np.zeros(d_hid)
                 if norm_mode == "shared":
-                    block.norms[SHARED] = NormInstance.identity(d_hid)
-                row.append(block)
-            self.layers.append(row)
-        self.head_W = np.zeros((d_hid, 0))
-        self.head_b = np.zeros(0)
+                    self._add_identity_norm(l, m, SHARED)
+        self._pending[("head_W",)] = np.zeros((d_hid, 0))
+        self._pending[("head_b",)] = np.zeros(0)
 
     def _he_uniform(self, fan_in: int, fan_out: int) -> np.ndarray:
         bound = np.sqrt(6.0 / fan_in)
         return self.rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
-    @property
-    def c_total(self) -> int:
-        return self.head_W.shape[1]
-
-    def block(self, layer: int, module: int) -> ModuleBlock:
-        return self.layers[layer][module]
+    def _add_identity_norm(self, l: int, m: int, nk: int) -> None:
+        ones, zeros = np.ones(self.d_hid), np.zeros(self.d_hid)
+        for which, value in zip(NORM_PARAMS, (ones, zeros, zeros, ones)):
+            self._pending[("norm", l, m, nk, which)] = value
 
     def norm_key(self, task_id: int) -> int:
         return SHARED if self.norm_mode == "shared" else task_id
@@ -221,42 +159,57 @@ class ModuleGrid(_InPlaceParams):
     def arena(self) -> np.ndarray:
         """The flat parameter vector, laid out on first use after a change
         of shape (construction, task registration)."""
-        if self._arena is None:
+        if self._pending:
             self._lay_out()
         return self._arena
 
+    @property
+    def head_W(self) -> np.ndarray:
+        """The head weights, (d_hid, c_total): a read-only view of the arena."""
+        if self._pending:
+            self._lay_out()
+        return self._head_W
+
+    @property
+    def head_b(self) -> np.ndarray:
+        """The head biases, (c_total,): a read-only view of the arena."""
+        if self._pending:
+            self._lay_out()
+        return self._head_b
+
     def _stored(self):
-        """(key, owner, attribute) of every stored tensor, in arena order."""
-        for l, layer in enumerate(self.layers):
-            for m, block in enumerate(layer):
-                yield ("block", l, m, "W"), block, "W"
-                yield ("block", l, m, "b"), block, "b"
-                for nk in sorted(block.norms):
-                    for which in NormInstance.PARAMS:
-                        yield ("norm", l, m, nk, which), block.norms[nk], which
-        yield ("head_W",), self, "head_W"
-        yield ("head_b",), self, "head_b"
+        """Key of every stored tensor, in arena order."""
+        norm_keys = [SHARED] if self.norm_mode == "shared" else range(len(self.tasks))
+        for l in range(self.n_layers):
+            for m in range(self.n_modules):
+                yield ("block", l, m, "W")
+                yield ("block", l, m, "b")
+                for nk in norm_keys:
+                    for which in NORM_PARAMS:
+                        yield ("norm", l, m, nk, which)
+        yield ("head_W",)
+        yield ("head_b",)
+
+    def _stored_value(self, key) -> np.ndarray:
+        """A stored tensor as it stands: pending, or in the arena last laid out."""
+        value = self._pending.get(key)
+        return self._view(self._arena, key) if value is None else value
 
     def _lay_out(self) -> None:
-        tensors = [(key, owner, attr, getattr(owner, attr))
-                   for key, owner, attr in self._stored()]
-        arena = np.empty(sum(a.size for *_, a in tensors))
+        tensors = [(key, self._stored_value(key)) for key in self._stored()]
+        arena = np.empty(sum(a.size for _, a in tensors))
         layout = {}
         start = 0
-        for key, owner, attr, a in tensors:
-            view = arena[start:start + a.size].reshape(a.shape)
-            view[...] = a
-            _rebind(owner, attr, view)
+        for key, a in tensors:
+            arena[start:start + a.size].reshape(a.shape)[...] = a
             layout[key] = (start, a.shape)
             start += a.size
         self._arena, self._layout = arena, layout
+        self._pending.clear()
         self._paths.clear()
-
-    def _arena_stale(self) -> None:
-        """Tensors were added: lay the arena out afresh on next use. Until
-        then the old views keep every value."""
-        self._arena = None
-        self._paths.clear()
+        self._head_W = self._view(arena, ("head_W",))
+        self._head_b = self._view(arena, ("head_b",))
+        self._head_W.flags.writeable = self._head_b.flags.writeable = False
 
     # -- parameter addressing ------------------------------------------------
     # keys: ("block", l, m, "W"|"b")
@@ -304,16 +257,17 @@ def register_task(grid: ModuleGrid, c: int, name: str = "",
     start = grid.c_total
     bound = 1.0 / np.sqrt(grid.d_hid)
     new_cols = grid.rng.uniform(-bound, bound, size=(grid.d_hid, c))
-    _rebind(grid, "head_W", np.concatenate([grid.head_W, new_cols], axis=1))
-    _rebind(grid, "head_b", np.concatenate([grid.head_b, np.zeros(c)]))
+    for key, new in ((("head_W",), new_cols), (("head_b",), np.zeros(c))):
+        grid._pending[key] = np.concatenate([grid._stored_value(key), new], axis=-1)
     if grid.norm_mode == "per-task":
-        for layer in grid.layers:
-            for block in layer:
-                block.norms[tid] = NormInstance.identity(grid.d_hid)
+        for l in range(grid.n_layers):
+            for m in range(grid.n_modules):
+                grid._add_identity_norm(l, m, tid)
     task = TaskSpec(id=tid, c=c, slice=(start, start + c), name=name or f"task{tid}",
                     train_ds=train_ds, val_ds=val_ds)
     grid.tasks.append(task)
-    grid._arena_stale()
+    grid.c_total += c
+    grid._paths.clear()
     grid.version += 1
     return task
 
@@ -366,10 +320,6 @@ def freeze_task(grid: ModuleGrid, task: TaskSpec) -> None:
     and its head slice (tracked via the task id)."""
     grid.frozen_tasks.add(task.id)
     grid._paths.clear()
-
-
-def is_frozen(grid: ModuleGrid, layer: int, module: int) -> bool:
-    return (layer, module) in grid.frozen
 
 
 def trainable_keys(grid: ModuleGrid, task: TaskSpec) -> list:
@@ -453,7 +403,7 @@ def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
             frozen_block = (l, m) in grid.frozen
             norm_frozen = frozen_block if nk == SHARED else task_frozen
             cell = [("block", l, m, "W"), ("block", l, m, "b")]
-            cell += [("norm", l, m, nk, which) for which in NormInstance.PARAMS]
+            cell += [("norm", l, m, nk, which) for which in NORM_PARAMS]
             where = [grid._view(positions, key) for key in cell]
             cells.append(np.concatenate([w.ravel() for w in where]))
             tracking.append(not norm_frozen)

@@ -307,10 +307,9 @@ def _freeze_surface_keys(grid: ModuleGrid, task: TaskSpec) -> list:
 
 
 def _norm_stats_hash(grid: ModuleGrid, l: int, m: int, nk: int) -> str:
-    inst = grid.layers[l][m].norms[nk]
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(inst.run_mean).tobytes())
-    h.update(np.ascontiguousarray(inst.run_var).tobytes())
+    for which in ("run_mean", "run_var"):
+        h.update(grid._view(grid.arena, ("norm", l, m, nk, which)).tobytes())
     return h.hexdigest()
 
 

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from part import ModuleGrid, assign_random_path, register_task
+from part.net import SHARED
 from part.data import Dataset, gen_synthetic_task
 
 
@@ -14,14 +17,30 @@ def make_grid(L=2, M=4, N=2, d_in=6, d_hid=10, norm_mode="shared", seed=0,
         task = register_task(grid, c)
         task.path = assign_random_path(M, N, L, rng)
     if randomize_norms:
-        for layer in grid.layers:
-            for blk in layer:
-                for inst in blk.norms.values():
-                    inst.gamma = rng.uniform(0.5, 1.5, d_hid)
-                    inst.beta = rng.normal(0.0, 0.3, d_hid)
-                    inst.run_mean = rng.normal(0.0, 0.5, d_hid)
-                    inst.run_var = rng.uniform(0.5, 2.0, d_hid)
+        randomize_norm_instances(grid, rng)
     return grid
+
+
+def randomize_norm_instances(grid, rng):
+    """Random gamma, beta and running statistics for every norm instance,
+    drawn in arena order."""
+    d = grid.d_hid
+    for l, m in cells(grid):
+        for nk in norm_keys(grid):
+            grid.set_param(("norm", l, m, nk, "gamma"), rng.uniform(0.5, 1.5, d))
+            grid.set_param(("norm", l, m, nk, "beta"), rng.normal(0.0, 0.3, d))
+            grid.set_param(("norm", l, m, nk, "run_mean"), rng.normal(0.0, 0.5, d))
+            grid.set_param(("norm", l, m, nk, "run_var"), rng.uniform(0.5, 2.0, d))
+
+
+def cells(grid):
+    """Every (layer, module) cell of the grid, layer-major."""
+    return itertools.product(range(grid.n_layers), range(grid.n_modules))
+
+
+def norm_keys(grid):
+    """The norm instances each cell holds, in arena order."""
+    return [SHARED] if grid.norm_mode == "shared" else [t.id for t in grid.tasks]
 
 
 def make_dataset(rng, n=30, d=6, c=3, name="ds"):

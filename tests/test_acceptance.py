@@ -42,6 +42,8 @@ from part.training import (
     freeze_fingerprint,
 )
 
+from conftest import randomize_norm_instances
+
 CHANCE_4CLASS = 0.25
 
 
@@ -108,13 +110,7 @@ def _grad_config(seed, norm_mode):
     t1 = register_task(grid, 2)
     t0.path = assign_random_path(M, N, L, rng)
     t1.path = assign_random_path(M, N, L, rng)
-    for layer in grid.layers:
-        for blk in layer:
-            for inst in blk.norms.values():
-                inst.gamma = rng.uniform(0.5, 1.5, d_hid)
-                inst.beta = rng.normal(0.0, 0.3, d_hid)
-                inst.run_mean = rng.normal(0.0, 0.5, d_hid)
-                inst.run_var = rng.uniform(0.5, 2.0, d_hid)
+    randomize_norm_instances(grid, rng)
     x = rng.normal(size=(6, d_in))
     y = rng.integers(0, 3, size=6)
     return grid, t0, x, y
@@ -174,8 +170,8 @@ def test_criterion_1_gradient_correctness():
         # train-mode loss is exactly independent of block biases
         base, _ = _loss_and_grads(grid, task, x, y, "train")
         for (l, m) in task.path.modules():
-            blk = grid.block(l, m)
-            blk.b = blk.b + 0.37
+            key = ("block", l, m, "b")
+            grid.set_param(key, grid.get_param(key) + 0.37)
         shifted, _ = _loss_and_grads(grid, task, x, y, "train")
         assert abs(shifted - base) < 1e-12
     elapsed = time.perf_counter() - t0
@@ -217,15 +213,15 @@ def test_criterion_2_path_locality():
         off_cells = [(l, m) for l in range(L) for m in range(M)
                      if (l, m) not in on_path]
         for (l, m) in off_cells[:3]:
-            blk = grid.block(l, m)
-            blk.W = blk.W + rng.normal(size=blk.W.shape)
-            blk.b = blk.b + 1.0
-        sb, eb = tb.slice
-        grid.head_W[:, sb:eb] += rng.normal(size=(grid.d_hid, tb.c))
+            W = grid.get_param(("block", l, m, "W"))
+            grid.set_param(("block", l, m, "W"), W + rng.normal(size=W.shape))
+            grid.set_param(("block", l, m, "b"), grid.get_param(("block", l, m, "b")) + 1.0)
+        head = ("head", tb.id, "W")
+        grid.set_param(head, grid.get_param(head) + rng.normal(size=(grid.d_hid, tb.c)))
         if norm_mode == "per-task":
             for (l, m) in ta.path.modules():
-                inst = grid.block(l, m).norms[tb.id]
-                inst.gamma = inst.gamma + 0.5
+                key = ("norm", l, m, tb.id, "gamma")
+                grid.set_param(key, grid.get_param(key) + 0.5)
         loss2, _ = _loss_and_grads(grid, ta, x, y, "train")
         assert loss2 == loss
     elapsed = time.perf_counter() - t0

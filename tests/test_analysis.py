@@ -21,7 +21,7 @@ from part import (
 from part.analysis import ActivationSet
 from part.net import Path, build_controlled_paths, assign_random_path
 
-from conftest import make_grid
+from conftest import make_grid, norm_keys
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +309,13 @@ def test_degenerate_layer_is_flagged_in_report():
     task = grid.tasks[0]
     # zero the whole path: every representation becomes constant
     for (l, m) in task.path.modules():
-        blk = grid.block(l, m)
-        blk.W = np.zeros_like(blk.W)
-        blk.b = np.zeros_like(blk.b)
-        for inst in blk.norms.values():
-            inst.gamma = np.zeros_like(inst.gamma)
-            inst.beta = np.zeros_like(inst.beta)
-            inst.run_mean = np.zeros_like(inst.run_mean)
-            inst.run_var = np.ones_like(inst.run_var)
+        keys = [("block", l, m, "W"), ("block", l, m, "b")]
+        keys += [("norm", l, m, nk, which) for nk in norm_keys(grid)
+                 for which in ("gamma", "beta", "run_mean")]
+        for key in keys:
+            grid.set_param(key, np.zeros_like(grid.get_param(key)))
+        for nk in norm_keys(grid):
+            grid.set_param(("norm", l, m, nk, "run_var"), np.ones(grid.d_hid))
     sets = capture_activations(grid, task, 12)
     report = layerwise_cka_report(sets, sets, kernel="linear", setup="dead")
     for lc in report.layers:

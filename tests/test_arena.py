@@ -18,74 +18,73 @@ from part import (
     save_checkpoint,
     train_parallel,
 )
-from part.net import path_index, trainable_keys
+from part.net import NORM_PARAMS, SHARED, path_index, trainable_keys
 from part.numerics import FlatAdam, Segments
 
-from conftest import attach_synthetic, make_grid
+from conftest import attach_synthetic, cells, make_grid, norm_keys
 
 
-def arena_arrays(grid):
-    """Every block, norm and head array of the grid."""
-    for layer in grid.layers:
-        for blk in layer:
-            yield blk.W
-            yield blk.b
-            for inst in blk.norms.values():
-                yield from (inst.gamma, inst.beta, inst.run_mean, inst.run_var)
-    yield grid.head_W
-    yield grid.head_b
+def stored_keys(grid):
+    """Every stored block and norm tensor's key, in arena order."""
+    keys = []
+    for l, m in cells(grid):
+        keys += [("block", l, m, "W"), ("block", l, m, "b")]
+        keys += [("norm", l, m, nk, w) for nk in norm_keys(grid) for w in NORM_PARAMS]
+    return keys
 
 
 def all_keys(grid):
     """Every addressable tensor: stored block and norm tensors, head slices."""
-    keys = []
-    for l, layer in enumerate(grid.layers):
-        for m, blk in enumerate(layer):
-            keys += [("block", l, m, "W"), ("block", l, m, "b")]
-            for nk in blk.norms:
-                keys += [("norm", l, m, nk, w)
-                         for w in ("gamma", "beta", "run_mean", "run_var")]
-    for t in grid.tasks:
-        keys += [("head", t.id, "W"), ("head", t.id, "b")]
-    return keys
+    return stored_keys(grid) + [("head", t.id, w) for t in grid.tasks for w in ("W", "b")]
+
+
+def assert_checkpoint_order(grid):
+    """The arena is every block and norm tensor in key order, then the
+    head, and head_W/head_b are views of it."""
+    arena = grid.arena
+    assert np.shares_memory(grid.head_W, arena) and np.shares_memory(grid.head_b, arena)
+    arrays = [grid.get_param(key) for key in stored_keys(grid)] + [grid.head_W, grid.head_b]
+    np.testing.assert_array_equal(arena, np.concatenate([a.ravel() for a in arrays]))
 
 
 @pytest.mark.parametrize("norm_mode", ["shared", "per-task"])
 def test_arrays_are_views_into_the_arena_in_checkpoint_order(norm_mode):
     grid = make_grid(L=2, M=3, N=2, norm_mode=norm_mode, seed=80, randomize_norms=True)
-    arena = grid.arena
-    arrays = list(arena_arrays(grid))
-    assert all(np.shares_memory(a, arena) for a in arrays)
-    np.testing.assert_array_equal(arena, np.concatenate([a.ravel() for a in arrays]))
+    assert_checkpoint_order(grid)
 
 
 def test_assignment_and_slice_updates_write_through():
     grid = make_grid(seed=81)
-    arena = grid.arena
-    blk = grid.block(1, 2)
-    new_W = np.random.default_rng(0).normal(size=blk.W.shape)
-    blk.W = new_W
-    inst = next(iter(blk.norms.values()))
-    inst.gamma = inst.gamma + 0.5
+    arena, version = grid.arena, grid.version
+    new_W = np.random.default_rng(0).normal(size=grid.get_param(("block", 1, 2, "W")).shape)
+    grid.set_param(("block", 1, 2, "W"), new_W)
+    gamma = grid.get_param(("norm", 1, 2, SHARED, "gamma")) + 0.5
+    grid.set_param(("norm", 1, 2, SHARED, "gamma"), gamma)
     tb = grid.tasks[1]
     s, e = tb.slice
-    grid.head_W[:, s:e] += 3.0
-    assert np.shares_memory(blk.W, arena) and np.shares_memory(inst.gamma, arena)
-    assert np.shares_memory(grid.head_W, arena)
+    head = grid.get_param(("head", tb.id, "W")) + 3.0
+    grid.set_param(("head", tb.id, "W"), head)
+    assert grid.version == version + 3
     np.testing.assert_array_equal(grid.get_param(("block", 1, 2, "W")), new_W)
-    np.testing.assert_array_equal(grid.get_param(("norm", 1, 2, -1, "gamma")), inst.gamma)
-    np.testing.assert_array_equal(grid.get_param(("head", tb.id, "W")), grid.head_W[:, s:e])
-    assert grid.arena is arena
+    np.testing.assert_array_equal(grid.get_param(("norm", 1, 2, SHARED, "gamma")), gamma)
+    np.testing.assert_array_equal(grid.head_W[:, s:e], head)
+    # get_param hands out a copy: writing into it changes nothing
+    grid.get_param(("block", 1, 2, "W"))[...] = 0.0
+    np.testing.assert_array_equal(grid.get_param(("block", 1, 2, "W")), new_W)
+    assert grid.arena is arena and grid.version == version + 3
+    assert_checkpoint_order(grid)
 
 
 def test_assignment_cannot_change_a_shape():
     grid = make_grid(seed=82)
+    version = grid.version
     with pytest.raises(InputError):
-        grid.block(0, 0).W = np.zeros((2, 2))
+        grid.set_param(("block", 0, 0, "W"), np.zeros((2, 2)))
     with pytest.raises(InputError):
         grid.set_param(("block", 0, 0, "b"), np.zeros(3))
     with pytest.raises(InputError):
         grid.get_param(("block", 9, 0, "W"))
+    assert grid.version == version
 
 
 def test_registration_never_lays_out_the_arena(monkeypatch):
@@ -108,7 +107,7 @@ def test_registering_after_training_keeps_every_value(norm_mode, tmp_path):
     old_arena = grid.arena
     register_task(grid, 3)
     assert grid.arena is not old_arena
-    assert all(np.shares_memory(a, grid.arena) for a in arena_arrays(grid))
+    assert_checkpoint_order(grid)
     for key, value in before.items():
         np.testing.assert_array_equal(grid.get_param(key), value)
     save_checkpoint(grid, tmp_path / "g.part")

@@ -302,7 +302,8 @@ def test_failed_save_leaves_the_old_checkpoint(tmp_path, capsys, monkeypatch):
     _, ckpt = _trained(tmp_path, capsys)
     before = ckpt.read_bytes()
     grid = load_checkpoint(ckpt)
-    grid.head_b[:] += 1.0
+    for t in grid.tasks:
+        grid.set_param(("head", t.id, "b"), grid.get_param(("head", t.id, "b")) + 1.0)
 
     def boom(src, dst):
         raise OSError("disk full")
@@ -361,11 +362,51 @@ def test_failed_compare_and_profile_writes_keep_the_old_files(tmp_path, capsys, 
         raise OSError("disk full")
 
     monkeypatch.setattr(checkpoint.os, "replace", boom)
-    with pytest.raises(OSError):
-        main(["compare", report, report, "--out", str(outs["cmp.json"])])
-    with pytest.raises(OSError):
-        main(["profile-sharing", "--config", str(cfgp), "--out", str(outs["profile.json"])])
+    code, err = _exit_and_stderr(["compare", report, report, "--out", str(outs["cmp.json"])],
+                                 capsys)
+    assert code == 2 and "disk full" in err
+    code, err = _exit_and_stderr(["profile-sharing", "--config", str(cfgp),
+                                  "--out", str(outs["profile.json"])], capsys)
+    assert code == 2 and "disk full" in err
     for path in outs.values():
         assert path.read_text(encoding="utf-8") == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "cmp.json",
                                                          "profile.json", "run"]
+
+
+@pytest.mark.parametrize("content", [None, "dir", "{not json", "[1, 2]", '{"seed": 5}',
+                                     b"\xff\xfe"])
+def test_compare_unreadable_or_malformed_report_exits_2(tmp_path, capsys, content):
+    _trained(tmp_path, capsys)
+    good = str(tmp_path / "run" / "report.json")
+    bad = tmp_path / "bad.json"
+    if content == "dir":
+        bad.mkdir()
+    elif isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        bad.write_text(content, encoding="utf-8")
+    for pair in ([good, str(bad)], [str(bad), good]):
+        code, err = _exit_and_stderr(["compare", *pair, "--out", str(tmp_path / "c.json")],
+                                     capsys)
+        assert code == 2 and str(bad) in err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_out_under_a_missing_directory_exits_2(tmp_path, capsys):
+    _trained(tmp_path, capsys)
+    report = str(tmp_path / "run" / "report.json")
+    missing = tmp_path / "missing"
+    code, err = _exit_and_stderr(["compare", report, report,
+                                  "--out", str(missing / "c.json")], capsys)
+    assert code == 2 and str(missing) in err
+    assert not missing.exists()
+
+
+def test_train_out_naming_an_existing_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    cfgp = write_config(tmp_path, minimal_config(tmp_path / "run"))
+    code, err = _exit_and_stderr(["train", "--config", str(cfgp), "--out", str(taken)], capsys)
+    assert code == 2 and str(taken) in err
+    assert taken.read_text(encoding="utf-8") == "keep\n"

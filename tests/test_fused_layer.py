@@ -3,8 +3,8 @@ replaced, bit for bit.
 
 `reference_forward`/`reference_backward` are the per-block Python loops the
 grid ran before each layer's N path modules became one stacked computation.
-They read and write the block and norm views directly; the fused code
-gathers from and scatters into the arena. Both run on identically built
+They read and write each parameter by key (`get_param`/`set_param`); the
+fused code gathers from and scatters into the arena. Both run on identically built
 grids and must agree on every bit: logits, layer sums, module outputs,
 running statistics (hence the whole arena) and every gradient the
 backward returns, which covers the task's trainable surface only.
@@ -24,7 +24,15 @@ from part import (
     freeze_task,
     register_task,
 )
-from part.net import SHARED, path_index, trainable_keys
+from part.net import NORM_EPS, NORM_MOMENTUM, NORM_PARAMS, SHARED, path_index, trainable_keys
+
+from conftest import cells, randomize_norm_instances
+
+
+def _cell(grid, l, m, nk):
+    """W, b, gamma, beta, run_mean and run_var of one cell's norm instance nk."""
+    return ([grid.get_param(("block", l, m, which)) for which in ("W", "b")]
+            + [grid.get_param(("norm", l, m, nk, which)) for which in NORM_PARAMS])
 
 
 def reference_forward(grid, task, x, mode):
@@ -37,23 +45,24 @@ def reference_forward(grid, task, x, mode):
         recs = {}
         h_next = np.zeros((h.shape[0], grid.d_hid))
         for m in row:
-            block = grid.layers[l][m]
-            norm = block.norms[nk]
-            z = h @ block.W + block.b
+            W, b, gamma, beta, run_mean, run_var = _cell(grid, l, m, nk)
+            z = h @ W + b
             if mode == "train":
                 mu = z.mean(axis=0)
                 var = z.var(axis=0)
-                inv_std = 1.0 / np.sqrt(var + norm.eps)
+                inv_std = 1.0 / np.sqrt(var + NORM_EPS)
                 zhat = (z - mu) * inv_std
                 frozen_stats = ((l, m) in grid.frozen if nk == SHARED
                                 else stats_frozen_task)
                 if not frozen_stats:
-                    norm.run_mean[:] = (1 - norm.momentum) * norm.run_mean + norm.momentum * mu
-                    norm.run_var[:] = (1 - norm.momentum) * norm.run_var + norm.momentum * var
+                    grid.set_param(("norm", l, m, nk, "run_mean"),
+                                   (1 - NORM_MOMENTUM) * run_mean + NORM_MOMENTUM * mu)
+                    grid.set_param(("norm", l, m, nk, "run_var"),
+                                   (1 - NORM_MOMENTUM) * run_var + NORM_MOMENTUM * var)
             else:
-                inv_std = 1.0 / np.sqrt(norm.run_var + norm.eps)
-                zhat = (z - norm.run_mean) * inv_std
-            y = norm.gamma * zhat + norm.beta
+                inv_std = 1.0 / np.sqrt(run_var + NORM_EPS)
+                zhat = (z - run_mean) * inv_std
+            y = gamma * zhat + beta
             out = np.maximum(y, 0.0)
             recs[m] = dict(zhat=zhat, inv_std=inv_std, y=y, out=out)
             h_next += out
@@ -77,12 +86,11 @@ def reference_backward(grid, task, inputs, records, h_final, dlogits, mode):
         h_prev = inputs[l]
         dh_prev = np.zeros_like(h_prev)
         for m, rec in records[l].items():
-            block = grid.layers[l][m]
-            norm = block.norms[nk]
+            W, _, gamma, *_ = _cell(grid, l, m, nk)
             dy = dh * (rec["y"] > 0)
             grads[("norm", l, m, nk, "gamma")] = (dy * rec["zhat"]).sum(axis=0)
             grads[("norm", l, m, nk, "beta")] = dy.sum(axis=0)
-            dzhat = dy * norm.gamma
+            dzhat = dy * gamma
             if mode == "train":
                 dz = rec["inv_std"] * (
                     dzhat
@@ -93,7 +101,7 @@ def reference_backward(grid, task, inputs, records, h_final, dlogits, mode):
                 dz = dzhat * rec["inv_std"]
             grads[("block", l, m, "W")] = h_prev.T @ dz
             grads[("block", l, m, "b")] = dz.sum(axis=0)
-            dh_prev += dz @ block.W.T
+            dh_prev += dz @ W.T
         dh = dh_prev
     return grads
 
@@ -127,15 +135,12 @@ def build(problem):
                       seed=p["seed"] % 1000)
     for c in p["classes"]:
         register_task(grid, c).path = assign_random_path(p["M"], p["N"], p["L"], rng)
-    for layer in grid.layers:
-        for blk in layer:
-            blk.b = rng.normal(0.0, 0.5, p["d_hid"])
-            for inst in blk.norms.values():
-                inst.gamma = rng.uniform(0.5, 1.5, p["d_hid"])
-                inst.beta = rng.normal(0.0, 0.3, p["d_hid"])
-                inst.run_mean = rng.normal(0.0, 0.5, p["d_hid"])
-                inst.run_var = rng.uniform(0.5, 2.0, p["d_hid"])
-    grid.head_b[:] = rng.normal(size=grid.c_total)
+    for l, m in cells(grid):
+        grid.set_param(("block", l, m, "b"), rng.normal(0.0, 0.5, p["d_hid"]))
+    randomize_norm_instances(grid, rng)
+    head_b = rng.normal(size=grid.c_total)
+    for t in grid.tasks:
+        grid.set_param(("head", t.id, "b"), head_b[slice(*t.slice)])
     for tid in sorted(p["finished"]):
         freeze_path(grid, grid.tasks[tid].path)
         freeze_task(grid, grid.tasks[tid])
@@ -222,7 +227,7 @@ def _train_step_inputs(grid, seed):
     return rng.normal(size=(5, grid.d_in)), rng.normal(size=(5, grid.c_total))
 
 
-def test_backward_returns_only_the_head_when_every_path_cell_is_frozen():
+def test_backward_returns_only_the_head_on_a_fully_frozen_path():
     rows = ((0, 1), (1, 3), (0, 2))
     grid, task = _frozen_below(rows, rows, seed=3)
     x, dlogits = _train_step_inputs(grid, 4)

@@ -150,8 +150,9 @@ def test_memo_sees_a_one_ulp_change_to_a_finished_task(tmp_path, monkeypatch, bu
     def log(line):
         epochs_done.append(line)
         if bump and len(epochs_done) == 6:
-            start = grid.tasks[0].slice[0]
-            grid.head_b[start] = np.nextafter(grid.head_b[start], np.inf)
+            head_b = grid.get_param(("head", 0, "b"))
+            head_b[0] = np.nextafter(head_b[0], np.inf)
+            grid.set_param(("head", 0, "b"), head_b)
 
     train_sequential(grid, grid.tasks, cfg.train, log=log)
     assert len(epochs_done) == 12

@@ -12,14 +12,13 @@ from part import (
     finite_diff_check,
     forward_task,
     freeze_path,
-    is_frozen,
     register_task,
     softmax_xent_slice,
     trainable_keys,
 )
-from part.net import SHARED
+from part.net import NORM_EPS, NORM_PARAMS, SHARED
 
-from conftest import make_grid
+from conftest import cells, make_grid, norm_keys
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +98,28 @@ def test_per_task_norm_instances_accumulate():
     grid = ModuleGrid(3, 4, 4, 5, norm_mode="per-task", seed=0)
     for _ in range(5):
         register_task(grid, 3)
-    for layer in grid.layers:
-        for block in layer:
-            assert sorted(block.norms) == [0, 1, 2, 3, 4]
+    for l, m in cells(grid):
+        assert _norm_instances(grid, l, m) == [0, 1, 2, 3, 4]
 
 
 def test_shared_mode_keeps_single_instance():
     grid = ModuleGrid(2, 3, 4, 5, norm_mode="shared", seed=0)
     register_task(grid, 3)
     register_task(grid, 4)
-    for layer in grid.layers:
-        for block in layer:
-            assert list(block.norms) == [SHARED]
+    for l, m in cells(grid):
+        assert _norm_instances(grid, l, m) == [SHARED]
+
+
+def _norm_instances(grid, l, m):
+    """The norm keys addressable at cell (l, m), probed through get_param."""
+    found = []
+    for nk in [SHARED, *range(len(grid.tasks) + 1)]:
+        try:
+            grid.get_param(("norm", l, m, nk, "gamma"))
+        except InputError:
+            continue
+        found.append(nk)
+    return found
 
 
 def test_class_count_below_two_rejected():
@@ -126,9 +135,9 @@ def test_zeroed_blocks_propagate_to_head_bias():
     grid = make_grid(L=3, M=4, N=2, seed=1)
     task = grid.tasks[0]
     for (l, m) in task.path.modules():
-        blk = grid.block(l, m)
-        blk.W = np.zeros_like(blk.W)
-        blk.b = np.zeros_like(blk.b)
+        for which in ("W", "b"):
+            key = ("block", l, m, which)
+            grid.set_param(key, np.zeros_like(grid.get_param(key)))
     x = np.random.default_rng(0).normal(size=(5, grid.d_in))
     for mode in ("eval", "train"):
         logits, tape = forward_task(grid, task, x, mode=mode)
@@ -147,11 +156,12 @@ def test_single_module_path_equals_plain_chain():
     nk = grid.norm_key(task.id)
     h = x
     for l, row in enumerate(task.path.rows):
-        blk = grid.block(l, row[0])
-        inst = blk.norms[nk]
-        z = h @ blk.W + blk.b
-        zhat = (z - inst.run_mean) / np.sqrt(inst.run_var + inst.eps)
-        h = np.maximum(inst.gamma * zhat + inst.beta, 0.0)
+        W, b = (grid.get_param(("block", l, row[0], w)) for w in ("W", "b"))
+        gamma, beta, run_mean, run_var = (grid.get_param(("norm", l, row[0], nk, w))
+                                          for w in NORM_PARAMS)
+        z = h @ W + b
+        zhat = (z - run_mean) / np.sqrt(run_var + NORM_EPS)
+        h = np.maximum(gamma * zhat + beta, 0.0)
     s, e = task.slice
     expected = h @ grid.head_W[:, s:e] + grid.head_b[s:e]
 
@@ -168,9 +178,9 @@ def test_disjoint_paths_are_bit_independent():
     x = np.random.default_rng(1).normal(size=(6, 5))
     before, _ = forward_task(grid, ta, x, mode="eval")
     for (l, m) in tb.path.modules():
-        blk = grid.block(l, m)
-        blk.W = blk.W + 5.0
-        blk.b = blk.b - 2.0
+        for which, shift in (("W", 5.0), ("b", -2.0)):
+            key = ("block", l, m, which)
+            grid.set_param(key, grid.get_param(key) + shift)
     after, _ = forward_task(grid, ta, x, mode="eval")
     np.testing.assert_array_equal(before, after)
 
@@ -180,9 +190,8 @@ def test_off_slice_head_perturbation_invisible():
     ta, tb = grid.tasks
     x = np.random.default_rng(2).normal(size=(4, grid.d_in))
     before, _ = forward_task(grid, ta, x, mode="eval")
-    s, e = tb.slice
-    grid.head_W[:, s:e] += 3.0
-    grid.head_b[s:e] -= 1.0
+    grid.set_param(("head", tb.id, "W"), grid.get_param(("head", tb.id, "W")) + 3.0)
+    grid.set_param(("head", tb.id, "b"), grid.get_param(("head", tb.id, "b")) - 1.0)
     after, _ = forward_task(grid, ta, x, mode="eval")
     np.testing.assert_array_equal(before, after)
 
@@ -191,20 +200,14 @@ def test_eval_forward_is_side_effect_free():
     grid = make_grid(seed=5, randomize_norms=True)
     task = grid.tasks[0]
     x = np.random.default_rng(3).normal(size=(5, grid.d_in))
-    stats_before = [
-        (inst.run_mean.copy(), inst.run_var.copy())
-        for layer in grid.layers for blk in layer for inst in blk.norms.values()
-    ]
+    stat_keys = [("norm", l, m, nk, which) for l, m in cells(grid) for nk in norm_keys(grid)
+                 for which in ("run_mean", "run_var")]
+    stats_before = [grid.get_param(key) for key in stat_keys]
     a, _ = forward_task(grid, task, x, mode="eval")
     b, _ = forward_task(grid, task, x, mode="eval")
     np.testing.assert_array_equal(a, b)
-    stats_after = [
-        (inst.run_mean, inst.run_var)
-        for layer in grid.layers for blk in layer for inst in blk.norms.values()
-    ]
-    for (m0, v0), (m1, v1) in zip(stats_before, stats_after):
-        np.testing.assert_array_equal(m0, m1)
-        np.testing.assert_array_equal(v0, v1)
+    for key, before in zip(stat_keys, stats_before):
+        np.testing.assert_array_equal(grid.get_param(key), before)
 
 
 def test_train_forward_updates_only_used_instances():
@@ -213,13 +216,12 @@ def test_train_forward_updates_only_used_instances():
     x = np.random.default_rng(4).normal(size=(6, grid.d_in))
     forward_task(grid, ta, x, mode="train")
     on_path = set(ta.path.modules())
-    for l, layer in enumerate(grid.layers):
-        for m, blk in enumerate(layer):
-            # task b's instances never touched; task a's touched only on-path
-            assert not blk.norms[tb.id].run_mean.any()
-            touched = blk.norms[ta.id].run_mean.any() or \
-                (blk.norms[ta.id].run_var != 1.0).any()
-            assert touched == ((l, m) in on_path)
+    for l, m in cells(grid):
+        # task b's instances never touched; task a's touched only on-path
+        assert not grid.get_param(("norm", l, m, tb.id, "run_mean")).any()
+        touched = grid.get_param(("norm", l, m, ta.id, "run_mean")).any() or \
+            (grid.get_param(("norm", l, m, ta.id, "run_var")) != 1.0).any()
+        assert touched == ((l, m) in on_path)
 
 
 def test_forward_input_validation():
@@ -327,20 +329,33 @@ def test_train_loss_invariant_to_block_bias():
     y = rng.integers(0, task.c, size=6)
     loss0, _ = _loss_and_grads(grid, task, x, y, mode="train")
     for (l, m) in task.path.modules():
-        grid.block(l, m).b = grid.block(l, m).b + rng.normal(size=grid.d_hid)
+        key = ("block", l, m, "b")
+        grid.set_param(key, grid.get_param(key) + rng.normal(size=grid.d_hid))
     loss1, _ = _loss_and_grads(grid, task, x, y, mode="train")
     assert abs(loss1 - loss0) < 1e-12
 
 
-def test_stale_tape_rejected():
+@pytest.mark.parametrize("write", ["set_param", "head_W", "head_b"])
+def test_stale_tape_rejected(write):
+    # every write between a forward and its backward either bumps the
+    # version (set_param) or is refused (the read-only head views)
     grid = make_grid(seed=14)
     task = grid.tasks[0]
     x = np.random.default_rng(7).normal(size=(4, grid.d_in))
     _, tape = forward_task(grid, task, x, mode="train")
-    key = ("head", task.id, "b")
-    grid.set_param(key, grid.get_param(key) + 1.0)
-    with pytest.raises(ContractError):
-        backward_task(grid, task, tape, np.zeros((4, grid.c_total)))
+    dlogits = np.zeros((4, grid.c_total))
+    if write == "set_param":
+        key = ("head", task.id, "b")
+        grid.set_param(key, grid.get_param(key) + 1.0)
+        with pytest.raises(ContractError):
+            backward_task(grid, task, tape, dlogits)
+        return
+    arena = grid.arena.copy()
+    s, e = task.slice
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(grid, write)[..., s:e] += 1.0
+    np.testing.assert_array_equal(grid.arena, arena)
+    backward_task(grid, task, tape, dlogits)
 
 
 def test_tape_task_mismatch_rejected():
@@ -361,8 +376,8 @@ def test_shared_module_couples_tasks():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(6, 5))
     before, _ = forward_task(grid, tb, x, mode="eval")
-    blk = grid.block(0, 1)
-    blk.W = blk.W + 0.5  # stands in for a task-a update of the shared module
+    key = ("block", 0, 1, "W")  # a task-a update of the shared module
+    grid.set_param(key, grid.get_param(key) + 0.5)
     after, _ = forward_task(grid, tb, x, mode="eval")
     assert np.abs(after - before).max() > 0
 
@@ -398,17 +413,16 @@ def test_controlled_paths_require_m_equals_2n():
 
 def test_nothing_frozen_after_construction():
     grid = make_grid(seed=17)
-    for l in range(grid.n_layers):
-        for m in range(grid.n_modules):
-            assert not is_frozen(grid, l, m)
+    for cell in cells(grid):
+        assert cell not in grid.frozen
 
 
 def test_freeze_marks_cells_and_excludes_from_training():
     grid = make_grid(L=2, M=4, N=2, seed=18)
     ta, tb = grid.tasks
     freeze_path(grid, ta.path)
-    for (l, m) in ta.path.modules():
-        assert is_frozen(grid, l, m)
+    for cell in ta.path.modules():
+        assert cell in grid.frozen
     keys = trainable_keys(grid, tb)
     frozen_cells = set(ta.path.modules())
     for key in keys:

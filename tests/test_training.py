@@ -128,9 +128,9 @@ def test_validate_tie_breaks_to_lowest_index():
     _, val = gen_synthetic_task(rng, task.c, 30, grid.d_in, 2.0)
     task.val_ds = val
     for (l, m) in task.path.modules():
-        blk = grid.block(l, m)
-        blk.W = np.zeros_like(blk.W)
-        blk.b = np.zeros_like(blk.b)
+        for which in ("W", "b"):
+            key = ("block", l, m, which)
+            grid.set_param(key, np.zeros_like(grid.get_param(key)))
     grid.set_param(("head", task.id, "W"), np.zeros((grid.d_hid, task.c)))
     grid.set_param(("head", task.id, "b"), np.zeros(task.c))
     acc = validate(grid, task)
