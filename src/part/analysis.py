@@ -16,8 +16,8 @@ task pair's two before the p module Grams. Module Grams are scored as they
 arrive, and each product with the last one is formed in the other Gram's
 storage, so a report holds at most the p module Grams plus block-sized
 temporaries. The peak, about (p + 0.6) n^2 float64s, comes while the last
-RBF Gram is built next to the other p - 1 and its median reads the upper
-triangle.
+RBF Gram is built next to the other p - 1 and its median partitions a copy
+of the upper triangle.
 """
 
 from __future__ import annotations
@@ -60,24 +60,28 @@ class SharingProfile:
 
 def sharing_profile(paths: list[Path], M: int, L: int) -> SharingProfile:
     """Count task-usage multiplicity of every (layer, module) cell."""
-    usage = np.zeros((L, M), dtype=np.int64)
     for path in paths:
         if path.depth != L:
             raise InputError(f"path depth {path.depth} != L={L}")
-        for (l, m) in path.modules():
-            if m >= M:
+        for row in path.rows:
+            if row[-1] >= M:                 # rows are strictly increasing
+                m = next(m for m in row if m >= M)
                 raise InputError(f"path selects module {m} >= M={M}")
-            usage[l, m] += 1
+    cells = [l * M + m for path in paths for l, row in enumerate(path.rows) for m in row]
+    usage = np.bincount(np.array(cells, dtype=np.int64), minlength=L * M)
+    # row l of `counts`: how many of layer l's cells t tasks use, t = 0..k
+    k = len(paths)
+    counts = np.bincount(usage + (k + 1) * np.repeat(np.arange(L), M),
+                         minlength=L * (k + 1)).reshape(L, k + 1)
     histogram: dict[int, int] = {}
     per_layer = []
-    for l in range(L):
-        counts = np.bincount(usage[l], minlength=1)
-        layer_hist = {t: int(c) for t, c in enumerate(counts) if c > 0}
+    for row in counts.tolist():
+        layer_hist = {t: c for t, c in enumerate(row) if c > 0}
         per_layer.append(layer_hist)
         for t, c in layer_hist.items():
             histogram[t] = histogram.get(t, 0) + c
     return SharingProfile(histogram=histogram, per_layer=per_layer,
-                          n_layers=L, n_modules=M, n_tasks=len(paths))
+                          n_layers=L, n_modules=M, n_tasks=k)
 
 
 def expected_sharing_count(M: int, N: int, L: int, k: int, t: int) -> float:
@@ -160,41 +164,62 @@ def _gram_linear(X: np.ndarray) -> np.ndarray:
     return X @ X.T
 
 
+def _exactly_symmetric(K: np.ndarray) -> bool:
+    """Whether K equals K.T bit for bit, compared one row block at a time
+    against the mirrored column block, from the diagonal rightwards."""
+    return all(np.array_equal(K[rows, rows.start:], K[rows.start:, rows].T)
+               for rows in _blocks(K.shape[0]))
+
+
 def _gram_rbf(X: np.ndarray, frac: float, sigma: Optional[float]) -> np.ndarray:
     # exp(-d2 / (2 sigma^2)) with d2 the squared pairwise distances, built in
     # place in one n x n array; other temporaries are row blocks, or the
-    # upper triangle while the median is taken
+    # upper triangle of d2 while the median is taken
+    n = X.shape[0]
     sq = np.sum(X * X, axis=1)
     d2 = X @ X.T
     d2 *= 2.0
-    for rows in _blocks(X.shape[0]):
+    for rows in _blocks(n):
         # (sq_i + sq_j) - 2 x_i.x_j
         np.subtract(sq[rows, None] + sq[None, :], d2[rows], out=d2[rows])
     np.maximum(d2, 0.0, out=d2)
     if sigma is None:
-        n = X.shape[0]
-        dist = d2[np.triu(np.ones((n, n), dtype=bool), k=1)]
-        np.sqrt(dist, out=dist)
-        med = float(np.median(dist, overwrite_input=True))
-        del dist
+        # the median pairwise distance, exactly as np.median of the sqrt of
+        # the upper triangle: sqrt is correctly rounded and monotone, so the
+        # sqrt of an order statistic of d2 is that order statistic of the
+        # distances, and one partition of d2 at the middle finds it. An
+        # even count takes the mean of the two middle values, (lo + hi) / 2.
+        # NaNs partition to the end; like np.median, any NaN gives NaN.
+        d2u = d2[~np.tri(n, n, 0, dtype=bool)]
+        mid = d2u.size // 2
+        d2u.partition(mid)
+        if np.isnan(d2u[mid:]).any():
+            med = math.nan
+        else:
+            med = math.sqrt(d2u[mid])
+            if d2u.size % 2 == 0:
+                med = (math.sqrt(d2u[:mid].max()) + med) / 2.0
+        del d2u
         if med == 0.0:
             raise DegenerateRepresentation(
                 "zero median pairwise distance: representation is constant")
         sigma = frac * med
     if sigma <= 0:
         raise InputError(f"rbf sigma must be positive, got {sigma}")
-    np.negative(d2, out=d2)
-    d2 /= 2.0 * sigma * sigma
+    d2 /= -(2.0 * sigma * sigma)          # the bits of -d2 / (2 sigma^2)
     np.exp(d2, out=d2)
-    # exact symmetry despite float summation order: (K + K.T) / 2, in place
-    # one pair of mirrored blocks at a time (a + b == b + a bit for bit)
-    blocks = _blocks(X.shape[0])
-    for i, rows in enumerate(blocks):
-        for cols in blocks[i:]:
-            total = d2[rows, cols] + d2[cols, rows].T
-            d2[rows, cols] = total
-            d2[cols, rows] = total.T
-    d2 /= 2.0
+    if not _exactly_symmetric(d2):
+        # d2 is usually symmetric bit for bit already (X @ X.T is mirrored
+        # and sq_i + sq_j commutes), and then (K + K.T) / 2 == K. Otherwise
+        # symmetrise in place one pair of mirrored blocks at a time
+        # (a + b == b + a bit for bit)
+        blocks = _blocks(n)
+        for i, rows in enumerate(blocks):
+            for cols in blocks[i:]:
+                total = d2[rows, cols] + d2[cols, rows].T
+                d2[rows, cols] = total
+                d2[cols, rows] = total.T
+        d2 /= 2.0
     return d2
 
 

@@ -59,7 +59,8 @@ def _metadata(grid: ModuleGrid) -> dict:
 def write_atomic(path, *chunks: bytes) -> None:
     """Write `chunks` to a temporary file next to `path`, then rename it into
     place: readers see the old file or the whole new one, never a partial
-    one. A failed write removes the temporary file and leaves `path` as it was."""
+    one. A failed write removes the temporary file and leaves `path` as it was;
+    an OSError about the temporary file is raised again naming `path`."""
     path = FsPath(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -67,8 +68,11 @@ def write_atomic(path, *chunks: bytes) -> None:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.filename == str(tmp):
+            # name the file the caller asked for, not the temporary one
+            raise OSError(e.errno, e.strerror, str(path)) from None
         raise
 
 

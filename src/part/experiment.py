@@ -9,6 +9,7 @@ The CLI is a thin wrapper over these functions.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -126,9 +127,28 @@ def write_report(report: RunReport, path) -> None:
 
 def load_report(path) -> RunReport:
     try:
-        return RunReport.from_json_dict(json.loads(FsPath(path).read_text(encoding="utf-8")))
+        report = RunReport.from_json_dict(json.loads(FsPath(path).read_text(encoding="utf-8")))
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise InputError(f"cannot read report {path}: {e!r}") from None
+    problem = _report_problem(report)
+    if problem:
+        raise InputError(f"malformed report {path}: {problem}")
+    return report
+
+
+def _report_problem(report: RunReport):
+    """What `compare_reports` would trip over in a loaded report, or None."""
+    for field in ("tasks", "final"):
+        rows = getattr(report, field)
+        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+            return f"{field!r} must be a list of objects"
+    for row in report.final:
+        task, acc = row.get("task"), row.get("val_acc")
+        if type(task) is not int:
+            return f"final task {task!r} is not an integer"
+        if type(acc) not in (int, float) or not math.isfinite(acc):
+            return f"final val_acc {acc!r} of task {task} is not a finite number"
+    return None
 
 
 def generate_data_files(cfg: ExperimentConfig, out_dir=None) -> list[str]:

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from part import analysis
 from part import (
@@ -97,6 +99,54 @@ def test_profile_rejects_inconsistent_paths():
         sharing_profile([Path(((0, 1),))], 4, 2)
 
 
+def profile_loop(paths, M, L):
+    """Per-cell counting loop, the reference for `sharing_profile`:
+    (histogram, per_layer), dicts in the key order it must reproduce."""
+    usage = np.zeros((L, M), dtype=np.int64)
+    for path in paths:
+        for (l, m) in path.modules():
+            usage[l, m] += 1
+    histogram, per_layer = {}, []
+    for l in range(L):
+        counts = np.bincount(usage[l], minlength=1)
+        layer_hist = {t: int(c) for t, c in enumerate(counts) if c > 0}
+        per_layer.append(layer_hist)
+        for t, c in layer_hist.items():
+            histogram[t] = histogram.get(t, 0) + c
+    return histogram, per_layer
+
+
+@st.composite
+def path_sets(draw):
+    M = draw(st.integers(1, 9))
+    L = draw(st.integers(1, 6))
+    rows = st.lists(st.integers(0, M - 1), min_size=1, max_size=M, unique=True)
+    paths = draw(st.lists(
+        st.lists(rows, min_size=L, max_size=L).map(
+            lambda rs: Path(tuple(tuple(sorted(r)) for r in rs))),
+        max_size=6))
+    return paths, M, L
+
+
+@settings(max_examples=60, deadline=None)
+@given(path_sets())
+def test_profile_equals_the_counting_loop(case):
+    paths, M, L = case
+    prof = sharing_profile(paths, M, L)
+    histogram, per_layer = profile_loop(paths, M, L)
+    assert list(prof.histogram.items()) == list(histogram.items())
+    assert [list(h.items()) for h in prof.per_layer] == [list(h.items()) for h in per_layer]
+    assert prof.n_tasks == len(paths)
+
+
+def test_profile_errors_name_the_first_bad_path():
+    bad_depth, bad_module = Path(((0,),)), Path(((0, 1), (2, 7, 9)))
+    with pytest.raises(InputError, match=r"^path selects module 7 >= M=4$"):
+        sharing_profile([bad_module, bad_depth], 4, 2)
+    with pytest.raises(InputError, match=r"^path depth 1 != L=2$"):
+        sharing_profile([bad_depth, bad_module], 4, 2)
+
+
 # ---------------------------------------------------------------------------
 # hsic / cka
 
@@ -188,6 +238,126 @@ def test_constant_representation_is_flagged_not_zero():
     for kernel in ("linear", "rbf"):
         with pytest.raises(DegenerateRepresentation):
             cka(X, const, kernel=kernel)
+
+
+def gram_rbf_reference(X, frac, sigma):
+    """The RBF Gram in its direct form, which `analysis._gram_rbf` must match
+    bit for bit: np.median of the sqrt of the upper-triangle gather, negate
+    then divide, and an unconditional blockwise (K + K.T) / 2."""
+    sq = np.sum(X * X, axis=1)
+    d2 = X @ X.T
+    d2 *= 2.0
+    for rows in analysis._blocks(X.shape[0]):
+        np.subtract(sq[rows, None] + sq[None, :], d2[rows], out=d2[rows])
+    np.maximum(d2, 0.0, out=d2)
+    if sigma is None:
+        n = X.shape[0]
+        dist = d2[np.triu(np.ones((n, n), dtype=bool), k=1)]
+        np.sqrt(dist, out=dist)
+        med = float(np.median(dist, overwrite_input=True))
+        if med == 0.0:
+            raise DegenerateRepresentation(
+                "zero median pairwise distance: representation is constant")
+        sigma = frac * med
+    if sigma <= 0:
+        raise InputError(f"rbf sigma must be positive, got {sigma}")
+    np.negative(d2, out=d2)
+    d2 /= 2.0 * sigma * sigma
+    np.exp(d2, out=d2)
+    blocks = analysis._blocks(X.shape[0])
+    for i, rows in enumerate(blocks):
+        for cols in blocks[i:]:
+            total = d2[rows, cols] + d2[cols, rows].T
+            d2[rows, cols] = total
+            d2[cols, rows] = total.T
+    d2 /= 2.0
+    return d2
+
+
+@st.composite
+def rbf_problem(draw):
+    # n from 3 up, so the n(n-1)/2 upper-triangle count is odd and even;
+    # rounded values and repeated rows make tied distances, and the
+    # scale puts the distances far below and far above 1
+    n = draw(st.integers(3, 64))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        X = np.round(X * draw(st.sampled_from([1.0, 3.0])))
+    repeats = draw(st.integers(0, n - 1))
+    if repeats:
+        X[rng.integers(0, n, size=repeats)] = X[rng.integers(0, n, size=repeats)]
+    if not np.any(X != X[0]):
+        X[0] += 1.0
+    X *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    frac = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    sigma = draw(st.one_of(st.none(), st.floats(1e-2, 1e2)))
+    return X, frac, sigma
+
+
+@settings(max_examples=40, deadline=None)
+@given(rbf_problem())
+def test_rbf_gram_matches_the_median_and_symmetrise_reference(problem):
+    X, frac, sigma = problem
+    try:
+        ref = gram_rbf_reference(X, frac, sigma)
+    except DegenerateRepresentation as e:      # most pairs are repeats
+        with pytest.raises(DegenerateRepresentation, match=str(e)):
+            analysis._gram_rbf(X, frac, sigma)
+        return
+    assert analysis._gram_rbf(X, frac, sigma).tobytes() == ref.tobytes()
+
+
+def test_rbf_gram_constant_representation_message():
+    const = np.full((7, 3), 2.5)
+    with pytest.raises(DegenerateRepresentation) as new:
+        analysis._gram_rbf(const, 0.5, None)
+    with pytest.raises(DegenerateRepresentation) as ref:
+        gram_rbf_reference(const, 0.5, None)
+    assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("sigma", [None, 1.0])
+def test_rbf_gram_overflowing_rows_propagate_nan_like_the_reference(sigma):
+    # two rows near 1e200: their squared norms overflow, inf - inf puts a
+    # NaN into the upper triangle, and the median (hence sigma) is NaN.
+    # NaN sign bits are not compared: negating before dividing flips them
+    X = np.random.default_rng(5).normal(size=(9, 3))
+    X[[2, 6]] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        K, ref = analysis._gram_rbf(X, 0.5, sigma), gram_rbf_reference(X, 0.5, sigma)
+        with pytest.raises(InputError, match="symmetric"):
+            cka(X, X, kernel="rbf", rbf_sigma=sigma)
+    assert np.isnan(K[2, 6])
+    if sigma is None:
+        assert np.isnan(K).all()
+    assert np.array_equal(K, ref, equal_nan=True)
+
+
+def test_rbf_gram_symmetrise_fallback_matches_the_reference(monkeypatch):
+    checked = []
+    monkeypatch.setattr(analysis, "_exactly_symmetric",
+                        lambda K: checked.append(K.shape) or False)
+    rng = np.random.default_rng(23)
+    for n in (3, 64, 65, 150):
+        X = rng.normal(size=(n, 4))
+        for sigma in (None, 0.7):
+            assert (analysis._gram_rbf(X, 0.5, sigma).tobytes()
+                    == gram_rbf_reference(X, 0.5, sigma).tobytes())
+    assert len(checked) == 8
+
+
+def test_exactly_symmetric_predicate():
+    rng = np.random.default_rng(24)
+    A = rng.normal(size=(130, 130))
+    K = A + A.T
+    assert analysis._exactly_symmetric(K)
+    K[3, 100] = np.nextafter(K[3, 100], np.inf)
+    assert not analysis._exactly_symmetric(K)
+    K = A + A.T
+    K[129, 70] += 1.0
+    assert not analysis._exactly_symmetric(K)
 
 
 def test_cka_range_on_random_pairs():

@@ -393,13 +393,52 @@ def test_compare_unreadable_or_malformed_report_exits_2(tmp_path, capsys, conten
     assert not (tmp_path / "c.json").exists()
 
 
+def _set_final(field, value):
+    def mutate(doc):
+        doc["final"][0][field] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc.update(final=5),
+    lambda doc: doc.update(final=[5]),
+    lambda doc: doc.update(final={"task": 0, "val_acc": 0.5}),
+    lambda doc: doc.update(tasks="solo"),
+    lambda doc: doc.update(tasks=[None]),
+    lambda doc: doc["final"][0].pop("val_acc"),
+    _set_final("task", "0"),
+    _set_final("task", True),
+    _set_final("task", 0.0),
+    _set_final("val_acc", "0.9"),
+    _set_final("val_acc", None),
+    _set_final("val_acc", False),
+    _set_final("val_acc", float("nan")),
+    _set_final("val_acc", float("inf")),
+], ids=["final-int", "final-of-ints", "final-object", "tasks-str", "tasks-of-null",
+        "no-val_acc", "task-str", "task-bool", "task-float", "acc-str", "acc-null",
+        "acc-bool", "acc-nan", "acc-inf"])
+def test_compare_report_with_wrong_field_types_exits_2(tmp_path, capsys, mutate):
+    _trained(tmp_path, capsys)
+    good = tmp_path / "run" / "report.json"
+    doc = json.loads(good.read_text(encoding="utf-8"))
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    for pair in ([str(good), str(bad)], [str(bad), str(good)]):
+        code, err = _exit_and_stderr(["compare", *pair, "--out", str(tmp_path / "c.json")],
+                                     capsys)
+        assert code == 2 and f"malformed report {bad}" in err
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_out_under_a_missing_directory_exits_2(tmp_path, capsys):
     _trained(tmp_path, capsys)
     report = str(tmp_path / "run" / "report.json")
     missing = tmp_path / "missing"
     code, err = _exit_and_stderr(["compare", report, report,
                                   "--out", str(missing / "c.json")], capsys)
-    assert code == 2 and str(missing) in err
+    assert code == 2 and str(missing / "c.json") in err
+    assert ".tmp" not in err
     assert not missing.exists()
 
 
