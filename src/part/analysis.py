@@ -6,30 +6,34 @@ hsic(K,L) = tr(K H L H)/(n-1)^2, H the centering matrix. Kernels: linear
 (K = X X^T) or RBF with bandwidth sigma = frac * median pairwise distance
 of the respective representation (an absolute sigma is also accepted).
 
-Each Gram matrix depends on one representation only, so a layerwise
-report builds every representation's Gram once per layer: it checks its
-symmetry, centres it in place and takes its self-HSIC, and then each pair
-costs one elementwise product and sum. That product and sum are the ones
-a fresh cka() call makes, so the report's numbers are the same bit for
-bit. A layer's Grams are freed before the next layer's are built, and the
-task pair's two before the p module Grams. Module Grams are scored as they
-arrive, and each product with the last one is formed in the other Gram's
-storage, so a report holds at most the p module Grams plus block-sized
-temporaries. The peak, about (p + 0.6) n^2 float64s, comes while the last
-RBF Gram is built next to the other p - 1 and its median partitions a copy
-of the upper triangle.
+Every Gram the package builds is symmetric bit for bit by construction:
+representations are made C-contiguous float64, so numpy computes X X^T
+with syrk and mirrors the triangle, and every later RBF step is
+elementwise or commutes (sq_i + sq_j). Only `hsic()`, whose Grams come
+from the caller, checks symmetry.
+
+Every CKA value comes from one all-pairs routine (`_cka_matrix`): `cka()`
+is it over two representations, and a layerwise report calls it once for
+the task pair and once for the module representations. Each Gram depends
+on one representation only, so it is built and centred once; each pair
+then costs one elementwise product and sum, the same bits in every
+caller. A call holds at most its p Grams plus block-sized temporaries,
+and a report frees each call's Grams before the next call. The peak,
+about (p + 0.6) n^2 float64s, comes while the last RBF Gram is built
+next to the other p - 1 and its median partitions a copy of the upper
+triangle. A Gram that overflows (its self-HSIC is not finite) raises
+NumericError.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateRepresentation, InputError
+from .errors import DegenerateRepresentation, InputError, NumericError
 from .net import ModuleGrid, Path, TaskSpec, forward_task
 
 
@@ -164,13 +168,6 @@ def _gram_linear(X: np.ndarray) -> np.ndarray:
     return X @ X.T
 
 
-def _exactly_symmetric(K: np.ndarray) -> bool:
-    """Whether K equals K.T bit for bit, compared one row block at a time
-    against the mirrored column block, from the diagonal rightwards."""
-    return all(np.array_equal(K[rows, rows.start:], K[rows.start:, rows].T)
-               for rows in _blocks(K.shape[0]))
-
-
 def _gram_rbf(X: np.ndarray, frac: float, sigma: Optional[float]) -> np.ndarray:
     # exp(-d2 / (2 sigma^2)) with d2 the squared pairwise distances, built in
     # place in one n x n array; other temporaries are row blocks, or the
@@ -208,24 +205,13 @@ def _gram_rbf(X: np.ndarray, frac: float, sigma: Optional[float]) -> np.ndarray:
         raise InputError(f"rbf sigma must be positive, got {sigma}")
     d2 /= -(2.0 * sigma * sigma)          # the bits of -d2 / (2 sigma^2)
     np.exp(d2, out=d2)
-    if not _exactly_symmetric(d2):
-        # d2 is usually symmetric bit for bit already (X @ X.T is mirrored
-        # and sq_i + sq_j commutes), and then (K + K.T) / 2 == K. Otherwise
-        # symmetrise in place one pair of mirrored blocks at a time
-        # (a + b == b + a bit for bit)
-        blocks = _blocks(n)
-        for i, rows in enumerate(blocks):
-            for cols in blocks[i:]:
-                total = d2[rows, cols] + d2[cols, rows].T
-                d2[rows, cols] = total
-                d2[cols, rows] = total.T
-        d2 /= 2.0
     return d2
 
 
 def _check_reps(*reps) -> list[np.ndarray]:
-    """Sample-aligned float64 representations, each check over all of them."""
-    reps = [np.asarray(R, dtype=np.float64) for R in reps]
+    """Sample-aligned C-contiguous float64 representations (a copy only if
+    one is not already), each check over all of them."""
+    reps = [np.ascontiguousarray(R, dtype=np.float64) for R in reps]
     if any(R.ndim != 2 for R in reps):
         raise InputError("representations must be 2-D (samples x features)")
     n = reps[0].shape[0]
@@ -239,28 +225,6 @@ def _check_reps(*reps) -> list[np.ndarray]:
     return reps
 
 
-def _prepare(X: np.ndarray, kernel: str, rbf_frac: float, rbf_sigma: Optional[float],
-             self_hsic: bool = True):
-    """(centred Gram, self-HSIC, None) of one checked representation, or
-    (None, None, flag) if it is constant. With self_hsic=False the caller
-    takes the self-HSIC later (`_self_hsic`) and it is returned as None."""
-    try:
-        if kernel == "linear":
-            K = _gram_linear(X)
-        elif kernel == "rbf":
-            K = _gram_rbf(X, rbf_frac, rbf_sigma)
-        else:
-            raise InputError(f"kernel must be 'linear' or 'rbf', got {kernel!r}")
-    except DegenerateRepresentation as e:
-        return None, None, str(e)
-    _check_symmetric(K)
-    Kc = _center(K)
-    if not self_hsic:
-        return Kc, None, None
-    h, flag = _self_hsic(Kc)
-    return (None, None, flag) if flag else (Kc, h, None)
-
-
 def _pair_sum(Ka: np.ndarray, Kb: np.ndarray, into: Optional[np.ndarray] = None) -> float:
     """sum(Ka * Kb) / (n-1)^2 of two centred Grams: their HSIC. The product
     is formed in `into` (Ka or Kb at its last use) if given, else in a
@@ -270,18 +234,45 @@ def _pair_sum(Ka: np.ndarray, Kb: np.ndarray, into: Optional[np.ndarray] = None)
     return float(np.sum(product) / (n - 1) ** 2)
 
 
-def _self_hsic(Kc: np.ndarray, into: Optional[np.ndarray] = None):
-    """(self-HSIC, None) of a centred Gram, or (value, flag) if it is zero."""
-    h = _pair_sum(Kc, Kc, into)
-    return h, ("constant representation: self-HSIC is zero" if h <= 1e-300 else None)
-
-
-def _pair_cka(a, b, into: Optional[np.ndarray] = None) -> tuple[Optional[float], Optional[str]]:
-    """(cka, None) of two prepared representations, or (None, flag)."""
-    (Ka, ha, flag_a), (Kb, hb, flag_b) = a, b
-    if flag_a or flag_b:
-        return None, flag_a or flag_b
-    return _pair_sum(Ka, Kb, into) / math.sqrt(ha * hb), None
+def _cka_matrix(reps: list[np.ndarray], kernel: str, rbf_frac: float,
+                rbf_sigma: Optional[float]) -> tuple[list, list]:
+    """(all-pairs CKA matrix, per-representation flags) of checked
+    representations. A flagged representation is constant (its flag says
+    how) and its row and column are None. Gram j is centred and scored
+    against Grams 0..j-1 as it arrives; the last one's pair products are
+    formed in the other Gram's storage (its last use) and its self-HSIC,
+    taken last, in its own, so no product temporary is ever alive next to
+    all p Grams. A non-finite self-HSIC raises NumericError."""
+    if kernel not in ("linear", "rbf"):
+        raise InputError(f"kernel must be 'linear' or 'rbf', got {kernel!r}")
+    p = len(reps)
+    grams, hsics, flags, sums = [], [], [], {}
+    for j, X in enumerate(reps):
+        last = j == p - 1
+        try:
+            K = _center(_gram_linear(X) if kernel == "linear"
+                        else _gram_rbf(X, rbf_frac, rbf_sigma))
+        except DegenerateRepresentation as e:
+            K, h, flag = None, None, str(e)
+        else:
+            for i in range(j):
+                if grams[i] is not None:
+                    sums[i, j] = _pair_sum(grams[i], K, into=grams[i] if last else None)
+            h = _pair_sum(K, K, into=K if last else None)
+            if not math.isfinite(h):
+                raise NumericError(f"self-HSIC is {h}: a {kernel} Gram overflowed")
+            flag = "constant representation: self-HSIC is zero" if h <= 1e-300 else None
+        grams.append(None if flag or last else K)
+        hsics.append(h)
+        flags.append(flag)
+    matrix: list[list[Optional[float]]] = [[None] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i, p):
+            if not (flags[i] or flags[j]):
+                # the diagonal's pair sum is the self-HSIC, the same bits
+                pair = hsics[i] if i == j else sums[i, j]
+                matrix[i][j] = matrix[j][i] = pair / math.sqrt(hsics[i] * hsics[j])
+    return matrix, flags
 
 
 def cka(X: np.ndarray, Y: np.ndarray, kernel: str = "linear",
@@ -292,14 +283,12 @@ def cka(X: np.ndarray, Y: np.ndarray, kernel: str = "linear",
     the median pairwise distance of each set separately, unless an
     absolute rbf_sigma is given. Raises DegenerateRepresentation when a
     set is constant across samples (self-HSIC zero), rather than
-    reporting a silent 0.
+    reporting a silent 0, and NumericError when a Gram overflows.
     """
-    X, Y = _check_reps(X, Y)
-    value, flag = _pair_cka(_prepare(X, kernel, rbf_frac, rbf_sigma),
-                            _prepare(Y, kernel, rbf_frac, rbf_sigma))
-    if flag:
-        raise DegenerateRepresentation(flag)
-    return value
+    matrix, flags = _cka_matrix(_check_reps(X, Y), kernel, rbf_frac, rbf_sigma)
+    if flags[0] or flags[1]:
+        raise DegenerateRepresentation(flags[0] or flags[1])
+    return matrix[0][1]
 
 
 def kernel_label(kernel: str, rbf_frac: float = 0.5,
@@ -393,16 +382,6 @@ class LayerCka:
     matrix: list[list[Optional[float]]]
     shared_modules: list[int]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "layer": self.layer,
-            "task_cka": self.task_cka,
-            "task_cka_flag": self.task_cka_flag,
-            "labels": self.labels,
-            "matrix": self.matrix,
-            "shared_modules": self.shared_modules,
-        }
-
 
 @dataclass
 class CkaReport:
@@ -420,19 +399,6 @@ class CkaReport:
     task_b: int
     layers: list[LayerCka]
     n_samples: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "setup": self.setup,
-            "kernel": self.kernel,
-            "task_a": self.task_a,
-            "task_b": self.task_b,
-            "n_samples": self.n_samples,
-            "layers": [l.to_json_dict() for l in self.layers],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     def task_curve(self) -> list[Optional[float]]:
         return [l.task_cka for l in self.layers]
@@ -457,46 +423,17 @@ class CkaReport:
 
 def _layer_cka(la: ActivationSet, lb: ActivationSet, kernel: str, rbf_frac: float,
                rbf_sigma: Optional[float]) -> LayerCka:
-    """One layer of a report. Each representation's centred Gram is built
-    once; the task pair's two are freed before the module Grams are built.
-    Module Gram j is scored against Grams 0..j-1 as it arrives. The last
-    one's pair products are formed in the other Gram's storage (its last
-    use) and its self-HSIC, taken last, in its own, so no product
-    temporary is ever alive next to all p module Grams."""
+    """One layer of a report: the task pair's CKA, then the module matrix.
+    The task pair's Grams are freed before the module Grams are built."""
     entries = (
         [(f"t{la.task_id}:m{m}", rep) for m, rep in la.per_module.items()]
         + [(f"t{lb.task_id}:m{m}", rep) for m, rep in lb.per_module.items()]
     )
     reps = _check_reps(la.rep, lb.rep, *(rep for _, rep in entries))
-    task_a, task_b = (_prepare(X, kernel, rbf_frac, rbf_sigma) for X in reps[:2])
-    task_val, task_flag = _pair_cka(task_a, task_b, into=task_a[0])
-    del task_a, task_b
-
-    p = len(reps) - 2
-    grams, hsics, flags, sums = [], [], [], {}
-    for j, X in enumerate(reps[2:]):
-        last = j == p - 1
-        K, h, flag = _prepare(X, kernel, rbf_frac, rbf_sigma, self_hsic=not last)
-        for i in range(j):
-            if K is not None and grams[i] is not None:
-                sums[i, j] = _pair_sum(grams[i], K, into=grams[i] if last else None)
-        if last:
-            grams.clear()
-            if K is not None:
-                h, flag = _self_hsic(K, into=K)
-                del K
-        else:
-            grams.append(K)
-        hsics.append(h)
-        flags.append(flag)
-    matrix: list[list[Optional[float]]] = [[None] * p for _ in range(p)]
-    for i in range(p):
-        for j in range(i, p):
-            if not (flags[i] or flags[j]):
-                # the diagonal's pair sum is the self-HSIC, the same bits
-                pair = hsics[i] if i == j else sums[i, j]
-                matrix[i][j] = matrix[j][i] = pair / math.sqrt(hsics[i] * hsics[j])
-    return LayerCka(layer=la.layer, task_cka=task_val, task_cka_flag=task_flag,
+    task_matrix, task_flags = _cka_matrix(reps[:2], kernel, rbf_frac, rbf_sigma)
+    matrix, _ = _cka_matrix(reps[2:], kernel, rbf_frac, rbf_sigma)
+    return LayerCka(layer=la.layer, task_cka=task_matrix[0][1],
+                    task_cka_flag=task_flags[0] or task_flags[1],
                     labels=[name for name, _ in entries], matrix=matrix,
                     shared_modules=sorted(set(la.per_module) & set(lb.per_module)))
 

@@ -76,6 +76,13 @@ def write_atomic(path, *chunks: bytes) -> None:
         raise
 
 
+def write_json(path, obj) -> None:
+    """`obj` as sorted, 2-space-indented JSON plus a newline, written with
+    `write_atomic`: the form of every JSON artifact but the checkpoint's
+    metadata."""
+    write_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+
+
 def save_checkpoint(grid: ModuleGrid, path) -> None:
     meta = json.dumps(_metadata(grid), sort_keys=True, separators=(",", ":")).encode()
     write_atomic(path, MAGIC, struct.pack("<I", FORMAT_VERSION),

@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path as FsPath
 
-from .checkpoint import write_atomic
+from .checkpoint import write_json
 from .config import load_config
 from .errors import ContractError, InputError, NumericError
 from .experiment import (
@@ -71,11 +71,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_profile_sharing(args) -> int:
     cfg = load_config(args.config)
     result = profile_sharing_trials(cfg, trials=args.trials)
-    text = json.dumps(result, sort_keys=True, indent=2)
     if args.out:
-        write_atomic(args.out, (text + "\n").encode("utf-8"))
+        write_json(args.out, result)
         print(f"wrote {args.out}")
-    print(text)
+    print(json.dumps(result, sort_keys=True, indent=2))
     return 0
 
 
@@ -89,7 +88,7 @@ def _cmd_compare(args) -> int:
               f"delta {row['delta']:+.4f}")
     print(f"mean: A {result['mean_a']:.4f}  B {result['mean_b']:.4f}  "
           f"delta {result['mean_delta']:+.4f}")
-    write_atomic(args.out, (json.dumps(result, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    write_json(args.out, result)
     print(f"wrote {args.out}")
     return 0
 

@@ -108,57 +108,83 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _require(d: dict, key: str, typ, where: str):
+_MISSING = object()
+
+
+def _is_a(v, typ) -> bool:
+    """isinstance(v, typ), except that a bool is no int and an int is a
+    float; `typ` may be a tuple of types."""
+    if isinstance(typ, tuple):
+        return any(_is_a(v, t) for t in typ)
+    if isinstance(v, bool):
+        return typ is bool
+    return isinstance(v, (int, float) if typ is float else typ)
+
+
+def _name(typ) -> str:
+    if isinstance(typ, tuple):
+        return " or ".join(map(_name, typ))
+    return "null" if typ is type(None) else typ.__name__
+
+
+def _get(d: dict, key: str, typ, where: str = "", default=_MISSING, items=None):
+    """d[key], checked to be a `typ` (see `_is_a`) and, for a list, to hold
+    only `items`; `default` if the key is absent, and an error if it is
+    absent with no default. The value comes back as the file has it (an
+    int read as a float stays an int), so the check leaves the hash alone."""
+    name = f"{where}.{key}" if where else key
     if key not in d:
-        raise ConfigError(f"{where}.{key}" if where else key, "missing")
+        if default is _MISSING:
+            raise ConfigError(name, "missing")
+        return default
     v = d[key]
-    if typ is float and isinstance(v, int) and not isinstance(v, bool):
-        v = float(v)
-    if not isinstance(v, typ) or isinstance(v, bool) and typ is int:
-        raise ConfigError(f"{where}.{key}" if where else key,
-                          f"expected {typ.__name__}, got {type(v).__name__}")
+    if not _is_a(v, typ):
+        raise ConfigError(name, f"expected {_name(typ)}, got {_name(type(v))}")
+    for x in v if items is not None else ():
+        if not _is_a(x, items):
+            raise ConfigError(name, f"expected a list of {_name(items)}, got an item {x!r}")
     return v
 
 
 def _parse_task(i: int, d: dict) -> TaskConfig:
     where = f"tasks[{i}]"
-    kind = _require(d, "type", str, where)
-    name = d.get("name", f"task{i}")
+    kind = _get(d, "type", str, where)
+    name = _get(d, "name", str, where, f"task{i}")
     if kind == "synthetic":
-        c = _require(d, "c", int, where)
+        c = _get(d, "c", int, where)
         if c < 2:
             raise ConfigError(f"{where}.c", f"class count must be >= 2, got {c}")
-        n_per_class = _require(d, "n_per_class", int, where)
+        n_per_class = _get(d, "n_per_class", int, where)
         if n_per_class < 5:
             raise ConfigError(f"{where}.n_per_class", f"must be >= 5, got {n_per_class}")
-        margin = _require(d, "margin", float, where)
+        margin = float(_get(d, "margin", float, where))
         if margin <= 0:
             raise ConfigError(f"{where}.margin", f"must be positive, got {margin}")
         return TaskConfig(kind=kind, name=name, c=c, n_per_class=n_per_class, margin=margin)
     if kind == "csv":
         return TaskConfig(kind=kind, name=name,
-                          train_csv=_require(d, "train", str, where),
-                          val_csv=_require(d, "val", str, where))
+                          train_csv=_get(d, "train", str, where),
+                          val_csv=_get(d, "val", str, where))
     raise ConfigError(f"{where}.type", f"must be 'synthetic' or 'csv', got {kind!r}")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    seed = _require(doc, "seed", int, "")
-    mode = doc.get("mode", "parallel")
+    seed = _get(doc, "seed", int)
+    mode = _get(doc, "mode", str, default="parallel")
     if mode not in MODES:
         raise ConfigError("mode", f"must be one of {MODES}, got {mode!r}")
-    norm_mode = doc.get("norm_mode", "shared")
+    norm_mode = _get(doc, "norm_mode", str, default="shared")
     if norm_mode not in NORM_MODES:
         raise ConfigError("norm_mode", f"must be one of {NORM_MODES}, got {norm_mode!r}")
-    out_dir = doc.get("out_dir", "runs/out")
+    out_dir = _get(doc, "out_dir", str, default="runs/out")
 
-    g = _require(doc, "grid", dict, "")
+    g = _get(doc, "grid", dict)
     grid = GridConfig(
-        n_layers=_require(g, "n_layers", int, "grid"),
-        n_modules=_require(g, "n_modules", int, "grid"),
-        path_width=_require(g, "path_width", int, "grid"),
-        d_in=_require(g, "d_in", int, "grid"),
-        d_hid=_require(g, "d_hid", int, "grid"),
+        n_layers=_get(g, "n_layers", int, "grid"),
+        n_modules=_get(g, "n_modules", int, "grid"),
+        path_width=_get(g, "path_width", int, "grid"),
+        d_in=_get(g, "d_in", int, "grid"),
+        d_hid=_get(g, "d_hid", int, "grid"),
     )
     if grid.n_layers < 1:
         raise ConfigError("grid.n_layers", "must be >= 1")
@@ -169,21 +195,22 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if grid.d_in < 2 or grid.d_hid < 1:
         raise ConfigError("grid.d_in", "need d_in >= 2 and d_hid >= 1")
 
-    raw_tasks = _require(doc, "tasks", list, "")
+    raw_tasks = _get(doc, "tasks", list, items=dict)
     if not raw_tasks:
         raise ConfigError("tasks", "at least one task is required")
     tasks = [_parse_task(i, t) for i, t in enumerate(raw_tasks)]
 
-    t = doc.get("train", {})
+    t = _get(doc, "train", dict, default={})
+    fields = dict(
+        epochs=_get(t, "epochs", int, "train", 30),
+        batch_size=_get(t, "batch_size", int, "train", 16),
+        batch_set_size=_get(t, "batch_set_size", int, "train", 10),
+        lr0=_get(t, "lr0", float, "train", 1e-3),
+        lr_halve_epochs=tuple(_get(t, "lr_halve_epochs", list, "train", [20, 30, 40],
+                                   items=int)),
+    )
     try:
-        train = TrainConfig(
-            epochs=t.get("epochs", 30),
-            batch_size=t.get("batch_size", 16),
-            batch_set_size=t.get("batch_set_size", 10),
-            lr0=t.get("lr0", 1e-3),
-            lr_halve_epochs=tuple(t.get("lr_halve_epochs", (20, 30, 40))),
-            seed=seed,
-        )
+        train = TrainConfig(**fields, seed=seed)
     except ValueError as e:
         raise ConfigError("train", str(e)) from None
     if train.epochs < 0:
@@ -194,37 +221,35 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if train.batch_set_size < 1:
         raise ConfigError("train.batch_set_size", "must be >= 1")
 
-    single_task_index = doc.get("single_task_index", 0)
+    single_task_index = _get(doc, "single_task_index", int, default=0)
     if not (0 <= single_task_index < len(tasks)):
         raise ConfigError("single_task_index",
                           f"must index a task in [0,{len(tasks)}), got {single_task_index}")
 
-    controlled = doc.get("controlled_sharing")
+    controlled = _get(doc, "controlled_sharing", (str, type(None)), default=None)
     if controlled is not None:
-        if not isinstance(controlled, str):
-            raise ConfigError("controlled_sharing", "must be a setup label string or null")
         if len(tasks) != 2:
             raise ConfigError("controlled_sharing", "controlled setups need exactly 2 tasks")
         if grid.n_modules != 2 * grid.path_width:
             raise ConfigError("controlled_sharing",
                               "controlled setups need n_modules = 2 * path_width")
 
-    a = doc.get("analysis", {})
-    default_pair = (0, 1) if len(tasks) >= 2 else (0, 0)
-    pair = tuple(a.get("pair", default_pair))
+    a = _get(doc, "analysis", dict, default={})
+    default_pair = [0, 1] if len(tasks) >= 2 else [0, 0]
+    pair = tuple(_get(a, "pair", list, "analysis", default_pair, items=int))
     if len(pair) != 2 or not all(0 <= p < len(tasks) for p in pair):
         raise ConfigError("analysis.pair", f"must name two registered tasks, got {pair}")
-    kernel = a.get("kernel", "rbf")
+    kernel = _get(a, "kernel", str, "analysis", "rbf")
     if kernel not in ("linear", "rbf"):
         raise ConfigError("analysis.kernel", f"must be 'linear' or 'rbf', got {kernel!r}")
     analysis = AnalysisConfig(
-        cka=a.get("cka", True),
-        sharing=a.get("sharing", True),
+        cka=_get(a, "cka", bool, "analysis", True),
+        sharing=_get(a, "sharing", bool, "analysis", True),
         pair=pair,
-        capture_n=a.get("capture_n", 200),
+        capture_n=_get(a, "capture_n", int, "analysis", 200),
         kernel=kernel,
-        rbf_frac=a.get("rbf_frac", 0.5),
-        rbf_sigma=a.get("rbf_sigma"),
+        rbf_frac=_get(a, "rbf_frac", float, "analysis", 0.5),
+        rbf_sigma=_get(a, "rbf_sigma", (float, type(None)), "analysis", None),
     )
     if analysis.capture_n < 3:
         raise ConfigError("analysis.capture_n", "must be >= 3")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -21,7 +22,7 @@ from .analysis import (
     shared_layers_from_label,
     sharing_profile,
 )
-from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic, write_json
 from .config import ExperimentConfig
 from .data import gen_synthetic_task, load_csv, oversample_to_equal, standardize_pair, write_csv
 from .errors import ConfigError, InputError
@@ -121,8 +122,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, log=None) -> RunReport:
 
 
 def write_report(report: RunReport, path) -> None:
-    write_atomic(path, (json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
-                        + "\n").encode("utf-8"))
+    write_json(path, report.to_json_dict())
 
 
 def load_report(path) -> RunReport:
@@ -191,8 +191,7 @@ def analyze_checkpoint(ckpt_path, cfg: ExperimentConfig, out_dir=None) -> dict:
         profile = sharing_profile([t.path for t in grid.tasks],
                                   grid.n_modules, grid.n_layers)
         path = out / "sharing_profile.json"
-        write_atomic(path, (json.dumps(profile.to_json_dict(), sort_keys=True, indent=2)
-                            + "\n").encode("utf-8"))
+        write_json(path, profile.to_json_dict())
         artifacts["sharing_profile"] = str(path)
 
     if cfg.analysis.cka:
@@ -205,7 +204,7 @@ def analyze_checkpoint(ckpt_path, cfg: ExperimentConfig, out_dir=None) -> dict:
                                       rbf_frac=cfg.analysis.rbf_frac,
                                       rbf_sigma=cfg.analysis.rbf_sigma, setup=setup)
         path = out / "cka_report.json"
-        write_atomic(path, (report.to_json() + "\n").encode("utf-8"))
+        write_json(path, asdict(report))
         artifacts["cka_report"] = str(path)
         heatmaps = []
         for l in range(len(report.layers)):

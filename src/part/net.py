@@ -326,23 +326,7 @@ def trainable_keys(grid: ModuleGrid, task: TaskSpec) -> list:
     """Parameter keys the optimizer may update for this task: unfrozen path
     blocks, the norm instances the task trains (own ones in per-task mode,
     unfrozen shared ones otherwise), and the task's head slice."""
-    if task.path is None:
-        raise InputError(f"task {task.id} has no path assigned")
-    keys = []
-    for (l, m) in task.path.modules():
-        frozen_block = (l, m) in grid.frozen
-        if not frozen_block:
-            keys.append(("block", l, m, "W"))
-            keys.append(("block", l, m, "b"))
-        nk = grid.norm_key(task.id)
-        norm_frozen = frozen_block if nk == SHARED else task.id in grid.frozen_tasks
-        if not norm_frozen:
-            keys.append(("norm", l, m, nk, "gamma"))
-            keys.append(("norm", l, m, nk, "beta"))
-    if task.id not in grid.frozen_tasks:
-        keys.append(("head", task.id, "W"))
-        keys.append(("head", task.id, "b"))
-    return keys
+    return list(path_index(grid, task).trainable_keys)
 
 
 @dataclass(frozen=True)
@@ -358,10 +342,12 @@ class PathIndex:
     forward reads: the rows of every layer, then the head slice's W and b.
 
     The backward works in a vector of `size` holding, per layer and module,
-    W, b, gamma and beta, then the head slice's W and b. `learns[l]` tells
-    whether layer l holds a trainable tensor and `lowest` is the lowest
-    such layer (`len(rows)` when none does): the backward computes no
-    gradient below it and none inside a layer that does not learn.
+    W, b, gamma and beta, then the head slice's W and b; their keys, in
+    that order, are `keys`, every tensor a finished task freezes.
+    `learns[l]` tells whether layer l holds a trainable tensor and `lowest`
+    is the lowest such layer (`len(rows)` when none does): the backward
+    computes no gradient below it and none inside a layer that does not
+    learn.
     `trainable` masks the work vector down to the tensors the optimizer may
     update (None when none is frozen); their keys, in the same order, are
     `trainable_keys`, their (offset, shape) in the masked vector `layout`,
@@ -374,6 +360,7 @@ class PathIndex:
     live: tuple
     positions: np.ndarray
     size: int
+    keys: list
     learns: tuple
     lowest: int
     trainable: Optional[np.ndarray]
@@ -430,6 +417,7 @@ def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
         path=task.path, rows=tuple(rows), stats=tuple(stats), live=tuple(live),
         positions=np.concatenate([r.ravel() for r in rows] + [v.ravel() for v in head_views]),
         size=int(sum(sizes)),
+        keys=keys,
         learns=tuple(learns),
         lowest=learns.index(True) if any(learns) else len(learns),
         trainable=None if all(train) else np.repeat(train, sizes),

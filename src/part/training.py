@@ -290,22 +290,6 @@ def train_parallel(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
     return _train_phases(grid, "parallel", [("parallel", tasks)], tasks, cfg, config_hash, log)
 
 
-def _freeze_surface_keys(grid: ModuleGrid, task: TaskSpec) -> list:
-    """Every tensor that becomes immutable when this task finishes:
-    path block weights, the norm instances the task was using, and the
-    task's head slice."""
-    keys = []
-    nk = grid.norm_key(task.id)
-    for (l, m) in task.path.modules():
-        keys.append(("block", l, m, "W"))
-        keys.append(("block", l, m, "b"))
-        keys.append(("norm", l, m, nk, "gamma"))
-        keys.append(("norm", l, m, nk, "beta"))
-    keys.append(("head", task.id, "W"))
-    keys.append(("head", task.id, "b"))
-    return keys
-
-
 def _norm_stats_hash(grid: ModuleGrid, l: int, m: int, nk: int) -> str:
     h = hashlib.sha256()
     for which in ("run_mean", "run_var"):
@@ -314,9 +298,11 @@ def _norm_stats_hash(grid: ModuleGrid, l: int, m: int, nk: int) -> str:
 
 
 def freeze_fingerprint(grid: ModuleGrid, task: TaskSpec) -> dict[str, str]:
-    """Hashes of the task's frozen surface, running stats included."""
+    """Hashes of the task's frozen surface (every tensor its path index
+    keys: path blocks, the norm instances it used, its head slice),
+    running stats included."""
     fp = {}
-    for key in _freeze_surface_keys(grid, task):
+    for key in path_index(grid, task).keys:
         fp[repr(key)] = grid.param_hash(key)
     nk = grid.norm_key(task.id)
     for (l, m) in task.path.modules():

@@ -9,6 +9,7 @@ from part import analysis
 from part import (
     DegenerateRepresentation,
     InputError,
+    NumericError,
     average_cka_reports,
     balanced_sample,
     capture_activations,
@@ -322,12 +323,13 @@ def test_rbf_gram_constant_representation_message():
 def test_rbf_gram_overflowing_rows_propagate_nan_like_the_reference(sigma):
     # two rows near 1e200: their squared norms overflow, inf - inf puts a
     # NaN into the upper triangle, and the median (hence sigma) is NaN.
-    # NaN sign bits are not compared: negating before dividing flips them
+    # NaN sign bits are not compared: negating before dividing flips them.
+    # The NaN self-HSIC is a numeric failure
     X = np.random.default_rng(5).normal(size=(9, 3))
     X[[2, 6]] = 1e200
     with np.errstate(over="ignore", invalid="ignore"):
         K, ref = analysis._gram_rbf(X, 0.5, sigma), gram_rbf_reference(X, 0.5, sigma)
-        with pytest.raises(InputError, match="symmetric"):
+        with pytest.raises(NumericError, match="rbf Gram overflowed"):
             cka(X, X, kernel="rbf", rbf_sigma=sigma)
     assert np.isnan(K[2, 6])
     if sigma is None:
@@ -335,29 +337,51 @@ def test_rbf_gram_overflowing_rows_propagate_nan_like_the_reference(sigma):
     assert np.array_equal(K, ref, equal_nan=True)
 
 
-def test_rbf_gram_symmetrise_fallback_matches_the_reference(monkeypatch):
-    checked = []
-    monkeypatch.setattr(analysis, "_exactly_symmetric",
-                        lambda K: checked.append(K.shape) or False)
-    rng = np.random.default_rng(23)
-    for n in (3, 64, 65, 150):
-        X = rng.normal(size=(n, 4))
-        for sigma in (None, 0.7):
-            assert (analysis._gram_rbf(X, 0.5, sigma).tobytes()
-                    == gram_rbf_reference(X, 0.5, sigma).tobytes())
-    assert len(checked) == 8
+@st.composite
+def checked_reps(draw):
+    # C-ordered, Fortran-ordered and strided views of one representation;
+    # distinct random rows, so the RBF median is never zero
+    n = draw(st.integers(3, 64))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "strided":
+        wide = np.zeros((2 * n, 3 * d))
+        wide[::2, ::3] = X
+        X = wide[::2, ::3]
+    return X
 
 
-def test_exactly_symmetric_predicate():
-    rng = np.random.default_rng(24)
-    A = rng.normal(size=(130, 130))
-    K = A + A.T
-    assert analysis._exactly_symmetric(K)
-    K[3, 100] = np.nextafter(K[3, 100], np.inf)
-    assert not analysis._exactly_symmetric(K)
-    K = A + A.T
-    K[129, 70] += 1.0
-    assert not analysis._exactly_symmetric(K)
+@settings(max_examples=40, deadline=None)
+@given(checked_reps(), st.one_of(st.none(), st.floats(1e-2, 1e2)))
+def test_grams_of_checked_reps_are_symmetric_bit_for_bit(X, sigma):
+    # nothing symmetrises or checks a Gram the package builds: this is
+    # what guards numpy computing X @ X.T of a C-contiguous X with syrk
+    # and mirroring the triangle
+    (R,) = analysis._check_reps(X)
+    assert R.flags.c_contiguous
+    for K in (analysis._gram_linear(R), analysis._gram_rbf(R, 0.5, sigma)):
+        assert K.tobytes() == K.T.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_overflowing_gram_is_a_numeric_error(kernel):
+    # finite rows at 1e200 pass the input check, but their squared norms
+    # overflow: a non-finite self-HSIC, not a silent NaN or a wrong error
+    X = np.random.default_rng(6).normal(size=(9, 3))
+    X[[2, 6]] = 1e200
+    sa, sb = _random_sets(9)
+    sb[1].per_module[3][[2, 6]] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in (lambda: cka(X, X[:, :2], kernel=kernel),
+                     lambda: cka(np.arange(18.0).reshape(9, 2), X, kernel=kernel),
+                     lambda: layerwise_cka_report(sa, sb, kernel=kernel)):
+            with pytest.raises(NumericError, match=f"{kernel} Gram overflowed") as err:
+                call()
+            assert not isinstance(err.value, DegenerateRepresentation)
 
 
 def test_cka_range_on_random_pairs():

@@ -449,3 +449,78 @@ def test_train_out_naming_an_existing_file_exits_2(tmp_path, capsys):
     code, err = _exit_and_stderr(["train", "--config", str(cfgp), "--out", str(taken)], capsys)
     assert code == 2 and str(taken) in err
     assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+# ---------------------------------------------------------------------------
+# typed optional fields
+
+def _with(doc, field, value):
+    """`doc` with the dotted `field` set to `value` (a missing parent object
+    is made)."""
+    *parents, key = field.split(".")
+    node = doc
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, value", [
+    ("train.epochs", "3"),
+    ("train.batch_size", 4.5),
+    ("train.lr0", "x"),
+    ("train.lr_halve_epochs", 5),
+    ("train", [1]),
+    ("analysis.capture_n", "9"),
+    ("analysis.pair", 5),
+    ("single_task_index", "0"),
+])
+def test_wrongly_typed_optional_field_exits_2(tmp_path, capsys, field, value):
+    doc = _with(minimal_config(tmp_path / "run"), field, value)
+    code, err = _exit_and_stderr(["train", "--config", str(write_config(tmp_path, doc))],
+                                 capsys)
+    assert code == 2 and err.startswith(f"error: config field '{field}': expected ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("train.epochs", True),                 # a bool is no int
+    ("train.lr0", False),
+    ("train.lr_halve_epochs", [2, "3"]),
+    ("train.lr_halve_epochs", [2.0]),
+    ("train.batch_set_size", None),
+    ("analysis.cka", 1),
+    ("analysis.sharing", "yes"),
+    ("analysis.pair", [0, False]),
+    ("analysis.rbf_frac", "0.5"),
+    ("analysis.rbf_sigma", "1"),
+    ("analysis.kernel", 3),
+    ("analysis", "rbf"),
+    ("out_dir", 5),
+    ("mode", ["parallel"]),
+    ("controlled_sharing", 1),
+    ("tasks", [5]),
+])
+def test_optional_field_types_are_checked(tmp_path, field, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(_with(minimal_config(tmp_path), field, value))
+    assert err.value.field == field
+
+
+def test_numbers_keep_the_type_the_file_gives_them(tmp_path):
+    # integers where floats are expected are kept as integers, so the hash
+    # of a config that parsed before its optional fields were type-checked
+    # is unchanged (this hash was taken before that check existed)
+    doc = {
+        "seed": 7, "mode": "parallel",
+        "grid": {"n_layers": 2, "n_modules": 4, "path_width": 2, "d_in": 4, "d_hid": 6},
+        "tasks": [{"type": "synthetic", "c": 3, "n_per_class": 10, "margin": 4.0},
+                  {"type": "synthetic", "c": 2, "n_per_class": 10, "margin": 4}],
+        "train": {"epochs": 3, "batch_size": 8, "lr0": 1, "lr_halve_epochs": [2]},
+        "analysis": {"rbf_frac": 1, "rbf_sigma": 2, "capture_n": 9},
+    }
+    cfg = parse_config(doc)
+    assert cfg.config_hash() == "c62fa2351c0c48891454b87b3c0532c9f6c46d0f71b49fb5c2fc887b709f3704"
+    assert [type(v) for v in (cfg.train.lr0, cfg.analysis.rbf_frac, cfg.analysis.rbf_sigma)] \
+        == [int, int, int]
+    assert cfg.tasks[1].margin == 4.0 and type(cfg.tasks[1].margin) is float
