@@ -65,12 +65,7 @@ class SharingProfile:
 def sharing_profile(paths: list[Path], M: int, L: int) -> SharingProfile:
     """Count task-usage multiplicity of every (layer, module) cell."""
     for path in paths:
-        if path.depth != L:
-            raise InputError(f"path depth {path.depth} != L={L}")
-        for row in path.rows:
-            if row[-1] >= M:                 # rows are strictly increasing
-                m = next(m for m in row if m >= M)
-                raise InputError(f"path selects module {m} >= M={M}")
+        path.check(M, L)
     cells = [l * M + m for path in paths for l, row in enumerate(path.rows) for m in row]
     usage = np.bincount(np.array(cells, dtype=np.int64), minlength=L * M)
     # row l of `counts`: how many of layer l's cells t tasks use, t = 0..k
@@ -339,29 +334,13 @@ def balanced_sample(dataset, n: int, rng: Optional[np.random.Generator] = None):
     return dataset.features[idx], dataset.labels[idx]
 
 
-def _check_balance(labels: np.ndarray) -> None:
-    counts = np.bincount(labels)
-    if counts.max() - counts.min() > 1:
-        raise InputError(
-            f"sample is class-imbalanced beyond +-1: counts {counts.tolist()}")
-
-
-def capture_activations(grid: ModuleGrid, task: TaskSpec, samples,
+def capture_activations(grid: ModuleGrid, task: TaskSpec, n: int,
                         rng: Optional[np.random.Generator] = None) -> list[ActivationSet]:
-    """Eval-mode layer representations for a class-balanced sample.
-
-    `samples` is either a count (drawn from the task's validation set) or
-    an explicit (features, labels) pair, which must be balanced within
-    one sample per class.
-    """
-    if isinstance(samples, (int, np.integer)):
-        if task.val_ds is None:
-            raise InputError(f"task {task.id} has no validation dataset to sample")
-        X, y = balanced_sample(task.val_ds, int(samples), rng)
-    else:
-        X, y = samples
-        y = np.asarray(y)
-        _check_balance(y)
+    """Eval-mode layer representations for a class-balanced sample of n
+    drawn from the task's validation set (see `balanced_sample`)."""
+    if task.val_ds is None:
+        raise InputError(f"task {task.id} has no validation dataset to sample")
+    X, _ = balanced_sample(task.val_ds, int(n), rng)
     _, tape = forward_task(grid, task, X, mode="eval")
     sets = []
     for l in range(grid.n_layers):

@@ -99,6 +99,7 @@ def _grid_from_metadata(meta: dict) -> ModuleGrid:
             raise ContractError("task registry in checkpoint is inconsistent")
         if row["path"] is not None:
             task.path = Path(tuple(tuple(r) for r in row["path"]))
+            task.path.check(grid.n_modules, grid.n_layers)
     grid.frozen = {tuple(cell) for cell in meta["frozen"]}
     grid.frozen_tasks = set(meta["frozen_tasks"])
     return grid

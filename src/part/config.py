@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path as FsPath
 
 from .errors import ConfigError
@@ -84,24 +84,10 @@ class ExperimentConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     def canonical_dict(self) -> dict:
-        """Every semantically meaningful field; out_dir deliberately absent."""
-        return {
-            "seed": self.seed,
-            "mode": self.mode,
-            "norm_mode": self.norm_mode,
-            "grid": vars(self.grid),
-            "tasks": [vars(t) for t in self.tasks],
-            "train": {
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "batch_set_size": self.train.batch_set_size,
-                "lr0": self.train.lr0,
-                "lr_halve_epochs": list(self.train.lr_halve_epochs),
-            },
-            "single_task_index": self.single_task_index,
-            "controlled_sharing": self.controlled_sharing,
-            "analysis": {**vars(self.analysis), "pair": list(self.analysis.pair)},
-        }
+        """Every field but out_dir, and train.seed, which repeats seed."""
+        d = asdict(self)
+        del d["out_dir"], d["train"]["seed"]
+        return d
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
@@ -202,31 +188,29 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     t = _get(doc, "train", dict, default={})
     fields = dict(
-        epochs=_get(t, "epochs", int, "train", 30),
-        batch_size=_get(t, "batch_size", int, "train", 16),
-        batch_set_size=_get(t, "batch_set_size", int, "train", 10),
-        lr0=_get(t, "lr0", float, "train", 1e-3),
-        lr_halve_epochs=tuple(_get(t, "lr_halve_epochs", list, "train", [20, 30, 40],
-                                   items=int)),
+        epochs=_get(t, "epochs", int, "train", TrainConfig.epochs),
+        batch_size=_get(t, "batch_size", int, "train", TrainConfig.batch_size),
+        batch_set_size=_get(t, "batch_set_size", int, "train", TrainConfig.batch_set_size),
+        lr0=_get(t, "lr0", float, "train", TrainConfig.lr0),
+        lr_halve_epochs=tuple(_get(t, "lr_halve_epochs", list, "train",
+                                   TrainConfig.lr_halve_epochs, items=int)),
     )
     try:
         train = TrainConfig(**fields, seed=seed)
     except ValueError as e:
         raise ConfigError("train", str(e)) from None
-    if train.epochs < 0:
-        raise ConfigError("train.epochs", "must be >= 0")
     if train.batch_size < 2:
         raise ConfigError("train.batch_size",
                           f"must be >= 2 (batch norm of one sample), got {train.batch_size}")
-    if train.batch_set_size < 1:
-        raise ConfigError("train.batch_set_size", "must be >= 1")
 
-    single_task_index = _get(doc, "single_task_index", int, default=0)
+    single_task_index = _get(doc, "single_task_index", int,
+                             default=ExperimentConfig.single_task_index)
     if not (0 <= single_task_index < len(tasks)):
         raise ConfigError("single_task_index",
                           f"must index a task in [0,{len(tasks)}), got {single_task_index}")
 
-    controlled = _get(doc, "controlled_sharing", (str, type(None)), default=None)
+    controlled = _get(doc, "controlled_sharing", (str, type(None)),
+                      default=ExperimentConfig.controlled_sharing)
     if controlled is not None:
         if len(tasks) != 2:
             raise ConfigError("controlled_sharing", "controlled setups need exactly 2 tasks")
@@ -239,17 +223,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
     pair = tuple(_get(a, "pair", list, "analysis", default_pair, items=int))
     if len(pair) != 2 or not all(0 <= p < len(tasks) for p in pair):
         raise ConfigError("analysis.pair", f"must name two registered tasks, got {pair}")
-    kernel = _get(a, "kernel", str, "analysis", "rbf")
+    kernel = _get(a, "kernel", str, "analysis", AnalysisConfig.kernel)
     if kernel not in ("linear", "rbf"):
         raise ConfigError("analysis.kernel", f"must be 'linear' or 'rbf', got {kernel!r}")
     analysis = AnalysisConfig(
-        cka=_get(a, "cka", bool, "analysis", True),
-        sharing=_get(a, "sharing", bool, "analysis", True),
+        cka=_get(a, "cka", bool, "analysis", AnalysisConfig.cka),
+        sharing=_get(a, "sharing", bool, "analysis", AnalysisConfig.sharing),
         pair=pair,
-        capture_n=_get(a, "capture_n", int, "analysis", 200),
+        capture_n=_get(a, "capture_n", int, "analysis", AnalysisConfig.capture_n),
         kernel=kernel,
-        rbf_frac=_get(a, "rbf_frac", float, "analysis", 0.5),
-        rbf_sigma=_get(a, "rbf_sigma", (float, type(None)), "analysis", None),
+        rbf_frac=_get(a, "rbf_frac", float, "analysis", AnalysisConfig.rbf_frac),
+        rbf_sigma=_get(a, "rbf_sigma", (float, type(None)), "analysis",
+                       AnalysisConfig.rbf_sigma),
     )
     if analysis.capture_n < 3:
         raise ConfigError("analysis.capture_n", "must be >= 3")

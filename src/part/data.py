@@ -17,18 +17,12 @@ from .errors import CsvParseError, InputError
 
 @dataclass
 class Dataset:
-    """Immutable-by-convention classification dataset.
-
-    `mean`/`std` hold the standardization applied to features (train-set
-    statistics), kept so the same transform can be reused at eval time.
-    """
+    """Immutable-by-convention classification dataset."""
 
     features: np.ndarray
     labels: np.ndarray
     c: int
     name: str = ""
-    mean: np.ndarray | None = None
-    std: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -65,11 +59,8 @@ def standardize_pair(train: Dataset, val: Dataset) -> tuple[Dataset, Dataset]:
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
     std = np.where(std > 0, std, 1.0)
-    out = []
-    for ds in (train, val):
-        out.append(Dataset(features=(ds.features - mean) / std, labels=ds.labels.copy(),
-                           c=ds.c, name=ds.name, mean=mean.copy(), std=std.copy()))
-    return out[0], out[1]
+    return tuple(Dataset(features=(ds.features - mean) / std, labels=ds.labels.copy(),
+                         c=ds.c, name=ds.name) for ds in (train, val))
 
 
 def gen_synthetic_task(rng: np.random.Generator, c: int, n_per_class: int,
@@ -140,7 +131,7 @@ def oversample_to_equal(datasets: list[Dataset], rng: np.random.Generator) -> li
         out.append(Dataset(
             features=np.concatenate([ds.features, ds.features[extra]]),
             labels=np.concatenate([ds.labels, ds.labels[extra]]),
-            c=ds.c, name=ds.name, mean=ds.mean, std=ds.std,
+            c=ds.c, name=ds.name,
         ))
     return out
 

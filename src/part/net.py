@@ -78,6 +78,15 @@ class Path:
     def depth(self) -> int:
         return len(self.rows)
 
+    def check(self, M: int, L: int) -> None:
+        """InputError unless the path fits a grid of L layers of M modules."""
+        if self.depth != L:
+            raise InputError(f"path depth {self.depth} != L={L}")
+        for row in self.rows:
+            if row[-1] >= M:                 # rows are strictly increasing
+                m = next(m for m in row if m >= M)
+                raise InputError(f"path selects module {m} >= M={M}")
+
     def modules(self):
         """All (layer, module) cells on this path."""
         for l, row in enumerate(self.rows):
@@ -309,7 +318,7 @@ def build_controlled_paths(L: int, M: int = 4, N: int = 2,
 def freeze_path(grid: ModuleGrid, path: Path) -> None:
     """Mark every block on the path frozen: excluded from future optimizer
     updates, and (shared-norm mode) its norm's running stats stop updating."""
-    _check_path(grid, path)
+    path.check(grid.n_modules, grid.n_layers)
     for cell in path.modules():
         grid.frozen.add(cell)
     grid._paths.clear()
@@ -378,7 +387,7 @@ def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
         return cached
     if task.path is None:
         raise InputError(f"task {task.id} has no path assigned")
-    _check_path(grid, task.path)
+    task.path.check(grid.n_modules, grid.n_layers)
     positions = np.arange(grid.arena.size)
     nk = grid.norm_key(task.id)
     task_frozen = task.id in grid.frozen_tasks
@@ -471,7 +480,6 @@ class Tape:
     """Activation record of one forward_task call."""
 
     task_id: int
-    mode: str
     grid_version: int
     inputs: list            # h_0 .. h_{L-1}: the input each layer consumed
     layers: list            # one LayerRecord per layer
@@ -485,14 +493,6 @@ class Tape:
         """Each path module's pre-sum output at a layer, by module index."""
         rec = self.layers[layer]
         return {m: rec.out[i] for i, m in enumerate(rec.row)}
-
-
-def _check_path(grid: ModuleGrid, path: Path) -> None:
-    if path.depth != grid.n_layers:
-        raise InputError(f"path depth {path.depth} != grid layers {grid.n_layers}")
-    for l, row in enumerate(path.rows):
-        if max(row) >= grid.n_modules:
-            raise InputError(f"path row {l} selects module {max(row)} >= M={grid.n_modules}")
 
 
 def _check_registered(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
@@ -534,8 +534,7 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
     arena = grid.arena
     d = grid.d_hid
     n = x.shape[0]
-    tape = Tape(task_id=task.id, mode=mode, grid_version=grid.version,
-                inputs=[], layers=[])
+    tape = Tape(task_id=task.id, grid_version=grid.version, inputs=[], layers=[])
     h = x
     for row, rows, stats, live in zip(task.path.rows, index.rows, index.stats, index.live):
         tape.inputs.append(h)

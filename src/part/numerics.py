@@ -36,9 +36,6 @@ class AdamState:
     v: np.ndarray
     lr: float
     step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
     @classmethod
     def for_param(cls, param: np.ndarray, lr: float) -> "AdamState":
@@ -88,12 +85,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
     t = state.step + 1
     new_params, m, v = params.copy(), state.m.copy(), state.v.copy()
     if np.any(grads):
-        adam_update(new_params, m, v, grads, state.lr,
-                    1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t,
-                    state.beta1, state.beta2, state.eps)
-    new_state = AdamState(m=m, v=v, lr=state.lr, step=t,
-                          beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return new_params, new_state
+        adam_update(new_params, m, v, grads, state.lr, 1.0 - ADAM_BETA1 ** t,
+                    1.0 - ADAM_BETA2 ** t, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+    return new_params, AdamState(m=m, v=v, lr=state.lr, step=t)
 
 
 @dataclass(frozen=True)
@@ -207,20 +201,20 @@ def softmax_xent_slice(logits: np.ndarray, labels: np.ndarray, sl: tuple[int, in
 
 def finite_diff_check(
     f: Callable[[Sequence[np.ndarray]], float],
-    params: Sequence[np.ndarray] | np.ndarray,
-    analytic_grads: Sequence[np.ndarray] | np.ndarray,
+    params: Sequence[np.ndarray],
+    analytic_grads: Sequence[np.ndarray],
     h: float = 1e-5,
 ) -> float:
     """Max relative error between central differences of f and analytic grads.
 
-    `params` is one array or a list of arrays; f is called with the (possibly
-    perturbed) list. Relative error per element uses denominator
+    `params` is a list of arrays; f is called with the (possibly perturbed)
+    list. Relative error per element uses denominator
     max(|analytic|, |numeric|, 1e-8). The perturbation loop is the oracle:
     it never calls any backward code.
     """
-    single = isinstance(params, np.ndarray)
-    plist = [params] if single else list(params)
-    glist = [analytic_grads] if single else list(analytic_grads)
+    if isinstance(params, np.ndarray):
+        raise InputError("params must be a list of arrays, not one array")
+    plist, glist = list(params), list(analytic_grads)
     if len(plist) != len(glist):
         raise InputError("params and analytic_grads must pair up")
     work = [p.astype(np.float64).copy() for p in plist]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,6 +70,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise InputError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_set_size < 1:
+            raise InputError(f"batch_set_size must be >= 1, got {self.batch_set_size}")
         if self.lr0 <= 0:
             raise InputError(f"lr0 must be positive, got {self.lr0}")
         halves = tuple(self.lr_halve_epochs)
@@ -123,24 +127,16 @@ class RunReport:
     freeze_hashes: dict | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "mode": self.mode,
-            "tasks": self.tasks,
-            "epochs": self.epochs,
-            "final": self.final,
-            "wallclock_s": self.wallclock_s,
-        }
-        if self.freeze_hashes is not None:
-            out["freeze_hashes"] = self.freeze_hashes
+        """The fields by name (shallow: the lists are shared, not copied),
+        without freeze_hashes when it is None."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.freeze_hashes is None:
+            del out["freeze_hashes"]
         return out
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunReport":
-        return cls(config_hash=d["config_hash"], seed=d["seed"], mode=d["mode"],
-                   tasks=d["tasks"], epochs=d["epochs"], final=d["final"],
-                   wallclock_s=d["wallclock_s"], freeze_hashes=d.get("freeze_hashes"))
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     def final_accuracy(self, task_id: int) -> float:
         for row in self.final:
@@ -249,25 +245,25 @@ def _train_phases(grid, mode, phases, report_tasks, cfg, config_hash, log,
                      for t in tasks}
             sched = EpochScheduler(remaining={tid: p.n_batches for tid, p in plans.items()},
                                    batch_set_size=cfg.batch_set_size, rng=sched_rng)
-            # every task of the phase trains at least one batch (n_batches
-            # >= 1 and n >= c >= 2), so no average below divides by zero
+            # the scheduler grants each task of the phase all n_batches (>= 1)
+            # of its plan, so the average below divides by that count
             loss_sum = dict.fromkeys(by_id, 0.0)
-            loss_n = dict.fromkeys(by_id, 0)
             while (grant := schedule_round(sched)) is not None:
                 tid, count = grant
                 for idx in next_batches(by_id[tid].train_ds, plans[tid], count):
                     loss_sum[tid] += _train_batch(grid, by_id[tid], idx, adam, lr, epoch)
-                    loss_n[tid] += 1
             rows.append({"epoch": epoch, "lr": lr, "per_task": [
-                {"loss": loss_sum[t.id] / loss_n[t.id] if t.id in by_id else None,
+                {"loss": loss_sum[t.id] / plans[t.id].n_batches if t.id in by_id else None,
                  "val_acc": memo.accuracy(grid, t)} for t in report_tasks]})
             if log:
                 log(_format_epoch(rows[-1], label))
         if freeze:
             for t in tasks:
+                # fingerprint first, while the cached path index still
+                # serves it: freezing moves no value and leaves its keys alone
+                freeze_hashes[str(t.id)] = freeze_fingerprint(grid, t)
                 freeze_path(grid, t.path)
                 freeze_task(grid, t)
-                freeze_hashes[str(t.id)] = freeze_fingerprint(grid, t)
     return RunReport(
         config_hash=config_hash, seed=cfg.seed, mode=mode, tasks=_task_rows(report_tasks),
         epochs=rows, final=[{"task": t.id, "val_acc": memo.accuracy(grid, t)}

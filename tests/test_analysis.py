@@ -22,7 +22,15 @@ from part import (
     sharing_profile,
 )
 from part.analysis import ActivationSet
-from part.net import Path, build_controlled_paths, assign_random_path
+from part.net import (
+    ModuleGrid,
+    Path,
+    assign_random_path,
+    build_controlled_paths,
+    freeze_path,
+    path_index,
+    register_task,
+)
 
 from conftest import make_grid, norm_keys
 
@@ -146,6 +154,23 @@ def test_profile_errors_name_the_first_bad_path():
         sharing_profile([bad_module, bad_depth], 4, 2)
     with pytest.raises(InputError, match=r"^path depth 1 != L=2$"):
         sharing_profile([bad_depth, bad_module], 4, 2)
+
+
+def _index(grid, path):
+    task = register_task(grid, 2)
+    task.path = path
+    path_index(grid, task)
+
+
+@pytest.mark.parametrize("use", [_index, freeze_path], ids=["path_index", "freeze_path"])
+def test_grid_callers_name_the_bad_path_like_the_profile(use):
+    # one check (Path.check) serves every caller, with the profile's messages
+    for path, message in [(Path(((0,),)), r"^path depth 1 != L=2$"),
+                          (Path(((0, 1), (2, 7, 9))), r"^path selects module 7 >= M=4$")]:
+        grid = ModuleGrid(2, 4, 3, 5)
+        with pytest.raises(InputError, match=message):
+            use(grid, path)
+        assert not grid.frozen
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +465,6 @@ def test_capture_rejects_oversized_request():
     grid = _grid_with_val()
     with pytest.raises(InputError):
         capture_activations(grid, grid.tasks[0], 10_000)
-
-
-def test_capture_rejects_imbalanced_explicit_sample():
-    grid = _grid_with_val()
-    task = grid.tasks[0]
-    X = task.val_ds.features[:8]
-    y = np.array([0, 0, 0, 0, 0, 1, 2, 3])
-    with pytest.raises(InputError):
-        capture_activations(grid, task, (X, y))
 
 
 def test_balanced_sample_quotas():

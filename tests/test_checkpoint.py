@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -95,6 +96,28 @@ def test_version_mismatch_refused(tmp_path):
     raw[4] = FORMAT_VERSION + 1
     p.write_bytes(bytes(raw))
     with pytest.raises(ContractError, match="version"):
+        load_checkpoint(p)
+
+
+def rewrite_metadata(path, edit):
+    """Apply `edit` to the checkpoint's decoded metadata and write it back."""
+    raw = path.read_bytes()
+    meta_len = int.from_bytes(raw[8:16], "little")
+    meta = json.loads(raw[16:16 + meta_len])
+    edit(meta)
+    blob = json.dumps(meta).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + meta_len:])
+
+
+@pytest.mark.parametrize("path, message", [
+    ([[0, 9], [1, 3]], "path selects module 9 >= M=4"),
+    ([[0, 1]], "path depth 1 != L=2"),
+], ids=["module-beyond-M", "wrong-depth"])
+def test_path_that_does_not_fit_the_grid_is_rejected_at_load(tmp_path, path, message):
+    p = tmp_path / "path.part"
+    save_checkpoint(make_grid(L=2, M=4, seed=75), p)
+    rewrite_metadata(p, lambda meta: meta["tasks"][0].update(path=path))
+    with pytest.raises(ContractError, match=f"invalid checkpoint metadata .*: {message}$"):
         load_checkpoint(p)
 
 

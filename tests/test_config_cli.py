@@ -1,10 +1,13 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from part import ConfigError
 from part.cli import main
-from part.config import parse_config
+from part.config import MODES, NORM_MODES, parse_config
 from part.experiment import run_experiment
 
 
@@ -75,6 +78,90 @@ def test_config_hash_tracks_semantic_fields_only(tmp_path):
     assert base.config_hash() != retuned.config_hash()
     reseeded = parse_config(minimal_config(tmp_path, seed=6))
     assert base.config_hash() != reseeded.config_hash()
+
+
+def _field_by_field_canonical_dict(cfg):
+    """The canonical dict as it was once written out field by field; the
+    dict now derived from the dataclasses must hash the same."""
+    return {
+        "seed": cfg.seed,
+        "mode": cfg.mode,
+        "norm_mode": cfg.norm_mode,
+        "grid": vars(cfg.grid),
+        "tasks": [vars(t) for t in cfg.tasks],
+        "train": {
+            "epochs": cfg.train.epochs,
+            "batch_size": cfg.train.batch_size,
+            "batch_set_size": cfg.train.batch_set_size,
+            "lr0": cfg.train.lr0,
+            "lr_halve_epochs": list(cfg.train.lr_halve_epochs),
+        },
+        "single_task_index": cfg.single_task_index,
+        "controlled_sharing": cfg.controlled_sharing,
+        "analysis": {**vars(cfg.analysis), "pair": list(cfg.analysis.pair)},
+    }
+
+
+@st.composite
+def config_docs(draw):
+    """Valid config documents: synthetic and CSV tasks, every optional
+    field present or absent, integers where floats are allowed."""
+    tasks = []
+    for i in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            task = {"type": "synthetic", "c": draw(st.integers(2, 5)),
+                    "n_per_class": draw(st.integers(5, 40)),
+                    "margin": draw(st.sampled_from([1, 2.5, 6.0]))}
+        else:
+            task = {"type": "csv", "train": f"d/t{i}_train.csv", "val": f"d/t{i}_val.csv"}
+        if draw(st.booleans()):
+            task["name"] = f"task {i}"
+        tasks.append(task)
+    k = len(tasks)
+    N = draw(st.integers(1, 3))
+    controlled = k == 2 and draw(st.booleans())
+    M = 2 * N if controlled else draw(st.integers(N, 6))
+    number = st.one_of(st.integers(1, 3), st.floats(1e-4, 2.0))
+    train = st.fixed_dictionaries({}, optional={
+        "epochs": st.integers(0, 40), "batch_size": st.integers(2, 64),
+        "batch_set_size": st.integers(1, 20), "lr0": number,
+        "lr_halve_epochs": st.lists(st.integers(1, 60), max_size=3, unique=True).map(sorted)})
+    analysis = st.fixed_dictionaries({}, optional={
+        "cka": st.booleans(), "sharing": st.booleans(),
+        "pair": st.lists(st.integers(0, k - 1), min_size=2, max_size=2),
+        "capture_n": st.integers(3, 500), "kernel": st.sampled_from(["linear", "rbf"]),
+        "rbf_frac": number, "rbf_sigma": st.one_of(st.none(), number)})
+    optional = {"mode": st.sampled_from(MODES), "norm_mode": st.sampled_from(NORM_MODES),
+                "out_dir": st.just("runs/x"), "single_task_index": st.integers(0, k - 1),
+                "train": train, "analysis": analysis,
+                "controlled_sharing": st.sampled_from([None, "layer 1"] if controlled else [None])}
+    doc = {"seed": draw(st.integers(0, 2**31)),
+           "grid": {"n_layers": draw(st.integers(1, 4)), "n_modules": M, "path_width": N,
+                    "d_in": draw(st.integers(2, 9)), "d_hid": draw(st.integers(1, 9))},
+           "tasks": tasks}
+    return {**doc, **draw(st.fixed_dictionaries({}, optional=optional))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(config_docs())
+def test_config_hash_equals_the_field_by_field_hash(doc):
+    cfg = parse_config(doc)
+    blob = json.dumps(_field_by_field_canonical_dict(cfg), sort_keys=True,
+                      separators=(",", ":"))
+    assert cfg.config_hash() == hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_absent_optional_fields_take_the_documented_defaults(tmp_path):
+    doc = minimal_config(tmp_path)
+    del doc["train"], doc["mode"], doc["norm_mode"]
+    cfg = parse_config(doc)
+    t, a = cfg.train, cfg.analysis
+    assert (cfg.mode, cfg.norm_mode, cfg.single_task_index, cfg.controlled_sharing) \
+        == ("parallel", "shared", 0, None)
+    assert (t.epochs, t.batch_size, t.batch_set_size, t.lr0, t.lr_halve_epochs) \
+        == (30, 16, 10, 1e-3, (20, 30, 40))
+    assert (a.cka, a.sharing, a.pair, a.capture_n, a.kernel, a.rbf_frac, a.rbf_sigma) \
+        == (True, True, (0, 0), 200, "rbf", 0.5, None)
 
 
 def test_controlled_sharing_needs_two_tasks(tmp_path):
@@ -277,7 +364,8 @@ def test_missing_checkpoint_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("corrupt", ["undecodable", "not json", "missing field"])
+@pytest.mark.parametrize("corrupt", ["undecodable", "not json", "missing field",
+                                     "path beyond M", "path too short"])
 def test_corrupt_checkpoint_metadata_exits_1(tmp_path, capsys, corrupt):
     cfgp, ckpt = _trained(tmp_path, capsys)
     raw = bytearray(ckpt.read_bytes())
@@ -287,8 +375,12 @@ def test_corrupt_checkpoint_metadata_exits_1(tmp_path, capsys, corrupt):
         meta = b"\xff" + meta[1:]
     elif corrupt == "not json":
         meta = b"[" + meta[1:]
-    else:
+    elif corrupt == "missing field":
         meta = meta.replace(b'"frozen":', b'"frozzen":')
+    else:
+        doc = json.loads(meta)
+        doc["tasks"][0]["path"] = [[0, 9], [1, 2]] if corrupt == "path beyond M" else [[0, 1]]
+        meta = json.dumps(doc).encode()
     ckpt.write_bytes(bytes(raw[:8]) + len(meta).to_bytes(8, "little") + meta
                      + bytes(raw[16 + meta_len:]))
     code, err = _exit_and_stderr(["eval", "--ckpt", str(ckpt), "--config", str(cfgp)],

@@ -178,3 +178,9 @@ def test_mismatched_grad_shape_rejected():
 
     with pytest.raises(InputError):
         finite_diff_check(f, [np.zeros(3)], [np.zeros(2)])
+
+
+def test_one_array_instead_of_a_list_rejected():
+    # a bare array would be split into its rows, each perturbed as a tensor
+    with pytest.raises(InputError, match="list of arrays"):
+        finite_diff_check(lambda plist: 0.0, np.zeros((2, 3)), [np.zeros((2, 3))])

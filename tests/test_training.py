@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from part import (
     train_single,
     validate,
 )
-from part.training import freeze_fingerprint
+from part.training import RunReport, freeze_fingerprint
 
 from conftest import make_grid
 
@@ -269,6 +271,26 @@ def test_determinism_identical_reports_minus_wallclock():
     b.pop("wallclock_s")
     assert a == b
     assert a["config_hash"] is None  # only an ExperimentConfig names a run
+
+
+@pytest.mark.parametrize("field, value", [("epochs", -2), ("batch_set_size", 0)])
+def test_train_config_rejects_settings_that_train_nothing_or_never_end(field, value):
+    # a negative epoch count trains nothing; a batch set of 0 never ends an
+    # epoch (the scheduler would grant 0 batches forever)
+    with pytest.raises(InputError, match=f"{field} must be >= "):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("procedure", [train_sequential, train_parallel])
+def test_report_round_trips_through_json(procedure):
+    grid = build_pair(22)
+    cfg = TrainConfig(epochs=2, batch_size=8, batch_set_size=3, lr0=3e-3, seed=22)
+    report = procedure(grid, grid.tasks, cfg)
+    assert (report.freeze_hashes is None) == (procedure is train_parallel)
+    d = report.to_json_dict()
+    assert ("freeze_hashes" in d) == (report.freeze_hashes is not None)
+    assert d["epochs"] is report.epochs        # shallow: nothing is copied
+    assert RunReport.from_json_dict(json.loads(json.dumps(d))) == report
 
 
 def test_zero_epoch_budget_stays_at_chance():
