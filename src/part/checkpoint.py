@@ -100,6 +100,14 @@ def _grid_from_metadata(meta: dict) -> ModuleGrid:
         if row["path"] is not None:
             task.path = Path(tuple(tuple(r) for r in row["path"]))
             task.path.check(grid.n_modules, grid.n_layers)
+    L, M = grid.n_layers, grid.n_modules
+    for cell in meta["frozen"]:
+        if not (len(cell) == 2 and all(type(i) is int for i in cell)
+                and 0 <= cell[0] < L and 0 <= cell[1] < M):
+            raise InputError(f"frozen cell {cell} is not a cell of the {L} x {M} grid")
+    for tid in meta["frozen_tasks"]:
+        if type(tid) is not int or not 0 <= tid < len(grid.tasks):
+            raise InputError(f"frozen task {tid!r} is not a registered task")
     grid.frozen = {tuple(cell) for cell in meta["frozen"]}
     grid.frozen_tasks = set(meta["frozen_tasks"])
     return grid

@@ -36,6 +36,12 @@ hands it to the optimizer as it is. The backward stops at the lowest layer
 that holds a trainable tensor, and a layer with none above it only carries
 the gradient through. The stacked code gives the same bits as running the
 blocks one by one.
+
+Each pass is an unchecked kernel over a task's PathIndex and plain arrays
+(`forward_kernel`, `backward_kernel`) behind a checked entry point
+(`forward_task`, `backward_task`) that checks the task, mode, input or
+tape, calls the kernel and wraps its arrays in a `Tape` or `Gradients`.
+The trainer checks its inputs once per call, then runs the kernels.
 """
 
 from __future__ import annotations
@@ -342,6 +348,7 @@ def trainable_keys(grid: ModuleGrid, task: TaskSpec) -> list:
 class PathIndex:
     """Where one task's path lives in the arena and in its flat gradient.
 
+    `head` is the task's head slice, its columns [start, end) of the head.
     `rows[l]` is an (N, chunk) array of arena positions, one row per module
     of path row l: W (row-major), b, then the gamma, beta, run_mean and
     run_var of the norm instance the task uses there, so one gather reads a
@@ -364,6 +371,7 @@ class PathIndex:
     """
 
     path: Path
+    head: tuple
     rows: tuple
     stats: tuple
     live: tuple
@@ -423,7 +431,7 @@ def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
     kept_sizes = [v.size for _, v in kept]
     offsets = np.cumsum(kept_sizes) - kept_sizes
     index = PathIndex(
-        path=task.path, rows=tuple(rows), stats=tuple(stats), live=tuple(live),
+        path=task.path, head=task.slice, rows=tuple(rows), stats=tuple(stats), live=tuple(live),
         positions=np.concatenate([r.ravel() for r in rows] + [v.ravel() for v in head_views]),
         size=int(sum(sizes)),
         keys=keys,
@@ -512,7 +520,7 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
     with batch statistics and updates the running stats of the instances
     it used (unless frozen); it needs at least two samples, since one
     sample has zero batch variance. Eval mode reads running stats and
-    mutates nothing.
+    mutates nothing. Checks its inputs, then runs `forward_kernel`.
     """
     if mode not in ("train", "eval"):
         raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -527,17 +535,28 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
         raise InputError("a training batch needs at least 2 samples")
     if not np.isfinite(x).all():
         raise InputError("input contains non-finite values")
+    logits, inputs, layers, h = forward_kernel(grid, index, x, train)
+    records = [LayerRecord(row, *arrays, batch_stats=train)
+               for row, arrays in zip(task.path.rows, layers)]
+    return logits, Tape(task.id, grid.version, inputs, records, h)
 
+
+def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: bool):
+    """The forward pass of `forward_task`, unchecked: x is a finite float64
+    (n, d_in) array, n >= 2 in train mode, and `index` the PathIndex of a
+    task of this grid. Returns (logits, inputs, layers, h): the task-width
+    logits, the input each layer consumed, per layer the arrays (Ws, gamma,
+    zhat, inv_std, y, out) of its LayerRecord, and the last layer's sum."""
     # every temporary below is fresh, so the in-place forms and out= only
     # save allocations: each value goes through the same operations
     reduce = np.add.reduce
     arena = grid.arena
     d = grid.d_hid
     n = x.shape[0]
-    tape = Tape(task_id=task.id, grid_version=grid.version, inputs=[], layers=[])
+    inputs, layers = [], []
     h = x
-    for row, rows, stats, live in zip(task.path.rows, index.rows, index.stats, index.live):
-        tape.inputs.append(h)
+    for rows, stats, live in zip(index.rows, index.stats, index.live):
+        inputs.append(h)
         params = arena[rows]
         N, fan_in = rows.shape[0], h.shape[1]
         Ws = params[:, :fan_in * d].reshape(N, fan_in, d)
@@ -571,14 +590,12 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
         y = gamma * zhat
         y += beta
         out = np.maximum(y, 0.0)
-        tape.layers.append(LayerRecord(row=row, Ws=Ws, gamma=gamma, zhat=zhat, inv_std=inv_std,
-                                       y=y, out=out, batch_stats=train))
+        layers.append((Ws, gamma, zhat, inv_std, y, out))
         h = reduce(out, axis=0)
-    tape.h_final = h
-    start, end = task.slice
+    start, end = index.head
     logits = h @ grid.head_W[:, start:end]
     logits += grid.head_b[start:end]
-    return logits, tape
+    return logits, inputs, layers, h
 
 
 def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
@@ -590,9 +607,8 @@ def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
     slice contributes nothing by construction. Returns one flat vector
     over the tensors `trainable_keys` names, in that order (see
     PathIndex): unfrozen path blocks, the norm instances the task trains
-    and its head slice, readable by parameter key. Nothing is computed
-    below the lowest layer that holds a trainable tensor, and a layer
-    without one above it only passes the gradient down.
+    and its head slice, readable by parameter key. Checks the tape and
+    dlogits, then runs `backward_kernel` on the task's slice.
     """
     index = _check_registered(grid, task)
     if tape.task_id != task.id:
@@ -604,47 +620,61 @@ def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != (n, grid.c_total):
         raise InputError(f"dlogits must be ({n}, {grid.c_total}), got {dlogits.shape}")
-    dslice = dlogits[:, start:end]
+    layers = [(r.Ws, r.gamma, r.zhat, r.inv_std, r.y, r.out) for r in tape.layers]
+    return Gradients(backward_kernel(grid, index, tape.inputs, layers, tape.h_final,
+                                     dlogits[:, start:end], tape.layers[0].batch_stats), index)
 
+
+def backward_kernel(grid: ModuleGrid, index: PathIndex, inputs: list, layers: list,
+                    h: np.ndarray, dslice: np.ndarray, train: bool) -> np.ndarray:
+    """The backward pass of `backward_task`, unchecked: `inputs`, `layers`
+    and `h` are what `forward_kernel` returned for this grid state and
+    `index`, `train` the mode it ran in, and dslice the task-width (n, c)
+    loss gradient. Returns the flat gradient over the task's trainable
+    tensors. Nothing is computed below the lowest layer that holds a
+    trainable tensor, and a layer without one above it only passes the
+    gradient down."""
     # fresh temporaries are updated in place and reductions written into
     # the work vector: the same operations, in the same order, as the
     # expressions in the comments
     reduce = np.add.reduce
     d = grid.d_hid
+    n, c = dslice.shape
+    start, end = index.head
     work = np.empty(index.size)
-    offset = index.size - (d + 1) * task.c
+    offset = index.size - (d + 1) * c
     if index.trainable is None or index.trainable[-1]:     # the head slice trains
-        np.matmul(tape.h_final.T, dslice, out=work[offset:offset + d * task.c].reshape(d, task.c))
-        reduce(dslice, axis=0, out=work[offset + d * task.c:])
+        np.matmul(h.T, dslice, out=work[offset:offset + d * c].reshape(d, c))
+        reduce(dslice, axis=0, out=work[offset + d * c:])
     if index.lowest < grid.n_layers:
         dh = dslice @ grid.head_W[:, start:end].T
     for l in range(grid.n_layers - 1, index.lowest - 1, -1):
-        h_prev, rec = tape.inputs[l], tape.layers[l]
-        N, dd = len(rec.row), h_prev.shape[1] * d
+        h_prev, (Ws, gamma, zhat, inv_std, y, _) = inputs[l], layers[l]
+        N, dd = Ws.shape[0], h_prev.shape[1] * d
         offset -= N * (dd + 3 * d)
         grads = work[offset:offset + N * (dd + 3 * d)].reshape(N, dd + 3 * d)
-        dy = dh * (rec.y > 0)
+        dy = dh * (y > 0)
         if index.learns[l]:
-            reduce(dy * rec.zhat, axis=1, out=grads[:, dd + d:dd + 2 * d])    # d gamma
-            reduce(dy, axis=1, out=grads[:, dd + 2 * d:])                     # d beta
-        dy *= rec.gamma
+            reduce(dy * zhat, axis=1, out=grads[:, dd + d:dd + 2 * d])    # d gamma
+            reduce(dy, axis=1, out=grads[:, dd + 2 * d:])                 # d beta
+        dy *= gamma
         dzhat = dy
-        if rec.batch_stats:
+        if train:
             # dz = inv_std * (dzhat - mean(dzhat) - zhat * mean(dzhat * zhat)),
             # the means as sum / n, as .mean computes them
             mean_dzhat = reduce(dzhat, axis=1, keepdims=True)
             mean_dzhat /= n
-            scaled = dzhat * rec.zhat
+            scaled = dzhat * zhat
             mean_scaled = reduce(scaled, axis=1, keepdims=True)
             mean_scaled /= n
-            np.multiply(rec.zhat, mean_scaled, out=scaled)
+            np.multiply(zhat, mean_scaled, out=scaled)
             dzhat -= mean_dzhat
             dzhat -= scaled
-        dzhat *= rec.inv_std
+        dzhat *= inv_std
         dz = dzhat
         if index.learns[l]:
             np.matmul(h_prev.T, dz, out=grads[:, :dd].reshape(N, h_prev.shape[1], d))   # d W
             reduce(dz, axis=1, out=grads[:, dd:dd + d])                                # d b
         if l > index.lowest:   # nothing consumes the gradient below the cut
-            dh = reduce(dz @ rec.Ws.transpose(0, 2, 1), axis=0)
-    return Gradients(work if index.trainable is None else work[index.trainable], index)
+            dh = reduce(dz @ Ws.transpose(0, 2, 1), axis=0)
+    return work if index.trainable is None else work[index.trainable]

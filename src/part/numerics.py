@@ -179,10 +179,19 @@ def softmax_xent_slice(logits: np.ndarray, labels: np.ndarray, sl: tuple[int, in
         raise InputError(f"labels must have shape ({n},), got {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= width):
         raise InputError(f"labels must lie in [0,{width}) for slice [{start},{end})")
+    loss, dslice = softmax_xent_kernel(logits[:, start:end], labels)
+    dlogits = np.zeros_like(logits)
+    dlogits[:, start:end] = dslice
+    return loss, dlogits
 
+
+def softmax_xent_kernel(z: np.ndarray, labels: np.ndarray):
+    """The loss of `softmax_xent_slice` inside the slice, unchecked: z is
+    the slice's (n, c) logits and every label lies in [0, c). Returns
+    (loss, (softmax - onehot) / n) over z's columns."""
     # one exp-sum serves p and the log-softmax; the mean is sum / n, as
-    # .mean computes it, and (p - onehot) / n is formed in the output slice
-    z = logits[:, start:end]
+    # .mean computes it, and (p - onehot) / n is formed in place of exp(z)
+    n = z.shape[0]
     z = z - np.maximum.reduce(z, axis=1, keepdims=True)
     expz = np.exp(z)
     total = np.add.reduce(expz, axis=1, keepdims=True)
@@ -190,13 +199,10 @@ def softmax_xent_slice(logits: np.ndarray, labels: np.ndarray, sl: tuple[int, in
     # log-softmax evaluated directly for numerical honesty at saturation
     logp = z[rows, labels] - np.log(total[:, 0])
     loss = -(np.add.reduce(logp) / n)
-
-    dlogits = np.zeros_like(logits)
-    dslice = dlogits[:, start:end]
-    np.divide(expz, total, out=dslice)
-    dslice[rows, labels] -= 1.0
-    dslice /= n
-    return float(loss), dlogits
+    dz = np.divide(expz, total, out=expz)
+    dz[rows, labels] -= 1.0
+    dz /= n
+    return float(loss), dz
 
 
 def finite_diff_check(

@@ -25,18 +25,19 @@ from .errors import ContractError, InputError, NumericError
 from .net import (
     ModuleGrid,
     TaskSpec,
-    backward_task,
+    backward_kernel,
+    backward_task,  # noqa: F401
+    forward_kernel,
     forward_task,
     freeze_path,
     freeze_task,
     path_index,
     trainable_keys,  # noqa: F401
 )
-from .numerics import FlatAdam, adam_step, softmax_xent_slice  # noqa: F401
+from .numerics import FlatAdam, adam_step, softmax_xent_kernel, softmax_xent_slice  # noqa: F401
 
-# trainable_keys and adam_step are no longer called here (the fused step
-# replaced them); they stay importable from this module because the
-# benchmark's tracer (perfbench/tracer.py) wraps them under these names
+# backward_task, softmax_xent_slice, trainable_keys and adam_step are not
+# called here; they stay importable because perfbench/tracer.py wraps them
 
 # spawn-key streams so every consumer of a run seed gets an independent rng
 # (grid construction uses the bare seed; stream 1 stays reserved for it)
@@ -190,20 +191,16 @@ def _task_rows(tasks: list[TaskSpec]) -> list[dict]:
 
 
 def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
-    """Forward, backward and one fused Adam step over the task's trainable
-    tensors, whose flat gradient the backward returns in the step's order.
-    A non-finite loss, or a non-finite value anywhere in the arena
-    afterwards (updated parameters or running statistics), fails the run."""
-    ds = task.train_ds
-    X = ds.features[idx]
-    y = ds.labels[idx]
-    logits, tape = forward_task(grid, task, X, mode="train")
-    start, end = task.slice
-    full = np.zeros((len(idx), grid.c_total))
-    full[:, start:end] = logits
-    loss, dlogits = softmax_xent_slice(full, y, task.slice)
-    grads = backward_task(grid, task, tape, dlogits).flat
+    """Forward, loss and backward kernels, then one fused Adam step over the
+    task's trainable tensors in the backward's order. Checks no input:
+    `_check_ready` did, once per call, and every planned batch has >= 2
+    samples. A non-finite loss, or a non-finite value anywhere in the arena
+    afterwards (parameters or running statistics), fails the run."""
     index = path_index(grid, task)
+    ds = task.train_ds
+    logits, inputs, layers, h = forward_kernel(grid, index, ds.features[idx], True)
+    loss, dslice = softmax_xent_kernel(logits, ds.labels[idx])
+    grads = backward_kernel(grid, index, inputs, layers, h, dslice, True)
     if index.trainable_keys:
         adam.step(grid.arena, grads, index.segments, lr)
         grid.version += 1
@@ -213,12 +210,28 @@ def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
     return loss
 
 
-def _check_ready(tasks: list[TaskSpec]) -> None:
+def _check_ready(grid: ModuleGrid, tasks: list[TaskSpec]) -> None:
+    """Once per training call, before any parameter moves, check each task
+    for what `forward_task` and `softmax_xent_slice` check per batch: a path
+    and datasets (else ContractError); registered here, a path that fits,
+    datasets of d_in finite features with labels in [0, c) (else InputError).
+    Datasets are immutable only by convention, so every call checks again."""
     for t in tasks:
         if t.path is None:
             raise ContractError(f"task {t.id} has no path")
         if t.train_ds is None or t.val_ds is None:
             raise ContractError(f"task {t.id} has no datasets attached")
+        if t.id >= len(grid.tasks) or grid.tasks[t.id] is not t:
+            raise InputError(f"task {t.id} is not registered on this grid")
+        t.path.check(grid.n_modules, grid.n_layers)
+        for ds in (t.train_ds, t.val_ds):
+            if ds.d != grid.d_in:
+                raise InputError(f"task {t.id}: dataset {ds.name!r} has {ds.d} features, "
+                                 f"the grid takes {grid.d_in}")
+            if ds.labels.min() < 0 or ds.labels.max() >= t.c:
+                raise InputError(f"task {t.id}: dataset {ds.name!r} has labels outside [0,{t.c})")
+            if not np.isfinite(ds.features).all():
+                raise InputError(f"task {t.id}: dataset {ds.name!r} has non-finite features")
 
 
 def _train_phases(grid, mode, phases, report_tasks, cfg, config_hash, log,
@@ -277,7 +290,7 @@ def train_parallel(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
     """Interleaved multi-task training, one phase of all tasks; every epoch
     consumes each task's full (equal-size) training set in uniformly
     scheduled batch-sets."""
-    _check_ready(tasks)
+    _check_ready(grid, tasks)
     if grid.frozen:
         raise ContractError("parallel training never runs on a grid with frozen modules")
     sizes = {t.train_ds.n for t in tasks}
@@ -311,7 +324,7 @@ def train_sequential(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
     """Tasks one after another, one phase of cfg.epochs each (the LR
     schedule restarts per task, mirroring a fresh single-task run); each
     finished task's path is frozen before the next task starts."""
-    _check_ready(tasks)
+    _check_ready(grid, tasks)
     phases = [(f"sequential[task {t.id}]", [t]) for t in tasks]
     return _train_phases(grid, "sequential", phases, tasks, cfg, config_hash, log,
                          freeze=True)
@@ -322,7 +335,7 @@ def train_single(grid: ModuleGrid, task: TaskSpec, cfg: TrainConfig,
     """Train only one task from scratch; every other registered task keeps
     its freshly initialized head slice (and norm instances). The report
     covers every registered task with data."""
-    _check_ready([task])
+    _check_ready(grid, [task])
     report_tasks = [t for t in grid.tasks if t.train_ds is not None and t.val_ds is not None]
     return _train_phases(grid, "single", [(f"single[task {task.id}]", [task])],
                          report_tasks, cfg, config_hash, log)

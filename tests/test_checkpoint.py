@@ -121,6 +121,28 @@ def test_path_that_does_not_fit_the_grid_is_rejected_at_load(tmp_path, path, mes
         load_checkpoint(p)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("frozen", [[5, 9]], r"frozen cell \[5, 9\] is not a cell of the 2 x 4 grid"),
+    ("frozen", [[1, 2], [1, 4]], r"frozen cell \[1, 4\] is not a cell of the 2 x 4 grid"),
+    ("frozen", [[1, 2, 3]], r"frozen cell \[1, 2, 3\] is not a cell of the 2 x 4 grid"),
+    ("frozen", [[-1, 0]], r"frozen cell \[-1, 0\] is not a cell of the 2 x 4 grid"),
+    ("frozen_tasks", [7], "frozen task 7 is not a registered task"),
+    ("frozen_tasks", [0, -1], "frozen task -1 is not a registered task"),
+], ids=["cell-beyond-grid", "module-beyond-M", "not-a-pair", "negative-layer",
+        "unregistered-task", "negative-task"])
+def test_frozen_entries_that_do_not_fit_the_grid_are_rejected_at_load(tmp_path, field, value,
+                                                                         message):
+    p = tmp_path / "frozen.part"
+    grid = make_grid(L=2, M=4, seed=76)
+    freeze_path(grid, grid.tasks[0].path)
+    freeze_task(grid, grid.tasks[0])
+    save_checkpoint(grid, p)
+    assert load_checkpoint(p).frozen == grid.frozen
+    rewrite_metadata(p, lambda meta: meta.update({field: value}))
+    with pytest.raises(ContractError, match=f"invalid checkpoint metadata .*: {message}$"):
+        load_checkpoint(p)
+
+
 def test_truncated_blob_rejected(tmp_path):
     grid = make_grid(seed=74)
     p = tmp_path / "trunc.part"

@@ -365,7 +365,8 @@ def test_missing_checkpoint_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("corrupt", ["undecodable", "not json", "missing field",
-                                     "path beyond M", "path too short"])
+                                     "path beyond M", "path too short",
+                                     "frozen cell beyond grid", "unregistered frozen task"])
 def test_corrupt_checkpoint_metadata_exits_1(tmp_path, capsys, corrupt):
     cfgp, ckpt = _trained(tmp_path, capsys)
     raw = bytearray(ckpt.read_bytes())
@@ -379,7 +380,12 @@ def test_corrupt_checkpoint_metadata_exits_1(tmp_path, capsys, corrupt):
         meta = meta.replace(b'"frozen":', b'"frozzen":')
     else:
         doc = json.loads(meta)
-        doc["tasks"][0]["path"] = [[0, 9], [1, 2]] if corrupt == "path beyond M" else [[0, 1]]
+        if corrupt == "frozen cell beyond grid":
+            doc["frozen"] = [[5, 9]]
+        elif corrupt == "unregistered frozen task":
+            doc["frozen_tasks"] = [7]
+        else:
+            doc["tasks"][0]["path"] = [[0, 9], [1, 2]] if corrupt == "path beyond M" else [[0, 1]]
         meta = json.dumps(doc).encode()
     ckpt.write_bytes(bytes(raw[:8]) + len(meta).to_bytes(8, "little") + meta
                      + bytes(raw[16 + meta_len:]))
@@ -429,6 +435,34 @@ def test_nonfinite_training_exits_3(tmp_path, capsys, monkeypatch):
         code, err = _exit_and_stderr(["train", "--config", str(write_config(tmp_path, doc))],
                                      capsys)
     assert code == 3 and "numeric failure" in err and "epoch" in err
+
+
+def test_nonfinite_features_exit_2_before_training(tmp_path, capsys, monkeypatch):
+    import hashlib
+
+    import numpy as np
+
+    from part import experiment
+
+    real = experiment.build_experiment
+    built = []
+
+    def poisoned(cfg):
+        grid = real(cfg)
+        grid.tasks[-1].train_ds.features[-1, 0] = np.nan   # in place, after the Dataset check
+        built.append((grid, grid.version, hashlib.sha256(grid.arena.tobytes()).hexdigest()))
+        return grid
+
+    monkeypatch.setattr(experiment, "build_experiment", poisoned)
+    doc = minimal_config(tmp_path / "run", mode="parallel")
+    doc["tasks"] = [dict(doc["tasks"][0], name=f"t{i}") for i in range(2)]
+    code, err = _exit_and_stderr(["train", "--config", str(write_config(tmp_path, doc))],
+                                 capsys)
+    assert code == 2 and "error:" in err and "non-finite features" in err
+    grid, version, digest = built[0]
+    assert grid.version == version
+    assert hashlib.sha256(grid.arena.tobytes()).hexdigest() == digest
+    assert not (tmp_path / "run" / "checkpoint.part").exists()
 
 
 def test_batch_size_below_two_exits_2(tmp_path, capsys):

@@ -7,7 +7,10 @@ They read and write each parameter by key (`get_param`/`set_param`); the
 fused code gathers from and scatters into the arena. Both run on identically built
 grids and must agree on every bit: logits, layer sums, module outputs,
 running statistics (hence the whole arena) and every gradient the
-backward returns, which covers the task's trainable surface only.
+backward returns, which covers the task's trainable surface only. The
+same holds for the unchecked kernels the trainer runs per batch
+(`forward_kernel`, `backward_kernel` on a task-width gradient), and the
+in-slice loss kernel gives `softmax_xent_slice`'s slice.
 """
 
 import numpy as np
@@ -24,7 +27,17 @@ from part import (
     freeze_task,
     register_task,
 )
-from part.net import NORM_EPS, NORM_MOMENTUM, NORM_PARAMS, SHARED, path_index, trainable_keys
+from part.net import (
+    NORM_EPS,
+    NORM_MOMENTUM,
+    NORM_PARAMS,
+    SHARED,
+    backward_kernel,
+    forward_kernel,
+    path_index,
+    trainable_keys,
+)
+from part.numerics import softmax_xent_kernel, softmax_xent_slice
 
 from conftest import cells, randomize_norm_instances
 
@@ -210,6 +223,33 @@ def test_fused_layer_matches_per_module_loop_bit_for_bit(problem):
                      np.concatenate([np.zeros(0, dtype=np.int64)]
                                     + [grid._view(positions, k).ravel() for k in keys]))
 
+    # the kernels as the trainer runs them, on a third grid: the same bits,
+    # with the backward fed the task's slice of dlogits as its own array (as
+    # the loss kernel returns it; backward_task above passes a view)
+    k_grid, k_task, _, _ = build(problem)
+    k_index = path_index(k_grid, k_task)
+    logits_k, *trace = forward_kernel(k_grid, k_index, x, mode == "train")
+    inputs_k, layers_k, h_k = trace
+    assert same_bits(logits_k, logits_ref) and same_bits(h_k, h_final)
+    for l, recs in enumerate(records):
+        assert same_bits(inputs_k[l], inputs[l])
+        assert same_bits(layers_k[l][-1], np.stack([r["out"] for r in recs.values()]))
+    assert same_bits(k_grid.arena, ref_grid.arena)
+    view = dlogits[:, slice(*task.slice)]
+    own = backward_kernel(k_grid, k_index, *trace, view.copy(), mode == "train")
+    head_W = ("head", task.id, "W")
+    if problem["d_hid"] == 1 and head_W in grads:
+        # h_final.T @ dslice is then a vector-matrix product, which numpy's
+        # BLAS rounds differently for a contiguous dslice than for a view
+        # with a wider row: the head W gradient agrees to the dot product's
+        # rounding bound, everything else bit for bit
+        offset, shape = index.layout[head_W]
+        at = slice(offset, offset + shape[0] * shape[1])
+        bound = 2 * len(x) * np.finfo(float).eps * (np.abs(h_final.T) @ np.abs(view))
+        assert np.all(np.abs(own[at] - expected[at]) <= bound.ravel())
+        own[at] = expected[at]
+    assert same_bits(own, expected)
+
 
 def _frozen_below(rows_done, rows_task, seed):
     """A shared-norm grid on which a finished task froze its path, and the
@@ -257,3 +297,25 @@ def test_backward_stops_at_the_lowest_trainable_layer():
     expected = reference_backward(ref_grid, ref_task, inputs, records, h_final, dlogits, "train")
     for key, g in grads.items():
         assert same_bits(g, expected[key]), key
+
+    k_grid, k_task = _frozen_below(done, rows, seed=5)
+    index = path_index(k_grid, k_task)
+    _, *trace = forward_kernel(k_grid, index, x, True)
+    dslice = dlogits[:, slice(*task.slice)].copy()
+    assert same_bits(backward_kernel(k_grid, index, *trace, dslice, True), grads.flat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.integers(2, 5), st.integers(0, 3),
+       st.floats(0.1, 50.0), st.integers(0, 2**32 - 1))
+def test_loss_kernel_is_the_slice_of_softmax_xent_slice(n, before, width, after, scale, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=scale, size=(n, before + width + after))
+    labels = rng.integers(0, width, size=n)
+    sl = (before, before + width)
+    loss, dlogits = softmax_xent_slice(logits, labels, sl)
+    loss_k, dz = softmax_xent_kernel(logits[:, slice(*sl)].copy(), labels)
+    assert same_bits(loss_k, loss)
+    assert same_bits(dz, dlogits[:, slice(*sl)])
+    outside = np.delete(dlogits, np.s_[slice(*sl)], axis=1)
+    assert outside.tobytes() == bytes(outside.nbytes)    # +0.0 everywhere

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -24,7 +25,7 @@ from part import (
 )
 from part.training import RunReport, freeze_fingerprint
 
-from conftest import make_grid
+from conftest import make_dataset, make_grid
 
 
 def build_pair(seed, margin=8.0, epochs_cfg=None, norm_mode="shared",
@@ -310,6 +311,47 @@ def test_tasks_without_paths_or_data_rejected():
         train_parallel(grid, grid.tasks, CFG)
 
 
+def _nan_features(grid, victim):
+    victim.train_ds.features[-1, 0] = np.nan    # in place, after the Dataset check
+    return victim, "non-finite features"
+
+
+def _val_of_wrong_width(grid, victim):
+    victim.val_ds = make_dataset(np.random.default_rng(2), n=20, d=grid.d_in + 1, c=victim.c)
+    return victim, "has 7 features, the grid takes 6"
+
+
+def _label_beyond_c(grid, victim):
+    # a 5-class dataset on a 4-class task: its labels include 4
+    victim.train_ds = make_dataset(np.random.default_rng(3), n=victim.train_ds.n, d=grid.d_in, c=5)
+    return victim, r"labels outside \[0,4\)"
+
+
+def _foreign_task(grid, victim):
+    return build_pair(60, c=(4, 4), n_per_class=20).tasks[victim.id], "not registered on this grid"
+
+
+@pytest.mark.parametrize("procedure", ["parallel", "sequential", "single"])
+@pytest.mark.parametrize("corrupt", [_nan_features, _val_of_wrong_width, _label_beyond_c,
+                                     _foreign_task],
+                         ids=["nan-features", "val-width", "label-beyond-c", "foreign-task"])
+def test_bad_input_fails_before_anything_trains(procedure, corrupt):
+    # the bad task comes last, so a per-batch check would train the first one
+    grid = build_pair(60, c=(4, 4), n_per_class=20)
+    victim, message = corrupt(grid, grid.tasks[1])
+    version = grid.version
+    digest = hashlib.sha256(grid.arena.tobytes()).hexdigest()
+    cfg = TrainConfig(epochs=2, batch_size=8, batch_set_size=3, lr0=3e-3, seed=8)
+    with pytest.raises(InputError, match=message):
+        if procedure == "single":
+            train_single(grid, victim, cfg)
+        else:
+            train = train_parallel if procedure == "parallel" else train_sequential
+            train(grid, [grid.tasks[0], victim], cfg)
+    assert grid.version == version
+    assert hashlib.sha256(grid.arena.tobytes()).hexdigest() == digest
+
+
 def test_one_sample_tail_never_trains_alone(monkeypatch):
     from part import training
 
@@ -318,14 +360,14 @@ def test_one_sample_tail_never_trains_alone(monkeypatch):
     n = task.train_ds.n
     assert n % 5 == 1
     sizes = []
-    real = training.forward_task
+    real = training.forward_kernel
 
-    def spy(grid, task, x, mode="eval"):
-        if mode == "train":
+    def spy(grid, index, x, train):
+        if train:
             sizes.append(len(x))
-        return real(grid, task, x, mode=mode)
+        return real(grid, index, x, train)
 
-    monkeypatch.setattr(training, "forward_task", spy)
+    monkeypatch.setattr(training, "forward_kernel", spy)
     cfg = TrainConfig(epochs=2, batch_size=5, batch_set_size=3, lr0=3e-3, seed=4)
     train_single(grid, task, cfg)
     assert len(sizes) == 2 * (n // 5) and min(sizes) == 5 and max(sizes) == 6
