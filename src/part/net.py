@@ -21,21 +21,27 @@ and norm instances) wait in a pending dict; the arena is laid out lazily,
 on first use by a forward pass, a checkpoint or parameter addressing, so
 building an experiment never repacks the grid once per task.
 
-Each task has a cached *path index* (`path_index`): per layer an (N, chunk)
-array of arena positions, one row per path module holding its W, b and the
-gamma, beta, run_mean and run_var of the norm instance the task uses. A
-layer's forward reads its parameters with one gather, runs its N blocks as
-one stacked computation over (N, n, d_hid) (a batched matmul, then batch
-norm and ReLU), sums them over the module axis and writes the running
-stats back with one scatter. The tape keeps one stacked `LayerRecord` per
-layer. The backward mirrors it and returns one flat gradient vector over
-the task's trainable surface only (the tensors `trainable_keys` names, in
-the same order: per layer and module W, b, gamma, beta, then the head
-slice's W and b); `Gradients` reads it by parameter key and the trainer
-hands it to the optimizer as it is. The backward stops at the lowest layer
-that holds a trainable tensor, and a layer with none above it only carries
-the gradient through. The stacked code gives the same bits as running the
-blocks one by one.
+Each task has a cached *path index* (`path_index`): the arena positions
+its eval forward reads, in gather order. Per layer that is each path
+module's W, then the b, gamma, beta, run_mean and run_var of the norm
+instances the task uses, each module-major as one (N*d_hid,) vector; then
+the head slice. A forward pass reads every layer with one gather. A layer
+runs its N blocks on one C-contiguous sample-major (n, N, d_hid) array,
+that is (n, N*d_hid) with column block k for path module k: a batched
+matmul writes each module's block, batch norm reduces over the samples
+(axis 0) and broadcasts (N, d_hid) vectors, and the ReLU output is made
+module-major, (N, n, d_hid), which the module sum reduces over axis 0. A
+train pass stacks every layer's batch moments and writes the running
+statistics with one update and one scatter after the last layer. The
+tape keeps one `LayerRecord` per layer. The backward mirrors it and
+returns one flat gradient vector over the task's trainable surface only
+(the tensors `trainable_keys` names, in the same order: per layer and
+module W, b, gamma, beta, then the head slice's W and b); `Gradients`
+reads it by parameter key and the trainer hands it to the optimizer as it
+is. The backward stops at the lowest layer that holds a trainable tensor,
+and a layer with none above it only carries the gradient through. This
+layout gives the same bits as running the blocks one by one
+(`_column_sums` covers the one shape that needs care).
 
 Each pass is an unchecked kernel over a task's PathIndex and plain arrays
 (`forward_kernel`, `backward_kernel`) behind a checked entry point
@@ -349,21 +355,23 @@ class PathIndex:
     """Where one task's path lives in the arena and in its flat gradient.
 
     `head` is the task's head slice, its columns [start, end) of the head.
-    `rows[l]` is an (N, chunk) array of arena positions, one row per module
-    of path row l: W (row-major), b, then the gamma, beta, run_mean and
-    run_var of the norm instance the task uses there, so one gather reads a
-    layer's parameters. `stats[l]` holds the run_mean/run_var positions of
-    the rows whose running statistics still track, and `live[l]` those rows
-    (None: all of them). `positions` lists every arena position an eval
-    forward reads: the rows of every layer, then the head slice's W and b.
+    `positions` lists, in gather order, every arena position an eval
+    forward reads: per layer of the path, each module's W (row-major), then
+    b, gamma, beta, run_mean and run_var, each module-major over the layer's
+    N modules as one (N*d_hid,) vector; then the head slice's W and b. The
+    forward gathers its first `forward_size` entries (the layers) in one
+    go. `stats` holds the arena positions of the running statistics that
+    still track, in the order the train forward stacks its batch moments
+    (per layer the mean, then the variance, each module-major); `live`
+    picks those entries out of the stack (None: all of them).
 
     The backward works in a vector of `size` holding, per layer and module,
     W, b, gamma and beta, then the head slice's W and b; their keys, in
     that order, are `keys`, every tensor a finished task freezes.
     `learns[l]` tells whether layer l holds a trainable tensor and `lowest`
-    is the lowest such layer (`len(rows)` when none does): the backward
-    computes no gradient below it and none inside a layer that does not
-    learn.
+    is the lowest such layer (the path's depth when none does): the
+    backward computes no gradient below it and none inside a layer that
+    does not learn.
     `trainable` masks the work vector down to the tensors the optimizer may
     update (None when none is frozen); their keys, in the same order, are
     `trainable_keys`, their (offset, shape) in the masked vector `layout`,
@@ -372,10 +380,10 @@ class PathIndex:
 
     path: Path
     head: tuple
-    rows: tuple
-    stats: tuple
-    live: tuple
     positions: np.ndarray
+    forward_size: int
+    stats: np.ndarray
+    live: Optional[np.ndarray]
     size: int
     keys: list
     learns: tuple
@@ -399,26 +407,26 @@ def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
     positions = np.arange(grid.arena.size)
     nk = grid.norm_key(task.id)
     task_frozen = task.id in grid.frozen_tasks
-    rows, stats, live, learns = [], [], [], []
+    gather, stats, tracking, learns = [], [], [], []
     keys, views, train = [], [], []
     for l, row in enumerate(task.path.rows):
-        cells, tracking = [], []
+        cells, tracks = [], []
         for m in row:
             frozen_block = (l, m) in grid.frozen
             norm_frozen = frozen_block if nk == SHARED else task_frozen
             cell = [("block", l, m, "W"), ("block", l, m, "b")]
             cell += [("norm", l, m, nk, which) for which in NORM_PARAMS]
             where = [grid._view(positions, key) for key in cell]
-            cells.append(np.concatenate([w.ravel() for w in where]))
-            tracking.append(not norm_frozen)
+            cells.append([w.ravel() for w in where])
+            tracks.append(not norm_frozen)
             keys += cell[:4]
             views += where[:4]
             train += [not frozen_block] * 2 + [not norm_frozen] * 2
-        layer = np.stack(cells)
-        rows.append(layer)
-        tracked = np.flatnonzero(tracking)
-        stats.append(layer[tracked, -2 * grid.d_hid:])
-        live.append(None if all(tracking) else tracked)
+        # each module's W, then b, gamma, beta, run_mean, run_var module-major
+        per_tensor = [np.concatenate(tensor) for tensor in zip(*cells)]
+        gather += [w for w, *_ in cells] + per_tensor[1:]
+        stats += per_tensor[-2:]
+        tracking += [np.repeat(tracks, grid.d_hid)] * 2
         learns.append(any(train[-4 * len(row):]))
     head = [("head", task.id, "W"), ("head", task.id, "b")]
     head_views = [grid._view(positions, key) for key in head]
@@ -426,13 +434,17 @@ def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
     views += head_views
     train += [not task_frozen] * 2
 
+    stats, tracking = np.concatenate(stats), np.concatenate(tracking)
     sizes = [v.size for v in views]
     kept = [(k, v) for k, v, t in zip(keys, views, train) if t]
     kept_sizes = [v.size for _, v in kept]
     offsets = np.cumsum(kept_sizes) - kept_sizes
     index = PathIndex(
-        path=task.path, head=task.slice, rows=tuple(rows), stats=tuple(stats), live=tuple(live),
-        positions=np.concatenate([r.ravel() for r in rows] + [v.ravel() for v in head_views]),
+        path=task.path, head=task.slice,
+        positions=np.concatenate(gather + [v.ravel() for v in head_views]),
+        forward_size=int(sum(g.size for g in gather)),
+        stats=stats[tracking],
+        live=None if tracking.all() else np.flatnonzero(tracking),
         size=int(sum(sizes)),
         keys=keys,
         learns=tuple(learns),
@@ -469,17 +481,18 @@ class Gradients(Mapping):
 
 @dataclass
 class LayerRecord:
-    """One layer's forward intermediates, stacked over its N path modules
-    (axis 0, in path-row order). Per-feature arrays keep a length-1 sample
-    axis so they broadcast against the (N, n, d_hid) ones."""
+    """One layer's forward intermediates over its N path modules, in
+    path-row order. Sample-major arrays are C-contiguous (n, N, d_hid), the
+    layout of (n, N*d_hid) with module k in column block k; per-feature
+    ones are (N, d_hid)."""
 
     row: tuple            # module indices
     Ws: np.ndarray        # (N, d_in, d_hid) weights as read by the forward
-    gamma: np.ndarray     # (N, 1, d_hid) norm scale as read by the forward
-    zhat: np.ndarray      # normalized pre-activation
-    inv_std: np.ndarray   # (N, 1, d_hid) 1/sqrt(var + eps) actually applied
-    y: np.ndarray         # gamma*zhat + beta (pre-ReLU)
-    out: np.ndarray       # relu(y), the pre-sum module outputs
+    gamma: np.ndarray     # (N, d_hid) norm scale as read by the forward
+    zhat: np.ndarray      # (n, N, d_hid) normalized pre-activation
+    inv_std: np.ndarray   # (N, d_hid) 1/sqrt(var + eps) actually applied
+    y: np.ndarray         # (n, N, d_hid) gamma*zhat + beta (pre-ReLU)
+    out: np.ndarray       # (N, n, d_hid) relu(y), the pre-sum module outputs
     batch_stats: bool     # True if normalized with batch stats (train mode)
 
 
@@ -516,10 +529,10 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
 
     Per layer, each selected block computes relu(norm(x W + b)) and the
     results are summed to feed the next layer; the N blocks of a layer run
-    as one stacked computation over (N, n, d_hid). Train mode normalizes
-    with batch statistics and updates the running stats of the instances
-    it used (unless frozen); it needs at least two samples, since one
-    sample has zero batch variance. Eval mode reads running stats and
+    as one computation over a sample-major (n, N, d_hid) array. Train mode
+    normalizes with batch statistics and updates the running stats of the
+    instances it used (unless frozen); it needs at least two samples, since
+    one sample has zero batch variance. Eval mode reads running stats and
     mutates nothing. Checks its inputs, then runs `forward_kernel`.
     """
     if mode not in ("train", "eval"):
@@ -541,38 +554,56 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
     return logits, Tape(task.id, grid.version, inputs, records, h)
 
 
+def _column_sums(a: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """np.add.reduce(a, 0, out=out) for an (n, N, 1) array, rounded as each
+    module's own (n, 1) column sum. numpy adds the rows of an (n, N) array
+    one by one but sums a lone contiguous column pairwise (from 9 rows up
+    the two differ), so the columns are summed from a module-major copy."""
+    return np.add.reduce(np.moveaxis(a, axis, -1).copy(), axis=-1, out=out)
+
+
 def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: bool):
     """The forward pass of `forward_task`, unchecked: x is a finite float64
     (n, d_in) array, n >= 2 in train mode, and `index` the PathIndex of a
     task of this grid. Returns (logits, inputs, layers, h): the task-width
     logits, the input each layer consumed, per layer the arrays (Ws, gamma,
-    zhat, inv_std, y, out) of its LayerRecord, and the last layer's sum."""
+    zhat, inv_std, y, out) of its LayerRecord, and the last layer's sum.
+
+    One gather reads every layer's parameters, a layer runs on one
+    sample-major (n, N, d_hid) array (see the module docstring), and a train
+    pass writes every layer's running statistics with one scatter after the
+    last."""
     # every temporary below is fresh, so the in-place forms and out= only
     # save allocations: each value goes through the same operations
     reduce = np.add.reduce
     arena = grid.arena
     d = grid.d_hid
     n = x.shape[0]
+    sample_sum = reduce if d > 1 else _column_sums
+    params = arena[index.positions[:index.forward_size]]
+    if train:   # per layer the batch mean, then the variance: (2, N, d_hid)
+        moments = np.empty(2 * d * sum(map(len, index.path.rows)))
     inputs, layers = [], []
     h = x
-    for rows, stats, live in zip(index.rows, index.stats, index.live):
+    at = m_at = 0
+    for row in index.path.rows:
         inputs.append(h)
-        params = arena[rows]
-        N, fan_in = rows.shape[0], h.shape[1]
-        Ws = params[:, :fan_in * d].reshape(N, fan_in, d)
-        vectors = params[:, fan_in * d:].reshape(N, 5, 1, d)
-        b, gamma, beta, run_mean, run_var = vectors.swapaxes(0, 1)
-        z = h @ Ws
+        N, fan_in = len(row), h.shape[1]
+        Ws = params[at:at + N * fan_in * d].reshape(N, fan_in, d)
+        at += Ws.size
+        b, gamma, beta, run_mean, run_var = params[at:at + 5 * N * d].reshape(5, N, d)
+        at += 5 * N * d
+        z = np.empty((n, N, d))
+        np.matmul(h, Ws, out=z.transpose(1, 0, 2))
         z += b
         if train:
-            # z.mean and z.var over the batch (sum / n), sharing the centred
-            # z; both land side by side for the running-stat update
-            moments = np.empty((N, 2, d))
-            mu, var = moments[:, :1], moments[:, 1:]
-            reduce(z, axis=1, out=mu, keepdims=True)
+            # z.mean and z.var over the batch (sum / n), sharing the centred z
+            mu, var = moments[m_at:m_at + 2 * N * d].reshape(2, N, d)
+            m_at += 2 * N * d
+            sample_sum(z, 0, out=mu)
             mu /= n
             z -= mu
-            reduce(z * z, axis=1, out=var, keepdims=True)
+            sample_sum(z * z, 0, out=var)
             var /= n
             inv_std = var + NORM_EPS
         else:
@@ -580,18 +611,19 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
             inv_std = run_var + NORM_EPS
         np.sqrt(inv_std, out=inv_std)
         np.divide(1.0, inv_std, out=inv_std)
-        if train and stats.size:
-            new = (1 - NORM_MOMENTUM) * params[:, -2 * d:]
-            moments *= NORM_MOMENTUM
-            new += moments.reshape(N, 2 * d)
-            arena[stats] = new if live is None else new[live]
         z *= inv_std
         zhat = z
         y = gamma * zhat
         y += beta
-        out = np.maximum(y, 0.0)
+        out = np.empty((N, n, d))
+        np.maximum(y, 0.0, out=out.transpose(1, 0, 2))
         layers.append((Ws, gamma, zhat, inv_std, y, out))
         h = reduce(out, axis=0)
+    if train and index.stats.size:
+        new = (1 - NORM_MOMENTUM) * arena[index.stats]
+        moments *= NORM_MOMENTUM
+        new += moments if index.live is None else moments[index.live]
+        arena[index.stats] = new
     start, end = index.head
     logits = h @ grid.head_W[:, start:end]
     logits += grid.head_b[start:end]
@@ -633,13 +665,16 @@ def backward_kernel(grid: ModuleGrid, index: PathIndex, inputs: list, layers: li
     loss gradient. Returns the flat gradient over the task's trainable
     tensors. Nothing is computed below the lowest layer that holds a
     trainable tensor, and a layer without one above it only passes the
-    gradient down."""
+    gradient down. Batch norm's gradient runs on the forward's sample-major
+    layout; dz is then made module-contiguous for the weight and input
+    gradients, whose products round differently on a strided dz."""
     # fresh temporaries are updated in place and reductions written into
     # the work vector: the same operations, in the same order, as the
     # expressions in the comments
     reduce = np.add.reduce
     d = grid.d_hid
     n, c = dslice.shape
+    sample_sum = reduce if d > 1 else _column_sums
     start, end = index.head
     work = np.empty(index.size)
     offset = index.size - (d + 1) * c
@@ -653,28 +688,28 @@ def backward_kernel(grid: ModuleGrid, index: PathIndex, inputs: list, layers: li
         N, dd = Ws.shape[0], h_prev.shape[1] * d
         offset -= N * (dd + 3 * d)
         grads = work[offset:offset + N * (dd + 3 * d)].reshape(N, dd + 3 * d)
-        dy = dh * (y > 0)
+        dy = dh[:, None] * (y > 0)
         if index.learns[l]:
-            reduce(dy * zhat, axis=1, out=grads[:, dd + d:dd + 2 * d])    # d gamma
-            reduce(dy, axis=1, out=grads[:, dd + 2 * d:])                 # d beta
+            sample_sum(dy * zhat, 0, out=grads[:, dd + d:dd + 2 * d])    # d gamma
+            sample_sum(dy, 0, out=grads[:, dd + 2 * d:])                 # d beta
         dy *= gamma
         dzhat = dy
         if train:
             # dz = inv_std * (dzhat - mean(dzhat) - zhat * mean(dzhat * zhat)),
             # the means as sum / n, as .mean computes them
-            mean_dzhat = reduce(dzhat, axis=1, keepdims=True)
+            mean_dzhat = sample_sum(dzhat, 0)
             mean_dzhat /= n
             scaled = dzhat * zhat
-            mean_scaled = reduce(scaled, axis=1, keepdims=True)
+            mean_scaled = sample_sum(scaled, 0)
             mean_scaled /= n
             np.multiply(zhat, mean_scaled, out=scaled)
             dzhat -= mean_dzhat
             dzhat -= scaled
         dzhat *= inv_std
-        dz = dzhat
+        dz = np.ascontiguousarray(dzhat.transpose(1, 0, 2))      # module-major
         if index.learns[l]:
             np.matmul(h_prev.T, dz, out=grads[:, :dd].reshape(N, h_prev.shape[1], d))   # d W
-            reduce(dz, axis=1, out=grads[:, dd:dd + d])                                # d b
+            sample_sum(dzhat, 0, out=grads[:, dd:dd + d])                              # d b
         if l > index.lowest:   # nothing consumes the gradient below the cut
             dh = reduce(dz @ Ws.transpose(0, 2, 1), axis=0)
     return work if index.trainable is None else work[index.trainable]

@@ -210,13 +210,18 @@ def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
     return loss
 
 
-def _check_ready(grid: ModuleGrid, tasks: list[TaskSpec]) -> None:
-    """Once per training call, before any parameter moves, check each task
-    for what `forward_task` and `softmax_xent_slice` check per batch: a path
-    and datasets (else ContractError); registered here, a path that fits,
-    datasets of d_in finite features with labels in [0, c) (else InputError).
-    Datasets are immutable only by convention, so every call checks again."""
-    for t in tasks:
+def _check_ready(grid: ModuleGrid, tasks: list[TaskSpec], report_tasks=()) -> None:
+    """Once per training call, before any parameter moves, check what
+    `forward_task` and `softmax_xent_slice` check per batch and validation:
+    a path and datasets (else ContractError); registered here, a path that
+    fits, datasets of d_in finite features with labels in [0, c) (else
+    InputError). Each of `tasks` has both datasets checked; a task of
+    `report_tasks` that does not train, only what validation reads, its
+    val_ds. Datasets are immutable only by convention, so every call checks
+    again."""
+    checks = [(t, (t.train_ds, t.val_ds)) for t in tasks]
+    checks += [(t, (t.val_ds,)) for t in report_tasks if all(t is not u for u in tasks)]
+    for t, datasets in checks:
         if t.path is None:
             raise ContractError(f"task {t.id} has no path")
         if t.train_ds is None or t.val_ds is None:
@@ -224,7 +229,7 @@ def _check_ready(grid: ModuleGrid, tasks: list[TaskSpec]) -> None:
         if t.id >= len(grid.tasks) or grid.tasks[t.id] is not t:
             raise InputError(f"task {t.id} is not registered on this grid")
         t.path.check(grid.n_modules, grid.n_layers)
-        for ds in (t.train_ds, t.val_ds):
+        for ds in datasets:
             if ds.d != grid.d_in:
                 raise InputError(f"task {t.id}: dataset {ds.name!r} has {ds.d} features, "
                                  f"the grid takes {grid.d_in}")
@@ -335,8 +340,8 @@ def train_single(grid: ModuleGrid, task: TaskSpec, cfg: TrainConfig,
     """Train only one task from scratch; every other registered task keeps
     its freshly initialized head slice (and norm instances). The report
     covers every registered task with data."""
-    _check_ready(grid, [task])
     report_tasks = [t for t in grid.tasks if t.train_ds is not None and t.val_ds is not None]
+    _check_ready(grid, [task], report_tasks)
     return _train_phases(grid, "single", [(f"single[task {task.id}]", [task])],
                          report_tasks, cfg, config_hash, log)
 

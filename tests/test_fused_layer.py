@@ -14,6 +14,7 @@ in-slice loss kernel gives `softmax_xent_slice`'s slice.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,15 +169,15 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(layer_problem())
-def test_fused_layer_matches_per_module_loop_bit_for_bit(problem):
-    mode = problem["mode"]
-    ref_grid, ref_task, x, dlogits = build(problem)
+def assert_matches_reference(make, mode):
+    """The checked entry points and the kernels against the per-module
+    reference, bit for bit. `make()` builds (grid, task, x, dlogits) afresh,
+    the same on every call; each side runs on its own grid."""
+    ref_grid, ref_task, x, dlogits = make()
     logits_ref, inputs, records, h_final = reference_forward(ref_grid, ref_task, x, mode)
     grads_ref = reference_backward(ref_grid, ref_task, inputs, records, h_final, dlogits, mode)
 
-    grid, task, x2, dlogits2 = build(problem)
+    grid, task, x2, dlogits2 = make()
     assert same_bits(x, x2) and same_bits(dlogits, dlogits2)
     logits, tape = forward_task(grid, task, x, mode=mode)
     grads = backward_task(grid, task, tape, dlogits)
@@ -189,6 +190,7 @@ def test_fused_layer_matches_per_module_loop_bit_for_bit(problem):
         assert list(outputs) == list(recs)
         for m, rec in recs.items():
             assert same_bits(outputs[m], rec["out"])
+            assert outputs[m].flags.c_contiguous
     # running statistics written back (or left alone when frozen or in eval)
     assert same_bits(grid.arena, ref_grid.arena)
 
@@ -226,7 +228,7 @@ def test_fused_layer_matches_per_module_loop_bit_for_bit(problem):
     # the kernels as the trainer runs them, on a third grid: the same bits,
     # with the backward fed the task's slice of dlogits as its own array (as
     # the loss kernel returns it; backward_task above passes a view)
-    k_grid, k_task, _, _ = build(problem)
+    k_grid, k_task, _, _ = make()
     k_index = path_index(k_grid, k_task)
     logits_k, *trace = forward_kernel(k_grid, k_index, x, mode == "train")
     inputs_k, layers_k, h_k = trace
@@ -238,7 +240,7 @@ def test_fused_layer_matches_per_module_loop_bit_for_bit(problem):
     view = dlogits[:, slice(*task.slice)]
     own = backward_kernel(k_grid, k_index, *trace, view.copy(), mode == "train")
     head_W = ("head", task.id, "W")
-    if problem["d_hid"] == 1 and head_W in grads:
+    if grid.d_hid == 1 and head_W in grads:
         # h_final.T @ dslice is then a vector-matrix product, which numpy's
         # BLAS rounds differently for a contiguous dslice than for a view
         # with a wider row: the head W gradient agrees to the dot product's
@@ -249,6 +251,68 @@ def test_fused_layer_matches_per_module_loop_bit_for_bit(problem):
         assert np.all(np.abs(own[at] - expected[at]) <= bound.ravel())
         own[at] = expected[at]
     assert same_bits(own, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layer_problem())
+def test_fused_layer_matches_per_module_loop_bit_for_bit(problem):
+    assert_matches_reference(lambda: build(problem), problem["mode"])
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("n", [2, 4, 6, 9, 16])
+@pytest.mark.parametrize("d_in", [1, 2, 5])
+@pytest.mark.parametrize("d_hid", [1, 2])
+def test_narrow_layers_match_per_module_loop_bit_for_bit(d_hid, d_in, n, N, mode):
+    # narrow shapes are where a layout slip rounds differently: a module's
+    # lone column (d_hid = 1) is summed pairwise from 9 samples up, a
+    # single-sample or single-column product takes another BLAS route
+    problem = dict(L=2, M=4, N=N, d_in=d_in, d_hid=d_hid, classes=[3, 2], norm_mode="shared",
+                   finished=set(), target=1, mode=mode, n=n,
+                   seed=1000 * d_hid + 100 * d_in + 10 * n + N)
+    assert_matches_reference(lambda: build(problem), mode)
+
+
+def test_analysis_sized_eval_pass_matches_per_module_loop_bit_for_bit():
+    problem = dict(L=4, M=6, N=3, d_in=8, d_hid=16, classes=[4, 4], norm_mode="shared",
+                   finished=set(), target=0, mode="eval", n=400, seed=400)
+    assert_matches_reference(lambda: build(problem), "eval")
+
+
+def _uneven_rows(norm_mode):
+    """Path rows of widths 3, 1 and 2; a finished task froze (0, 1) and
+    (2, 3), one cell of the first and of the last row."""
+    grid = ModuleGrid(3, 4, 5, 3, norm_mode=norm_mode, seed=11)
+    done, task = register_task(grid, 2), register_task(grid, 3)
+    done.path = Path(((1,), (2,), (3,)))
+    task.path = Path(((0, 1, 2), (1,), (0, 3)))
+    rng = np.random.default_rng(12)
+    for l, m in cells(grid):
+        grid.set_param(("block", l, m, "b"), rng.normal(0.0, 0.5, 3))
+    randomize_norm_instances(grid, rng)
+    freeze_path(grid, done.path)
+    freeze_task(grid, done)
+    return grid, task, rng.normal(size=(7, 5)), rng.normal(size=(7, grid.c_total))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("norm_mode", ["shared", "per-task"])
+def test_uneven_rows_with_a_frozen_cell_match_per_module_loop(norm_mode, mode):
+    assert_matches_reference(lambda: _uneven_rows(norm_mode), mode)
+
+    grid, task, x, _ = _uneven_rows(norm_mode)
+    index = path_index(grid, task)
+    nk = grid.norm_key(task.id)
+    stats = {(l, m): [grid.get_param(("norm", l, m, nk, s)) for s in ("run_mean", "run_var")]
+             for l, m in task.path.modules()}
+    forward_kernel(grid, index, x, mode == "train")
+    for (l, m), before in stats.items():
+        tracks = mode == "train" and not (nk == SHARED and (l, m) in grid.frozen)
+        after = [grid.get_param(("norm", l, m, nk, s)) for s in ("run_mean", "run_var")]
+        assert all(same_bits(a, b) for a, b in zip(after, before)) != tracks, (l, m)
+    # shared norms: the frozen cells' statistics drop out of the scatter
+    assert (index.live is None) == (nk != SHARED)
 
 
 def _frozen_below(rows_done, rows_task, seed):

@@ -11,6 +11,7 @@ from part import (
     EpochScheduler,
     InputError,
     ModuleGrid,
+    Path,
     TrainConfig,
     build_controlled_paths,
     forward_task,
@@ -348,6 +349,37 @@ def test_bad_input_fails_before_anything_trains(procedure, corrupt):
         else:
             train = train_parallel if procedure == "parallel" else train_sequential
             train(grid, [grid.tasks[0], victim], cfg)
+    assert grid.version == version
+    assert hashlib.sha256(grid.arena.tobytes()).hexdigest() == digest
+
+
+def _val_nan(grid, victim):
+    victim.val_ds.features[-1, 0] = np.nan
+    return victim, "non-finite features"
+
+
+def _val_label_beyond_c(grid, victim):
+    victim.val_ds = make_dataset(np.random.default_rng(4), n=20, d=grid.d_in, c=5)
+    return victim, r"labels outside \[0,4\)"
+
+
+def _path_beyond_grid(grid, victim):
+    victim.path = Path(((grid.n_modules,),) * grid.n_layers)
+    return victim, "path selects module"
+
+
+@pytest.mark.parametrize("corrupt", [_val_of_wrong_width, _val_nan, _val_label_beyond_c,
+                                     _path_beyond_grid],
+                         ids=["val-width", "val-nan", "val-label-beyond-c", "path-beyond-grid"])
+def test_single_checks_every_reported_task_before_training(corrupt):
+    # train_single trains task 0 but validates task 1 every epoch
+    grid = build_pair(60, c=(4, 4), n_per_class=20)
+    _, message = corrupt(grid, grid.tasks[1])
+    version = grid.version
+    digest = hashlib.sha256(grid.arena.tobytes()).hexdigest()
+    cfg = TrainConfig(epochs=2, batch_size=8, batch_set_size=3, lr0=3e-3, seed=8)
+    with pytest.raises(InputError, match=message):
+        train_single(grid, grid.tasks[0], cfg)
     assert grid.version == version
     assert hashlib.sha256(grid.arena.tobytes()).hexdigest() == digest
 
