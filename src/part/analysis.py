@@ -156,7 +156,7 @@ def hsic(K: np.ndarray, Lm: np.ndarray) -> float:
         raise InputError(f"need n >= 3 for centering, got {n}")
     _check_symmetric(K)
     _check_symmetric(Lm)
-    return float(np.sum(_center(K) * _center(Lm)) / (n - 1) ** 2)
+    return _pair_sum(_center(K), _center(Lm))
 
 
 def _gram_linear(X: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ Saving goes through `write_atomic` (a temporary file next to the target,
 renamed into place), so a checkpoint is never seen half-written; the
 report and analysis files are written the same way. Loading rejects a
 missing or unreadable file with InputError, and a corrupt one (bad magic,
-unknown version, undecodable or inconsistent metadata, wrong blob size)
-with ContractError, before any of it reaches a grid.
+unknown version, undecodable or inconsistent metadata, wrong blob size, a
+NaN or infinite parameter) with ContractError, before any of it reaches a
+grid.
 """
 
 from __future__ import annotations
@@ -141,5 +142,8 @@ def load_checkpoint(path) -> ModuleGrid:
     if len(blob) > arena.nbytes:
         raise ContractError(
             f"checkpoint parameter blob has {len(blob) - arena.nbytes} unread bytes")
-    arena[...] = np.frombuffer(blob, dtype="<f8")
+    values = np.frombuffer(blob, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise ContractError(f"checkpoint parameter blob holds non-finite values: {path}")
+    arena[...] = values
     return grid

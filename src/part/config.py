@@ -83,6 +83,11 @@ class ExperimentConfig:
     controlled_sharing: str | None = None
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
+    def __post_init__(self):
+        if self.train.seed != self.seed:
+            raise ConfigError("train.seed",
+                              f"must equal the run seed {self.seed}, got {self.train.seed}")
+
     def canonical_dict(self) -> dict:
         """Every field but out_dir, and train.seed, which repeats seed."""
         d = asdict(self)

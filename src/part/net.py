@@ -21,11 +21,12 @@ and norm instances) wait in a pending dict; the arena is laid out lazily,
 on first use by a forward pass, a checkpoint or parameter addressing, so
 building an experiment never repacks the grid once per task.
 
-Each task has a cached *path index* (`path_index`): the arena positions
-its eval forward reads, in gather order. Per layer that is each path
-module's W, then the b, gamma, beta, run_mean and run_var of the norm
-instances the task uses, each module-major as one (N*d_hid,) vector; then
-the head slice. A forward pass reads every layer with one gather. A layer
+Each task has a cached *path index* (`path_index`), built only for a task
+registered on the grid whose path fits it: the arena positions its eval
+forward reads, in gather order. Per layer that is each path module's W,
+then the b, gamma, beta, run_mean and run_var of the norm instances the
+task uses, each module-major as one (N*d_hid,) vector; then the head
+slice. A forward pass reads every layer with one gather. A layer
 runs its N blocks on one C-contiguous sample-major (n, N, d_hid) array,
 that is (n, N*d_hid) with column block k for path module k: a batched
 matmul writes each module's block, batch norm reduces over the samples
@@ -33,7 +34,8 @@ matmul writes each module's block, batch norm reduces over the samples
 module-major, (N, n, d_hid), which the module sum reduces over axis 0. A
 train pass stacks every layer's batch moments and writes the running
 statistics with one update and one scatter after the last layer. The
-tape keeps one `LayerRecord` per layer. The backward mirrors it and
+pass's `Tape` holds the mode and the path rows once, and one `LayerRecord`
+(the layer's six arrays) per layer. The backward reads that tape and
 returns one flat gradient vector over the task's trainable surface only
 (the tensors `trainable_keys` names, in the same order: per layer and
 module W, b, gamma, beta, then the head slice's W and b); `Gradients`
@@ -43,11 +45,12 @@ and a layer with none above it only carries the gradient through. This
 layout gives the same bits as running the blocks one by one
 (`_column_sums` covers the one shape that needs care).
 
-Each pass is an unchecked kernel over a task's PathIndex and plain arrays
-(`forward_kernel`, `backward_kernel`) behind a checked entry point
-(`forward_task`, `backward_task`) that checks the task, mode, input or
-tape, calls the kernel and wraps its arrays in a `Tape` or `Gradients`.
-The trainer checks its inputs once per call, then runs the kernels.
+Each pass is an unchecked kernel over a task's PathIndex (`forward_kernel`
+makes the tape, `backward_kernel` reads it) behind a checked entry point
+(`forward_task`, `backward_task`) that checks the task (through
+`path_index`), the mode, the input or the tape, then calls the kernel; the
+backward's flat vector comes back wrapped in `Gradients`. The trainer
+checks its inputs once per call, then runs the kernels.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import hashlib
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -135,6 +138,8 @@ class ModuleGrid:
             raise InputError(f"norm_mode must be 'shared' or 'per-task', got {norm_mode!r}")
         if n_layers < 1 or n_modules < 1:
             raise InputError("grid needs at least one layer and one module")
+        if d_in < 1 or d_hid < 1:
+            raise InputError(f"grid widths must be >= 1, got d_in={d_in}, d_hid={d_hid}")
         self.n_layers = n_layers
         self.n_modules = n_modules
         self.d_in = d_in
@@ -354,16 +359,17 @@ def trainable_keys(grid: ModuleGrid, task: TaskSpec) -> list:
 class PathIndex:
     """Where one task's path lives in the arena and in its flat gradient.
 
-    `head` is the task's head slice, its columns [start, end) of the head.
-    `positions` lists, in gather order, every arena position an eval
-    forward reads: per layer of the path, each module's W (row-major), then
-    b, gamma, beta, run_mean and run_var, each module-major over the layer's
-    N modules as one (N*d_hid,) vector; then the head slice's W and b. The
-    forward gathers its first `forward_size` entries (the layers) in one
-    go. `stats` holds the arena positions of the running statistics that
-    still track, in the order the train forward stacks its batch moments
-    (per layer the mean, then the variance, each module-major); `live`
-    picks those entries out of the stack (None: all of them).
+    `task_id` is the task's id, which its tapes carry. `head` is the task's
+    head slice, its columns [start, end) of the head. `positions` lists, in
+    gather order, every arena position an eval forward reads: per layer of
+    the path, each module's W (row-major), then b, gamma, beta, run_mean and
+    run_var, each module-major over the layer's N modules as one (N*d_hid,)
+    vector; then the head slice's W and b. The forward gathers its first
+    `forward_size` entries (the layers) in one go. `stats` holds the arena
+    positions of the running statistics that still track, in the order the
+    train forward stacks its batch moments (per layer the mean, then the
+    variance, each module-major); `live` picks those entries out of the
+    stack (None: all of them).
 
     The backward works in a vector of `size` holding, per layer and module,
     W, b, gamma and beta, then the head slice's W and b; their keys, in
@@ -378,6 +384,7 @@ class PathIndex:
     and their arena positions `segments`.
     """
 
+    task_id: int
     path: Path
     head: tuple
     positions: np.ndarray
@@ -395,9 +402,12 @@ class PathIndex:
 
 
 def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
-    """The task's PathIndex. Cached per task; freezing, registration,
-    re-layout and a new `task.path` make the cache stale. Building it
-    checks the path against the grid."""
+    """The task's PathIndex, and the one task check: InputError unless the
+    task is registered on this grid and has a path that fits it. Cached
+    per task; freezing, registration, re-layout and a new `task.path` make
+    the cache stale."""
+    if task.id >= len(grid.tasks) or grid.tasks[task.id] is not task:
+        raise InputError(f"task {task.id} is not registered on this grid")
     cached = grid._paths.get(task.id)
     if cached is not None and cached.path is task.path:
         return cached
@@ -440,7 +450,7 @@ def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
     kept_sizes = [v.size for _, v in kept]
     offsets = np.cumsum(kept_sizes) - kept_sizes
     index = PathIndex(
-        path=task.path, head=task.slice,
+        task_id=task.id, path=task.path, head=task.slice,
         positions=np.concatenate(gather + [v.ravel() for v in head_views]),
         forward_size=int(sum(g.size for g in gather)),
         stats=stats[tracking],
@@ -479,32 +489,31 @@ class Gradients(Mapping):
         return len(self._index.layout)
 
 
-@dataclass
-class LayerRecord:
+class LayerRecord(NamedTuple):
     """One layer's forward intermediates over its N path modules, in
     path-row order. Sample-major arrays are C-contiguous (n, N, d_hid), the
     layout of (n, N*d_hid) with module k in column block k; per-feature
     ones are (N, d_hid)."""
 
-    row: tuple            # module indices
     Ws: np.ndarray        # (N, d_in, d_hid) weights as read by the forward
     gamma: np.ndarray     # (N, d_hid) norm scale as read by the forward
     zhat: np.ndarray      # (n, N, d_hid) normalized pre-activation
     inv_std: np.ndarray   # (N, d_hid) 1/sqrt(var + eps) actually applied
     y: np.ndarray         # (n, N, d_hid) gamma*zhat + beta (pre-ReLU)
     out: np.ndarray       # (N, n, d_hid) relu(y), the pre-sum module outputs
-    batch_stats: bool     # True if normalized with batch stats (train mode)
 
 
 @dataclass
 class Tape:
-    """Activation record of one forward_task call."""
+    """Activation record of one forward pass."""
 
     task_id: int
     grid_version: int
+    train: bool             # normalized with batch statistics (train mode)
+    rows: tuple             # the path's module rows, one per layer
     inputs: list            # h_0 .. h_{L-1}: the input each layer consumed
     layers: list            # one LayerRecord per layer
-    h_final: np.ndarray = None
+    h_final: np.ndarray
 
     def layer_sum(self, layer: int) -> np.ndarray:
         """The summed output of a layer: the next layer's input."""
@@ -512,16 +521,8 @@ class Tape:
 
     def module_outputs(self, layer: int) -> dict[int, np.ndarray]:
         """Each path module's pre-sum output at a layer, by module index."""
-        rec = self.layers[layer]
-        return {m: rec.out[i] for i, m in enumerate(rec.row)}
-
-
-def _check_registered(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
-    """The task's PathIndex, once the task is known to be this grid's and
-    its path to fit the grid."""
-    if task.id >= len(grid.tasks) or grid.tasks[task.id] is not task:
-        raise InputError(f"task {task.id} is not registered on this grid")
-    return path_index(grid, task)
+        out = self.layers[layer].out
+        return {m: out[i] for i, m in enumerate(self.rows[layer])}
 
 
 def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "eval"):
@@ -537,7 +538,7 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
     """
     if mode not in ("train", "eval"):
         raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
-    index = _check_registered(grid, task)
+    index = path_index(grid, task)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != grid.d_in:
         raise InputError(f"input must be (n, {grid.d_in}), got {x.shape}")
@@ -548,10 +549,7 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
         raise InputError("a training batch needs at least 2 samples")
     if not np.isfinite(x).all():
         raise InputError("input contains non-finite values")
-    logits, inputs, layers, h = forward_kernel(grid, index, x, train)
-    records = [LayerRecord(row, *arrays, batch_stats=train)
-               for row, arrays in zip(task.path.rows, layers)]
-    return logits, Tape(task.id, grid.version, inputs, records, h)
+    return forward_kernel(grid, index, x, train)
 
 
 def _column_sums(a: np.ndarray, axis: int, out=None) -> np.ndarray:
@@ -565,9 +563,8 @@ def _column_sums(a: np.ndarray, axis: int, out=None) -> np.ndarray:
 def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: bool):
     """The forward pass of `forward_task`, unchecked: x is a finite float64
     (n, d_in) array, n >= 2 in train mode, and `index` the PathIndex of a
-    task of this grid. Returns (logits, inputs, layers, h): the task-width
-    logits, the input each layer consumed, per layer the arrays (Ws, gamma,
-    zhat, inv_std, y, out) of its LayerRecord, and the last layer's sum.
+    task of this grid. Returns (logits, tape): the task-width logits and the
+    Tape, stamped with the task and `grid.version`, that the backward reads.
 
     One gather reads every layer's parameters, a layer runs on one
     sample-major (n, N, d_hid) array (see the module docstring), and a train
@@ -617,7 +614,7 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
         y += beta
         out = np.empty((N, n, d))
         np.maximum(y, 0.0, out=out.transpose(1, 0, 2))
-        layers.append((Ws, gamma, zhat, inv_std, y, out))
+        layers.append(LayerRecord(Ws, gamma, zhat, inv_std, y, out))
         h = reduce(out, axis=0)
     if train and index.stats.size:
         new = (1 - NORM_MOMENTUM) * arena[index.stats]
@@ -627,7 +624,8 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
     start, end = index.head
     logits = h @ grid.head_W[:, start:end]
     logits += grid.head_b[start:end]
-    return logits, inputs, layers, h
+    tape = Tape(index.task_id, grid.version, train, index.path.rows, inputs, layers, h)
+    return logits, tape
 
 
 def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
@@ -642,7 +640,7 @@ def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
     and its head slice, readable by parameter key. Checks the tape and
     dlogits, then runs `backward_kernel` on the task's slice.
     """
-    index = _check_registered(grid, task)
+    index = path_index(grid, task)
     if tape.task_id != task.id:
         raise ContractError(f"tape belongs to task {tape.task_id}, not {task.id}")
     if tape.grid_version != grid.version:
@@ -652,18 +650,15 @@ def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != (n, grid.c_total):
         raise InputError(f"dlogits must be ({n}, {grid.c_total}), got {dlogits.shape}")
-    layers = [(r.Ws, r.gamma, r.zhat, r.inv_std, r.y, r.out) for r in tape.layers]
-    return Gradients(backward_kernel(grid, index, tape.inputs, layers, tape.h_final,
-                                     dlogits[:, start:end], tape.layers[0].batch_stats), index)
+    return Gradients(backward_kernel(grid, index, tape, dlogits[:, start:end]), index)
 
 
-def backward_kernel(grid: ModuleGrid, index: PathIndex, inputs: list, layers: list,
-                    h: np.ndarray, dslice: np.ndarray, train: bool) -> np.ndarray:
-    """The backward pass of `backward_task`, unchecked: `inputs`, `layers`
-    and `h` are what `forward_kernel` returned for this grid state and
-    `index`, `train` the mode it ran in, and dslice the task-width (n, c)
-    loss gradient. Returns the flat gradient over the task's trainable
-    tensors. Nothing is computed below the lowest layer that holds a
+def backward_kernel(grid: ModuleGrid, index: PathIndex, tape: Tape,
+                    dslice: np.ndarray) -> np.ndarray:
+    """The backward pass of `backward_task`, unchecked: `tape` is what
+    `forward_kernel` returned for this grid state and `index`, and dslice
+    the task-width (n, c) loss gradient. Returns the flat gradient over
+    the task's trainable tensors. Nothing is computed below the lowest layer that holds a
     trainable tensor, and a layer without one above it only passes the
     gradient down. Batch norm's gradient runs on the forward's sample-major
     layout; dz is then made module-contiguous for the weight and input
@@ -679,12 +674,12 @@ def backward_kernel(grid: ModuleGrid, index: PathIndex, inputs: list, layers: li
     work = np.empty(index.size)
     offset = index.size - (d + 1) * c
     if index.trainable is None or index.trainable[-1]:     # the head slice trains
-        np.matmul(h.T, dslice, out=work[offset:offset + d * c].reshape(d, c))
+        np.matmul(tape.h_final.T, dslice, out=work[offset:offset + d * c].reshape(d, c))
         reduce(dslice, axis=0, out=work[offset + d * c:])
     if index.lowest < grid.n_layers:
         dh = dslice @ grid.head_W[:, start:end].T
     for l in range(grid.n_layers - 1, index.lowest - 1, -1):
-        h_prev, (Ws, gamma, zhat, inv_std, y, _) = inputs[l], layers[l]
+        h_prev, (Ws, gamma, zhat, inv_std, y, _) = tape.inputs[l], tape.layers[l]
         N, dd = Ws.shape[0], h_prev.shape[1] * d
         offset -= N * (dd + 3 * d)
         grads = work[offset:offset + N * (dd + 3 * d)].reshape(N, dd + 3 * d)
@@ -694,7 +689,7 @@ def backward_kernel(grid: ModuleGrid, index: PathIndex, inputs: list, layers: li
             sample_sum(dy, 0, out=grads[:, dd + 2 * d:])                 # d beta
         dy *= gamma
         dzhat = dy
-        if train:
+        if tape.train:
             # dz = inv_std * (dzhat - mean(dzhat) - zhat * mean(dzhat * zhat)),
             # the means as sum / n, as .mean computes them
             mean_dzhat = sample_sum(dzhat, 0)

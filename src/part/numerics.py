@@ -44,26 +44,26 @@ class AdamState:
         return cls(m=np.zeros_like(param), v=np.zeros_like(param), lr=lr)
 
 
-def adam_update(params, m, v, grads, lr, c1, c2, beta1, beta2, eps) -> None:
+def adam_update(params, m, v, grads, lr, c1, c2) -> None:
     """The elementwise Adam kernel, in place on params, m and v.
 
     c1 and c2 are the bias corrections 1 - beta1**t and 1 - beta2**t, as
     scalars or per element. Every caller goes through this kernel, so
     per-tensor and fused steps round identically. Each line computes, in
-    the same order, one piece of
+    the same order, one piece of (beta1, beta2, eps: the ADAM_* constants)
         m = beta1 * m + (1 - beta1) * grads
         v = beta2 * v + (1 - beta2) * grads * grads
         params = params - lr * (m / c1) / (sqrt(v / c2) + eps)
     """
-    m *= beta1
-    m += (1.0 - beta1) * grads
-    v *= beta2
-    g2 = (1.0 - beta2) * grads
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    g2 = (1.0 - ADAM_BETA2) * grads
     g2 *= grads
     v += g2
     v_hat = np.divide(v, c2, out=g2)
     np.sqrt(v_hat, out=v_hat)
-    v_hat += eps
+    v_hat += ADAM_EPS
     m_hat = m / c1
     m_hat *= lr
     m_hat /= v_hat
@@ -86,7 +86,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
     new_params, m, v = params.copy(), state.m.copy(), state.v.copy()
     if np.any(grads):
         adam_update(new_params, m, v, grads, state.lr, 1.0 - ADAM_BETA1 ** t,
-                    1.0 - ADAM_BETA2 ** t, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+                    1.0 - ADAM_BETA2 ** t)
     return new_params, AdamState(m=m, v=v, lr=state.lr, step=t)
 
 
@@ -157,7 +157,7 @@ class FlatAdam:
             corrections, lengths = corrections[:, active], lengths[active]
         c1, c2 = np.repeat(corrections, lengths, axis=1)
         p, m, v = params[index], self.m[index], self.v[index]
-        adam_update(p, m, v, grads, lr, c1, c2, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+        adam_update(p, m, v, grads, lr, c1, c2)
         params[index], self.m[index], self.v[index] = p, m, v
 
 

@@ -198,9 +198,9 @@ def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
     afterwards (parameters or running statistics), fails the run."""
     index = path_index(grid, task)
     ds = task.train_ds
-    logits, inputs, layers, h = forward_kernel(grid, index, ds.features[idx], True)
+    logits, tape = forward_kernel(grid, index, ds.features[idx], True)
     loss, dslice = softmax_xent_kernel(logits, ds.labels[idx])
-    grads = backward_kernel(grid, index, inputs, layers, h, dslice, True)
+    grads = backward_kernel(grid, index, tape, dslice)
     if index.trainable_keys:
         adam.step(grid.arena, grads, index.segments, lr)
         grid.version += 1
@@ -213,9 +213,9 @@ def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
 def _check_ready(grid: ModuleGrid, tasks: list[TaskSpec], report_tasks=()) -> None:
     """Once per training call, before any parameter moves, check what
     `forward_task` and `softmax_xent_slice` check per batch and validation:
-    a path and datasets (else ContractError); registered here, a path that
-    fits, datasets of d_in finite features with labels in [0, c) (else
-    InputError). Each of `tasks` has both datasets checked; a task of
+    a path and datasets (else ContractError); then `path_index`'s task
+    check, and datasets of d_in finite features with labels in [0, c)
+    (else InputError). Each of `tasks` has both datasets checked; a task of
     `report_tasks` that does not train, only what validation reads, its
     val_ds. Datasets are immutable only by convention, so every call checks
     again."""
@@ -226,9 +226,7 @@ def _check_ready(grid: ModuleGrid, tasks: list[TaskSpec], report_tasks=()) -> No
             raise ContractError(f"task {t.id} has no path")
         if t.train_ds is None or t.val_ds is None:
             raise ContractError(f"task {t.id} has no datasets attached")
-        if t.id >= len(grid.tasks) or grid.tasks[t.id] is not t:
-            raise InputError(f"task {t.id} is not registered on this grid")
-        t.path.check(grid.n_modules, grid.n_layers)
+        path_index(grid, t)
         for ds in datasets:
             if ds.d != grid.d_in:
                 raise InputError(f"task {t.id}: dataset {ds.name!r} has {ds.d} features, "

@@ -153,6 +153,17 @@ def test_truncated_blob_rejected(tmp_path):
         load_checkpoint(p)
 
 
+def test_nonfinite_blob_rejected(tmp_path):
+    grid = make_grid(seed=74)
+    p = tmp_path / "nan.part"
+    save_checkpoint(grid, p)
+    raw = bytearray(p.read_bytes())
+    raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()     # the last head bias
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ContractError, match="non-finite"):
+        load_checkpoint(p)
+
+
 def test_failed_atomic_write_keeps_the_old_file(tmp_path):
     target = tmp_path / "cka_report.json"
     target.write_bytes(b"old")

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,15 @@ def test_config_field_errors_are_specific(tmp_path):
     doc["mode"] = "swarm"
     with pytest.raises(ConfigError, match="mode"):
         parse_config(doc)
+
+
+def test_one_run_seed(tmp_path):
+    # the hash leaves train.seed out, since it repeats seed: a config whose
+    # two seeds differ would share a hash with one that trains differently
+    cfg = parse_config(minimal_config(tmp_path))
+    assert cfg.train.seed == cfg.seed
+    with pytest.raises(ConfigError, match="train.seed"):
+        dataclasses.replace(cfg, seed=cfg.seed + 1)
 
 
 def test_config_hash_tracks_semantic_fields_only(tmp_path):
@@ -366,7 +377,8 @@ def test_missing_checkpoint_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("corrupt", ["undecodable", "not json", "missing field",
                                      "path beyond M", "path too short",
-                                     "frozen cell beyond grid", "unregistered frozen task"])
+                                     "frozen cell beyond grid", "unregistered frozen task",
+                                     "d_in zero", "d_hid zero", "d_in negative"])
 def test_corrupt_checkpoint_metadata_exits_1(tmp_path, capsys, corrupt):
     cfgp, ckpt = _trained(tmp_path, capsys)
     raw = bytearray(ckpt.read_bytes())
@@ -384,6 +396,9 @@ def test_corrupt_checkpoint_metadata_exits_1(tmp_path, capsys, corrupt):
             doc["frozen"] = [[5, 9]]
         elif corrupt == "unregistered frozen task":
             doc["frozen_tasks"] = [7]
+        elif corrupt.startswith("d_"):
+            field, value = corrupt.split()
+            doc[field] = 0 if value == "zero" else -1
         else:
             doc["tasks"][0]["path"] = [[0, 9], [1, 2]] if corrupt == "path beyond M" else [[0, 1]]
         meta = json.dumps(doc).encode()
@@ -392,6 +407,16 @@ def test_corrupt_checkpoint_metadata_exits_1(tmp_path, capsys, corrupt):
     code, err = _exit_and_stderr(["eval", "--ckpt", str(ckpt), "--config", str(cfgp)],
                                  capsys)
     assert code == 1 and "invalid checkpoint metadata" in err
+
+
+def test_nonfinite_checkpoint_exits_1(tmp_path, capsys):
+    cfgp, ckpt = _trained(tmp_path, capsys)
+    raw = bytearray(ckpt.read_bytes())
+    raw[-8:] = struct.pack("<d", float("nan"))
+    ckpt.write_bytes(bytes(raw))
+    code, err = _exit_and_stderr(["eval", "--ckpt", str(ckpt), "--config", str(cfgp)],
+                                 capsys)
+    assert code == 1 and "non-finite" in err
 
 
 def test_failed_save_leaves_the_old_checkpoint(tmp_path, capsys, monkeypatch):

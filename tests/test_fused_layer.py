@@ -230,15 +230,14 @@ def assert_matches_reference(make, mode):
     # the loss kernel returns it; backward_task above passes a view)
     k_grid, k_task, _, _ = make()
     k_index = path_index(k_grid, k_task)
-    logits_k, *trace = forward_kernel(k_grid, k_index, x, mode == "train")
-    inputs_k, layers_k, h_k = trace
-    assert same_bits(logits_k, logits_ref) and same_bits(h_k, h_final)
+    logits_k, tape_k = forward_kernel(k_grid, k_index, x, mode == "train")
+    assert same_bits(logits_k, logits_ref) and same_bits(tape_k.h_final, h_final)
     for l, recs in enumerate(records):
-        assert same_bits(inputs_k[l], inputs[l])
-        assert same_bits(layers_k[l][-1], np.stack([r["out"] for r in recs.values()]))
+        assert same_bits(tape_k.inputs[l], inputs[l])
+        assert same_bits(tape_k.layers[l].out, np.stack([r["out"] for r in recs.values()]))
     assert same_bits(k_grid.arena, ref_grid.arena)
     view = dlogits[:, slice(*task.slice)]
-    own = backward_kernel(k_grid, k_index, *trace, view.copy(), mode == "train")
+    own = backward_kernel(k_grid, k_index, tape_k, view.copy())
     head_W = ("head", task.id, "W")
     if grid.d_hid == 1 and head_W in grads:
         # h_final.T @ dslice is then a vector-matrix product, which numpy's
@@ -364,9 +363,9 @@ def test_backward_stops_at_the_lowest_trainable_layer():
 
     k_grid, k_task = _frozen_below(done, rows, seed=5)
     index = path_index(k_grid, k_task)
-    _, *trace = forward_kernel(k_grid, index, x, True)
+    _, k_tape = forward_kernel(k_grid, index, x, True)
     dslice = dlogits[:, slice(*task.slice)].copy()
-    assert same_bits(backward_kernel(k_grid, index, *trace, dslice, True), grads.flat)
+    assert same_bits(backward_kernel(k_grid, index, k_tape, dslice), grads.flat)
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,7 +16,8 @@ from part import (
     softmax_xent_slice,
     trainable_keys,
 )
-from part.net import NORM_EPS, NORM_PARAMS, SHARED
+from part.net import NORM_EPS, NORM_PARAMS, SHARED, path_index
+from part.training import freeze_fingerprint
 
 from conftest import cells, make_grid, norm_keys
 
@@ -120,6 +121,12 @@ def _norm_instances(grid, l, m):
             continue
         found.append(nk)
     return found
+
+
+@pytest.mark.parametrize("d_in, d_hid", [(0, 4), (4, 0), (-1, 4), (4, -1)])
+def test_grid_widths_below_one_rejected(d_in, d_hid):
+    with pytest.raises(InputError, match="grid widths must be >= 1"):
+        ModuleGrid(2, 2, d_in, d_hid, seed=0)
 
 
 def test_class_count_below_two_rejected():
@@ -237,6 +244,25 @@ def test_forward_input_validation():
     pathless = register_task(grid, 2)
     with pytest.raises(InputError):
         forward_task(grid, pathless, np.zeros((3, grid.d_in)))
+
+
+@pytest.mark.parametrize("entry", ["path_index", "trainable_keys", "freeze_fingerprint",
+                                   "forward_task"])
+def test_a_task_of_another_grid_is_rejected(entry):
+    # the same shape, a colliding id and the same Path object: only the
+    # registration tells the tasks apart, so the cached index must not answer
+    grid, other = make_grid(seed=7), make_grid(seed=8)
+    mine, foreign = grid.tasks[0], other.tasks[0]
+    foreign.path = mine.path
+    path_index(grid, mine)
+    calls = {
+        "path_index": lambda: path_index(grid, foreign),
+        "trainable_keys": lambda: trainable_keys(grid, foreign),
+        "freeze_fingerprint": lambda: freeze_fingerprint(grid, foreign),
+        "forward_task": lambda: forward_task(grid, foreign, np.zeros((3, grid.d_in))),
+    }
+    with pytest.raises(InputError, match="task 0 is not registered on this grid"):
+        calls[entry]()
 
 
 def test_one_sample_training_batch_rejected():
