@@ -25,32 +25,36 @@ Each task has a cached *path index* (`path_index`), built only for a task
 registered on the grid whose path fits it: the arena positions its eval
 forward reads, in gather order. Per layer that is each path module's W,
 then the b, gamma, beta, run_mean and run_var of the norm instances the
-task uses, each module-major as one (N*d_hid,) vector; then the head
-slice. A forward pass reads every layer with one gather. A layer
-runs its N blocks on one C-contiguous sample-major (n, N, d_hid) array,
-that is (n, N*d_hid) with column block k for path module k: a batched
-matmul writes each module's block, batch norm reduces over the samples
-(axis 0) and broadcasts (N, d_hid) vectors, and the ReLU output is made
-module-major, (N, n, d_hid), which the module sum reduces over axis 0. A
-train pass stacks every layer's batch moments and writes the running
-statistics with one update and one scatter after the last layer. The
-pass's `Tape` holds the mode and the path rows once, and one `LayerRecord`
-(the layer's six arrays) per layer. The backward reads that tape and
-returns one flat gradient vector over the task's trainable surface only
-(the tensors `trainable_keys` names, in the same order: per layer and
-module W, b, gamma, beta, then the head slice's W and b); `Gradients`
-reads it by parameter key and the trainer hands it to the optimizer as it
-is. The backward stops at the lowest layer that holds a trainable tensor,
-and a layer with none above it only carries the gradient through. This
-layout gives the same bits as running the blocks one by one
-(`_column_sums` covers the one shape that needs care).
+task uses, each module-major as one (N*d_hid,) vector; then the head slice.
+Freezing cannot move those positions, so a freeze keeps them and refreshes
+only the index's freeze-dependent fields. A forward pass reads every layer
+with one gather. A layer runs its N blocks on one C-contiguous sample-major
+(n, N, d_hid) array, that is (n, N*d_hid) with column block k for path
+module k: a batched matmul writes each module's block, batch norm reduces
+over the samples (axis 0) and broadcasts (N, d_hid) vectors, and the ReLU
+output is made module-major, (N, n, d_hid), which the module sum reduces
+over axis 0. A train pass stacks every layer's batch moments and writes the
+running statistics with one update and one scatter after the last layer.
+The pass's `Tape` holds the mode and the path rows once, and one
+`LayerRecord` (the layer's six arrays) per layer. The backward reads that
+tape and returns one flat gradient vector over the task's trainable surface
+only (the tensors `trainable_keys` names, in the same order: per layer and
+module W, b, gamma, beta, then the head slice's W and b); `Gradients` reads
+it by parameter key and the trainer hands it to the optimizer as it is. The
+backward stops at the lowest layer that holds a trainable tensor, and a
+layer with none above it only carries the gradient through. This layout
+gives the same bits as running the blocks one by one (`_column_sums` covers
+the one shape that needs care).
 
 Each pass is an unchecked kernel over a task's PathIndex (`forward_kernel`
 makes the tape, `backward_kernel` reads it) behind a checked entry point
 (`forward_task`, `backward_task`) that checks the task (through
 `path_index`), the mode, the input or the tape, then calls the kernel; the
 backward's flat vector comes back wrapped in `Gradients`. The trainer
-checks its inputs once per call, then runs the kernels.
+checks its inputs once per call, then runs the kernels. An eval forward may
+resume at a later layer from the input that layer took in an earlier pass
+over the same parameters below it; validation does so when only later
+layers changed.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -155,7 +159,7 @@ class ModuleGrid:
         self._arena: Optional[np.ndarray] = None
         self._layout: dict = {}       # stored tensor key -> (arena offset, shape)
         self._pending: dict = {}      # stored tensor key -> value not yet in the arena
-        self._paths: dict = {}        # task id -> PathIndex
+        self._paths: dict = {}        # task id -> (frozen set sizes, PathIndex)
 
         for l in range(n_layers):
             fan_in = d_in if l == 0 else d_hid
@@ -338,14 +342,12 @@ def freeze_path(grid: ModuleGrid, path: Path) -> None:
     path.check(grid.n_modules, grid.n_layers)
     for cell in path.modules():
         grid.frozen.add(cell)
-    grid._paths.clear()
 
 
 def freeze_task(grid: ModuleGrid, task: TaskSpec) -> None:
     """Freeze a finished task's own holdings: its per-task norm instances
     and its head slice (tracked via the task id)."""
     grid.frozen_tasks.add(task.id)
-    grid._paths.clear()
 
 
 def trainable_keys(grid: ModuleGrid, task: TaskSpec) -> list:
@@ -364,20 +366,27 @@ class PathIndex:
     gather order, every arena position an eval forward reads: per layer of
     the path, each module's W (row-major), then b, gamma, beta, run_mean and
     run_var, each module-major over the layer's N modules as one (N*d_hid,)
-    vector; then the head slice's W and b. The forward gathers its first
-    `forward_size` entries (the layers) in one go. `stats` holds the arena
-    positions of the running statistics that still track, in the order the
-    train forward stacks its batch moments (per layer the mean, then the
-    variance, each module-major); `live` picks those entries out of the
-    stack (None: all of them).
+    vector; then the head slice's W and b. Layer l's entries start at
+    `starts[l]`, and the head's at `starts[L]`: the forward gathers the
+    first `starts[L]` entries (the layers) in one go. `norm_stats` holds the
+    arena positions of every running statistic the path reads, in the order
+    the train forward stacks its batch moments (per layer the mean, then the
+    variance, each module-major).
 
     The backward works in a vector of `size` holding, per layer and module,
     W, b, gamma and beta, then the head slice's W and b; their keys, in
-    that order, are `keys`, every tensor a finished task freezes.
-    `learns[l]` tells whether layer l holds a trainable tensor and `lowest`
-    is the lowest such layer (the path's depth when none does): the
-    backward computes no gradient below it and none inside a layer that
-    does not learn.
+    that order, are `keys`, every tensor a finished task freezes, and their
+    arena positions, shaped like each tensor, `tensors` (views into
+    `positions`).
+
+    The fields above do not depend on what is frozen; the rest do, and
+    `path_index` refreshes only those when freezing changed them.
+    `trains[i]` tells whether tensor `keys[i]` trains. `stats` holds the
+    entries of `norm_stats` that still track, and `live` picks them out of
+    the stack of batch moments (None: all of them). `learns[l]` tells
+    whether layer l holds a trainable tensor and `lowest` is the lowest such
+    layer (the path's depth when none does): the backward computes no
+    gradient below it and none inside a layer that does not learn.
     `trainable` masks the work vector down to the tensors the optimizer may
     update (None when none is frozen); their keys, in the same order, are
     `trainable_keys`, their (offset, shape) in the masked vector `layout`,
@@ -388,11 +397,14 @@ class PathIndex:
     path: Path
     head: tuple
     positions: np.ndarray
-    forward_size: int
-    stats: np.ndarray
-    live: Optional[np.ndarray]
+    starts: tuple
+    norm_stats: np.ndarray
     size: int
     keys: list
+    tensors: list
+    trains: tuple
+    stats: np.ndarray
+    live: Optional[np.ndarray]
     learns: tuple
     lowest: int
     trainable: Optional[np.ndarray]
@@ -404,68 +416,116 @@ class PathIndex:
 def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
     """The task's PathIndex, and the one task check: InputError unless the
     task is registered on this grid and has a path that fits it. Cached
-    per task; freezing, registration, re-layout and a new `task.path` make
-    the cache stale."""
+    per task; registration, re-layout and a new `task.path` make the cache
+    stale. Freezing keeps the cached index's positions and keys and
+    refreshes only what depends on the freeze, keeping the same object when
+    the task's tensors train as before. The frozen sets only grow (nothing
+    unfreezes), so their sizes tell whether they changed."""
     if task.id >= len(grid.tasks) or grid.tasks[task.id] is not task:
         raise InputError(f"task {task.id} is not registered on this grid")
+    stamp = (len(grid.frozen), len(grid.frozen_tasks))
     cached = grid._paths.get(task.id)
-    if cached is not None and cached.path is task.path:
-        return cached
-    if task.path is None:
-        raise InputError(f"task {task.id} has no path assigned")
-    task.path.check(grid.n_modules, grid.n_layers)
-    positions = np.arange(grid.arena.size)
+    if cached is not None and cached[1].path is task.path:
+        seen, index = cached
+        if seen == stamp:
+            return index
+        trains, tracking = _freeze_flags(grid, task)
+        if trains != index.trains:
+            index = replace(index, **_frozen_fields(grid, vars(index), trains, tracking))
+    else:
+        if task.path is None:
+            raise InputError(f"task {task.id} has no path assigned")
+        task.path.check(grid.n_modules, grid.n_layers)
+        index = _build_path_index(grid, task)
+    grid._paths[task.id] = (stamp, index)
+    return index
+
+
+def _build_path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
+    """A task's PathIndex from scratch: the fields freezing leaves alone,
+    then those it changes (`_frozen_fields`)."""
+    arena_positions = np.arange(grid.arena.size)
     nk = grid.norm_key(task.id)
-    task_frozen = task.id in grid.frozen_tasks
-    gather, stats, tracking, learns = [], [], [], []
-    keys, views, train = [], [], []
+    d = grid.d_hid
+    gather, stats, keys, slots, starts = [], [], [], [], []
+    at = 0
     for l, row in enumerate(task.path.rows):
-        cells, tracks = [], []
-        for m in row:
-            frozen_block = (l, m) in grid.frozen
-            norm_frozen = frozen_block if nk == SHARED else task_frozen
+        starts.append(at)
+        N, fan_in = len(row), grid.d_in if l == 0 else d
+        cells = []
+        for k, m in enumerate(row):
             cell = [("block", l, m, "W"), ("block", l, m, "b")]
             cell += [("norm", l, m, nk, which) for which in NORM_PARAMS]
-            where = [grid._view(positions, key) for key in cell]
-            cells.append([w.ravel() for w in where])
-            tracks.append(not norm_frozen)
+            cells.append([grid._view(arena_positions, key).ravel() for key in cell])
             keys += cell[:4]
-            views += where[:4]
-            train += [not frozen_block] * 2 + [not norm_frozen] * 2
+            # where its W, b, gamma and beta sit in `positions`: each module's
+            # W in turn, then the layer's b, gamma and beta vectors
+            vectors_at = at + N * fan_in * d + k * d
+            slots += [(at + k * fan_in * d, (fan_in, d))]
+            slots += [(vectors_at + j * N * d, (d,)) for j in range(3)]
         # each module's W, then b, gamma, beta, run_mean, run_var module-major
         per_tensor = [np.concatenate(tensor) for tensor in zip(*cells)]
         gather += [w for w, *_ in cells] + per_tensor[1:]
         stats += per_tensor[-2:]
-        tracking += [np.repeat(tracks, grid.d_hid)] * 2
-        learns.append(any(train[-4 * len(row):]))
-    head = [("head", task.id, "W"), ("head", task.id, "b")]
-    head_views = [grid._view(positions, key) for key in head]
-    keys += head
-    views += head_views
-    train += [not task_frozen] * 2
+        at += N * (fan_in + 5) * d
+    starts.append(at)
+    c = task.c
+    keys += [("head", task.id, "W"), ("head", task.id, "b")]
+    slots += [(at, (d, c)), (at + d * c, (c,))]
+    head = [grid._view(arena_positions, key).ravel() for key in keys[-2:]]
+    positions = np.concatenate(gather + head)
+    fixed = dict(
+        task_id=task.id, path=task.path, head=task.slice, positions=positions,
+        starts=tuple(starts), norm_stats=np.concatenate(stats),
+        size=int(sum(math.prod(shape) for _, shape in slots)), keys=keys,
+        tensors=[positions[o:o + math.prod(shape)].reshape(shape) for o, shape in slots],
+    )
+    return PathIndex(**fixed, **_frozen_fields(grid, fixed, *_freeze_flags(grid, task)))
 
-    stats, tracking = np.concatenate(stats), np.concatenate(tracking)
-    sizes = [v.size for v in views]
-    kept = [(k, v) for k, v, t in zip(keys, views, train) if t]
-    kept_sizes = [v.size for _, v in kept]
+
+def _freeze_flags(grid: ModuleGrid, task: TaskSpec) -> tuple:
+    """(trains, tracking): whether each tensor of the task's `keys` trains,
+    and whether each path module's norm instance still tracks running
+    statistics, in path order."""
+    nk = grid.norm_key(task.id)
+    task_frozen = task.id in grid.frozen_tasks
+    trains, tracking = [], []
+    for l, row in enumerate(task.path.rows):
+        for m in row:
+            frozen_block = (l, m) in grid.frozen
+            norm_frozen = frozen_block if nk == SHARED else task_frozen
+            trains += [not frozen_block] * 2 + [not norm_frozen] * 2
+            tracking.append(not norm_frozen)
+    trains += [not task_frozen] * 2
+    return tuple(trains), tracking
+
+
+def _frozen_fields(grid: ModuleGrid, fixed: dict, trains: tuple, tracking: list) -> dict:
+    """The freeze-dependent fields of a PathIndex, by name, from its other
+    fields (`fixed`) and the flags of `_freeze_flags`."""
+    rows = fixed["path"].rows
+    learns, tracks, at = [], [], 0
+    for row in rows:
+        learns.append(any(trains[4 * at:4 * (at + len(row))]))
+        # each running statistic, mean then variance, of the layer's modules
+        tracks += [np.repeat(tracking[at:at + len(row)], grid.d_hid)] * 2
+        at += len(row)
+    tracks = np.concatenate(tracks)
+    sizes = [t.size for t in fixed["tensors"]]
+    kept = [(k, t) for k, t, train in zip(fixed["keys"], fixed["tensors"], trains) if train]
+    kept_sizes = [t.size for _, t in kept]
     offsets = np.cumsum(kept_sizes) - kept_sizes
-    index = PathIndex(
-        task_id=task.id, path=task.path, head=task.slice,
-        positions=np.concatenate(gather + [v.ravel() for v in head_views]),
-        forward_size=int(sum(g.size for g in gather)),
-        stats=stats[tracking],
-        live=None if tracking.all() else np.flatnonzero(tracking),
-        size=int(sum(sizes)),
-        keys=keys,
+    return dict(
+        trains=trains,
+        stats=fixed["norm_stats"][tracks],
+        live=None if tracks.all() else np.flatnonzero(tracks),
         learns=tuple(learns),
         lowest=learns.index(True) if any(learns) else len(learns),
-        trainable=None if all(train) else np.repeat(train, sizes),
-        layout={k: (int(o), v.shape) for (k, v), o in zip(kept, offsets)},
+        trainable=None if all(trains) else np.repeat(trains, sizes),
+        layout={k: (int(o), t.shape) for (k, t), o in zip(kept, offsets)},
         trainable_keys=[k for k, _ in kept],
-        segments=Segments.of([v.ravel() for _, v in kept]),
+        segments=Segments.of([t.ravel() for _, t in kept]),
     )
-    grid._paths[task.id] = index
-    return index
 
 
 class Gradients(Mapping):
@@ -560,7 +620,8 @@ def _column_sums(a: np.ndarray, axis: int, out=None) -> np.ndarray:
     return np.add.reduce(np.moveaxis(a, axis, -1).copy(), axis=-1, out=out)
 
 
-def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: bool):
+def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: bool,
+                   start: int = 0):
     """The forward pass of `forward_task`, unchecked: x is a finite float64
     (n, d_in) array, n >= 2 in train mode, and `index` the PathIndex of a
     task of this grid. Returns (logits, tape): the task-width logits and the
@@ -569,7 +630,13 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
     One gather reads every layer's parameters, a layer runs on one
     sample-major (n, N, d_hid) array (see the module docstring), and a train
     pass writes every layer's running statistics with one scatter after the
-    last."""
+    last.
+
+    An eval pass may resume at layer `start` (grid.n_layers: the head
+    alone): x is then the input that layer took in an earlier eval pass
+    whose parameters below it are the current ones, and the logits are
+    those of the whole pass. Its tape records the layers from `start` on,
+    for their inputs and the logits, not for a backward."""
     # every temporary below is fresh, so the in-place forms and out= only
     # save allocations: each value goes through the same operations
     reduce = np.add.reduce
@@ -577,13 +644,14 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
     d = grid.d_hid
     n = x.shape[0]
     sample_sum = reduce if d > 1 else _column_sums
-    params = arena[index.positions[:index.forward_size]]
+    rows = index.path.rows[start:]
+    params = arena[index.positions[index.starts[start]:index.starts[-1]]]
     if train:   # per layer the batch mean, then the variance: (2, N, d_hid)
-        moments = np.empty(2 * d * sum(map(len, index.path.rows)))
+        moments = np.empty(2 * d * sum(map(len, rows)))
     inputs, layers = [], []
     h = x
     at = m_at = 0
-    for row in index.path.rows:
+    for row in rows:
         inputs.append(h)
         N, fan_in = len(row), h.shape[1]
         Ws = params[at:at + N * fan_in * d].reshape(N, fan_in, d)
@@ -624,7 +692,7 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
     start, end = index.head
     logits = h @ grid.head_W[:, start:end]
     logits += grid.head_b[start:end]
-    tape = Tape(index.task_id, grid.version, train, index.path.rows, inputs, layers, h)
+    tape = Tape(index.task_id, grid.version, train, rows, inputs, layers, h)
     return logits, tape
 
 

@@ -9,7 +9,8 @@ Adam has one elementwise kernel, `adam_update`, which works in place.
 `adam_step` applies it to copies of one tensor and its moments; `FlatAdam`
 applies it to many tensors of one flat parameter vector at once (gathered,
 updated, scattered back), with the same bits as looping `adam_step` over
-them.
+them. It keeps the moments of the tensors it last stepped gathered, since
+the next step mostly updates the same ones.
 """
 
 from __future__ import annotations
@@ -119,14 +120,46 @@ class FlatAdam:
     `adam_step` on each tensor in turn: the same kernel, bias corrections
     from Python float powers (computed once per step value), and the
     zero-gradient fixed point per tensor.
+
+    The moments and counters of the last-stepped `Segments` stay gathered
+    between steps, and go back into the full vectors only when other
+    segments step (a training task mostly steps after itself). `m`, `v`
+    and `steps` read as current, as read-only views.
     """
 
     def __init__(self, size: int):
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.steps = np.zeros(size, dtype=np.int64)
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._steps = np.zeros(size, dtype=np.int64)
+        # (segments, m, v, steps) gathered at the segments last stepped
+        self._held = None
         # 1 - beta1**t and 1 - beta2**t (rows) by step t (columns; t = 0 unused)
         self._table = np.zeros((2, 1))
+
+    def _put_back(self) -> None:
+        """Scatter the held moments and counters into the full vectors."""
+        if self._held is not None:
+            segments, m, v, t = self._held
+            self._m[segments.index], self._v[segments.index] = m, v
+            self._steps[segments.first] = t
+
+    def _read(self, full: np.ndarray) -> np.ndarray:
+        self._put_back()
+        view = full.view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def m(self) -> np.ndarray:
+        return self._read(self._m)
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._read(self._v)
+
+    @property
+    def steps(self) -> np.ndarray:
+        return self._read(self._steps)
 
     def _corrections(self, t: np.ndarray) -> np.ndarray:
         """(2, len(t)): both bias corrections at each step value in t."""
@@ -146,19 +179,26 @@ class FlatAdam:
         moments; their counters advance."""
         if grads.shape != segments.index.shape:
             raise InputError(f"expected {segments.index.size} gradient values, got {grads.shape}")
-        t = self.steps[segments.first] + 1
-        self.steps[segments.first] = t
+        if self._held is None or self._held[0] is not segments:
+            self._put_back()
+            self._held = (segments, self._m[segments.index], self._v[segments.index],
+                          self._steps[segments.first])
+        _, m, v, t = self._held
+        t += 1
         corrections = self._corrections(t)
         index, lengths = segments.index, segments.lengths
         active = np.logical_or.reduceat(grads != 0, segments.starts)
-        if not active.all():
-            keep = np.repeat(active, lengths)
-            index, grads = index[keep], grads[keep]
-            corrections, lengths = corrections[:, active], lengths[active]
-        c1, c2 = np.repeat(corrections, lengths, axis=1)
-        p, m, v = params[index], self.m[index], self.v[index]
-        adam_update(p, m, v, grads, lr, c1, c2)
-        params[index], self.m[index], self.v[index] = p, m, v
+        if active.all():
+            c1, c2 = np.repeat(corrections, lengths, axis=1)
+            p = params[index]
+            adam_update(p, m, v, grads, lr, c1, c2)
+            params[index] = p
+            return
+        keep = np.repeat(active, lengths)
+        c1, c2 = np.repeat(corrections[:, active], lengths[active], axis=1)
+        p, m_kept, v_kept = params[index[keep]], m[keep], v[keep]
+        adam_update(p, m_kept, v_kept, grads[keep], lr, c1, c2)
+        params[index[keep]], m[keep], v[keep] = p, m_kept, v_kept
 
 
 def softmax_xent_slice(logits: np.ndarray, labels: np.ndarray, sl: tuple[int, int]):

@@ -13,6 +13,7 @@ data.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import time
@@ -149,13 +150,26 @@ class RunReport:
         return float(np.mean([row["val_acc"] for row in self.final]))
 
 
-def validate(grid: ModuleGrid, task: TaskSpec) -> float:
+def validate(grid: ModuleGrid, task: TaskSpec, inputs: list | None = None) -> float:
     """Eval-mode accuracy on the task's validation set; argmax inside the
-    task's slice, ties broken toward the lowest index."""
+    task's slice, ties broken toward the lowest index.
+
+    `inputs` serves `_ValidationMemo`. Given, it holds h_0 .. h_k: the
+    inputs that layers 0 .. k (k = L: the head) took in an earlier eval pass
+    on this `val_ds`, whose parameters below layer k are the current ones.
+    The pass then resumes at layer k (k = 0 runs it whole, as does an empty
+    list), and `inputs` is completed in place to h_0 .. h_L, the last being
+    the input of the head."""
     ds = task.val_ds
     if ds is None or ds.n == 0:
         raise InputError(f"task {task.id} has no validation samples")
-    logits, _ = forward_task(grid, task, ds.features, mode="eval")
+    start = len(inputs) - 1 if inputs else 0
+    if start:
+        logits, tape = forward_kernel(grid, path_index(grid, task), inputs[start], False, start)
+    else:
+        logits, tape = forward_task(grid, task, ds.features, mode="eval")
+    if inputs is not None:
+        inputs[start:] = [*tape.inputs, tape.h_final]
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == ds.labels))
 
@@ -166,23 +180,35 @@ class _ValidationMemo:
     statistics included, and head slice: `PathIndex.positions`) differs, bit
     for bit, from its value at that task's last validation, or when those
     positions or the `val_ds` object differ. Equal inputs give an equal
-    accuracy, so a hit returns the same number `validate` would.
+    accuracy, so a hit returns the same number `validate` would. The memo
+    also keeps the input each layer took in that last pass, so a pass that
+    runs again resumes at the first layer (or the head) whose parameters
+    changed: the layers below it would compute the same bits again.
 
-    The memo holds arrays and the validation set, never the grid or a task,
-    and lives as long as the training call that made it."""
+    The memo holds arrays and the validation set, never the grid, a task or
+    a tape, and lives as long as the training call that made it."""
 
     def __init__(self):
-        self._last: dict[int, tuple] = {}   # task id -> (positions, val_ds, bits, accuracy)
+        # task id -> (positions, val_ds, bits, accuracy, layer inputs h_0 .. h_L)
+        self._last: dict[int, tuple] = {}
 
     def accuracy(self, grid: ModuleGrid, task: TaskSpec) -> float:
-        positions = path_index(grid, task).positions
+        index = path_index(grid, task)
+        positions = index.positions
         bits = grid.arena[positions].view(np.uint64)
         last = self._last.get(task.id)
+        inputs = []
         if (last is not None and last[1] is task.val_ds
-                and np.array_equal(last[0], positions) and np.array_equal(last[2], bits)):
-            return last[3]
-        acc = validate(grid, task)
-        self._last[task.id] = (positions, task.val_ds, bits, acc)
+                and (last[0] is positions or np.array_equal(last[0], positions))):
+            changed = last[2] != bits
+            first = int(changed.argmax())
+            if not changed[first]:
+                return last[3]
+            # the layer that reads the first changed position, keeping the
+            # inputs of that layer and those below it
+            inputs = last[4][:bisect.bisect_right(index.starts, first)]
+        acc = validate(grid, task, inputs)
+        self._last[task.id] = (positions, task.val_ds, bits, acc, inputs)
         return acc
 
 
@@ -215,10 +241,11 @@ def _check_ready(grid: ModuleGrid, tasks: list[TaskSpec], report_tasks=()) -> No
     `forward_task` and `softmax_xent_slice` check per batch and validation:
     a path and datasets (else ContractError); then `path_index`'s task
     check, and datasets of d_in finite features with labels in [0, c)
-    (else InputError). Each of `tasks` has both datasets checked; a task of
-    `report_tasks` that does not train, only what validation reads, its
-    val_ds. Datasets are immutable only by convention, so every call checks
-    again."""
+    (else InputError). Each of `tasks` has both datasets checked, and a
+    training set of at least 2 samples, since a training batch needs 2; a
+    task of `report_tasks` that does not train, only what validation reads,
+    its val_ds. Datasets are immutable only by convention, so every call
+    checks again."""
     checks = [(t, (t.train_ds, t.val_ds)) for t in tasks]
     checks += [(t, (t.val_ds,)) for t in report_tasks if all(t is not u for u in tasks)]
     for t, datasets in checks:
@@ -235,6 +262,10 @@ def _check_ready(grid: ModuleGrid, tasks: list[TaskSpec], report_tasks=()) -> No
                 raise InputError(f"task {t.id}: dataset {ds.name!r} has labels outside [0,{t.c})")
             if not np.isfinite(ds.features).all():
                 raise InputError(f"task {t.id}: dataset {ds.name!r} has non-finite features")
+    for t in tasks:
+        if t.train_ds.n < 2:
+            raise InputError(f"task {t.id}: training set {t.train_ds.name!r} has "
+                             f"{t.train_ds.n} sample(s); a training batch needs at least 2")
 
 
 def _train_phases(grid, mode, phases, report_tasks, cfg, config_hash, log,

@@ -1,5 +1,7 @@
 """The flat parameter arena and the fused Adam step built on it."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,14 @@ from part import (
     TrainConfig,
     adam_step,
     freeze_path,
+    freeze_task,
     load_checkpoint,
     register_task,
     save_checkpoint,
     train_parallel,
+    train_sequential,
 )
+from part import net
 from part.net import NORM_PARAMS, SHARED, path_index, trainable_keys
 from part.numerics import FlatAdam, Segments
 
@@ -130,6 +135,77 @@ def test_path_index_segments_are_cached_until_a_freeze():
     assert index2.segments is not seg
 
 
+def assert_same_index(got, want):
+    """Two PathIndex objects agree field by field, arrays bit for bit."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, Segments):
+            a, b = dataclasses.astuple(a), dataclasses.astuple(b)
+        if f.name == "tensors" or isinstance(b, tuple) and b and isinstance(b[0], np.ndarray):
+            assert len(a) == len(b), f.name
+            for x, y in zip(a, b):
+                assert x.shape == y.shape, f.name
+                np.testing.assert_array_equal(x, y, err_msg=f.name)
+        elif isinstance(b, np.ndarray) or b is None:
+            assert (a is None) == (b is None), f.name
+            if b is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize("norm_mode", ["shared", "per-task"])
+def test_index_after_freezing_equals_a_fresh_build(norm_mode, tmp_path):
+    grid = make_grid(L=3, M=4, N=2, norm_mode=norm_mode, seed=86, class_counts=(3, 2, 4))
+    ta, tb, tc = grid.tasks
+
+    def check(g):
+        arena_positions = np.arange(g.arena.size)
+        for t in g.tasks:
+            index = path_index(g, t)
+            assert_same_index(index, net._build_path_index(g, t))
+            for key, tensor in zip(index.keys, index.tensors):
+                np.testing.assert_array_equal(tensor, g._view(arena_positions, key))
+
+    check(grid)
+    before = [path_index(grid, t) for t in grid.tasks]
+    freeze_path(grid, ta.path)
+    check(grid)
+    for t, old in zip(grid.tasks, before):
+        # freezing keeps the positions, and the whole index of a task whose
+        # tensors all train as before
+        index = path_index(grid, t)
+        assert index.positions is old.positions
+        assert (index is old) == (index.trains == old.trains)
+    freeze_task(grid, ta)
+    check(grid)
+    freeze_path(grid, tb.path)
+    freeze_task(grid, tb)
+    check(grid)
+    save_checkpoint(grid, tmp_path / "g.part")
+    loaded = load_checkpoint(tmp_path / "g.part")
+    check(loaded)
+    freeze_path(loaded, loaded.tasks[2].path)
+    freeze_task(loaded, loaded.tasks[2])
+    check(loaded)
+
+
+def test_sequential_training_builds_each_index_once(monkeypatch):
+    builds = []
+    real = net._build_path_index
+
+    def counting(grid, task):
+        builds.append(task.id)
+        return real(grid, task)
+
+    monkeypatch.setattr(net, "_build_path_index", counting)
+    grid = make_grid(L=3, M=4, N=2, seed=87, class_counts=(2,) * 8)
+    attach_synthetic(grid, np.random.default_rng(3), n_per_class=6)
+    train_sequential(grid, grid.tasks, TrainConfig(epochs=2, batch_size=4, lr0=1e-2, seed=0))
+    assert sorted(builds) == list(range(8))
+
+
 def test_nonfinite_training_fails_loudly():
     # features x 1e150 at lr 1e3 overflowed silently into a chance-level run
     grid = make_grid(L=2, M=4, N=2, d_in=6, seed=86, class_counts=(3, 3))
@@ -198,3 +274,59 @@ def test_fused_step_matches_per_tensor_adam_step(problem):
         np.testing.assert_array_equal(fused.m[p], state.m.ravel())
         np.testing.assert_array_equal(fused.v[p], state.v.ravel())
         assert fused.steps[p[0]] == state.step
+
+
+@st.composite
+def resident_problem(draw):
+    """Tensors at scattered positions of a flat vector, a few tensor sets
+    (one Segments object each, sets may overlap), and runs of consecutive
+    steps on one set, some tensors with a zero gradient."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    n_tensors = len(sizes)
+    sets = draw(st.lists(st.sets(st.integers(0, n_tensors - 1), min_size=1),
+                         min_size=1, max_size=3))
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, len(sets) - 1),                # the set that steps
+                  st.integers(1, 3),                            # consecutive steps
+                  st.sets(st.integers(0, n_tensors - 1)),       # zero gradients
+                  st.floats(1e-4, 1.0)),                        # lr
+        min_size=1, max_size=6))
+    return sizes, sets, runs, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(resident_problem())
+def test_held_moments_match_per_tensor_adam_step_after_every_step(problem):
+    sizes, sets, runs, seed = problem
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(sum(sizes))
+    positions = np.split(order, np.cumsum(sizes)[:-1])
+    flat = rng.normal(size=order.size)
+    ref = [flat[p].copy() for p in positions]
+    states = [AdamState.for_param(r, lr=1.0) for r in ref]
+    segments = [Segments.of([positions[i] for i in sorted(s)]) for s in sets]
+    fused = FlatAdam(flat.size)
+    # reading m, v or steps brings the held moments up to date, so a second
+    # optimizer on a copy takes the same steps and is read only at the end
+    unread, unread_flat = FlatAdam(flat.size), flat.copy()
+    for which, count, zero, lr in runs:
+        stepped = sorted(sets[which])
+        for _ in range(count):
+            grads = [np.zeros(sizes[i]) if i in zero
+                     else rng.normal(size=sizes[i]) * 10.0 ** rng.uniform(-6, 3)
+                     for i in stepped]
+            for i, g in zip(stepped, grads):
+                states[i].lr = lr
+                ref[i], states[i] = adam_step(ref[i], g, states[i])
+            fused.step(flat, np.concatenate(grads), segments[which], lr)
+            unread.step(unread_flat, np.concatenate(grads), segments[which], lr)
+            for p, r, state in zip(positions, ref, states):
+                np.testing.assert_array_equal(flat[p], r)
+                np.testing.assert_array_equal(fused.m[p], state.m)
+                np.testing.assert_array_equal(fused.v[p], state.v)
+                assert fused.steps[p[0]] == state.step
+    np.testing.assert_array_equal(unread_flat, flat)
+    for name in ("m", "v", "steps"):
+        np.testing.assert_array_equal(getattr(unread, name), getattr(fused, name))
+    with pytest.raises(ValueError):
+        fused.m[0] = 1.0                # the moments read as read-only views

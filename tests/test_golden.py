@@ -106,16 +106,23 @@ def test_golden_report_and_checkpoint(tmp_path, mode, norm_mode):
 # forward reads changed since its last validation in the same training call
 
 def count_eval_forwards(monkeypatch, on_eval):
-    """Wrap the forward pass training calls so that every eval-mode call
+    """Wrap the forward passes training calls so that every eval-mode pass,
+    whole (`forward_task`) or resumed at a later layer (`forward_kernel`),
     reports its task to `on_eval`."""
-    real = part.training.forward_task
+    real_task, real_kernel = part.training.forward_task, part.training.forward_kernel
 
-    def counting(grid, task, x, mode="eval"):
+    def counting_task(grid, task, x, mode="eval"):
         if mode == "eval":
             on_eval(task)
-        return real(grid, task, x, mode=mode)
+        return real_task(grid, task, x, mode=mode)
 
-    monkeypatch.setattr(part.training, "forward_task", counting)
+    def counting_kernel(grid, index, x, train, start=0):
+        if not train:
+            on_eval(grid.tasks[index.task_id])
+        return real_kernel(grid, index, x, train, start)
+
+    monkeypatch.setattr(part.training, "forward_task", counting_task)
+    monkeypatch.setattr(part.training, "forward_kernel", counting_kernel)
 
 
 # eval forwards of the tiny sequential run: without the memo every one of

@@ -24,6 +24,8 @@ from part import (
     train_single,
     validate,
 )
+from part.data import Dataset
+from part.net import NORM_PARAMS
 from part.training import RunReport, freeze_fingerprint
 
 from conftest import make_dataset, make_grid
@@ -146,6 +148,65 @@ def test_validate_requires_val_set():
     grid.tasks[0].val_ds = None
     with pytest.raises(InputError):
         validate(grid, grid.tasks[0])
+
+
+@st.composite
+def one_ulp_changes(draw):
+    """A depth, a norm mode, and one to three one-ulp changes, each to one
+    parameter of a drawn layer of task 0's path (the depth: its head)."""
+    depth = draw(st.integers(1, 4))
+    changes = draw(st.lists(st.tuples(st.integers(0, depth), st.integers(0, 2**32 - 1)),
+                            min_size=1, max_size=3))
+    return depth, draw(st.sampled_from(["shared", "per-task"])), changes, draw(
+        st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(one_ulp_changes())
+def test_resumed_validation_matches_a_full_eval_pass(problem):
+    from part import training
+
+    depth, norm_mode, changes, seed = problem
+    rng = np.random.default_rng(seed)
+    grid = make_grid(L=depth, M=4, N=2, d_in=5, d_hid=4, norm_mode=norm_mode,
+                     seed=seed % 1000, rng=rng, randomize_norms=True)
+    task = grid.tasks[0]
+    _, task.val_ds = gen_synthetic_task(rng, task.c, 20, grid.d_in, 2.0)
+    memo = training._ValidationMemo()
+    resumed = []
+    real = training.forward_kernel
+
+    def spy(grid, index, x, train, start=0):
+        logits, tape = real(grid, index, x, train, start)
+        resumed.append((start, logits))
+        return logits, tape
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "forward_kernel", spy)
+        memo.accuracy(grid, task)
+        for layer, pick in changes:
+            if layer == depth:
+                key = ("head", task.id, "W" if pick % 2 else "b")
+            else:
+                m = task.path.rows[layer][pick % 2]
+                which = (("W", "b") + NORM_PARAMS)[pick // 2 % 6]
+                key = (("block", layer, m, which) if which in ("W", "b")
+                       else ("norm", layer, m, grid.norm_key(task.id), which))
+            value = grid.get_param(key)
+            flat = value.reshape(-1)
+            i = pick // 12 % flat.size
+            flat[i] = np.nextafter(flat[i], np.inf if pick // 3 % 2 else -np.inf)
+            grid.set_param(key, value)
+            resumed.clear()
+            acc = memo.accuracy(grid, task)
+            logits, _ = forward_task(grid, task, task.val_ds.features, mode="eval")
+            assert acc == validate(grid, task)
+            if layer == 0:
+                assert resumed == []        # a whole pass, through forward_task
+            else:
+                [(start, got)] = resumed
+                assert start == layer
+                np.testing.assert_array_equal(got, logits)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +441,29 @@ def test_single_checks_every_reported_task_before_training(corrupt):
     cfg = TrainConfig(epochs=2, batch_size=8, batch_set_size=3, lr0=3e-3, seed=8)
     with pytest.raises(InputError, match=message):
         train_single(grid, grid.tasks[0], cfg)
+    assert grid.version == version
+    assert hashlib.sha256(grid.arena.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("procedure", ["parallel", "sequential", "single"])
+def test_one_sample_training_set_rejected_before_training(procedure):
+    # every batch of a one-sample training set has one sample, which a
+    # training forward rejects (zero batch variance)
+    rng = np.random.default_rng(6)
+    grid = ModuleGrid(2, 3, 4, 5)
+    task = register_task(grid, 2)
+    task.path = Path(((0, 1), (1, 2)))
+    task.train_ds = Dataset(rng.normal(size=(1, 4)), [0], c=1)
+    task.val_ds = make_dataset(rng, n=6, d=4, c=2)
+    version = grid.version
+    digest = hashlib.sha256(grid.arena.tobytes()).hexdigest()
+    cfg = TrainConfig(epochs=2, batch_size=8, batch_set_size=3, lr0=3e-3, seed=8)
+    with pytest.raises(InputError, match="needs at least 2"):
+        if procedure == "single":
+            train_single(grid, task, cfg)
+        else:
+            train = train_parallel if procedure == "parallel" else train_sequential
+            train(grid, [task], cfg)
     assert grid.version == version
     assert hashlib.sha256(grid.arena.tobytes()).hexdigest() == digest
 
