@@ -12,9 +12,11 @@ import sys
 from pathlib import Path as FsPath
 
 from .checkpoint import write_json
-from .config import load_config
+from .config import MODES, load_config
 from .errors import ContractError, InputError, NumericError
 from .experiment import (
+    CHECKPOINT_NAME,
+    REPORT_NAME,
     analyze_checkpoint,
     compare_reports,
     evaluate_checkpoint,
@@ -42,7 +44,7 @@ def _cmd_train(args) -> int:
     report = run_experiment(cfg, out_dir=args.out, log=print)
     out = FsPath(args.out if args.out is not None else cfg.out_dir)
     print(f"final mean val_acc {report.mean_final_accuracy():.4f}")
-    print(f"wrote {out / 'report.json'} and {out / 'checkpoint.part'}")
+    print(f"wrote {out / REPORT_NAME} and {out / CHECKPOINT_NAME}")
     return 0
 
 
@@ -107,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run a training experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=["parallel", "sequential", "single"], default=None,
-                   help="override config mode")
+    p.add_argument("--mode", choices=MODES, default=None, help="override config mode")
     p.add_argument("--out", default=None, help="override config out_dir")
     p.set_defaults(func=_cmd_train)
 

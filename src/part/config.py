@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path as FsPath
 
@@ -121,8 +122,9 @@ def _name(typ) -> str:
 def _get(d: dict, key: str, typ, where: str = "", default=_MISSING, items=None):
     """d[key], checked to be a `typ` (see `_is_a`) and, for a list, to hold
     only `items`; `default` if the key is absent, and an error if it is
-    absent with no default. The value comes back as the file has it (an
-    int read as a float stays an int), so the check leaves the hash alone."""
+    absent with no default. A float must be finite (JSON parsing takes NaN
+    and Infinity). The value comes back as the file has it (an int read as
+    a float stays an int), so the check leaves the hash alone."""
     name = f"{where}.{key}" if where else key
     if key not in d:
         if default is _MISSING:
@@ -131,6 +133,8 @@ def _get(d: dict, key: str, typ, where: str = "", default=_MISSING, items=None):
     v = d[key]
     if not _is_a(v, typ):
         raise ConfigError(name, f"expected {_name(typ)}, got {_name(type(v))}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(name, f"must be finite, got {v}")
     for x in v if items is not None else ():
         if not _is_a(x, items):
             raise ConfigError(name, f"expected a list of {_name(items)}, got an item {x!r}")
@@ -243,6 +247,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
     if analysis.capture_n < 3:
         raise ConfigError("analysis.capture_n", "must be >= 3")
+    if analysis.rbf_frac <= 0:
+        raise ConfigError("analysis.rbf_frac", f"must be positive, got {analysis.rbf_frac}")
+    if analysis.rbf_sigma is not None and analysis.rbf_sigma <= 0:
+        raise ConfigError("analysis.rbf_sigma", f"must be positive, got {analysis.rbf_sigma}")
 
     return ExperimentConfig(seed=seed, mode=mode, norm_mode=norm_mode, out_dir=out_dir,
                             grid=grid, tasks=tasks, train=train,

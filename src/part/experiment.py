@@ -44,14 +44,22 @@ CHECKPOINT_NAME = "checkpoint.part"
 REPORT_NAME = "report.json"
 
 
+def _synthetic_pairs(cfg: ExperimentConfig) -> dict:
+    """(train, val) of each synthetic task, by its index in the config,
+    drawn in config order from the data stream (CSV tasks draw nothing)."""
+    data_rng = derive_rng(cfg.seed, STREAM_DATA)
+    return {i: gen_synthetic_task(data_rng, tc.c, tc.n_per_class, cfg.grid.d_in, tc.margin,
+                                  name=tc.name)
+            for i, tc in enumerate(cfg.tasks) if tc.kind == "synthetic"}
+
+
 def build_datasets(cfg: ExperimentConfig):
     """(train, val) per task, standardized, trains oversampled to equal size."""
-    data_rng = derive_rng(cfg.seed, STREAM_DATA)
+    synthetic = _synthetic_pairs(cfg)
     trains, vals = [], []
     for i, tc in enumerate(cfg.tasks):
-        if tc.kind == "synthetic":
-            train, val = gen_synthetic_task(data_rng, tc.c, tc.n_per_class,
-                                            cfg.grid.d_in, tc.margin, name=tc.name)
+        if i in synthetic:
+            train, val = synthetic[i]
         else:
             train = load_csv(tc.train_csv, name=f"{tc.name}-train")
             val = load_csv(tc.val_csv, name=f"{tc.name}-val")
@@ -90,7 +98,16 @@ def build_experiment(cfg: ExperimentConfig) -> ModuleGrid:
 
 
 def attach_datasets(grid: ModuleGrid, cfg: ExperimentConfig) -> None:
-    """Rebuild the config's datasets onto a checkpoint-loaded grid."""
+    """Rebuild the config's datasets onto a checkpoint-loaded grid. The
+    config must describe the checkpoint: its grid shape, norm mode, seed
+    (which the datasets are drawn from), task count and class counts."""
+    g = cfg.grid
+    for name, value in (("n_layers", g.n_layers), ("n_modules", g.n_modules),
+                        ("d_in", g.d_in), ("d_hid", g.d_hid),
+                        ("norm_mode", cfg.norm_mode), ("seed", cfg.seed)):
+        if getattr(grid, name) != value:
+            raise InputError(f"checkpoint has {name} {getattr(grid, name)!r}, "
+                             f"config gives {value!r}")
     if len(grid.tasks) != len(cfg.tasks):
         raise InputError(f"checkpoint has {len(grid.tasks)} tasks, "
                          f"config defines {len(cfg.tasks)}")
@@ -152,16 +169,14 @@ def _report_problem(report: RunReport):
 
 
 def generate_data_files(cfg: ExperimentConfig, out_dir=None) -> list[str]:
-    """Materialize every synthetic task's splits as CSV under out/data/."""
+    """Materialize every synthetic task's splits as CSV under out/data/, as
+    generated: not oversampled, and without reading the CSV tasks."""
     out = FsPath(out_dir if out_dir is not None else cfg.out_dir) / "data"
     out.mkdir(parents=True, exist_ok=True)
-    pairs = build_datasets(cfg)
     written = []
-    for tc, (train, val) in zip(cfg.tasks, pairs):
-        if tc.kind != "synthetic":
-            continue
+    for i, (train, val) in _synthetic_pairs(cfg).items():
         for split, ds in (("train", train), ("val", val)):
-            path = out / f"{tc.name}_{split}.csv"
+            path = out / f"{cfg.tasks[i].name}_{split}.csv"
             write_csv(path, ds)
             written.append(str(path))
     return written
@@ -181,10 +196,10 @@ def analyze_checkpoint(ckpt_path, cfg: ExperimentConfig, out_dir=None) -> dict:
     sharing_profile.json into out/analysis/, each atomically; returns the
     artifact index.
     """
-    out = FsPath(out_dir if out_dir is not None else cfg.out_dir) / "analysis"
-    out.mkdir(parents=True, exist_ok=True)
     grid = load_checkpoint(ckpt_path)
     attach_datasets(grid, cfg)
+    out = FsPath(out_dir if out_dir is not None else cfg.out_dir) / "analysis"
+    out.mkdir(parents=True, exist_ok=True)
     artifacts: dict = {"out_dir": str(out)}
 
     if cfg.analysis.sharing:

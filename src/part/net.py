@@ -80,18 +80,22 @@ NORM_PARAMS = ("gamma", "beta", "run_mean", "run_var")
 
 @dataclass(frozen=True)
 class Path:
-    """Per-task module selection: one strictly increasing index row per layer."""
+    """Per-task module selection: one strictly increasing row of module
+    indices per layer, Python or numpy integers, stored as tuples of int."""
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         for l, row in enumerate(self.rows):
+            if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) for m in row):
+                raise InputError(f"path row {l} must hold integers, got {row}")
             if len(set(row)) != len(row) or list(row) != sorted(row):
                 raise InputError(f"path row {l} must be strictly increasing, got {row}")
             if len(row) == 0:
                 raise InputError(f"path row {l} is empty")
             if min(row) < 0:
                 raise InputError(f"path row {l} has negative module index")
+        object.__setattr__(self, "rows", tuple(tuple(map(int, row)) for row in self.rows))
 
     @property
     def depth(self) -> int:
@@ -354,7 +358,8 @@ def trainable_keys(grid: ModuleGrid, task: TaskSpec) -> list:
     """Parameter keys the optimizer may update for this task: unfrozen path
     blocks, the norm instances the task trains (own ones in per-task mode,
     unfrozen shared ones otherwise), and the task's head slice."""
-    return list(path_index(grid, task).trainable_keys)
+    index = path_index(grid, task)
+    return [key for key, train in zip(index.keys, index.trains) if train]
 
 
 @dataclass(frozen=True)
@@ -387,10 +392,9 @@ class PathIndex:
     whether layer l holds a trainable tensor and `lowest` is the lowest such
     layer (the path's depth when none does): the backward computes no
     gradient below it and none inside a layer that does not learn.
-    `trainable` masks the work vector down to the tensors the optimizer may
-    update (None when none is frozen); their keys, in the same order, are
-    `trainable_keys`, their (offset, shape) in the masked vector `layout`,
-    and their arena positions `segments`.
+    `trainable` masks the work vector down to the tensors that train (None
+    when all do) and `segments` holds their arena positions. `trains` is
+    the one record of the freeze; `trainable_keys` filters `keys` by it.
     """
 
     task_id: int
@@ -408,8 +412,6 @@ class PathIndex:
     learns: tuple
     lowest: int
     trainable: Optional[np.ndarray]
-    layout: dict
-    trainable_keys: list
     segments: Segments
 
 
@@ -429,9 +431,10 @@ def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
         seen, index = cached
         if seen == stamp:
             return index
-        trains, tracking = _freeze_flags(grid, task)
+        trains = _freeze_flags(grid, task)
         if trains != index.trains:
-            index = replace(index, **_frozen_fields(grid, vars(index), trains, tracking))
+            index = replace(index, **_frozen_fields(grid, index.path, index.norm_stats,
+                                                    index.tensors, trains))
     else:
         if task.path is None:
             raise InputError(f"task {task.id} has no path assigned")
@@ -474,57 +477,50 @@ def _build_path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
     slots += [(at, (d, c)), (at + d * c, (c,))]
     head = [grid._view(arena_positions, key).ravel() for key in keys[-2:]]
     positions = np.concatenate(gather + head)
-    fixed = dict(
+    norm_stats = np.concatenate(stats)
+    tensors = [positions[o:o + math.prod(shape)].reshape(shape) for o, shape in slots]
+    return PathIndex(
         task_id=task.id, path=task.path, head=task.slice, positions=positions,
-        starts=tuple(starts), norm_stats=np.concatenate(stats),
-        size=int(sum(math.prod(shape) for _, shape in slots)), keys=keys,
-        tensors=[positions[o:o + math.prod(shape)].reshape(shape) for o, shape in slots],
-    )
-    return PathIndex(**fixed, **_frozen_fields(grid, fixed, *_freeze_flags(grid, task)))
+        starts=tuple(starts), norm_stats=norm_stats,
+        size=int(sum(t.size for t in tensors)), keys=keys, tensors=tensors,
+        **_frozen_fields(grid, task.path, norm_stats, tensors, _freeze_flags(grid, task)))
 
 
 def _freeze_flags(grid: ModuleGrid, task: TaskSpec) -> tuple:
-    """(trains, tracking): whether each tensor of the task's `keys` trains,
-    and whether each path module's norm instance still tracks running
-    statistics, in path order."""
+    """`trains`: whether each tensor of the task's `keys` trains. A module's
+    gamma flag is also whether its norm instance tracks: both freeze together."""
     nk = grid.norm_key(task.id)
     task_frozen = task.id in grid.frozen_tasks
-    trains, tracking = [], []
+    trains = []
     for l, row in enumerate(task.path.rows):
         for m in row:
             frozen_block = (l, m) in grid.frozen
             norm_frozen = frozen_block if nk == SHARED else task_frozen
             trains += [not frozen_block] * 2 + [not norm_frozen] * 2
-            tracking.append(not norm_frozen)
     trains += [not task_frozen] * 2
-    return tuple(trains), tracking
+    return tuple(trains)
 
 
-def _frozen_fields(grid: ModuleGrid, fixed: dict, trains: tuple, tracking: list) -> dict:
-    """The freeze-dependent fields of a PathIndex, by name, from its other
-    fields (`fixed`) and the flags of `_freeze_flags`."""
-    rows = fixed["path"].rows
+def _frozen_fields(grid: ModuleGrid, path: Path, norm_stats: np.ndarray, tensors: list,
+                   trains: tuple) -> dict:
+    """The freeze-dependent fields of a PathIndex, by name, from `trains`
+    and the fields freezing leaves alone (`path`, `norm_stats`, `tensors`)."""
     learns, tracks, at = [], [], 0
-    for row in rows:
+    for row in path.rows:
         learns.append(any(trains[4 * at:4 * (at + len(row))]))
-        # each running statistic, mean then variance, of the layer's modules
-        tracks += [np.repeat(tracking[at:at + len(row)], grid.d_hid)] * 2
+        # each running statistic, mean then variance, of the layer's modules,
+        # tracked while the module's gamma trains
+        tracks += [np.repeat(trains[4 * at + 2:4 * (at + len(row)):4], grid.d_hid)] * 2
         at += len(row)
     tracks = np.concatenate(tracks)
-    sizes = [t.size for t in fixed["tensors"]]
-    kept = [(k, t) for k, t, train in zip(fixed["keys"], fixed["tensors"], trains) if train]
-    kept_sizes = [t.size for _, t in kept]
-    offsets = np.cumsum(kept_sizes) - kept_sizes
     return dict(
         trains=trains,
-        stats=fixed["norm_stats"][tracks],
+        stats=norm_stats[tracks],
         live=None if tracks.all() else np.flatnonzero(tracks),
         learns=tuple(learns),
         lowest=learns.index(True) if any(learns) else len(learns),
-        trainable=None if all(trains) else np.repeat(trains, sizes),
-        layout={k: (int(o), t.shape) for (k, t), o in zip(kept, offsets)},
-        trainable_keys=[k for k, _ in kept],
-        segments=Segments.of([t.ravel() for _, t in kept]),
+        trainable=None if all(trains) else np.repeat(trains, [t.size for t in tensors]),
+        segments=Segments.of([t.ravel() for t, train in zip(tensors, trains) if train]),
     )
 
 
@@ -536,17 +532,20 @@ class Gradients(Mapping):
     def __init__(self, flat: np.ndarray, index: PathIndex):
         flat.flags.writeable = False
         self.flat = flat
-        self._index = index
+        self._views, at = {}, 0      # trainable key -> its view into flat
+        for key, tensor, train in zip(index.keys, index.tensors, index.trains):
+            if train:
+                self._views[key] = flat[at:at + tensor.size].reshape(tensor.shape)
+                at += tensor.size
 
     def __getitem__(self, key) -> np.ndarray:
-        offset, shape = self._index.layout[key]
-        return self.flat[offset:offset + math.prod(shape)].reshape(shape)
+        return self._views[key]
 
     def __iter__(self):
-        return iter(self._index.layout)
+        return iter(self._views)
 
     def __len__(self) -> int:
-        return len(self._index.layout)
+        return len(self._views)
 
 
 class LayerRecord(NamedTuple):

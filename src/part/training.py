@@ -76,8 +76,8 @@ class TrainConfig:
             raise InputError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_set_size < 1:
             raise InputError(f"batch_set_size must be >= 1, got {self.batch_set_size}")
-        if self.lr0 <= 0:
-            raise InputError(f"lr0 must be positive, got {self.lr0}")
+        if not 0 < self.lr0 < math.inf:
+            raise InputError(f"lr0 must be positive and finite, got {self.lr0}")
         halves = tuple(self.lr_halve_epochs)
         if list(halves) != sorted(set(halves)):
             raise InputError("lr_halve_epochs must be strictly increasing")
@@ -227,7 +227,7 @@ def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
     logits, tape = forward_kernel(grid, index, ds.features[idx], True)
     loss, dslice = softmax_xent_kernel(logits, ds.labels[idx])
     grads = backward_kernel(grid, index, tape, dslice)
-    if index.trainable_keys:
+    if index.segments.index.size:
         adam.step(grid.arena, grads, index.segments, lr)
         grid.version += 1
     if not (math.isfinite(loss) and np.isfinite(grid.arena).all()):

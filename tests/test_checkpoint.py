@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from part import ContractError, forward_task, freeze_path, freeze_task, load_checkpoint, save_checkpoint
+from part.net import Path as TaskPath
 from part.checkpoint import FORMAT_VERSION, MAGIC, write_atomic
 
 from conftest import make_grid
@@ -25,6 +26,17 @@ def test_roundtrip_is_byte_identical(tmp_path):
     save_checkpoint(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
+
+
+def test_numpy_integer_path_round_trips(tmp_path):
+    grid = make_grid(L=2, M=4, N=2, seed=71)
+    task = grid.tasks[0]
+    rows = task.path.rows
+    task.path = TaskPath(tuple(tuple(np.int64(m) for m in row) for row in rows))
+    save_checkpoint(grid, tmp_path / "g.part")
+    loaded = load_checkpoint(tmp_path / "g.part")
+    assert loaded.tasks[0].path.rows == rows
+    np.testing.assert_array_equal(loaded.arena, grid.arena)
 
 
 @st.composite

@@ -3,14 +3,15 @@ import hashlib
 import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from part import ConfigError
+from part import ConfigError, load_csv
 from part.cli import main
 from part.config import MODES, NORM_MODES, parse_config
-from part.experiment import run_experiment
+from part.experiment import build_datasets, run_experiment
 
 
 def minimal_config(out_dir, **overrides):
@@ -216,6 +217,41 @@ def test_gen_data_writes_csvs(tmp_path, capsys):
     assert (tmp_path / "gen" / "data" / "solo_val.csv").exists()
 
 
+def test_gen_data_writes_the_splits_it_generated(tmp_path, capsys):
+    # task a is smaller than task b, so a training run oversamples it
+    tasks = [{"type": "synthetic", "c": 3, "n_per_class": 10, "margin": 6.0, "name": "a"},
+             {"type": "synthetic", "c": 2, "n_per_class": 25, "margin": 6.0, "name": "b"}]
+    doc = minimal_config(tmp_path / "gen", tasks=tasks)
+    assert main(["gen-data", "--config", str(write_config(tmp_path, doc))]) == 0
+    a_train = load_csv(tmp_path / "gen" / "data" / "a_train.csv")
+    assert a_train.n == 24 and len(np.unique(a_train.features, axis=0)) == 24
+    # the training run's splits begin with the same bits
+    (train, val), _ = build_datasets(parse_config(doc))
+    assert train.n == 40
+    np.testing.assert_array_equal(a_train.features, train.features[:24])
+    np.testing.assert_array_equal(a_train.labels, train.labels[:24])
+    a_val = load_csv(tmp_path / "gen" / "data" / "a_val.csv")
+    np.testing.assert_array_equal(a_val.features, val.features)
+
+
+def test_gen_data_does_not_read_the_csv_tasks(tmp_path, capsys):
+    synthetic = {"type": "synthetic", "c": 3, "n_per_class": 10, "margin": 6.0, "name": "a"}
+    missing = {"type": "csv", "train": str(tmp_path / "absent_train.csv"),
+               "val": str(tmp_path / "absent_val.csv"), "name": "ext"}
+    mixed = write_config(tmp_path, minimal_config(tmp_path / "mixed", tasks=[missing, synthetic]),
+                         "mixed.json")
+    alone = write_config(tmp_path, minimal_config(tmp_path / "alone", tasks=[synthetic]),
+                         "alone.json")
+    assert main(["gen-data", "--config", str(mixed)]) == 0
+    assert main(["gen-data", "--config", str(alone)]) == 0
+    names = ["a_train.csv", "a_val.csv"]
+    assert sorted(p.name for p in (tmp_path / "mixed" / "data").iterdir()) == names
+    for name in names:
+        # a CSV task draws nothing from the data stream
+        assert (tmp_path / "mixed" / "data" / name).read_bytes() \
+            == (tmp_path / "alone" / "data" / name).read_bytes()
+
+
 def test_eval_subcommand(tmp_path, capsys):
     out = tmp_path / "run"
     cfgp = write_config(tmp_path, minimal_config(out))
@@ -377,6 +413,7 @@ def test_missing_checkpoint_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("corrupt", ["undecodable", "not json", "missing field",
                                      "path beyond M", "path too short",
+                                     "path float", "path string", "path bool",
                                      "frozen cell beyond grid", "unregistered frozen task",
                                      "d_in zero", "d_hid zero", "d_in negative"])
 def test_corrupt_checkpoint_metadata_exits_1(tmp_path, capsys, corrupt):
@@ -399,6 +436,9 @@ def test_corrupt_checkpoint_metadata_exits_1(tmp_path, capsys, corrupt):
         elif corrupt.startswith("d_"):
             field, value = corrupt.split()
             doc[field] = 0 if value == "zero" else -1
+        elif corrupt in ("path float", "path string", "path bool"):
+            entry = {"path float": 0.5, "path string": "1", "path bool": True}[corrupt]
+            doc["tasks"][0]["path"][0] = [0, entry] if corrupt == "path float" else [entry, 2]
         else:
             doc["tasks"][0]["path"] = [[0, 9], [1, 2]] if corrupt == "path beyond M" else [[0, 1]]
         meta = json.dumps(doc).encode()
@@ -417,6 +457,59 @@ def test_nonfinite_checkpoint_exits_1(tmp_path, capsys):
     code, err = _exit_and_stderr(["eval", "--ckpt", str(ckpt), "--config", str(cfgp)],
                                  capsys)
     assert code == 1 and "non-finite" in err
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """A checkpoint of `minimal_config` (seed 5, n_layers 2, n_modules 4,
+    d_in 6, d_hid 10, shared norms)."""
+    out = tmp_path_factory.mktemp("trained")
+    run_experiment(parse_config(minimal_config(out)), out_dir=out)
+    return out / "checkpoint.part"
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+@pytest.mark.parametrize("field, value", [
+    ("grid.n_layers", 3), ("grid.n_modules", 5), ("grid.d_in", 7), ("grid.d_hid", 11),
+    ("norm_mode", "per-task"), ("seed", 6), (None, None),
+])
+def test_config_must_describe_the_checkpoint(tmp_path, capsys, trained_checkpoint,
+                                             command, field, value):
+    doc = minimal_config(tmp_path / "out", analysis={"capture_n": 12})
+    if field is not None:
+        _with(doc, field, value)
+    argv = [command, "--ckpt", str(trained_checkpoint),
+            "--config", str(write_config(tmp_path, doc))]
+    code, err = _exit_and_stderr(argv, capsys)
+    if field is None:       # the config the checkpoint was trained from
+        assert code == 0 and err == ""
+    else:
+        name = field.split(".")[-1]
+        assert code == 2 and f"error: checkpoint has {name} " in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "analyze"])
+@pytest.mark.parametrize("field, value", [
+    ("train.lr0", float("nan")), ("train.lr0", float("inf")), ("train.lr0", -float("inf")),
+    ("tasks[0].margin", float("nan")), ("tasks[0].margin", float("inf")),
+    ("analysis.rbf_frac", float("nan")), ("analysis.rbf_frac", float("inf")),
+    ("analysis.rbf_frac", 0), ("analysis.rbf_frac", -0.5),
+    ("analysis.rbf_sigma", float("nan")), ("analysis.rbf_sigma", float("inf")),
+    ("analysis.rbf_sigma", 0.0), ("analysis.rbf_sigma", -1),
+])
+def test_nonfinite_or_nonpositive_config_numbers_exit_2(tmp_path, capsys, command, field, value):
+    doc = minimal_config(tmp_path / "run")
+    if field.startswith("tasks[0]."):
+        doc["tasks"][0]["margin"] = value
+    else:
+        _with(doc, field, value)
+    argv = [command, "--config", str(write_config(tmp_path, doc))]
+    if command == "analyze":
+        argv += ["--ckpt", str(tmp_path / "checkpoint.part")]
+    code, err = _exit_and_stderr(argv, capsys)
+    assert code == 2 and err.startswith(f"error: config field '{field}': must be ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_failed_save_leaves_the_old_checkpoint(tmp_path, capsys, monkeypatch):

@@ -75,6 +75,18 @@ def test_invalid_path_requests():
         Path(((2, 1),))
 
 
+@pytest.mark.parametrize("row", [(True, 2), (0, np.True_), ("0", "1"), (0, 0.5), (0, 1.0)])
+def test_path_entries_must_be_integers(row):
+    with pytest.raises(InputError, match="path row 0 must hold integers"):
+        Path((row,))
+
+
+def test_path_stores_numpy_integers_as_int():
+    path = Path(((np.int64(0), np.int32(2)), [np.uint8(1)]))
+    assert path.rows == ((0, 2), (1,))
+    assert all(type(m) is int for row in path.rows for m in row)
+
+
 # ---------------------------------------------------------------------------
 # task registration
 

@@ -336,6 +336,12 @@ def test_determinism_identical_reports_minus_wallclock():
     assert a["config_hash"] is None  # only an ExperimentConfig names a run
 
 
+@pytest.mark.parametrize("lr0", [float("nan"), float("inf")])
+def test_train_config_rejects_a_nonfinite_learning_rate(lr0):
+    with pytest.raises(InputError, match="lr0 must be positive and finite"):
+        TrainConfig(lr0=lr0)
+
+
 @pytest.mark.parametrize("field, value", [("epochs", -2), ("batch_set_size", 0)])
 def test_train_config_rejects_settings_that_train_nothing_or_never_end(field, value):
     # a negative epoch count trains nothing; a batch set of 0 never ends an
