@@ -165,6 +165,8 @@ def _parse_task(i: int, d: dict) -> TaskConfig:
 
 def parse_config(doc: dict) -> ExperimentConfig:
     seed = _get(doc, "seed", int)
+    if seed < 0:
+        raise ConfigError("seed", f"must be >= 0, got {seed}")
     mode = _get(doc, "mode", str, default="parallel")
     if mode not in MODES:
         raise ConfigError("mode", f"must be one of {MODES}, got {mode!r}")
@@ -187,8 +189,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("grid.path_width",
                           f"need 1 <= path_width <= n_modules, got "
                           f"{grid.path_width} vs {grid.n_modules}")
-    if grid.d_in < 2 or grid.d_hid < 1:
-        raise ConfigError("grid.d_in", "need d_in >= 2 and d_hid >= 1")
+    if grid.d_in < 2:
+        raise ConfigError("grid.d_in", f"must be >= 2, got {grid.d_in}")
+    if grid.d_hid < 1:
+        raise ConfigError("grid.d_hid", f"must be >= 1, got {grid.d_hid}")
 
     raw_tasks = _get(doc, "tasks", list, items=dict)
     if not raw_tasks:

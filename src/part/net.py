@@ -15,11 +15,11 @@ then b then its norm instances in task-id order (gamma, beta, run_mean,
 run_var each); then head_W (row-major) and head_b. A parameter is named by
 a key (see `get_param`): `get_param` copies it out and `set_param` copies
 into the arena and bumps `version`, so a tape taken before the write is
-rejected. `head_W` and `head_b` are read-only views of the head. Newly
-made tensors (the construction draws, a registered task's head columns
-and norm instances) wait in a pending dict; the arena is laid out lazily,
-on first use by a forward pass, a checkpoint or parameter addressing, so
-building an experiment never repacks the grid once per task.
+rejected. `head_W` and `head_b` are read-only views of the head. A key's
+place in the arena is computed from the grid's layer table (see
+`ModuleGrid`). Construction fills the arena directly; each registration
+adopts a wider one, copying each layer's cells (adding a norm instance to
+each in per-task mode) and the head.
 
 Each task has a cached *path index* (`path_index`), built only for a task
 registered on the grid whose path fits it: the arena positions its eval
@@ -59,8 +59,6 @@ layers changed.
 
 from __future__ import annotations
 
-import hashlib
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
@@ -76,6 +74,7 @@ SHARED = -1
 NORM_EPS = 1e-5
 NORM_MOMENTUM = 0.1
 NORM_PARAMS = ("gamma", "beta", "run_mean", "run_var")
+_NEW_NORM = [1.0, 0.0, 0.0, 1.0]     # a new norm instance's NORM_PARAMS, per feature
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,11 @@ class ModuleGrid:
     reproducible from the construction seed alone. `version` counts
     parameter mutations; tapes are stamped with it so a backward pass on a
     tape from a stale parameter state is rejected. `arena` is the flat
-    vector that holds every parameter.
+    vector that holds every parameter. The layer table, set whenever the
+    grid adopts an arena, locates each tensor in it: per layer (offset,
+    cell size, fan_in) of its M cells back to back, a cell being one
+    module's W, b and norm instances (in `_norm_slots` order); then the
+    head's offset.
     """
 
     def __init__(self, n_layers: int, n_modules: int, d_in: int, d_hid: int,
@@ -160,29 +163,17 @@ class ModuleGrid:
         self.frozen: set[tuple[int, int]] = set()
         self.frozen_tasks: set[int] = set()
         self.version = 0
-        self._arena: Optional[np.ndarray] = None
-        self._layout: dict = {}       # stored tensor key -> (arena offset, shape)
-        self._pending: dict = {}      # stored tensor key -> value not yet in the arena
         self._paths: dict = {}        # task id -> (frozen set sizes, PathIndex)
 
-        for l in range(n_layers):
-            fan_in = d_in if l == 0 else d_hid
+        arena = self._adopt_new_arena()
+        for offset, cell, fan_in in self._layers:
+            cells = arena[offset:offset + n_modules * cell].reshape(n_modules, cell)
+            bound = np.sqrt(6.0 / fan_in)       # He uniform
             for m in range(n_modules):
-                self._pending[("block", l, m, "W")] = self._he_uniform(fan_in, d_hid)
-                self._pending[("block", l, m, "b")] = np.zeros(d_hid)
-                if norm_mode == "shared":
-                    self._add_identity_norm(l, m, SHARED)
-        self._pending[("head_W",)] = np.zeros((d_hid, 0))
-        self._pending[("head_b",)] = np.zeros(0)
-
-    def _he_uniform(self, fan_in: int, fan_out: int) -> np.ndarray:
-        bound = np.sqrt(6.0 / fan_in)
-        return self.rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-    def _add_identity_norm(self, l: int, m: int, nk: int) -> None:
-        ones, zeros = np.ones(self.d_hid), np.zeros(self.d_hid)
-        for which, value in zip(NORM_PARAMS, (ones, zeros, zeros, ones)):
-            self._pending[("norm", l, m, nk, which)] = value
+                cells[m, :fan_in * d_hid] = self.rng.uniform(-bound, bound, fan_in * d_hid)
+            # b, then in shared mode the one norm instance
+            shared = norm_mode == "shared"
+            cells[:, fan_in * d_hid:] = np.repeat([0.0] + _NEW_NORM * shared, d_hid)
 
     def norm_key(self, task_id: int) -> int:
         return SHARED if self.norm_mode == "shared" else task_id
@@ -191,59 +182,42 @@ class ModuleGrid:
 
     @property
     def arena(self) -> np.ndarray:
-        """The flat parameter vector, laid out on first use after a change
-        of shape (construction, task registration)."""
-        if self._pending:
-            self._lay_out()
+        """The flat parameter vector; registration replaces it by a wider one."""
         return self._arena
 
     @property
     def head_W(self) -> np.ndarray:
         """The head weights, (d_hid, c_total): a read-only view of the arena."""
-        if self._pending:
-            self._lay_out()
         return self._head_W
 
     @property
     def head_b(self) -> np.ndarray:
         """The head biases, (c_total,): a read-only view of the arena."""
-        if self._pending:
-            self._lay_out()
         return self._head_b
 
-    def _stored(self):
-        """Key of every stored tensor, in arena order."""
-        norm_keys = [SHARED] if self.norm_mode == "shared" else range(len(self.tasks))
+    def _adopt_new_arena(self) -> np.ndarray:
+        """Adopt a new, unfilled arena for the grid's current shape and set
+        the layer table for it; the caller fills it."""
+        d = self.d_hid
+        self._norm_slots = ({SHARED: 0} if self.norm_mode == "shared"
+                            else {t.id: t.id for t in self.tasks})
+        layers, offset = [], 0
         for l in range(self.n_layers):
-            for m in range(self.n_modules):
-                yield ("block", l, m, "W")
-                yield ("block", l, m, "b")
-                for nk in norm_keys:
-                    for which in NORM_PARAMS:
-                        yield ("norm", l, m, nk, which)
-        yield ("head_W",)
-        yield ("head_b",)
-
-    def _stored_value(self, key) -> np.ndarray:
-        """A stored tensor as it stands: pending, or in the arena last laid out."""
-        value = self._pending.get(key)
-        return self._view(self._arena, key) if value is None else value
-
-    def _lay_out(self) -> None:
-        tensors = [(key, self._stored_value(key)) for key in self._stored()]
-        arena = np.empty(sum(a.size for _, a in tensors))
-        layout = {}
-        start = 0
-        for key, a in tensors:
-            arena[start:start + a.size].reshape(a.shape)[...] = a
-            layout[key] = (start, a.shape)
-            start += a.size
-        self._arena, self._layout = arena, layout
-        self._pending.clear()
-        self._paths.clear()
-        self._head_W = self._view(arena, ("head_W",))
-        self._head_b = self._view(arena, ("head_b",))
+            fan_in = self.d_in if l == 0 else d
+            cell = (fan_in + 1 + 4 * len(self._norm_slots)) * d
+            layers.append((offset, cell, fan_in))
+            offset += self.n_modules * cell
+        self._layers, self._head = tuple(layers), offset
+        self._arena = np.empty(offset + (d + 1) * self.c_total)
+        self._head_W, self._head_b = self._head_views(self._arena)
         self._head_W.flags.writeable = self._head_b.flags.writeable = False
+        self._paths.clear()
+        return self._arena
+
+    def _head_views(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """head_W (d_hid, c_total) and head_b (c_total,) inside `flat`."""
+        at, d, c = self._head, self.d_hid, self.c_total
+        return flat[at:at + d * c].reshape(d, c), flat[at + d * c:at + (d + 1) * c]
 
     # -- parameter addressing ------------------------------------------------
     # keys: ("block", l, m, "W"|"b")
@@ -251,17 +225,30 @@ class ModuleGrid:
     #       ("head", task_id, "W"|"b")   (the task's column slice)
 
     def _view(self, flat: np.ndarray, key) -> np.ndarray:
-        """Tensor `key` inside `flat`, a vector laid out like the arena."""
-        if key[0] == "head":
-            _, tid, which = key
-            start, end = self.tasks[tid].slice
-            if which == "W":
-                return self._view(flat, ("head_W",))[:, start:end]
-            return self._view(flat, ("head_b",))[start:end]
-        if key not in self._layout:
-            raise InputError(f"unknown parameter key {key!r}")
-        offset, shape = self._layout[key]
-        return flat[offset:offset + math.prod(shape)].reshape(shape)
+        """Tensor `key` inside `flat`, a vector laid out like the arena, at
+        the place the layer table gives; InputError for a key that names no
+        tensor of this grid."""
+        L, M, d = self.n_layers, self.n_modules, self.d_hid
+        match key:
+            case ("head", tid, "W" | "b" as which) if _is_index(tid, len(self.tasks)):
+                start, end = self.tasks[tid].slice
+                head_W, head_b = self._head_views(flat)
+                return head_W[:, start:end] if which == "W" else head_b[start:end]
+            case ("block", l, m, "W" | "b" as which) if _is_index(l, L) and _is_index(m, M):
+                vector = None if which == "W" else 0
+            case ("norm", l, m, nk, which) if (_is_index(l, L) and _is_index(m, M)
+                                               and nk in self._norm_slots
+                                               and which in NORM_PARAMS):
+                vector = 1 + 4 * self._norm_slots[nk] + NORM_PARAMS.index(which)
+            case _:
+                raise InputError(f"unknown parameter key {key!r}")
+        # W opens the cell; b and the norm instances' vectors follow it
+        offset, cell, fan_in = self._layers[l]
+        at = offset + int(m) * cell
+        if vector is None:
+            return flat[at:at + fan_in * d].reshape(fan_in, d)
+        at += (fan_in + vector) * d
+        return flat[at:at + d]
 
     def get_param(self, key) -> np.ndarray:
         return self._view(self.arena, key).copy()
@@ -274,14 +261,17 @@ class ModuleGrid:
         target[...] = value
         self.version += 1
 
-    def param_hash(self, key) -> str:
-        return hashlib.sha256(np.ascontiguousarray(self.get_param(key)).tobytes()).hexdigest()
+
+def _is_index(i, n: int) -> bool:
+    """Whether i is an integer in [0, n)."""
+    return isinstance(i, (int, np.integer)) and 0 <= i < n
 
 
 def register_task(grid: ModuleGrid, c: int, name: str = "",
                   train_ds=None, val_ds=None) -> TaskSpec:
     """Add a task to the grid: widen the head by c freshly initialized
     columns and, in per-task norm mode, give every block a new instance.
+    The grid adopts a new arena holding every value of the old one.
 
     The returned TaskSpec has no path yet; assign one explicitly.
     """
@@ -291,17 +281,22 @@ def register_task(grid: ModuleGrid, c: int, name: str = "",
     start = grid.c_total
     bound = 1.0 / np.sqrt(grid.d_hid)
     new_cols = grid.rng.uniform(-bound, bound, size=(grid.d_hid, c))
-    for key, new in ((("head_W",), new_cols), (("head_b",), np.zeros(c))):
-        grid._pending[key] = np.concatenate([grid._stored_value(key), new], axis=-1)
-    if grid.norm_mode == "per-task":
-        for l in range(grid.n_layers):
-            for m in range(grid.n_modules):
-                grid._add_identity_norm(l, m, tid)
+    old, old_layers = grid.arena, grid._layers
+    old_head_W, old_head_b = grid.head_W, grid.head_b
     task = TaskSpec(id=tid, c=c, slice=(start, start + c), name=name or f"task{tid}",
                     train_ds=train_ds, val_ds=val_ds)
     grid.tasks.append(task)
     grid.c_total += c
-    grid._paths.clear()
+    arena = grid._adopt_new_arena()
+    M = grid.n_modules
+    for (was, old_cell, _), (at, cell, _) in zip(old_layers, grid._layers):
+        # each cell as it was, then its new norm instance (per-task mode)
+        cells = arena[at:at + M * cell].reshape(M, cell)
+        cells[:, :old_cell] = old[was:was + M * old_cell].reshape(M, old_cell)
+        cells[:, old_cell:] = np.repeat(_NEW_NORM * (grid.norm_mode == "per-task"), grid.d_hid)
+    head_W, head_b = grid._head_views(arena)
+    head_W[:, :start], head_W[:, start:] = old_head_W, new_cols
+    head_b[:start], head_b[start:] = old_head_b, 0.0
     grid.version += 1
     return task
 
@@ -418,10 +413,10 @@ class PathIndex:
 def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
     """The task's PathIndex, and the one task check: InputError unless the
     task is registered on this grid and has a path that fits it. Cached
-    per task; registration, re-layout and a new `task.path` make the cache
-    stale. Freezing keeps the cached index's positions and keys and
-    refreshes only what depends on the freeze, keeping the same object when
-    the task's tensors train as before. The frozen sets only grow (nothing
+    per task; registration and a new `task.path` make the cache stale.
+    Freezing keeps the cached index's positions and keys and refreshes only
+    what depends on the freeze, keeping the same object when the task's
+    tensors train as before. The frozen sets only grow (nothing
     unfreezes), so their sizes tell whether they changed."""
     if task.id >= len(grid.tasks) or grid.tasks[task.id] is not task:
         raise InputError(f"task {task.id} is not registered on this grid")
@@ -446,39 +441,39 @@ def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
 
 def _build_path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
     """A task's PathIndex from scratch: the fields freezing leaves alone,
-    then those it changes (`_frozen_fields`)."""
-    arena_positions = np.arange(grid.arena.size)
-    nk = grid.norm_key(task.id)
-    d = grid.d_hid
-    gather, stats, keys, slots, starts = [], [], [], [], []
-    at = 0
-    for l, row in enumerate(task.path.rows):
-        starts.append(at)
-        N, fan_in = len(row), grid.d_in if l == 0 else d
-        cells = []
+    read off each layer's (N, cell size) block of arena positions (see
+    ModuleGrid), then those it changes (`_frozen_fields`)."""
+    d, C, nk = grid.d_hid, grid.c_total, grid.norm_key(task.id)
+    slot = grid._norm_slots[nk]
+    rows = task.path.rows
+    starts = np.cumsum([0] + [len(row) * (fan_in + 5) * d
+                              for (_, _, fan_in), row in zip(grid._layers, rows)]).tolist()
+    c, at = task.c, starts[-1]
+    positions = np.empty(at + (d + 1) * c, dtype=int)
+    keys, tensors, stats = [], [], []
+    for l, row in enumerate(rows):
+        offset, cell, fan_in = grid._layers[l]
+        N, fd, norm = len(row), fan_in * d, (fan_in + 1 + 4 * slot) * d
+        cells = offset + cell * np.array(row)[:, None] + np.arange(cell)
+        # each module's W, then b, gamma, beta, run_mean and run_var, each
+        # module-major as one (N*d,) vector
+        Ws = positions[starts[l]:starts[l] + N * fd].reshape(N, fan_in, d)
+        vectors = positions[starts[l] + N * fd:starts[l + 1]].reshape(5, N, d)
+        Ws.reshape(N, fd)[...] = cells[:, :fd]
+        vectors[0] = cells[:, fd:fd + d]
+        vectors[1:] = cells[:, norm:norm + 4 * d].reshape(N, 4, d).transpose(1, 0, 2)
+        stats.append(vectors[3:].ravel())
         for k, m in enumerate(row):
-            cell = [("block", l, m, "W"), ("block", l, m, "b")]
-            cell += [("norm", l, m, nk, which) for which in NORM_PARAMS]
-            cells.append([grid._view(arena_positions, key).ravel() for key in cell])
-            keys += cell[:4]
-            # where its W, b, gamma and beta sit in `positions`: each module's
-            # W in turn, then the layer's b, gamma and beta vectors
-            vectors_at = at + N * fan_in * d + k * d
-            slots += [(at + k * fan_in * d, (fan_in, d))]
-            slots += [(vectors_at + j * N * d, (d,)) for j in range(3)]
-        # each module's W, then b, gamma, beta, run_mean, run_var module-major
-        per_tensor = [np.concatenate(tensor) for tensor in zip(*cells)]
-        gather += [w for w, *_ in cells] + per_tensor[1:]
-        stats += per_tensor[-2:]
-        at += N * (fan_in + 5) * d
-    starts.append(at)
-    c = task.c
+            keys += [("block", l, m, "W"), ("block", l, m, "b"),
+                     ("norm", l, m, nk, "gamma"), ("norm", l, m, nk, "beta")]
+            tensors += [Ws[k], vectors[0, k], vectors[1, k], vectors[2, k]]
+    start, end = task.slice
+    head_W = positions[at:at + d * c].reshape(d, c)
+    head_W[...] = grid._head + C * np.arange(d)[:, None] + np.arange(start, end)
+    positions[at + d * c:] = grid._head + d * C + np.arange(start, end)
     keys += [("head", task.id, "W"), ("head", task.id, "b")]
-    slots += [(at, (d, c)), (at + d * c, (c,))]
-    head = [grid._view(arena_positions, key).ravel() for key in keys[-2:]]
-    positions = np.concatenate(gather + head)
+    tensors += [head_W, positions[at + d * c:]]
     norm_stats = np.concatenate(stats)
-    tensors = [positions[o:o + math.prod(shape)].reshape(shape) for o, shape in slots]
     return PathIndex(
         task_id=task.id, path=task.path, head=task.slice, positions=positions,
         starts=tuple(starts), norm_stats=norm_stats,

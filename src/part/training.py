@@ -333,23 +333,22 @@ def train_parallel(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
     return _train_phases(grid, "parallel", [("parallel", tasks)], tasks, cfg, config_hash, log)
 
 
-def _norm_stats_hash(grid: ModuleGrid, l: int, m: int, nk: int) -> str:
-    h = hashlib.sha256()
-    for which in ("run_mean", "run_var"):
-        h.update(grid._view(grid.arena, ("norm", l, m, nk, which)).tobytes())
-    return h.hexdigest()
-
-
 def freeze_fingerprint(grid: ModuleGrid, task: TaskSpec) -> dict[str, str]:
     """Hashes of the task's frozen surface (every tensor its path index
     keys: path blocks, the norm instances it used, its head slice),
-    running stats included."""
-    fp = {}
-    for key in path_index(grid, task).keys:
-        fp[repr(key)] = grid.param_hash(key)
-    nk = grid.norm_key(task.id)
-    for (l, m) in task.path.modules():
-        fp[repr(("norm_stats", l, m, nk))] = _norm_stats_hash(grid, l, m, nk)
+    running stats included: per path module, its run_mean then run_var."""
+    index = path_index(grid, task)
+    arena, d, nk = grid.arena, grid.d_hid, grid.norm_key(task.id)
+    fp = {repr(key): hashlib.sha256(arena[t].tobytes()).hexdigest()
+          for key, t in zip(index.keys, index.tensors)}
+    at = 0
+    for l, row in enumerate(task.path.rows):
+        # the layer's run_means, then its run_vars, each module-major
+        means, variances = arena[index.norm_stats[at:at + 2 * len(row) * d]].reshape(2, -1, d)
+        at += 2 * len(row) * d
+        for m, mean, var in zip(row, means, variances):
+            fp[repr(("norm_stats", l, m, nk))] = hashlib.sha256(
+                mean.tobytes() + var.tobytes()).hexdigest()
     return fp
 
 

@@ -92,15 +92,64 @@ def test_assignment_cannot_change_a_shape():
     assert grid.version == version
 
 
-def test_registration_never_lays_out_the_arena(monkeypatch):
-    layouts = []
-    real = ModuleGrid._lay_out
-    monkeypatch.setattr(ModuleGrid, "_lay_out", lambda self: layouts.append(1) or real(self))
+# keys that name no tensor of a 2-layer, 4-module grid with tasks 0 and 1;
+# "nk" stands for the mode's valid norm key, "other nk" for the other mode's
+UNKNOWN_KEYS = {
+    "layer past the end": ("block", 2, 0, "W"),
+    "negative layer": ("block", -1, 0, "W"),
+    "module past the end": ("block", 0, 4, "b"),
+    "negative module": ("block", 0, -1, "b"),
+    "norm layer past the end": ("norm", 2, 0, "nk", "gamma"),
+    "norm negative module": ("norm", 0, -1, "nk", "run_var"),
+    "block arity 3": ("block", 0, 0),
+    "block arity 5": ("block", 0, 0, "W", 0),
+    "norm arity 4": ("norm", 0, 0, "gamma"),
+    "head arity 2": ("head", 0),
+    "head arity 4": ("head", 0, "W", 0),
+    "whole head": ("head_W",),
+    "empty": (),
+    "not a tuple": "block",
+    "block tensor name": ("block", 0, 0, "gamma"),
+    "norm tensor name": ("norm", 0, 0, "nk", "W"),
+    "head tensor name": ("head", 0, "gamma"),
+    "kind": ("blocks", 0, 0, "W"),
+    "other mode's norm key": ("norm", 0, 0, "other nk", "beta"),
+    "unregistered norm task": ("norm", 0, 0, 2, "gamma"),
+    "unregistered head task": ("head", 2, "W"),
+    "negative head task": ("head", -1, "b"),
+}
+
+
+@pytest.mark.parametrize("norm_mode", ["shared", "per-task"])
+@pytest.mark.parametrize("case", UNKNOWN_KEYS)
+def test_unknown_keys_are_input_errors(case, norm_mode):
+    grid = make_grid(L=2, M=4, norm_mode=norm_mode, seed=82, class_counts=(3, 2))
+    nk, other = (SHARED, 0) if norm_mode == "shared" else (0, SHARED)
+    key = UNKNOWN_KEYS[case]
+    if isinstance(key, tuple):
+        key = tuple({"nk": nk, "other nk": other}.get(part, part) for part in key)
+    arena, version = grid.arena.copy(), grid.version
+    with pytest.raises(InputError, match="unknown parameter key"):
+        grid.get_param(key)
+    with pytest.raises(InputError, match="unknown parameter key"):
+        grid.set_param(key, np.zeros(grid.d_hid))
+    assert grid.version == version
+    np.testing.assert_array_equal(grid.arena, arena)
+
+
+def test_each_registration_adopts_one_arena_and_training_keeps_it(monkeypatch):
+    adopted = []
+    real = ModuleGrid._adopt_new_arena
+    monkeypatch.setattr(ModuleGrid, "_adopt_new_arena",
+                        lambda self: adopted.append(1) or real(self))
     grid = make_grid(M=4, class_counts=(3,) * 8, norm_mode="per-task", seed=83)
-    assert layouts == []
+    assert len(adopted) == 1 + 8      # construction, then one per registration
+    arena = grid.arena
     attach_synthetic(grid, np.random.default_rng(1), n_per_class=8)
     train_parallel(grid, grid.tasks, TrainConfig(epochs=1, seed=0))
-    assert layouts == [1]
+    assert grid.arena is arena
+    train_sequential(grid, grid.tasks[:2], TrainConfig(epochs=1, seed=0))
+    assert grid.arena is arena and len(adopted) == 1 + 8
 
 
 @pytest.mark.parametrize("norm_mode", ["shared", "per-task"])

@@ -512,6 +512,17 @@ def test_nonfinite_or_nonpositive_config_numbers_exit_2(tmp_path, capsys, comman
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("grid.d_in", 1), ("grid.d_in", -2), ("grid.d_hid", 0), ("grid.d_hid", -1),
+])
+def test_out_of_range_seed_or_width_exits_2_naming_it(tmp_path, capsys, field, value):
+    doc = _with(minimal_config(tmp_path / "run"), field, value)
+    code, err = _exit_and_stderr(["train", "--config", str(write_config(tmp_path, doc))],
+                                 capsys)
+    assert code == 2 and err.startswith(f"error: config field '{field}': must be >= ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_failed_save_leaves_the_old_checkpoint(tmp_path, capsys, monkeypatch):
     from part import checkpoint, load_checkpoint, save_checkpoint
 
