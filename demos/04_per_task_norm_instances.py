@@ -5,7 +5,7 @@ Per-task normalization instances for heterogeneous tasks
 When tasks with different input statistics share the same modules, a
 single set of batch-norm running statistics has to average over both
 distributions. Giving every task its own normalization instance inside
-each shared module lets the affine block stay shared while the
+each shared module lets the block weights stay shared while the
 statistics stay task-specific. Here two deliberately mismatched tasks
 share every module on their paths; we look at how far apart their
 per-task running statistics drift, and what happens if a task is

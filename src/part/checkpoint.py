@@ -4,10 +4,15 @@ Layout: magic ``PART``, u32 format version, u64 length-prefixed canonical
 JSON metadata (grid shape, task registry with paths, norm mode, frozen
 set, construction seed), then the grid's parameter arena as one flat
 little-endian float64 blob. The arena's order is the format's: layer-major,
-module-minor, per module W (row-major) then b then its norm instances in
-task-id order (gamma, beta, run_mean, run_var each), and finally head_W
-(row-major) and head_b. Metadata JSON is canonical (sorted keys, compact
-separators) so save -> load -> save is byte-identical.
+module-minor, per module W (row-major) then its norm instances in task-id
+order (gamma, beta, run_mean, run_var each), and finally head_W (row-major)
+and head_b. Metadata JSON is canonical (sorted keys, compact separators) so
+save -> load -> save is byte-identical.
+
+Format 1 also held a bias b per module, after its W. Format 2 dropped it
+(batch normalization cancels it), and a format-1 file is rejected rather
+than converted: every checkpoint is regenerated by running `part train` on
+its config again.
 
 Saving goes through `write_atomic` (a temporary file next to the target,
 renamed into place), so a checkpoint is never seen half-written; the
@@ -31,7 +36,7 @@ from .errors import ContractError, InputError
 from .net import ModuleGrid, Path, register_task
 
 MAGIC = b"PART"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _metadata(grid: ModuleGrid) -> dict:
@@ -122,6 +127,10 @@ def load_checkpoint(path) -> ModuleGrid:
     if len(raw) < 16 or raw[:4] != MAGIC:
         raise ContractError(f"not a checkpoint file (bad magic): {path}")
     (version,) = struct.unpack("<I", raw[4:8])
+    if version == 1:
+        raise ContractError(
+            f"checkpoint format version 1 is no longer read (it holds block biases that "
+            f"format {FORMAT_VERSION} dropped): re-run `part train` on its config: {path}")
     if version != FORMAT_VERSION:
         raise ContractError(
             f"checkpoint format version {version} not supported (expected {FORMAT_VERSION})")

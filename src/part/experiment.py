@@ -165,6 +165,9 @@ def _report_problem(report: RunReport):
             return f"final task {task!r} is not an integer"
         if type(acc) not in (int, float) or not math.isfinite(acc):
             return f"final val_acc {acc!r} of task {task} is not a finite number"
+    ids, finals = [row.get("id") for row in report.tasks], [row["task"] for row in report.final]
+    if finals != ids:
+        return f"final rows cover tasks {finals}, not one per task {ids} in order"
     return None
 
 
@@ -257,13 +260,13 @@ def profile_sharing_trials(cfg: ExperimentConfig, trials: int = 1) -> dict:
 
 
 def compare_reports(a: RunReport, b: RunReport) -> dict:
-    """Per-task and mean accuracy deltas (A minus B) for matching task lists."""
+    """Per-task and mean accuracy deltas (A minus B) for matching task lists,
+    of two reports `load_report` accepted (one `final` row per task, in
+    `tasks` order)."""
     if a.tasks != b.tasks:
         raise InputError("reports cover different task lists; nothing to compare")
     rows = []
     for ta, tb in zip(a.final, b.final):
-        if ta["task"] != tb["task"]:
-            raise InputError("final task ordering differs between reports")
         rows.append({
             "task": ta["task"],
             "acc_a": ta["val_acc"],

@@ -1,7 +1,10 @@
 """The module-grid base network.
 
-A grid of L layers x M dense blocks (affine + normalization + ReLU) with a
-shared, column-partitioned output head. Each task owns a path: N module
+A grid of L layers x M dense blocks (a linear map, batch normalization and
+a ReLU) with a shared, column-partitioned output head. A block has no bias
+before its normalization: in train mode the batch mean removes any
+per-feature constant, in eval mode `run_mean` would absorb it, and the
+norm's beta is the block's shift. Each task owns a path: N module
 indices per layer, chosen independently per layer. A forward pass runs
 only the selected blocks, sums their outputs per layer, and reads logits
 from the task's head slice; the backward pass produces gradients for
@@ -10,12 +13,12 @@ slice. Blocks can be frozen (sequential baseline): their parameters stop
 updating and their running stats stop tracking.
 
 Every parameter lives in one float64 vector, the grid's *arena*, laid out
-in checkpoint-v1 order: layer-major, module-minor; per module W (row-major)
-then b then its norm instances in task-id order (gamma, beta, run_mean,
-run_var each); then head_W (row-major) and head_b. A parameter is named by
-a key (see `get_param`): `get_param` copies it out and `set_param` copies
-into the arena and bumps `version`, so a tape taken before the write is
-rejected. `head_W` and `head_b` are read-only views of the head. A key's
+in checkpoint format-2 order: layer-major, module-minor; per module W
+(row-major) then its norm instances in task-id order (gamma, beta,
+run_mean, run_var each); then head_W (row-major) and head_b. A parameter is
+named by a key (see `get_param`): `get_param` copies it out and `set_param`
+copies into the arena and bumps `version`, so a tape taken before the write
+is rejected. `head_W` and `head_b` are read-only views of the head. A key's
 place in the arena is computed from the grid's layer table (see
 `ModuleGrid`). Construction fills the arena directly; each registration
 adopts a wider one, copying each layer's cells (adding a norm instance to
@@ -24,8 +27,8 @@ each in per-task mode) and the head.
 Each task has a cached *path index* (`path_index`), built only for a task
 registered on the grid whose path fits it: the arena positions its eval
 forward reads, in gather order. Per layer that is each path module's W,
-then the b, gamma, beta, run_mean and run_var of the norm instances the
-task uses, each module-major as one (N*d_hid,) vector; then the head slice.
+then the gamma, beta, run_mean and run_var of the norm instances the task
+uses, each module-major as one (N*d_hid,) vector; then the head slice.
 Freezing cannot move those positions, so a freeze keeps them and refreshes
 only the index's freeze-dependent fields. A forward pass reads every layer
 with one gather. A layer runs its N blocks on one C-contiguous sample-major
@@ -39,7 +42,7 @@ The pass's `Tape` holds the mode and the path rows once, and one
 `LayerRecord` (the layer's six arrays) per layer. The backward reads that
 tape and returns one flat gradient vector over the task's trainable surface
 only (the tensors `trainable_keys` names, in the same order: per layer and
-module W, b, gamma, beta, then the head slice's W and b); `Gradients` reads
+module W, gamma, beta, then the head slice's W and b); `Gradients` reads
 it by parameter key and the trainer hands it to the optimizer as it is. The
 backward stops at the lowest layer that holds a trainable tensor, and a
 layer with none above it only carries the gradient through. This layout
@@ -139,7 +142,7 @@ class ModuleGrid:
     vector that holds every parameter. The layer table, set whenever the
     grid adopts an arena, locates each tensor in it: per layer (offset,
     cell size, fan_in) of its M cells back to back, a cell being one
-    module's W, b and norm instances (in `_norm_slots` order); then the
+    module's W and norm instances (in `_norm_slots` order); then the
     head's offset.
     """
 
@@ -171,9 +174,8 @@ class ModuleGrid:
             bound = np.sqrt(6.0 / fan_in)       # He uniform
             for m in range(n_modules):
                 cells[m, :fan_in * d_hid] = self.rng.uniform(-bound, bound, fan_in * d_hid)
-            # b, then in shared mode the one norm instance
-            shared = norm_mode == "shared"
-            cells[:, fan_in * d_hid:] = np.repeat([0.0] + _NEW_NORM * shared, d_hid)
+            # in shared mode, the one norm instance
+            cells[:, fan_in * d_hid:] = np.repeat(_NEW_NORM * (norm_mode == "shared"), d_hid)
 
     def norm_key(self, task_id: int) -> int:
         return SHARED if self.norm_mode == "shared" else task_id
@@ -204,7 +206,7 @@ class ModuleGrid:
         layers, offset = [], 0
         for l in range(self.n_layers):
             fan_in = self.d_in if l == 0 else d
-            cell = (fan_in + 1 + 4 * len(self._norm_slots)) * d
+            cell = (fan_in + 4 * len(self._norm_slots)) * d
             layers.append((offset, cell, fan_in))
             offset += self.n_modules * cell
         self._layers, self._head = tuple(layers), offset
@@ -220,7 +222,7 @@ class ModuleGrid:
         return flat[at:at + d * c].reshape(d, c), flat[at + d * c:at + (d + 1) * c]
 
     # -- parameter addressing ------------------------------------------------
-    # keys: ("block", l, m, "W"|"b")
+    # keys: ("block", l, m, "W")
     #       ("norm", l, m, norm_key, "gamma"|"beta"|"run_mean"|"run_var")
     #       ("head", task_id, "W"|"b")   (the task's column slice)
 
@@ -234,15 +236,15 @@ class ModuleGrid:
                 start, end = self.tasks[tid].slice
                 head_W, head_b = self._head_views(flat)
                 return head_W[:, start:end] if which == "W" else head_b[start:end]
-            case ("block", l, m, "W" | "b" as which) if _is_index(l, L) and _is_index(m, M):
-                vector = None if which == "W" else 0
+            case ("block", l, m, "W") if _is_index(l, L) and _is_index(m, M):
+                vector = None
             case ("norm", l, m, nk, which) if (_is_index(l, L) and _is_index(m, M)
                                                and nk in self._norm_slots
                                                and which in NORM_PARAMS):
-                vector = 1 + 4 * self._norm_slots[nk] + NORM_PARAMS.index(which)
+                vector = 4 * self._norm_slots[nk] + NORM_PARAMS.index(which)
             case _:
                 raise InputError(f"unknown parameter key {key!r}")
-        # W opens the cell; b and the norm instances' vectors follow it
+        # W opens the cell; the norm instances' vectors follow it
         offset, cell, fan_in = self._layers[l]
         at = offset + int(m) * cell
         if vector is None:
@@ -364,7 +366,7 @@ class PathIndex:
     `task_id` is the task's id, which its tapes carry. `head` is the task's
     head slice, its columns [start, end) of the head. `positions` lists, in
     gather order, every arena position an eval forward reads: per layer of
-    the path, each module's W (row-major), then b, gamma, beta, run_mean and
+    the path, each module's W (row-major), then gamma, beta, run_mean and
     run_var, each module-major over the layer's N modules as one (N*d_hid,)
     vector; then the head slice's W and b. Layer l's entries start at
     `starts[l]`, and the head's at `starts[L]`: the forward gathers the
@@ -374,7 +376,7 @@ class PathIndex:
     variance, each module-major).
 
     The backward works in a vector of `size` holding, per layer and module,
-    W, b, gamma and beta, then the head slice's W and b; their keys, in
+    W, gamma and beta, then the head slice's W and b; their keys, in
     that order, are `keys`, every tensor a finished task freezes, and their
     arena positions, shaped like each tensor, `tensors` (views into
     `positions`).
@@ -446,27 +448,26 @@ def _build_path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
     d, C, nk = grid.d_hid, grid.c_total, grid.norm_key(task.id)
     slot = grid._norm_slots[nk]
     rows = task.path.rows
-    starts = np.cumsum([0] + [len(row) * (fan_in + 5) * d
+    starts = np.cumsum([0] + [len(row) * (fan_in + 4) * d
                               for (_, _, fan_in), row in zip(grid._layers, rows)]).tolist()
     c, at = task.c, starts[-1]
     positions = np.empty(at + (d + 1) * c, dtype=int)
     keys, tensors, stats = [], [], []
     for l, row in enumerate(rows):
         offset, cell, fan_in = grid._layers[l]
-        N, fd, norm = len(row), fan_in * d, (fan_in + 1 + 4 * slot) * d
+        N, fd, norm = len(row), fan_in * d, (fan_in + 4 * slot) * d
         cells = offset + cell * np.array(row)[:, None] + np.arange(cell)
-        # each module's W, then b, gamma, beta, run_mean and run_var, each
+        # each module's W, then gamma, beta, run_mean and run_var, each
         # module-major as one (N*d,) vector
         Ws = positions[starts[l]:starts[l] + N * fd].reshape(N, fan_in, d)
-        vectors = positions[starts[l] + N * fd:starts[l + 1]].reshape(5, N, d)
+        vectors = positions[starts[l] + N * fd:starts[l + 1]].reshape(4, N, d)
         Ws.reshape(N, fd)[...] = cells[:, :fd]
-        vectors[0] = cells[:, fd:fd + d]
-        vectors[1:] = cells[:, norm:norm + 4 * d].reshape(N, 4, d).transpose(1, 0, 2)
-        stats.append(vectors[3:].ravel())
+        vectors[...] = cells[:, norm:norm + 4 * d].reshape(N, 4, d).transpose(1, 0, 2)
+        stats.append(vectors[2:].ravel())
         for k, m in enumerate(row):
-            keys += [("block", l, m, "W"), ("block", l, m, "b"),
-                     ("norm", l, m, nk, "gamma"), ("norm", l, m, nk, "beta")]
-            tensors += [Ws[k], vectors[0, k], vectors[1, k], vectors[2, k]]
+            keys += [("block", l, m, "W"), ("norm", l, m, nk, "gamma"),
+                     ("norm", l, m, nk, "beta")]
+            tensors += [Ws[k], vectors[0, k], vectors[1, k]]
     start, end = task.slice
     head_W = positions[at:at + d * c].reshape(d, c)
     head_W[...] = grid._head + C * np.arange(d)[:, None] + np.arange(start, end)
@@ -491,7 +492,7 @@ def _freeze_flags(grid: ModuleGrid, task: TaskSpec) -> tuple:
         for m in row:
             frozen_block = (l, m) in grid.frozen
             norm_frozen = frozen_block if nk == SHARED else task_frozen
-            trains += [not frozen_block] * 2 + [not norm_frozen] * 2
+            trains += [not frozen_block] + [not norm_frozen] * 2
     trains += [not task_frozen] * 2
     return tuple(trains)
 
@@ -502,10 +503,10 @@ def _frozen_fields(grid: ModuleGrid, path: Path, norm_stats: np.ndarray, tensors
     and the fields freezing leaves alone (`path`, `norm_stats`, `tensors`)."""
     learns, tracks, at = [], [], 0
     for row in path.rows:
-        learns.append(any(trains[4 * at:4 * (at + len(row))]))
+        learns.append(any(trains[3 * at:3 * (at + len(row))]))
         # each running statistic, mean then variance, of the layer's modules,
         # tracked while the module's gamma trains
-        tracks += [np.repeat(trains[4 * at + 2:4 * (at + len(row)):4], grid.d_hid)] * 2
+        tracks += [np.repeat(trains[3 * at + 1:3 * (at + len(row)):3], grid.d_hid)] * 2
         at += len(row)
     tracks = np.concatenate(tracks)
     return dict(
@@ -582,7 +583,7 @@ class Tape:
 def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "eval"):
     """Run x through the task's path; returns (logits slice, tape).
 
-    Per layer, each selected block computes relu(norm(x W + b)) and the
+    Per layer, each selected block computes relu(norm(x W)) and the
     results are summed to feed the next layer; the N blocks of a layer run
     as one computation over a sample-major (n, N, d_hid) array. Train mode
     normalizes with batch statistics and updates the running stats of the
@@ -650,11 +651,10 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
         N, fan_in = len(row), h.shape[1]
         Ws = params[at:at + N * fan_in * d].reshape(N, fan_in, d)
         at += Ws.size
-        b, gamma, beta, run_mean, run_var = params[at:at + 5 * N * d].reshape(5, N, d)
-        at += 5 * N * d
+        gamma, beta, run_mean, run_var = params[at:at + 4 * N * d].reshape(4, N, d)
+        at += 4 * N * d
         z = np.empty((n, N, d))
         np.matmul(h, Ws, out=z.transpose(1, 0, 2))
-        z += b
         if train:
             # z.mean and z.var over the batch (sum / n), sharing the centred z
             mu, var = moments[m_at:m_at + 2 * N * d].reshape(2, N, d)
@@ -743,12 +743,12 @@ def backward_kernel(grid: ModuleGrid, index: PathIndex, tape: Tape,
     for l in range(grid.n_layers - 1, index.lowest - 1, -1):
         h_prev, (Ws, gamma, zhat, inv_std, y, _) = tape.inputs[l], tape.layers[l]
         N, dd = Ws.shape[0], h_prev.shape[1] * d
-        offset -= N * (dd + 3 * d)
-        grads = work[offset:offset + N * (dd + 3 * d)].reshape(N, dd + 3 * d)
+        offset -= N * (dd + 2 * d)
+        grads = work[offset:offset + N * (dd + 2 * d)].reshape(N, dd + 2 * d)
         dy = dh[:, None] * (y > 0)
         if index.learns[l]:
-            sample_sum(dy * zhat, 0, out=grads[:, dd + d:dd + 2 * d])    # d gamma
-            sample_sum(dy, 0, out=grads[:, dd + 2 * d:])                 # d beta
+            sample_sum(dy * zhat, 0, out=grads[:, dd:dd + d])    # d gamma
+            sample_sum(dy, 0, out=grads[:, dd + d:])             # d beta
         dy *= gamma
         dzhat = dy
         if tape.train:
@@ -766,7 +766,6 @@ def backward_kernel(grid: ModuleGrid, index: PathIndex, tape: Tape,
         dz = np.ascontiguousarray(dzhat.transpose(1, 0, 2))      # module-major
         if index.learns[l]:
             np.matmul(h_prev.T, dz, out=grads[:, :dd].reshape(N, h_prev.shape[1], d))   # d W
-            sample_sum(dzhat, 0, out=grads[:, dd:dd + d])                              # d b
         if l > index.lowest:   # nothing consumes the gradient below the cut
             dh = reduce(dz @ Ws.transpose(0, 2, 1), axis=0)
     return work if index.trainable is None else work[index.trainable]

@@ -183,16 +183,22 @@ class _ValidationMemo:
     accuracy, so a hit returns the same number `validate` would. The memo
     also keeps the input each layer took in that last pass, so a pass that
     runs again resumes at the first layer (or the head) whose parameters
-    changed: the layers below it would compute the same bits again.
+    changed: the layers below it would compute the same bits again. A task
+    that trains before its next validation changes its layer
+    `PathIndex.lowest` on every step, so it keeps only h_0 .. h_lowest (in
+    parallel training that is h_0, the validation features themselves).
 
     The memo holds arrays and the validation set, never the grid, a task or
     a tape, and lives as long as the training call that made it."""
 
     def __init__(self):
-        # task id -> (positions, val_ds, bits, accuracy, layer inputs h_0 .. h_L)
+        # task id -> (positions, val_ds, bits, accuracy, layer inputs h_0 ..
+        # h_L, or h_0 .. h_lowest for a task that trains)
         self._last: dict[int, tuple] = {}
 
-    def accuracy(self, grid: ModuleGrid, task: TaskSpec) -> float:
+    def accuracy(self, grid: ModuleGrid, task: TaskSpec, trains: bool) -> float:
+        """The task's validation accuracy; `trains` tells whether the task
+        trains before its next validation."""
         index = path_index(grid, task)
         positions = index.positions
         bits = grid.arena[positions].view(np.uint64)
@@ -208,6 +214,8 @@ class _ValidationMemo:
             # inputs of that layer and those below it
             inputs = last[4][:bisect.bisect_right(index.starts, first)]
         acc = validate(grid, task, inputs)
+        if trains:
+            del inputs[index.lowest + 1:]
         self._last[task.id] = (positions, task.val_ds, bits, acc, inputs)
         return acc
 
@@ -301,7 +309,7 @@ def _train_phases(grid, mode, phases, report_tasks, cfg, config_hash, log,
                     loss_sum[tid] += _train_batch(grid, by_id[tid], idx, adam, lr, epoch)
             rows.append({"epoch": epoch, "lr": lr, "per_task": [
                 {"loss": loss_sum[t.id] / plans[t.id].n_batches if t.id in by_id else None,
-                 "val_acc": memo.accuracy(grid, t)} for t in report_tasks]})
+                 "val_acc": memo.accuracy(grid, t, t.id in by_id)} for t in report_tasks]})
             if log:
                 log(_format_epoch(rows[-1], label))
         if freeze:
@@ -313,7 +321,7 @@ def _train_phases(grid, mode, phases, report_tasks, cfg, config_hash, log,
                 freeze_task(grid, t)
     return RunReport(
         config_hash=config_hash, seed=cfg.seed, mode=mode, tasks=_task_rows(report_tasks),
-        epochs=rows, final=[{"task": t.id, "val_acc": memo.accuracy(grid, t)}
+        epochs=rows, final=[{"task": t.id, "val_acc": memo.accuracy(grid, t, False)}
                             for t in report_tasks],
         wallclock_s=time.perf_counter() - t0, freeze_hashes=freeze_hashes,
     )

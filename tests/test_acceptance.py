@@ -150,10 +150,6 @@ def test_criterion_1_gradient_correctness():
         for mode in ("train", "eval"):
             _, grads = _loss_and_grads(grid, task, x, y, mode)
             keys = sorted(grads, key=repr)
-            if mode == "train":
-                # block biases cancel exactly under batch statistics; their
-                # correctness is asserted via loss invariance below
-                keys = [k for k in keys if not (k[0] == "block" and k[3] == "b")]
 
             def f(plist):
                 for k, p in zip(keys, plist):
@@ -167,12 +163,11 @@ def test_criterion_1_gradient_correctness():
             err = finite_diff_check(f, [grid.get_param(k) for k in keys],
                                     [grads[k] for k in keys], h=1e-5)
             worst = max(worst, err)
-        # train-mode loss is exactly independent of block biases
+        # batch statistics cancel a per-feature constant before the norm (so
+        # a block needs no bias): shifting every input sample by 0.37 leaves
+        # the train-mode loss unchanged
         base, _ = _loss_and_grads(grid, task, x, y, "train")
-        for (l, m) in task.path.modules():
-            key = ("block", l, m, "b")
-            grid.set_param(key, grid.get_param(key) + 0.37)
-        shifted, _ = _loss_and_grads(grid, task, x, y, "train")
+        shifted, _ = _loss_and_grads(grid, task, x + 0.37, y, "train")
         assert abs(shifted - base) < 1e-12
     elapsed = time.perf_counter() - t0
     ok = checked >= 5 and worst < 1e-4 and elapsed < 30
@@ -204,8 +199,8 @@ def test_criterion_2_path_locality():
         expected = {("head", ta.id, "W"), ("head", ta.id, "b")}
         nk = grid.norm_key(ta.id)
         for (l, m) in ta.path.modules():
-            expected |= {("block", l, m, "W"), ("block", l, m, "b"),
-                         ("norm", l, m, nk, "gamma"), ("norm", l, m, nk, "beta")}
+            expected |= {("block", l, m, "W"), ("norm", l, m, nk, "gamma"),
+                         ("norm", l, m, nk, "beta")}
         assert set(grads) == expected
 
         # perturbing anything off that surface leaves the loss bit-identical
@@ -215,7 +210,8 @@ def test_criterion_2_path_locality():
         for (l, m) in off_cells[:3]:
             W = grid.get_param(("block", l, m, "W"))
             grid.set_param(("block", l, m, "W"), W + rng.normal(size=W.shape))
-            grid.set_param(("block", l, m, "b"), grid.get_param(("block", l, m, "b")) + 1.0)
+            beta = ("norm", l, m, nk, "beta")
+            grid.set_param(beta, grid.get_param(beta) + 1.0)
         head = ("head", tb.id, "W")
         grid.set_param(head, grid.get_param(head) + rng.normal(size=(grid.d_hid, tb.c)))
         if norm_mode == "per-task":

@@ -519,7 +519,7 @@ def test_degenerate_layer_is_flagged_in_report():
     task = grid.tasks[0]
     # zero the whole path: every representation becomes constant
     for (l, m) in task.path.modules():
-        keys = [("block", l, m, "W"), ("block", l, m, "b")]
+        keys = [("block", l, m, "W")]
         keys += [("norm", l, m, nk, which) for nk in norm_keys(grid)
                  for which in ("gamma", "beta", "run_mean")]
         for key in keys:

@@ -33,7 +33,7 @@ def stored_keys(grid):
     """Every stored block and norm tensor's key, in arena order."""
     keys = []
     for l, m in cells(grid):
-        keys += [("block", l, m, "W"), ("block", l, m, "b")]
+        keys += [("block", l, m, "W")]
         keys += [("norm", l, m, nk, w) for nk in norm_keys(grid) for w in NORM_PARAMS]
     return keys
 
@@ -86,7 +86,7 @@ def test_assignment_cannot_change_a_shape():
     with pytest.raises(InputError):
         grid.set_param(("block", 0, 0, "W"), np.zeros((2, 2)))
     with pytest.raises(InputError):
-        grid.set_param(("block", 0, 0, "b"), np.zeros(3))
+        grid.set_param(("norm", 0, 0, SHARED, "beta"), np.zeros(3))
     with pytest.raises(InputError):
         grid.get_param(("block", 9, 0, "W"))
     assert grid.version == version
@@ -97,8 +97,10 @@ def test_assignment_cannot_change_a_shape():
 UNKNOWN_KEYS = {
     "layer past the end": ("block", 2, 0, "W"),
     "negative layer": ("block", -1, 0, "W"),
-    "module past the end": ("block", 0, 4, "b"),
-    "negative module": ("block", 0, -1, "b"),
+    "module past the end": ("block", 0, 4, "W"),
+    "negative module": ("block", 0, -1, "W"),
+    "block bias": ("block", 0, 0, "b"),
+    "last block's bias": ("block", 1, 3, "b"),
     "norm layer past the end": ("norm", 2, 0, "nk", "gamma"),
     "norm negative module": ("norm", 0, -1, "nk", "run_var"),
     "block arity 3": ("block", 0, 0),
@@ -135,6 +137,20 @@ def test_unknown_keys_are_input_errors(case, norm_mode):
         grid.set_param(key, np.zeros(grid.d_hid))
     assert grid.version == version
     np.testing.assert_array_equal(grid.arena, arena)
+
+
+def test_parallel8_shape_arena_and_trainable_sizes():
+    # the bench's parallel8 grid: 4 x 6 cells of d_in 8 / d_hid 16, 3 modules
+    # per path row, 8 four-class tasks on shared norms. A cell is W and one
+    # norm instance, (fan_in + 4) * 16 values; a task trains each path
+    # module's W, gamma and beta, (fan_in + 2) * 16, and its head slice
+    grid = make_grid(L=4, M=6, N=3, d_in=8, d_hid=16, seed=88, class_counts=(4,) * 8)
+    assert grid.arena.size == 6 * (12 + 3 * 20) * 16 + 17 * 32 == 7456
+    for task in grid.tasks:
+        index = path_index(grid, task)
+        assert index.size == index.segments.index.size == 3 * (10 + 3 * 18) * 16 + 17 * 4
+        assert index.size == 3140
+        assert len(trainable_keys(grid, task)) == 4 * 3 * 3 + 2 == 38
 
 
 def test_each_registration_adopts_one_arena_and_training_keeps_it(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from part import ContractError, forward_task, freeze_path, freeze_task, load_checkpoint, save_checkpoint
 from part.net import Path as TaskPath
 from part.checkpoint import FORMAT_VERSION, MAGIC, write_atomic
+from part.cli import main
 
 from conftest import make_grid
 
@@ -99,16 +100,30 @@ def test_corrupted_magic_rejected(tmp_path):
         load_checkpoint(p)
 
 
-def test_version_mismatch_refused(tmp_path):
+def test_version_mismatch_refused(tmp_path, capsys):
+    # format 1, which held a bias per block, and a format from the future;
+    # the CLI reports either as a contract violation, exit 1
     grid = make_grid(seed=73)
     p = tmp_path / "vers.part"
     save_checkpoint(grid, p)
     raw = bytearray(p.read_bytes())
-    assert raw[:4] == MAGIC
-    raw[4] = FORMAT_VERSION + 1
-    p.write_bytes(bytes(raw))
-    with pytest.raises(ContractError, match="version"):
-        load_checkpoint(p)
+    assert raw[:4] == MAGIC and raw[4:8] == FORMAT_VERSION.to_bytes(4, "little") == b"\2\0\0\0"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 73, "mode": "parallel", "norm_mode": "shared", "out_dir": str(tmp_path),
+        "grid": {"n_layers": 2, "n_modules": 4, "path_width": 2, "d_in": 6, "d_hid": 10},
+        "tasks": [{"type": "synthetic", "c": c, "n_per_class": 10, "margin": 4.0,
+                   "name": f"t{i}"} for i, c in enumerate((3, 2))],
+    }), encoding="utf-8")
+    for version in (1, FORMAT_VERSION + 1):
+        raw[4:8] = version.to_bytes(4, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ContractError, match=f"checkpoint format version {version} "):
+            load_checkpoint(p)
+        assert main(["eval", "--ckpt", str(p), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint format version {version} " in err and "Traceback" not in err
+        assert ("re-run `part train` on its config" in err) == (version == 1)
 
 
 def rewrite_metadata(path, edit):

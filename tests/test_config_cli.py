@@ -669,9 +669,10 @@ def _set_final(field, value):
     _set_final("val_acc", False),
     _set_final("val_acc", float("nan")),
     _set_final("val_acc", float("inf")),
+    _set_final("task", 1),
 ], ids=["final-int", "final-of-ints", "final-object", "tasks-str", "tasks-of-null",
         "no-val_acc", "task-str", "task-bool", "task-float", "acc-str", "acc-null",
-        "acc-bool", "acc-nan", "acc-inf"])
+        "acc-bool", "acc-nan", "acc-inf", "task-not-in-tasks"])
 def test_compare_report_with_wrong_field_types_exits_2(tmp_path, capsys, mutate):
     _trained(tmp_path, capsys)
     good = tmp_path / "run" / "report.json"
@@ -683,6 +684,23 @@ def test_compare_report_with_wrong_field_types_exits_2(tmp_path, capsys, mutate)
         code, err = _exit_and_stderr(["compare", *pair, "--out", str(tmp_path / "c.json")],
                                      capsys)
         assert code == 2 and f"malformed report {bad}" in err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_compare_report_missing_a_final_row_exits_2(tmp_path, capsys):
+    # B's final lacks task 1: pairing the rows up would drop it and give
+    # A's mean as 0.9, where it is 0.7
+    tasks = [{"id": 0, "c": 2, "slice": [0, 2]}, {"id": 1, "c": 2, "slice": [2, 4]}]
+    docs = {"a.json": [0.9, 0.5], "b.json": [0.8]}
+    for name, accs in docs.items():
+        (tmp_path / name).write_text(json.dumps({
+            "config_hash": None, "seed": 0, "mode": "parallel", "tasks": tasks, "epochs": [],
+            "final": [{"task": i, "val_acc": acc} for i, acc in enumerate(accs)],
+            "wallclock_s": 0.0}), encoding="utf-8")
+    a, b = (str(tmp_path / name) for name in docs)
+    code, err = _exit_and_stderr(["compare", a, b, "--out", str(tmp_path / "c.json")], capsys)
+    assert code == 2 and f"malformed report {b}" in err
+    assert "final rows cover tasks [0], not one per task [0, 1]" in err
     assert not (tmp_path / "c.json").exists()
 
 

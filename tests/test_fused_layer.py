@@ -40,12 +40,12 @@ from part.net import (
 )
 from part.numerics import softmax_xent_kernel, softmax_xent_slice
 
-from conftest import cells, randomize_norm_instances
+from conftest import randomize_norm_instances
 
 
 def _cell(grid, l, m, nk):
-    """W, b, gamma, beta, run_mean and run_var of one cell's norm instance nk."""
-    return ([grid.get_param(("block", l, m, which)) for which in ("W", "b")]
+    """W, gamma, beta, run_mean and run_var of one cell's norm instance nk."""
+    return ([grid.get_param(("block", l, m, "W"))]
             + [grid.get_param(("norm", l, m, nk, which)) for which in NORM_PARAMS])
 
 
@@ -59,8 +59,8 @@ def reference_forward(grid, task, x, mode):
         recs = {}
         h_next = np.zeros((h.shape[0], grid.d_hid))
         for m in row:
-            W, b, gamma, beta, run_mean, run_var = _cell(grid, l, m, nk)
-            z = h @ W + b
+            W, gamma, beta, run_mean, run_var = _cell(grid, l, m, nk)
+            z = h @ W
             if mode == "train":
                 mu = z.mean(axis=0)
                 var = z.var(axis=0)
@@ -100,7 +100,7 @@ def reference_backward(grid, task, inputs, records, h_final, dlogits, mode):
         h_prev = inputs[l]
         dh_prev = np.zeros_like(h_prev)
         for m, rec in records[l].items():
-            W, _, gamma, *_ = _cell(grid, l, m, nk)
+            W, gamma, *_ = _cell(grid, l, m, nk)
             dy = dh * (rec["y"] > 0)
             grads[("norm", l, m, nk, "gamma")] = (dy * rec["zhat"]).sum(axis=0)
             grads[("norm", l, m, nk, "beta")] = dy.sum(axis=0)
@@ -114,7 +114,6 @@ def reference_backward(grid, task, inputs, records, h_final, dlogits, mode):
             else:
                 dz = dzhat * rec["inv_std"]
             grads[("block", l, m, "W")] = h_prev.T @ dz
-            grads[("block", l, m, "b")] = dz.sum(axis=0)
             dh_prev += dz @ W.T
         dh = dh_prev
     return grads
@@ -141,7 +140,7 @@ def layer_problem(draw):
 
 
 def build(problem):
-    """A grid with random paths, norms and biases, some tasks finished
+    """A grid with random paths, norms and head biases, some tasks finished
     (their paths and own holdings frozen). Deterministic in `problem`."""
     p = problem
     rng = np.random.default_rng(p["seed"])
@@ -149,8 +148,6 @@ def build(problem):
                       seed=p["seed"] % 1000)
     for c in p["classes"]:
         register_task(grid, c).path = assign_random_path(p["M"], p["N"], p["L"], rng)
-    for l, m in cells(grid):
-        grid.set_param(("block", l, m, "b"), rng.normal(0.0, 0.5, p["d_hid"]))
     randomize_norm_instances(grid, rng)
     head_b = rng.normal(size=grid.c_total)
     for t in grid.tasks:
@@ -201,13 +198,12 @@ def assert_matches_reference(make, mode):
     for key, g in grads.items():
         assert same_bits(g, grads_ref[key]), key
 
-    # trainable_keys is path order filtered: per layer and module W, b,
-    # gamma, beta; then the head slice
+    # trainable_keys is path order filtered: per layer and module W, gamma,
+    # beta; then the head slice
     nk = grid.norm_key(task.id)
     order = [(kind, l, m, *([nk] if kind == "norm" else []), which)
              for l, m in task.path.modules()
-             for kind, which in (("block", "W"), ("block", "b"),
-                                 ("norm", "gamma"), ("norm", "beta"))]
+             for kind, which in (("block", "W"), ("norm", "gamma"), ("norm", "beta"))]
     order += [("head", task.id, "W"), ("head", task.id, "b")]
     assert keys == [k for k in order if k in set(keys)]
 
@@ -288,8 +284,6 @@ def _uneven_rows(norm_mode):
     done.path = Path(((1,), (2,), (3,)))
     task.path = Path(((0, 1, 2), (1,), (0, 3)))
     rng = np.random.default_rng(12)
-    for l, m in cells(grid):
-        grid.set_param(("block", l, m, "b"), rng.normal(0.0, 0.5, 3))
     randomize_norm_instances(grid, rng)
     freeze_path(grid, done.path)
     freeze_task(grid, done)

@@ -2,11 +2,11 @@
 
 Each case runs a tiny experiment through `run_experiment` and compares the
 sha256 of report.json (without its wall-clock field) and of the checkpoint
-file with hashes captured before the flat parameter arena replaced the
-per-tensor parameters, and the sha256 of its console lines with one
-captured before the three procedures became one loop. The CKA cases pin
-`analyze`'s cka_report.json for both kernels the same way, and check every
-report entry against a copy of the per-pair formula. A refactor that is
+file with hashes taken when the block bias was deleted (checkpoint format
+2), and the sha256 of its console lines with one captured before the three
+procedures became one loop, which that deletion did not move. The CKA
+cases pin `analyze`'s cka_report.json for both kernels the same way, and
+check every report entry against a copy of the per-pair formula. A refactor that is
 meant to keep the numbers must keep these hashes; a change that alters bits
 on purpose re-pins them and says by how much the numbers moved. The hashes
 hold for numpy's bundled OpenBLAS on x86-64; another BLAS may round matrix
@@ -37,23 +37,23 @@ from part.training import train_sequential
 
 GOLDEN = {
     ("parallel", "per-task"): (
-        "e0868da6c1911b1ca4ae01248d94d38929edd8caa473836af634e3f90dbfbfbd",
-        "3782e5378976206b080327f57173539f266663665d56966dcb350ff1580d1781"),
+        "5313c38f1c29226eb51b4d4c5714d052a421f4ac377bec9f8bb72757f08a1961",
+        "01980cee2e6111b828085f0c0700f21628f1a25368f632712ebdda294ff120fb"),
     ("parallel", "shared"): (
-        "0b83eade25a40e96b184f5b741a8ec4790560d106ba4832fb3a724966603c32d",
-        "e64aaf4f2a105f9f39b8ace454e90a8d5daf4dba33c067fdcc1927cdc1ba6dc4"),
+        "75ec77afc8d3609339e2c0077b4f0c593387e1b14076d442da20e9656dcee14d",
+        "e00aec293b0ba19e2b2fe03ba76eb74541082e6a3c185bc0b0643e66a8526572"),
     ("sequential", "per-task"): (
-        "6ac7828702533687222aba65bf2fec4e40c2bbb03d0924a754600e8011e99616",
-        "33652df198fc01858f271f8afb45fb9e8e9f85b5dbb6b86bc1f90108a3a80f04"),
+        "f569515bf179a35bb220cf3cce640579aa67d41333409ac4eef0acda73c59e87",
+        "b387ea704be213a47abc0d205f854e731b8730f4c21ed0ef31923372044fa473"),
     ("sequential", "shared"): (
-        "a3714db382c46cd55075f1a146fbdd1668b30bb631ce51c895bcc4d8616eb3d2",
-        "a26ea8cf07c8d12864bdcf215f05d443b4e90ad047da0f4c639d4287d498f08e"),
+        "672d14e8e4962027c951ffbe2b18d956b45dff4af614dd7e89f82f9e5f3e4100",
+        "075f80556ac7260ff19249dc2b6edff858bce2ef4f56b6acc352fd53f6e4eeed"),
     ("single", "per-task"): (
-        "30d28e2c64b8452553399f9680bb39397a52fd656978a6616c8b27c1e0f53b54",
-        "627b19144972c0ea7c6d31f1613f3ca086121e8801cd7cbf7a22f61e0330945e"),
+        "4e34ab1ff94dd3d70dedebcf4522a28273c3a40069305bb7c202cdd3a83189df",
+        "b92b6432446ac11aac82e2ff97eaf0dd302360d928d554acbd106739ccf79beb"),
     ("single", "shared"): (
-        "00e5546709dccf3c36979eff5663d13fdc5363ee61910c010c5ac72d0abf8581",
-        "ff75a53069a731a59540214111669ab43d741074cb0c864b0bc4b765acc3df6b"),
+        "ef89e1d448abb696c772dfed765a61494af52f5e28d7243f0eb4678120f4c85a",
+        "624f40515d2cbdd3677ace1c5f4bb41e59f0e03ff162a8359862589510af7eec"),
 }
 
 # sha256 of the console lines (`log`, one per epoch, each ending in a
@@ -167,12 +167,13 @@ def test_memo_sees_a_one_ulp_change_to_a_finished_task(tmp_path, monkeypatch, bu
 
 
 # ---------------------------------------------------------------------------
-# CKA reports: pinned at the per-pair cka() implementation, before each
+# CKA reports: pinned when the block bias was deleted; the entries equal
+# the per-pair cka() formula below, which the report used before each
 # representation's centred Gram was built once per layer
 
 CKA_GOLDEN = {
-    "linear": "0484c79e00f53270a69c46456cc04207f637730734e77e8d985b66e10158651c",
-    "rbf": "a7965289f27e52d02683ac455273b8b346eba42c4c5c3cf1a525936b9e866b6b",
+    "linear": "b7678929467b4cef498b018a0f0d4559386093ce6d950bdf7d49129234855511",
+    "rbf": "a1778d67a1019d63b932a0e809228eef1b8fa6c949a0414818f8c78d44741621",
 }
 
 

@@ -156,9 +156,8 @@ def test_zeroed_blocks_propagate_to_head_bias():
     grid = make_grid(L=3, M=4, N=2, seed=1)
     task = grid.tasks[0]
     for (l, m) in task.path.modules():
-        for which in ("W", "b"):
-            key = ("block", l, m, which)
-            grid.set_param(key, np.zeros_like(grid.get_param(key)))
+        key = ("block", l, m, "W")
+        grid.set_param(key, np.zeros_like(grid.get_param(key)))
     x = np.random.default_rng(0).normal(size=(5, grid.d_in))
     for mode in ("eval", "train"):
         logits, tape = forward_task(grid, task, x, mode=mode)
@@ -177,10 +176,10 @@ def test_single_module_path_equals_plain_chain():
     nk = grid.norm_key(task.id)
     h = x
     for l, row in enumerate(task.path.rows):
-        W, b = (grid.get_param(("block", l, row[0], w)) for w in ("W", "b"))
+        W = grid.get_param(("block", l, row[0], "W"))
         gamma, beta, run_mean, run_var = (grid.get_param(("norm", l, row[0], nk, w))
                                           for w in NORM_PARAMS)
-        z = h @ W + b
+        z = h @ W
         zhat = (z - run_mean) / np.sqrt(run_var + NORM_EPS)
         h = np.maximum(gamma * zhat + beta, 0.0)
     s, e = task.slice
@@ -199,8 +198,7 @@ def test_disjoint_paths_are_bit_independent():
     x = np.random.default_rng(1).normal(size=(6, 5))
     before, _ = forward_task(grid, ta, x, mode="eval")
     for (l, m) in tb.path.modules():
-        for which, shift in (("W", 5.0), ("b", -2.0)):
-            key = ("block", l, m, which)
+        for key, shift in ((("block", l, m, "W"), 5.0), (("norm", l, m, SHARED, "beta"), -2.0)):
             grid.set_param(key, grid.get_param(key) + shift)
     after, _ = forward_task(grid, ta, x, mode="eval")
     np.testing.assert_array_equal(before, after)
@@ -323,8 +321,8 @@ def test_gradient_keys_cover_exactly_the_task_surface():
     expected = set()
     nk = grid.norm_key(task.id)
     for (l, m) in task.path.modules():
-        expected |= {("block", l, m, "W"), ("block", l, m, "b"),
-                     ("norm", l, m, nk, "gamma"), ("norm", l, m, nk, "beta")}
+        expected |= {("block", l, m, "W"), ("norm", l, m, nk, "gamma"),
+                     ("norm", l, m, nk, "beta")}
     expected |= {("head", task.id, "W"), ("head", task.id, "b")}
     assert set(grads) == expected
 
@@ -342,10 +340,6 @@ def test_gradients_match_finite_differences():
         for mode in ("train", "eval"):
             _, grads = _loss_and_grads(grid, task, x, y, mode=mode)
             keys = sorted(grads, key=repr)
-            if mode == "train":
-                # block biases cancel under batch-stat normalization;
-                # checked separately via exact loss invariance
-                keys = [k for k in keys if not (k[0] == "block" and k[3] == "b")]
 
             def f(plist):
                 for k, p in zip(keys, plist):
@@ -361,17 +355,17 @@ def test_gradients_match_finite_differences():
             assert err < 1e-4, f"{norm_mode}/{mode}: rel err {err}"
 
 
-def test_train_loss_invariant_to_block_bias():
+def test_train_loss_invariant_to_an_input_shift():
+    # batch statistics cancel a per-feature constant before the norm, which
+    # is why a block has no bias: shifting every sample by one vector moves
+    # each first-layer pre-activation by a constant
     grid = make_grid(L=2, M=3, N=2, seed=13, randomize_norms=True)
     task = grid.tasks[0]
     rng = np.random.default_rng(13)
     x = rng.normal(size=(6, grid.d_in))
     y = rng.integers(0, task.c, size=6)
     loss0, _ = _loss_and_grads(grid, task, x, y, mode="train")
-    for (l, m) in task.path.modules():
-        key = ("block", l, m, "b")
-        grid.set_param(key, grid.get_param(key) + rng.normal(size=grid.d_hid))
-    loss1, _ = _loss_and_grads(grid, task, x, y, mode="train")
+    loss1, _ = _loss_and_grads(grid, task, x + rng.normal(size=grid.d_in), y, mode="train")
     assert abs(loss1 - loss0) < 1e-12
 
 
@@ -485,7 +479,7 @@ def test_frozen_params_bit_stable_under_overlapping_training():
     tb.path = Path(((1, 2), (1, 2)))  # overlaps task a on module 1
     freeze_path(grid, ta.path)
     hashes = {k: param_hash(grid, k) for cell in ta.path.modules()
-              for k in (("block", *cell, "W"), ("block", *cell, "b"))}
+              for k in [("block", *cell, "W")] + [("norm", *cell, SHARED, w) for w in NORM_PARAMS]}
     rng = np.random.default_rng(10)
     states = {}
     for _ in range(100):

@@ -25,10 +25,10 @@ from part import (
     validate,
 )
 from part.data import Dataset
-from part.net import NORM_PARAMS
+from part.net import NORM_PARAMS, path_index
 from part.training import RunReport, freeze_fingerprint
 
-from conftest import make_dataset, make_grid
+from conftest import attach_synthetic, make_dataset, make_grid
 
 
 def build_pair(seed, margin=8.0, epochs_cfg=None, norm_mode="shared",
@@ -134,9 +134,8 @@ def test_validate_tie_breaks_to_lowest_index():
     _, val = gen_synthetic_task(rng, task.c, 30, grid.d_in, 2.0)
     task.val_ds = val
     for (l, m) in task.path.modules():
-        for which in ("W", "b"):
-            key = ("block", l, m, which)
-            grid.set_param(key, np.zeros_like(grid.get_param(key)))
+        key = ("block", l, m, "W")
+        grid.set_param(key, np.zeros_like(grid.get_param(key)))
     grid.set_param(("head", task.id, "W"), np.zeros((grid.d_hid, task.c)))
     grid.set_param(("head", task.id, "b"), np.zeros(task.c))
     acc = validate(grid, task)
@@ -152,13 +151,15 @@ def test_validate_requires_val_set():
 
 @st.composite
 def one_ulp_changes(draw):
-    """A depth, a norm mode, and one to three one-ulp changes, each to one
-    parameter of a drawn layer of task 0's path (the depth: its head)."""
+    """A depth, a norm mode, one to three one-ulp changes, each to one
+    parameter of a drawn layer of task 0's path (the depth: its head),
+    whether task 0 trains between validations, and how many of its
+    lowest layers are frozen."""
     depth = draw(st.integers(1, 4))
     changes = draw(st.lists(st.tuples(st.integers(0, depth), st.integers(0, 2**32 - 1)),
                             min_size=1, max_size=3))
-    return depth, draw(st.sampled_from(["shared", "per-task"])), changes, draw(
-        st.integers(0, 2**32 - 1))
+    return (depth, draw(st.sampled_from(["shared", "per-task"])), changes,
+            draw(st.booleans()), draw(st.integers(0, depth)), draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -166,12 +167,15 @@ def one_ulp_changes(draw):
 def test_resumed_validation_matches_a_full_eval_pass(problem):
     from part import training
 
-    depth, norm_mode, changes, seed = problem
+    depth, norm_mode, changes, trains, frozen_below, seed = problem
     rng = np.random.default_rng(seed)
     grid = make_grid(L=depth, M=4, N=2, d_in=5, d_hid=4, norm_mode=norm_mode,
                      seed=seed % 1000, rng=rng, randomize_norms=True)
     task = grid.tasks[0]
     _, task.val_ds = gen_synthetic_task(rng, task.c, 20, grid.d_in, 2.0)
+    grid.frozen |= {(l, m) for l, row in enumerate(task.path.rows[:frozen_below]) for m in row}
+    # a task that trains keeps the inputs up to its lowest trainable layer
+    lowest = path_index(grid, task).lowest if trains else depth
     memo = training._ValidationMemo()
     resumed = []
     real = training.forward_kernel
@@ -183,30 +187,52 @@ def test_resumed_validation_matches_a_full_eval_pass(problem):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "forward_kernel", spy)
-        memo.accuracy(grid, task)
+        memo.accuracy(grid, task, trains)
         for layer, pick in changes:
             if layer == depth:
                 key = ("head", task.id, "W" if pick % 2 else "b")
             else:
                 m = task.path.rows[layer][pick % 2]
-                which = (("W", "b") + NORM_PARAMS)[pick // 2 % 6]
-                key = (("block", layer, m, which) if which in ("W", "b")
+                which = (("W",) + NORM_PARAMS)[pick // 2 % 5]
+                key = (("block", layer, m, which) if which == "W"
                        else ("norm", layer, m, grid.norm_key(task.id), which))
             value = grid.get_param(key)
             flat = value.reshape(-1)
-            i = pick // 12 % flat.size
+            i = pick // 10 % flat.size
             flat[i] = np.nextafter(flat[i], np.inf if pick // 3 % 2 else -np.inf)
             grid.set_param(key, value)
             resumed.clear()
-            acc = memo.accuracy(grid, task)
+            acc = memo.accuracy(grid, task, trains)
             logits, _ = forward_task(grid, task, task.val_ds.features, mode="eval")
             assert acc == validate(grid, task)
-            if layer == 0:
+            if min(layer, lowest) == 0:
                 assert resumed == []        # a whole pass, through forward_task
             else:
                 [(start, got)] = resumed
-                assert start == layer
+                assert start == min(layer, lowest)
                 np.testing.assert_array_equal(got, logits)
+
+
+def test_parallel_validation_keeps_no_layer_inputs(monkeypatch):
+    # every task trains every layer of its path each epoch, so no pass can
+    # resume above layer 0: the memo keeps only h_0, the features themselves
+    from part import training
+
+    memos = []
+
+    class Recording(training._ValidationMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(training, "_ValidationMemo", Recording)
+    grid = make_grid(L=3, M=4, N=2, seed=36, class_counts=(3, 3))
+    attach_synthetic(grid, np.random.default_rng(36), n_per_class=8)
+    train_parallel(grid, grid.tasks, TrainConfig(epochs=2, seed=0))
+    [memo] = memos
+    for task in grid.tasks:
+        [h0] = memo._last[task.id][-1]
+        assert h0 is task.val_ds.features
 
 
 # ---------------------------------------------------------------------------
