@@ -29,14 +29,12 @@ task.path = assign_random_path(3, 2, 2, rng)
 x = rng.normal(size=(6, 5))
 y = rng.integers(0, 3, size=6)
 
-# forward in eval mode (running statistics fixed), loss over the slice,
-# then the path-restricted backward
+# forward in eval mode (running statistics fixed): the task's own logits,
+# its loss and the loss gradient over those logits, then the
+# path-restricted backward
 logits, tape = forward_task(grid, task, x, mode="eval")
-full = np.zeros((6, grid.c_total))
-s, e = task.slice
-full[:, s:e] = logits
-loss, dlogits = softmax_xent_slice(full, y, task.slice)
-grads = backward_task(grid, task, tape, dlogits)
+loss, dslice = softmax_xent_slice(logits, y)
+grads = backward_task(grid, task, tape, dslice)
 print(f"loss {loss:.6f}, gradient tensors: {len(grads)}")
 
 keys = sorted(grads, key=repr)
@@ -46,9 +44,7 @@ def loss_of(params):
     for k, p in zip(keys, params):
         grid.set_param(k, p)
     lg, _ = forward_task(grid, task, x, mode="eval")
-    fl = np.zeros((6, grid.c_total))
-    fl[:, s:e] = lg
-    return softmax_xent_slice(fl, y, task.slice)[0]
+    return softmax_xent_slice(lg, y)[0]
 
 
 err = finite_diff_check(loss_of, [grid.get_param(k) for k in keys],

@@ -40,10 +40,10 @@ over axis 0. A train pass stacks every layer's batch moments and writes the
 running statistics with one update and one scatter after the last layer.
 The pass's `Tape` holds the mode and the path rows once, and one
 `LayerRecord` (the layer's six arrays) per layer. The backward reads that
-tape and returns one flat gradient vector over the task's trainable surface
-only (the tensors `trainable_keys` names, in the same order: per layer and
-module W, gamma, beta, then the head slice's W and b); `Gradients` reads
-it by parameter key and the trainer hands it to the optimizer as it is. The
+tape and the task-width loss gradient, and returns one flat gradient vector
+over the task's trainable surface only (the tensors `trainable_keys` names,
+in the same order: per layer and module W, gamma, beta, then the head
+slice's W and b); the trainer hands it to the optimizer as it is. The
 backward stops at the lowest layer that holds a trainable tensor, and a
 layer with none above it only carries the gradient through. This layout
 gives the same bits as running the blocks one by one (`_column_sums` covers
@@ -52,8 +52,10 @@ the one shape that needs care).
 Each pass is an unchecked kernel over a task's PathIndex (`forward_kernel`
 makes the tape, `backward_kernel` reads it) behind a checked entry point
 (`forward_task`, `backward_task`) that checks the task (through
-`path_index`), the mode, the input or the tape, then calls the kernel; the
-backward's flat vector comes back wrapped in `Gradients`. The trainer
+`path_index`), the mode, the input or the tape and gradient, then calls the
+kernel. Both take and give the task's own arrays: the (n, c) logits, and
+the (n, c) gradient `softmax_xent_slice` returns for them; `backward_task`
+reads the flat vector by parameter key, as a dict of views. The trainer
 checks its inputs once per call, then runs the kernels. An eval forward may
 resume at a later layer from the input that layer took in an earlier pass
 over the same parameters below it; validation does so when only later
@@ -62,7 +64,6 @@ layers changed.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -520,30 +521,6 @@ def _frozen_fields(grid: ModuleGrid, path: Path, norm_stats: np.ndarray, tensors
     )
 
 
-class Gradients(Mapping):
-    """A task's gradients: one read-only flat vector over its trainable
-    tensors in `trainable_keys` order (see PathIndex), read by key as views
-    into it."""
-
-    def __init__(self, flat: np.ndarray, index: PathIndex):
-        flat.flags.writeable = False
-        self.flat = flat
-        self._views, at = {}, 0      # trainable key -> its view into flat
-        for key, tensor, train in zip(index.keys, index.tensors, index.trains):
-            if train:
-                self._views[key] = flat[at:at + tensor.size].reshape(tensor.shape)
-                at += tensor.size
-
-    def __getitem__(self, key) -> np.ndarray:
-        return self._views[key]
-
-    def __iter__(self):
-        return iter(self._views)
-
-    def __len__(self) -> int:
-        return len(self._views)
-
-
 class LayerRecord(NamedTuple):
     """One layer's forward intermediates over its N path modules, in
     path-row order. Sample-major arrays are C-contiguous (n, N, d_hid), the
@@ -691,28 +668,37 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
 
 
 def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
-                  dlogits: np.ndarray) -> Gradients:
+                  dslice: np.ndarray) -> dict:
     """Gradients for exactly the task's trainable surface.
 
-    `dlogits` is full-width (n x C_total) as produced by the sliced loss;
-    only the task's slice columns are consumed, so everything off the
-    slice contributes nothing by construction. Returns one flat vector
-    over the tensors `trainable_keys` names, in that order (see
-    PathIndex): unfrozen path blocks, the norm instances the task trains
-    and its head slice, readable by parameter key. Checks the tape and
-    dlogits, then runs `backward_kernel` on the task's slice.
+    `tape` is a whole pass's (`forward_task`'s), and `dslice` the loss
+    gradient over the task's own (n, c) logits, as `softmax_xent_slice`
+    returns it. Returns a dict from each key `trainable_keys` names, in
+    that order (unfrozen path blocks, the norm instances the task trains,
+    its head slice), to that tensor's view of the one flat vector
+    `backward_kernel` returns. Checks the tape and dslice, then runs the
+    kernel on dslice as a contiguous array, as the trainer does, so both
+    give the same bits.
     """
     index = path_index(grid, task)
     if tape.task_id != task.id:
         raise ContractError(f"tape belongs to task {tape.task_id}, not {task.id}")
     if tape.grid_version != grid.version:
         raise ContractError("stale tape: grid parameters changed since forward")
-    start, end = task.slice
+    if len(tape.layers) != grid.n_layers:
+        raise ContractError(f"tape covers {len(tape.layers)} of {grid.n_layers} layers: "
+                            "a resumed eval pass has no backward")
     n = tape.h_final.shape[0]
-    dlogits = np.asarray(dlogits, dtype=np.float64)
-    if dlogits.shape != (n, grid.c_total):
-        raise InputError(f"dlogits must be ({n}, {grid.c_total}), got {dlogits.shape}")
-    return Gradients(backward_kernel(grid, index, tape, dlogits[:, start:end]), index)
+    dslice = np.ascontiguousarray(dslice, dtype=np.float64)
+    if dslice.shape != (n, task.c):
+        raise InputError(f"dslice must be ({n}, {task.c}), got {dslice.shape}")
+    flat = backward_kernel(grid, index, tape, dslice)
+    grads, at = {}, 0
+    for key, tensor, train in zip(index.keys, index.tensors, index.trains):
+        if train:
+            grads[key] = flat[at:at + tensor.size].reshape(tensor.shape)
+            at += tensor.size
+    return grads
 
 
 def backward_kernel(grid: ModuleGrid, index: PathIndex, tape: Tape,

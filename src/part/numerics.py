@@ -1,4 +1,4 @@
-"""Dense float64 numerics: Adam, sliced softmax cross-entropy, gradient oracle.
+"""Dense float64 numerics: Adam, a task's softmax cross-entropy, gradient oracle.
 
 Matrices are plain C-contiguous float64 numpy arrays throughout the
 package; this module owns the optimizer step, the loss used by every
@@ -201,33 +201,31 @@ class FlatAdam:
         params[index[keep]], m[keep], v[keep] = p, m_kept, v_kept
 
 
-def softmax_xent_slice(logits: np.ndarray, labels: np.ndarray, sl: tuple[int, int]):
-    """Mean cross-entropy with softmax restricted to output columns [start, end).
+def softmax_xent_slice(logits: np.ndarray, labels: np.ndarray):
+    """Mean softmax cross-entropy over one task's own logits.
 
-    Labels are slice-local (0 .. end-start-1). Returns (loss, dlogits)
-    where dlogits has the full logits shape, is (softmax - onehot)/n inside
-    the slice and exactly zero outside, so no other task's output neurons
-    ever receive gradient.
+    `logits` are the task's (n, c) columns of the head, as `forward_task`
+    returns them, and `labels` are n task-local integers in [0, c). Returns
+    (loss, dslice), where dslice = (softmax - onehot) / n is (n, c): the
+    gradient `backward_task` takes. No other task's output column takes
+    part. Checks its inputs, then runs `softmax_xent_kernel`.
     """
-    start, end = sl
-    n, c_total = logits.shape
-    if not (0 <= start < end <= c_total):
-        raise InputError(f"slice [{start},{end}) out of range for {c_total} columns")
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2:
+        raise InputError(f"logits must be (n, c), got shape {logits.shape}")
+    n, c = logits.shape
     labels = np.asarray(labels)
-    width = end - start
-    if labels.shape != (n,):
-        raise InputError(f"labels must have shape ({n},), got {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= width):
-        raise InputError(f"labels must lie in [0,{width}) for slice [{start},{end})")
-    loss, dslice = softmax_xent_kernel(logits[:, start:end], labels)
-    dlogits = np.zeros_like(logits)
-    dlogits[:, start:end] = dslice
-    return loss, dlogits
+    if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
+        raise InputError(f"labels must be {n} integers, got {labels.dtype} of shape "
+                         f"{labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
+        raise InputError(f"labels must lie in [0,{c})")
+    return softmax_xent_kernel(logits, labels)
 
 
 def softmax_xent_kernel(z: np.ndarray, labels: np.ndarray):
-    """The loss of `softmax_xent_slice` inside the slice, unchecked: z is
-    the slice's (n, c) logits and every label lies in [0, c). Returns
+    """The loss of `softmax_xent_slice`, unchecked: z is a task's (n, c)
+    float64 logits and every label lies in [0, c). Returns
     (loss, (softmax - onehot) / n) over z's columns."""
     # one exp-sum serves p and the log-softmax; the mean is sum / n, as
     # .mean computes it, and (p - onehot) / n is formed in place of exp(z)

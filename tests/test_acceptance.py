@@ -127,11 +127,8 @@ def _kink_margin(grid, task, x):
 
 def _loss_and_grads(grid, task, x, y, mode):
     logits, tape = forward_task(grid, task, x, mode=mode)
-    full = np.zeros((x.shape[0], grid.c_total))
-    s, e = task.slice
-    full[:, s:e] = logits
-    loss, dlogits = softmax_xent_slice(full, y, task.slice)
-    return loss, backward_task(grid, task, tape, dlogits)
+    loss, dslice = softmax_xent_slice(logits, y)
+    return loss, backward_task(grid, task, tape, dslice)
 
 
 def test_criterion_1_gradient_correctness():
@@ -155,10 +152,7 @@ def test_criterion_1_gradient_correctness():
                 for k, p in zip(keys, plist):
                     grid.set_param(k, p)
                 logits, _ = forward_task(grid, task, x, mode=mode)
-                full = np.zeros((x.shape[0], grid.c_total))
-                s, e = task.slice
-                full[:, s:e] = logits
-                return softmax_xent_slice(full, y, task.slice)[0]
+                return softmax_xent_slice(logits, y)[0]
 
             err = finite_diff_check(f, [grid.get_param(k) for k in keys],
                                     [grads[k] for k in keys], h=1e-5)

@@ -18,7 +18,7 @@ from part import (
     softmax_xent_slice,
     trainable_keys,
 )
-from part.net import NORM_EPS, NORM_PARAMS, SHARED, path_index
+from part.net import NORM_EPS, NORM_PARAMS, SHARED, forward_kernel, path_index
 from part.training import freeze_fingerprint
 
 from conftest import cells, make_grid, norm_keys
@@ -294,11 +294,8 @@ def test_one_sample_training_batch_rejected():
 
 def _loss_and_grads(grid, task, x, y, mode="train"):
     logits, tape = forward_task(grid, task, x, mode=mode)
-    full = np.zeros((x.shape[0], grid.c_total))
-    s, e = task.slice
-    full[:, s:e] = logits
-    loss, dlogits = softmax_xent_slice(full, y, task.slice)
-    return loss, backward_task(grid, task, tape, dlogits)
+    loss, dslice = softmax_xent_slice(logits, y)
+    return loss, backward_task(grid, task, tape, dslice)
 
 
 def test_zero_dlogits_gives_zero_gradients():
@@ -306,7 +303,7 @@ def test_zero_dlogits_gives_zero_gradients():
     task = grid.tasks[0]
     x = np.random.default_rng(5).normal(size=(4, grid.d_in))
     _, tape = forward_task(grid, task, x, mode="train")
-    grads = backward_task(grid, task, tape, np.zeros((4, grid.c_total)))
+    grads = backward_task(grid, task, tape, np.zeros((4, task.c)))
     for g in grads.values():
         assert not g.any()
 
@@ -345,10 +342,7 @@ def test_gradients_match_finite_differences():
                 for k, p in zip(keys, plist):
                     grid.set_param(k, p)
                 logits, _ = forward_task(grid, task, x, mode=mode)
-                full = np.zeros((x.shape[0], grid.c_total))
-                s, e = task.slice
-                full[:, s:e] = logits
-                return softmax_xent_slice(full, y, task.slice)[0]
+                return softmax_xent_slice(logits, y)[0]
 
             err = finite_diff_check(f, [grid.get_param(k) for k in keys],
                                     [grads[k] for k in keys], h=1e-5)
@@ -377,19 +371,19 @@ def test_stale_tape_rejected(write):
     task = grid.tasks[0]
     x = np.random.default_rng(7).normal(size=(4, grid.d_in))
     _, tape = forward_task(grid, task, x, mode="train")
-    dlogits = np.zeros((4, grid.c_total))
+    dslice = np.zeros((4, task.c))
     if write == "set_param":
         key = ("head", task.id, "b")
         grid.set_param(key, grid.get_param(key) + 1.0)
         with pytest.raises(ContractError):
-            backward_task(grid, task, tape, dlogits)
+            backward_task(grid, task, tape, dslice)
         return
     arena = grid.arena.copy()
     s, e = task.slice
     with pytest.raises(ValueError, match="read-only"):
         getattr(grid, write)[..., s:e] += 1.0
     np.testing.assert_array_equal(grid.arena, arena)
-    backward_task(grid, task, tape, dlogits)
+    backward_task(grid, task, tape, dslice)
 
 
 def test_tape_task_mismatch_rejected():
@@ -398,7 +392,31 @@ def test_tape_task_mismatch_rejected():
     x = np.random.default_rng(8).normal(size=(4, grid.d_in))
     _, tape = forward_task(grid, ta, x, mode="train")
     with pytest.raises(ContractError):
-        backward_task(grid, tb, tape, np.zeros((4, grid.c_total)))
+        backward_task(grid, tb, tape, np.zeros((4, tb.c)))
+
+
+@pytest.mark.parametrize("start", [1, 2])
+def test_tape_of_a_resumed_eval_pass_rejected(start):
+    # a resumed pass records only the layers from `start` on (start = L:
+    # the head alone), which is not enough for a backward
+    grid = make_grid(L=2, seed=17)
+    task = grid.tasks[0]
+    x = np.random.default_rng(10).normal(size=(4, grid.d_in))
+    _, full = forward_task(grid, task, x, mode="eval")
+    _, tape = forward_kernel(grid, path_index(grid, task), full.layer_sum(start - 1), False,
+                             start=start)
+    with pytest.raises(ContractError):
+        backward_task(grid, task, tape, np.zeros((4, task.c)))
+
+
+def test_dslice_of_another_width_rejected():
+    grid = make_grid(seed=18)
+    task = grid.tasks[0]
+    x = np.random.default_rng(11).normal(size=(4, grid.d_in))
+    _, tape = forward_task(grid, task, x, mode="train")
+    for shape in ((4, grid.c_total), (4, task.c + 1), (3, task.c), (4 * task.c,)):
+        with pytest.raises(InputError):
+            backward_task(grid, task, tape, np.zeros(shape))
 
 
 def test_shared_module_couples_tasks():

@@ -3,14 +3,19 @@
 `perfbench/tracer.py` times `part` from outside by rebinding module
 functions and `ModuleGrid` methods, and silently skips a name it no longer
 finds. Renaming or deleting one of them would leave its benchmark metrics
-at 0; this test fails first.
+at 0; the first test fails first. The second runs the wrapped loss and
+backward once each on task-width arrays and reads the tracer's counts.
 """
 
 import importlib
 from pathlib import Path
 
-from part import analysis, experiment, training
+import numpy as np
+
+from part import analysis, experiment, forward_task, training
 from part.net import ModuleGrid
+
+from conftest import make_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,3 +30,28 @@ def test_every_name_the_tracer_rebinds_exists(monkeypatch):
     missing = [f"{owner.__name__}.{name}"
                for owner, names in tables for name in names if name not in vars(owner)]
     assert not missing
+
+
+def test_the_tracer_wraps_the_task_width_loss_and_backward(monkeypatch):
+    # the tracer counts the backward's flops from (grid, task, tape) and the
+    # loss from its calls alone: both must still wrap the task-width API
+    monkeypatch.syspath_prepend(str(ROOT))
+    tracer_module = importlib.import_module("perfbench.tracer")
+    grid = make_grid(seed=19)
+    task = grid.tasks[0]
+    rng = np.random.default_rng(19)
+    n = 5
+    x = rng.normal(size=(n, grid.d_in))
+    y = rng.integers(0, task.c, size=n)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        logits, tape = forward_task(grid, task, x, mode="train")
+        _, dslice = training.softmax_xent_slice(logits, y)
+        training.backward_task(grid, task, tape, dslice)
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["numerics.softmax_xent_slice.calls"] == 1
+    assert metrics["net.backward_task.calls"] == 1
+    assert metrics["net.backward_task.flops"] == 2 * tracer_module.matmul_flops(grid, task, n)
