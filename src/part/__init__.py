@@ -46,6 +46,7 @@ from .net import (
     Path,
     TaskSpec,
     assign_random_path,
+    assign_random_paths,
     backward_task,
     build_controlled_paths,
     forward_task,

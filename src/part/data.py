@@ -35,12 +35,12 @@ class Dataset:
             raise InputError(f"dataset {self.name!r} has non-finite features")
         if self.n < self.c:
             raise InputError(f"dataset {self.name!r} has fewer samples than classes")
-        present = np.unique(self.labels)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.c):
             raise InputError(f"labels outside [0,{self.c}) in dataset {self.name!r}")
-        if len(present) != self.c:
+        present = np.count_nonzero(np.bincount(self.labels))
+        if present != self.c:
             raise InputError(f"dataset {self.name!r} is missing classes: "
-                             f"expected {self.c}, saw {len(present)}")
+                             f"expected {self.c}, saw {present}")
 
     @property
     def n(self) -> int:

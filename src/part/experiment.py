@@ -26,7 +26,7 @@ from .checkpoint import load_checkpoint, save_checkpoint, write_atomic, write_js
 from .config import ExperimentConfig
 from .data import gen_synthetic_task, load_csv, oversample_to_equal, standardize_pair, write_csv
 from .errors import ConfigError, InputError
-from .net import ModuleGrid, assign_random_path, build_controlled_paths, register_task
+from .net import ModuleGrid, assign_random_paths, build_controlled_paths, register_task
 from .training import (
     STREAM_ANALYSIS,
     STREAM_DATA,
@@ -89,8 +89,8 @@ def build_experiment(cfg: ExperimentConfig) -> ModuleGrid:
                                             g.path_width, shared))
     else:
         path_rng = derive_rng(cfg.seed, STREAM_PATHS)
-        paths = [assign_random_path(g.n_modules, g.path_width, g.n_layers, path_rng)
-                 for _ in cfg.tasks]
+        paths = assign_random_paths(g.n_modules, g.path_width, g.n_layers,
+                                    len(cfg.tasks), path_rng)
     for tc, (train, val), path in zip(cfg.tasks, pairs, paths):
         task = register_task(grid, train.c, name=tc.name, train_ds=train, val_ds=val)
         task.path = path
@@ -243,8 +243,7 @@ def profile_sharing_trials(cfg: ExperimentConfig, trials: int = 1) -> dict:
     rng = derive_rng(cfg.seed, STREAM_PATHS)
     sums = np.zeros(k + 1)
     for _ in range(trials):
-        paths = [assign_random_path(g.n_modules, g.path_width, g.n_layers, rng)
-                 for _ in range(k)]
+        paths = assign_random_paths(g.n_modules, g.path_width, g.n_layers, k, rng)
         profile = sharing_profile(paths, g.n_modules, g.n_layers)
         for t, count in profile.histogram.items():
             sums[t] += count

@@ -305,16 +305,86 @@ def register_task(grid: ModuleGrid, c: int, name: str = "",
 
 
 def assign_random_path(M: int, N: int, L: int, rng: np.random.Generator) -> Path:
-    """Uniform random N-subset of [0, M) per layer, layers independent."""
+    """Uniform random N-subset of [0, M) per layer, layers independent.
+
+    Row l is the sorted `rng.choice(M, size=N, replace=False)` of the l-th
+    such call on `rng`, and the generator ends where those L calls leave
+    it; this is `assign_random_paths(M, N, L, 1, rng)[0]`, which says how
+    the draws are made."""
+    return assign_random_paths(M, N, L, 1, rng)[0]
+
+
+def assign_random_paths(M: int, N: int, L: int, k: int,
+                        rng: np.random.Generator) -> list[Path]:
+    """k random paths: row r of the k*L rows (path r // L, layer r % L)
+    is the sorted r-th `rng.choice(M, size=N, replace=False)`, and `rng`
+    ends in the state those k*L calls leave, bit for bit. So one call
+    gives the paths k consecutive `assign_random_path` calls give.
+
+    On a PCG64 generator the rows come from one read of its stream.
+    numpy's choice runs Floyd's algorithm for M <= 10,000: a draw on
+    [0, j] for j = M-N .. M-1 (none for j = 0), a taken value replaced by
+    j, then N-1 shuffle draws on [0, i] for i = N-1 .. 1. Each draw is
+    Lemire's: one uint32 u of the stream gives (u * (j+1)) >> 32, unless
+    (u * (j+1)) mod 2^32 < (2^32-1-j) mod (j+1) rejects it. The uint32
+    stream is each 64-bit output's low then high half, after the buffered
+    half-word when the state has one. This reads the words every row
+    needs with one `random_raw` call, runs the Floyd draws over all rows
+    at once, checks the shuffle draws without applying them (the rows are
+    sorted), and writes the buffered half-word back into the state. It
+    falls back to calling `rng.choice` per row, from the state it was
+    given, when the bit generator is not PCG64, when M > 10,000, or when
+    any draw would be rejected (a chance of 4.4e-9 per row at M = 12,
+    N = 4).
+    """
     if not (1 <= N <= M):
         raise InputError(f"need 1 <= N <= M, got N={N}, M={M}")
     if L < 1:
         raise InputError(f"need L >= 1, got {L}")
-    rows = tuple(
-        tuple(sorted(int(i) for i in rng.choice(M, size=N, replace=False)))
-        for _ in range(L)
-    )
-    return Path(rows)
+    if k < 0:
+        raise InputError(f"need k >= 0, got {k}")
+    rows = _floyd_rows(M, N, k * L, rng.bit_generator)
+    if rows is None:
+        rows = [sorted(rng.choice(M, size=N, replace=False)) for _ in range(k * L)]
+    return [Path(tuple(map(tuple, rows[t * L:(t + 1) * L]))) for t in range(k)]
+
+
+def _floyd_rows(M: int, N: int, R: int, bitgen) -> Optional[list]:
+    """The R sorted rows R `Generator.choice(M, N, replace=False)`
+    calls on a PCG64 `bitgen` give, drawn from one read of its stream with
+    its state advanced to match; None, with the state untouched, where
+    `assign_random_paths` falls back."""
+    if type(bitgen) is not np.random.PCG64 or M > 10_000:
+        return None
+    first, lo = M - N, max(M - N, 1)    # Floyd's first j, and the first j that draws
+    # exclusive bounds j+1 of each row's draws, in stream order
+    bounds = np.concatenate([np.arange(lo, M), np.arange(N - 1, 0, -1)])
+    bounds = bounds.astype(np.uint64) + 1
+    need = R * bounds.size
+    state = bitgen.state
+    buffered = state["has_uint32"]
+    words = bitgen.random_raw((need - buffered + 1) // 2)   # the halves not buffered
+    halves = np.empty(2 * words.size + buffered, dtype=np.uint64)
+    halves[:buffered] = state["uinteger"]
+    halves[buffered::2] = words & 0xFFFFFFFF
+    halves[buffered + 1::2] = words >> 32
+    scaled = halves[:need].reshape(R, bounds.size) * bounds
+    if ((scaled & 0xFFFFFFFF) < (2**32 - bounds) % bounds).any():
+        bitgen.state = state
+        return None
+    drawn = (scaled >> 32).astype(np.intp)
+    member = np.zeros(R * M, dtype=bool)
+    base = np.arange(0, R * M, M)
+    if first == 0:                      # j = 0 draws nothing and takes 0
+        member[base] = True
+    for col, j in enumerate(range(lo, M)):
+        val = drawn[:, col]             # a value already taken gives j
+        member[base + np.where(member[base + val], j, val)] = True
+    after = bitgen.state
+    after["has_uint32"] = halves.size - need   # 1 when a half is left over
+    after["uinteger"] = int(words[-1] >> 32) if words.size else state["uinteger"]
+    bitgen.state = after
+    return np.nonzero(member.reshape(R, M))[1].reshape(R, N).tolist()
 
 
 def build_controlled_paths(L: int, M: int = 4, N: int = 2,
@@ -676,9 +746,9 @@ def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
     returns it. Returns a dict from each key `trainable_keys` names, in
     that order (unfrozen path blocks, the norm instances the task trains,
     its head slice), to that tensor's view of the one flat vector
-    `backward_kernel` returns. Checks the tape and dslice, then runs the
-    kernel on dslice as a contiguous array, as the trainer does, so both
-    give the same bits.
+    `backward_kernel` returns. Checks the tape and dslice (its shape, and
+    that it is finite), then runs the kernel on dslice as a contiguous
+    array, as the trainer does, so both give the same bits.
     """
     index = path_index(grid, task)
     if tape.task_id != task.id:
@@ -692,6 +762,8 @@ def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
     dslice = np.ascontiguousarray(dslice, dtype=np.float64)
     if dslice.shape != (n, task.c):
         raise InputError(f"dslice must be ({n}, {task.c}), got {dslice.shape}")
+    if not np.isfinite(dslice).all():
+        raise InputError("dslice contains non-finite values")
     flat = backward_kernel(grid, index, tape, dslice)
     grads, at = {}, 0
     for key, tensor, train in zip(index.keys, index.tensors, index.trains):

@@ -208,11 +208,14 @@ def softmax_xent_slice(logits: np.ndarray, labels: np.ndarray):
     returns them, and `labels` are n task-local integers in [0, c). Returns
     (loss, dslice), where dslice = (softmax - onehot) / n is (n, c): the
     gradient `backward_task` takes. No other task's output column takes
-    part. Checks its inputs, then runs `softmax_xent_kernel`.
+    part. Checks its inputs (finite logits, labels in range), then runs
+    `softmax_xent_kernel`.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise InputError(f"logits must be (n, c), got shape {logits.shape}")
+    if not np.isfinite(logits).all():
+        raise InputError("logits contain non-finite values")
     n, c = logits.shape
     labels = np.asarray(labels)
     if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):

@@ -15,6 +15,7 @@ from part import (
     ModuleGrid,
     TrainConfig,
     assign_random_path,
+    assign_random_paths,
     backward_task,
     cka,
     finite_diff_check,
@@ -300,7 +301,7 @@ def test_criterion_7_sharing_profile_law():
     sums = np.zeros(k + 1)
     sq = np.zeros(k + 1)
     for _ in range(trials):
-        paths = [assign_random_path(M, N, L, rng) for _ in range(k)]
+        paths = assign_random_paths(M, N, L, k, rng)
         hist = sharing_profile(paths, M, L).histogram
         counts = np.array([hist.get(t, 0) for t in range(k + 1)], dtype=float)
         sums += counts

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from part import (
     ContractError,
@@ -9,6 +11,7 @@ from part import (
     ModuleGrid,
     Path,
     assign_random_path,
+    assign_random_paths,
     backward_task,
     build_controlled_paths,
     finite_diff_check,
@@ -63,6 +66,61 @@ def test_selection_frequency_matches_uniform_subsets():
     assert np.all(np.abs(freq - 1 / 3) < 0.01)
 
 
+def reference_paths(M, N, L, k, rng):
+    """k paths of L rows, each row a sorted `rng.choice(M, N, replace=False)`."""
+    rows = [tuple(sorted(int(i) for i in rng.choice(M, size=N, replace=False)))
+            for _ in range(k * L)]
+    return [rows[t * L:(t + 1) * L] for t in range(k)]
+
+
+def assert_paths_match_choice(M, N, L, k, rng, twin):
+    """assign_random_paths on rng gives twin's reference paths and leaves rng
+    in twin's state, with the same next draw."""
+    paths = assign_random_paths(M, N, L, k, rng)
+    assert [list(p.rows) for p in paths] == reference_paths(M, N, L, k, twin)
+    np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+    assert rng.random() == twin.random()
+
+
+def pcg64_pair(seed, buffered=None):
+    """Two PCG64 generators in one state; with `buffered`, that state holds
+    the half-word `buffered` for the next uint32 draw."""
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered is not None:
+        state = rngs[0].bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, buffered
+        for rng in rngs:
+            rng.bit_generator.state = state
+    return rngs
+
+
+@st.composite
+def path_requests(draw):
+    M = draw(st.integers(1, 16))
+    return (M, draw(st.integers(1, M)), draw(st.integers(1, 9)), draw(st.integers(1, 12)),
+            draw(st.integers(0, 2**63 - 1)),
+            draw(st.one_of(st.none(), st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_requests())
+def test_batched_paths_equal_per_row_choice_bit_for_bit(request):
+    M, N, L, k, seed, buffered = request
+    assert_paths_match_choice(M, N, L, k, *pcg64_pair(seed, buffered))
+
+
+def test_batched_paths_fall_back_on_another_bit_generator():
+    rng, twin = (np.random.Generator(np.random.MT19937(7)) for _ in range(2))
+    assert_paths_match_choice(12, 4, 8, 10, rng, twin)
+
+
+def test_batched_paths_fall_back_on_a_rejected_draw():
+    # a buffered u = 0 leaves 0 mod 2^32 < (2^32-1-j) mod (j+1) for the first
+    # Floyd bound j+1 = M-N+1 = 9, not a power of two: numpy draws again
+    assert (2**32 - 9) % 9 > 0
+    assert_paths_match_choice(12, 4, 8, 10, *pcg64_pair(5, buffered=0))
+
+
 def test_invalid_path_requests():
     rng = np.random.default_rng(0)
     with pytest.raises(InputError):
@@ -71,6 +129,9 @@ def test_invalid_path_requests():
         assign_random_path(4, 0, 2, rng)
     with pytest.raises(InputError):
         assign_random_path(4, 2, 0, rng)
+    with pytest.raises(InputError):
+        assign_random_paths(4, 2, 2, -1, rng)
+    assert assign_random_paths(4, 2, 2, 0, rng) == []
     with pytest.raises(InputError):
         Path(((1, 1),))
     with pytest.raises(InputError):
@@ -417,6 +478,18 @@ def test_dslice_of_another_width_rejected():
     for shape in ((4, grid.c_total), (4, task.c + 1), (3, task.c), (4 * task.c,)):
         with pytest.raises(InputError):
             backward_task(grid, task, tape, np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_dslice_rejected(bad):
+    grid = make_grid(seed=3)
+    task = grid.tasks[0]
+    x = np.random.default_rng(11).normal(size=(4, grid.d_in))
+    _, tape = forward_task(grid, task, x, mode="train")
+    dslice = np.zeros((4, task.c))
+    dslice[2, 1] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        backward_task(grid, task, tape, dslice)
 
 
 def test_shared_module_couples_tasks():

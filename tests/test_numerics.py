@@ -130,6 +130,14 @@ def test_malformed_logits_or_labels_rejected(logits, labels):
         softmax_xent_slice(logits, labels)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_logits_rejected(bad):
+    logits = np.zeros((3, 2))
+    logits[1, 0] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        softmax_xent_slice(logits, np.array([0, 1, 0]))
+
+
 def test_xent_is_mean_over_batch():
     logits = np.tile(np.array([[2.0, -1.0, 0.5]]), (6, 1))
     labels = np.zeros(6, dtype=int)
