@@ -17,12 +17,14 @@ is it over two representations, and a layerwise report calls it once for
 the task pair and once for the module representations. Each Gram depends
 on one representation only, so it is built and centred once; each pair
 then costs one elementwise product and sum, the same bits in every
-caller. A call holds at most its p Grams plus block-sized temporaries,
-and a report frees each call's Grams before the next call. The peak,
-about (p + 0.6) n^2 float64s, comes while the last RBF Gram is built
-next to the other p - 1 and its median partitions a copy of the upper
-triangle. A Gram that overflows (its self-HSIC is not finite) raises
-NumericError.
+caller. A report holds one set of p n x n slots for its whole run, p
+being the most representations of any of its calls (at least 2): every
+call builds its Grams, pair products and RBF row-block sums in them
+(`cka()` holds its own 2). Outside the slots, an RBF Gram takes only the
+upper triangle of its squared distances while the median is taken (and
+a call's last Gram its row-block sums), so the peak is about
+(p + 0.6) n^2 float64s. A Gram that overflows (its self-HSIC is not
+finite) raises NumericError.
 """
 
 from __future__ import annotations
@@ -159,21 +161,25 @@ def hsic(K: np.ndarray, Lm: np.ndarray) -> float:
     return _pair_sum(_center(K), _center(Lm))
 
 
-def _gram_linear(X: np.ndarray) -> np.ndarray:
-    return X @ X.T
+def _gram_linear(X: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.matmul(X, X.T, out=out)
 
 
-def _gram_rbf(X: np.ndarray, frac: float, sigma: Optional[float]) -> np.ndarray:
+def _gram_rbf(X: np.ndarray, frac: float, sigma: Optional[float], *,
+              out: Optional[np.ndarray] = None,
+              scratch: Optional[np.ndarray] = None) -> np.ndarray:
     # exp(-d2 / (2 sigma^2)) with d2 the squared pairwise distances, built in
-    # place in one n x n array; other temporaries are row blocks, or the
-    # upper triangle of d2 while the median is taken
+    # place in one n x n array (`out`, or a new one); the row-block sums
+    # sq_i + sq_j go into the rows of `scratch` if given, else temporaries,
+    # and the upper triangle of d2 is a temporary while the median is taken
     n = X.shape[0]
     sq = np.sum(X * X, axis=1)
-    d2 = X @ X.T
+    d2 = np.matmul(X, X.T, out=out)
     d2 *= 2.0
     for rows in _blocks(n):
         # (sq_i + sq_j) - 2 x_i.x_j
-        np.subtract(sq[rows, None] + sq[None, :], d2[rows], out=d2[rows])
+        sums = None if scratch is None else scratch[rows]
+        np.subtract(np.add(sq[rows, None], sq[None, :], out=sums), d2[rows], out=d2[rows])
     np.maximum(d2, 0.0, out=d2)
     if sigma is None:
         # the median pairwise distance, exactly as np.median of the sqrt of
@@ -222,38 +228,45 @@ def _check_reps(*reps) -> list[np.ndarray]:
 
 def _pair_sum(Ka: np.ndarray, Kb: np.ndarray, into: Optional[np.ndarray] = None) -> float:
     """sum(Ka * Kb) / (n-1)^2 of two centred Grams: their HSIC. The product
-    is formed in `into` (Ka or Kb at its last use) if given, else in a
-    temporary; the bits are the same either way."""
+    is formed in `into` (a free slot, or Ka or Kb at its last use) if given,
+    else in a temporary; the bits are the same either way."""
     n = Ka.shape[0]
     product = Ka * Kb if into is None else np.multiply(Ka, Kb, out=into)
     return float(np.sum(product) / (n - 1) ** 2)
 
 
+def _gram_slots(p: int, n: int) -> np.ndarray:
+    """p n x n float64 slots in one allocation, each written before it is read."""
+    return np.empty((p, n, n))
+
+
 def _cka_matrix(reps: list[np.ndarray], kernel: str, rbf_frac: float,
-                rbf_sigma: Optional[float]) -> tuple[list, list]:
+                rbf_sigma: Optional[float], slots: np.ndarray) -> tuple[list, list]:
     """(all-pairs CKA matrix, per-representation flags) of checked
     representations. A flagged representation is constant (its flag says
-    how) and its row and column are None. Gram j is centred and scored
-    against Grams 0..j-1 as it arrives; the last one's pair products are
-    formed in the other Gram's storage (its last use) and its self-HSIC,
-    taken last, in its own, so no product temporary is ever alive next to
-    all p Grams. A non-finite self-HSIC raises NumericError."""
+    how) and its row and column are None. Gram j is built in slots[j],
+    centred, and scored against Grams 0..j-1 as it arrives. Until the last
+    Gram, slots[j + 1] is free: Gram j's RBF row-block sums, pair products
+    and self product go there. The last Gram's pair products are formed in
+    the other Gram's slot (its last use) and its self-HSIC, taken last, in
+    its own. A non-finite self-HSIC raises NumericError."""
     if kernel not in ("linear", "rbf"):
         raise InputError(f"kernel must be 'linear' or 'rbf', got {kernel!r}")
     p = len(reps)
     grams, hsics, flags, sums = [], [], [], {}
     for j, X in enumerate(reps):
         last = j == p - 1
+        spare = None if last else slots[j + 1]
         try:
-            K = _center(_gram_linear(X) if kernel == "linear"
-                        else _gram_rbf(X, rbf_frac, rbf_sigma))
+            K = _center(_gram_linear(X, out=slots[j]) if kernel == "linear"
+                        else _gram_rbf(X, rbf_frac, rbf_sigma, out=slots[j], scratch=spare))
         except DegenerateRepresentation as e:
             K, h, flag = None, None, str(e)
         else:
             for i in range(j):
                 if grams[i] is not None:
-                    sums[i, j] = _pair_sum(grams[i], K, into=grams[i] if last else None)
-            h = _pair_sum(K, K, into=K if last else None)
+                    sums[i, j] = _pair_sum(grams[i], K, into=grams[i] if last else spare)
+            h = _pair_sum(K, K, into=K if last else spare)
             if not math.isfinite(h):
                 raise NumericError(f"self-HSIC is {h}: a {kernel} Gram overflowed")
             flag = "constant representation: self-HSIC is zero" if h <= 1e-300 else None
@@ -280,7 +293,9 @@ def cka(X: np.ndarray, Y: np.ndarray, kernel: str = "linear",
     set is constant across samples (self-HSIC zero), rather than
     reporting a silent 0, and NumericError when a Gram overflows.
     """
-    matrix, flags = _cka_matrix(_check_reps(X, Y), kernel, rbf_frac, rbf_sigma)
+    reps = _check_reps(X, Y)
+    matrix, flags = _cka_matrix(reps, kernel, rbf_frac, rbf_sigma,
+                                _gram_slots(2, reps[0].shape[0]))
     if flags[0] or flags[1]:
         raise DegenerateRepresentation(flags[0] or flags[1])
     return matrix[0][1]
@@ -401,16 +416,16 @@ class CkaReport:
 
 
 def _layer_cka(la: ActivationSet, lb: ActivationSet, kernel: str, rbf_frac: float,
-               rbf_sigma: Optional[float]) -> LayerCka:
-    """One layer of a report: the task pair's CKA, then the module matrix.
-    The task pair's Grams are freed before the module Grams are built."""
+               rbf_sigma: Optional[float], slots: np.ndarray) -> LayerCka:
+    """One layer of a report: the task pair's CKA, then the module matrix,
+    each built in the report's slots."""
     entries = (
         [(f"t{la.task_id}:m{m}", rep) for m, rep in la.per_module.items()]
         + [(f"t{lb.task_id}:m{m}", rep) for m, rep in lb.per_module.items()]
     )
     reps = _check_reps(la.rep, lb.rep, *(rep for _, rep in entries))
-    task_matrix, task_flags = _cka_matrix(reps[:2], kernel, rbf_frac, rbf_sigma)
-    matrix, _ = _cka_matrix(reps[2:], kernel, rbf_frac, rbf_sigma)
+    task_matrix, task_flags = _cka_matrix(reps[:2], kernel, rbf_frac, rbf_sigma, slots)
+    matrix, _ = _cka_matrix(reps[2:], kernel, rbf_frac, rbf_sigma, slots)
     return LayerCka(layer=la.layer, task_cka=task_matrix[0][1],
                     task_cka_flag=task_flags[0] or task_flags[1],
                     labels=[name for name, _ in entries], matrix=matrix,
@@ -421,18 +436,22 @@ def layerwise_cka_report(set_a: list[ActivationSet], set_b: list[ActivationSet],
                          kernel: str = "rbf", rbf_frac: float = 0.5,
                          rbf_sigma: Optional[float] = None,
                          setup: str = "") -> CkaReport:
-    """Task-vs-task CKA per layer plus the all-pairs module matrix."""
+    """Task-vs-task CKA per layer plus the all-pairs module matrix. Every
+    layer's Grams are built in one set of slots, allocated once."""
     if len(set_a) != len(set_b):
         raise InputError(f"layer counts differ: {len(set_a)} vs {len(set_b)}")
     if not set_a:
         raise InputError("empty activation sets")
-    if set_a[0].rep.shape[0] != set_b[0].rep.shape[0]:
+    n = set_a[0].rep.shape[0]
+    if any(s.rep.shape[0] != n for s in (*set_a, *set_b)):
         raise InputError("activation sets have different sample counts")
-    layers = [_layer_cka(la, lb, kernel, rbf_frac, rbf_sigma)
+    p = max(2, *(len(la.per_module) + len(lb.per_module) for la, lb in zip(set_a, set_b)))
+    slots = _gram_slots(p, n)
+    layers = [_layer_cka(la, lb, kernel, rbf_frac, rbf_sigma, slots)
               for la, lb in zip(set_a, set_b)]
     return CkaReport(setup=setup, kernel=kernel_label(kernel, rbf_frac, rbf_sigma),
                      task_a=set_a[0].task_id, task_b=set_b[0].task_id,
-                     layers=layers, n_samples=set_a[0].rep.shape[0])
+                     layers=layers, n_samples=n)
 
 
 def average_cka_reports(reports: list[CkaReport]) -> CkaReport:

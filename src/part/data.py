@@ -51,16 +51,23 @@ class Dataset:
         return self.features.shape[1]
 
 
+def _standardize(train: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both feature arrays shifted/scaled by train's per-feature mean and
+    std; constant features get std 1 so they pass through unscaled."""
+    mean = train.mean(axis=0)
+    std = train.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    return (train - mean) / std, (val - mean) / std
+
+
 def standardize_pair(train: Dataset, val: Dataset) -> tuple[Dataset, Dataset]:
     """Shift/scale both splits by the train split's per-feature mean and std.
 
     Constant features get std 1 so they pass through unscaled.
     """
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    return tuple(Dataset(features=(ds.features - mean) / std, labels=ds.labels.copy(),
-                         c=ds.c, name=ds.name) for ds in (train, val))
+    features = _standardize(train.features, val.features)
+    return tuple(Dataset(features=f, labels=ds.labels.copy(), c=ds.c, name=ds.name)
+                 for f, ds in zip(features, (train, val)))
 
 
 def gen_synthetic_task(rng: np.random.Generator, c: int, n_per_class: int,
@@ -104,9 +111,9 @@ def gen_synthetic_task(rng: np.random.Generator, c: int, n_per_class: int,
         train_idx.append(kidx[n_val_per_class:])
     train_idx = np.concatenate(train_idx)
     val_idx = np.concatenate(val_idx)
-    train = Dataset(features=X[train_idx], labels=y[train_idx], c=c, name=f"{name}-train")
-    val = Dataset(features=X[val_idx], labels=y[val_idx], c=c, name=f"{name}-val")
-    return standardize_pair(train, val)
+    train_X, val_X = _standardize(X[train_idx], X[val_idx])
+    return (Dataset(features=train_X, labels=y[train_idx], c=c, name=f"{name}-train"),
+            Dataset(features=val_X, labels=y[val_idx], c=c, name=f"{name}-val"))
 
 
 def oversample_to_equal(datasets: list[Dataset], rng: np.random.Generator) -> list[Dataset]:

@@ -118,8 +118,9 @@ class FlatAdam:
     shared by several tasks advances on every step that includes it. A step
     updates one set of tensors at once and gives the same bits as
     `adam_step` on each tensor in turn: the same kernel, bias corrections
-    from Python float powers (computed once per step value), and the
-    zero-gradient fixed point per tensor.
+    from Python float powers (computed once per step value, and one scalar
+    pair when every counter in the step is equal), and the zero-gradient
+    fixed point per tensor.
 
     The moments and counters of the last-stepped `Segments` stay gathered
     between steps, and go back into the full vectors only when other
@@ -131,7 +132,8 @@ class FlatAdam:
         self._m = np.zeros(size)
         self._v = np.zeros(size)
         self._steps = np.zeros(size, dtype=np.int64)
-        # (segments, m, v, steps) gathered at the segments last stepped
+        # (segments, m, v, steps, whether those steps are all equal) gathered
+        # at the segments last stepped
         self._held = None
         # 1 - beta1**t and 1 - beta2**t (rows) by step t (columns; t = 0 unused)
         self._table = np.zeros((2, 1))
@@ -139,7 +141,7 @@ class FlatAdam:
     def _put_back(self) -> None:
         """Scatter the held moments and counters into the full vectors."""
         if self._held is not None:
-            segments, m, v, t = self._held
+            segments, m, v, t, _ = self._held
             self._m[segments.index], self._v[segments.index] = m, v
             self._steps[segments.first] = t
 
@@ -161,16 +163,18 @@ class FlatAdam:
     def steps(self) -> np.ndarray:
         return self._read(self._steps)
 
-    def _corrections(self, t: np.ndarray) -> np.ndarray:
-        """(2, len(t)): both bias corrections at each step value in t."""
+    def _corrections(self, t: np.ndarray, uniform: bool) -> np.ndarray:
+        """Both bias corrections at each step value in t, (2, len(t)); if
+        `uniform` (every counter in t is equal), one scalar pair of shape
+        (2,): dividing by it gives the same bits."""
         known = self._table.shape[1]
-        top = int(t.max(initial=0))
+        top = int(t[0]) if uniform else int(t.max(initial=0))
         if top >= known:
             new = range(known, max(top + 1, 2 * known))
             self._table = np.concatenate([self._table, [[1.0 - ADAM_BETA1 ** s for s in new],
                                                         [1.0 - ADAM_BETA2 ** s for s in new]]],
                                          axis=1)
-        return self._table[:, t]
+        return self._table[:, top] if uniform else self._table[:, t]
 
     def step(self, params: np.ndarray, grads: np.ndarray, segments: Segments,
              lr: float) -> None:
@@ -181,21 +185,25 @@ class FlatAdam:
             raise InputError(f"expected {segments.index.size} gradient values, got {grads.shape}")
         if self._held is None or self._held[0] is not segments:
             self._put_back()
-            self._held = (segments, self._m[segments.index], self._v[segments.index],
-                          self._steps[segments.first])
-        _, m, v, t = self._held
+            t = self._steps[segments.first]
+            # held counters advance together, so equal ones stay equal
+            uniform = t.size > 0 and t.min() == t.max()
+            self._held = (segments, self._m[segments.index], self._v[segments.index], t,
+                          uniform)
+        _, m, v, t, uniform = self._held
         t += 1
-        corrections = self._corrections(t)
+        corrections = self._corrections(t, uniform)
         index, lengths = segments.index, segments.lengths
         active = np.logical_or.reduceat(grads != 0, segments.starts)
         if active.all():
-            c1, c2 = np.repeat(corrections, lengths, axis=1)
+            c1, c2 = corrections if uniform else np.repeat(corrections, lengths, axis=1)
             p = params[index]
             adam_update(p, m, v, grads, lr, c1, c2)
             params[index] = p
             return
         keep = np.repeat(active, lengths)
-        c1, c2 = np.repeat(corrections[:, active], lengths[active], axis=1)
+        c1, c2 = (corrections if uniform
+                  else np.repeat(corrections[:, active], lengths[active], axis=1))
         p, m_kept, v_kept = params[index[keep]], m[keep], v[keep]
         adam_update(p, m_kept, v_kept, grads[keep], lr, c1, c2)
         params[index[keep]], m[keep], v[keep] = p, m_kept, v_kept

@@ -1,8 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from part import analysis
@@ -386,10 +387,19 @@ def test_grams_of_checked_reps_are_symmetric_bit_for_bit(X, sigma):
     # nothing symmetrises or checks a Gram the package builds: this is
     # what guards numpy computing X @ X.T of a C-contiguous X with syrk
     # and mirroring the triangle
+    # and a Gram built in a report's slot (NaN-filled here: every element is
+    # written before it is read) has the same bits as a fresh one
     (R,) = analysis._check_reps(X)
     assert R.flags.c_contiguous
-    for K in (analysis._gram_linear(R), analysis._gram_rbf(R, 0.5, sigma)):
+    slots = np.full((2, R.shape[0], R.shape[0]), np.nan)
+    builds = [(lambda: analysis._gram_linear(R),
+               lambda: analysis._gram_linear(R, out=slots[0])),
+              (lambda: analysis._gram_rbf(R, 0.5, sigma),
+               lambda: analysis._gram_rbf(R, 0.5, sigma, out=slots[0], scratch=slots[1]))]
+    for fresh, in_slot in builds:
+        K = fresh()
         assert K.tobytes() == K.T.tobytes()
+        assert in_slot().tobytes() == K.tobytes()
 
 
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
@@ -547,13 +557,25 @@ def _random_sets(n, n_layers=2, seed=0):
     return sets
 
 
+def test_report_rejects_layers_of_another_sample_count():
+    # every layer's Grams share the report's n x n slots
+    sa, sb = _random_sets(12)
+    for sets in (sa, sb):
+        s = sets[1]
+        sets[1] = ActivationSet(task_id=s.task_id, layer=1, rep=s.rep[:9],
+                                per_module={m: rep[:9] for m, rep in s.per_module.items()})
+    with pytest.raises(InputError, match="different sample counts"):
+        layerwise_cka_report(sa, sb, kernel="linear")
+
+
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
 def test_report_builds_one_gram_per_representation(monkeypatch, kernel):
     built = []
     for name in ("_gram_linear", "_gram_rbf"):
         real = getattr(analysis, name)
         monkeypatch.setattr(analysis, name,
-                            lambda X, *args, real=real: built.append(X) or real(X, *args))
+                            lambda X, *args, real=real, **buffers:
+                            built.append(X) or real(X, *args, **buffers))
     sa, sb = _random_sets(12, n_layers=3)
     report = layerwise_cka_report(sa, sb, kernel=kernel)
     p = len(report.layers[0].labels)
@@ -561,13 +583,87 @@ def test_report_builds_one_gram_per_representation(monkeypatch, kernel):
     assert len(built) == len(report.layers) * (2 + p)
 
 
+def fresh_centred_gram(R, kernel, sigma):
+    """A Gram in new memory (X X^T or the direct RBF form), centred out of
+    place as test_golden's old_center does."""
+    K = R @ R.T if kernel == "linear" else gram_rbf_reference(R, 0.5, sigma)
+    return K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+
+
+def fresh_cka(X, Y, kernel, sigma):
+    """(CKA, flag) of one pair from Grams built fresh for it."""
+    try:
+        Kx, Ky = fresh_centred_gram(X, kernel, sigma), fresh_centred_gram(Y, kernel, sigma)
+    except DegenerateRepresentation as e:
+        return None, str(e)
+    n = X.shape[0]
+    hxx, hyy, hxy = (float(np.sum(A * B) / (n - 1) ** 2) for A, B in
+                     ((Kx, Kx), (Ky, Ky), (Kx, Ky)))
+    if hxx <= 1e-300 or hyy <= 1e-300:
+        return None, "constant representation: self-HSIC is zero"
+    return hxy / math.sqrt(hxx * hyy), None
+
+
+@st.composite
+def slot_problem(draw):
+    """Two tasks' random layer representations: per layer, 1-4 modules per
+    task (so p is odd or even), and maybe one constant task or module
+    representation."""
+    n = draw(st.integers(3, 24))
+    d = draw(st.integers(1, 4))
+    layers = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4),
+                                     st.sampled_from([None, "task", "module"])),
+                           min_size=1, max_size=3))
+    kernel, sigma = draw(st.sampled_from([("linear", None), ("rbf", None), ("rbf", 0.7),
+                                          ("rbf", 3.0)]))
+    return n, d, layers, kernel, sigma, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(slot_problem())
+@example((5, 2, [(2, 1, "module"), (1, 1, None), (3, 2, "task")], "rbf", None, 0))
+@example((4, 3, [(1, 2, "task"), (4, 3, "module")], "linear", None, 1))
+@example((6, 1, [(2, 3, None), (1, 2, "module")], "rbf", 0.7, 2))
+def test_reused_slots_hold_no_stale_data(problem):
+    # every layer's Grams reuse one set of slots, NaN-filled before the
+    # report: each entry must equal one built from fresh Grams, bit for bit
+    n, d, layers, kernel, sigma, seed = problem
+    rng = np.random.default_rng(seed)
+    set_a, set_b = [], []
+    for l, (count_a, count_b, constant) in enumerate(layers):
+        for task_id, count, out in ((0, count_a, set_a), (1, count_b, set_b)):
+            per_module = {m: rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0)
+                          for m in range(count)}
+            if constant == "module" and task_id == 1:
+                per_module[0] = np.full((n, d), 0.25)
+            rep = sum(per_module.values())
+            if constant == "task" and task_id == 0:
+                rep = np.full((n, d), -1.5)
+            out.append(ActivationSet(task_id=task_id, layer=l, rep=rep,
+                                     per_module=per_module))
+    allocated = []
+
+    def nan_slots(p, n):
+        allocated.append(p)
+        return np.full((p, n, n), np.nan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_gram_slots", nan_slots)
+        report = layerwise_cka_report(set_a, set_b, kernel=kernel, rbf_sigma=sigma)
+    assert allocated == [max(2, *(a + b for a, b, _ in layers))]
+    for la, lb, lc in zip(set_a, set_b, report.layers):
+        assert (lc.task_cka, lc.task_cka_flag) == fresh_cka(la.rep, lb.rep, kernel, sigma)
+        reps = [*la.per_module.values(), *lb.per_module.values()]
+        assert lc.matrix == [[fresh_cka(X, Y, kernel, sigma)[0] for Y in reps] for X in reps]
+
+
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
 def test_report_peak_memory_stays_below_one_layer_of_grams(kernel):
-    # the task pair's Grams are freed before the p module Grams are built,
-    # and each layer's before the next; pair products with the last module
-    # Gram go into the other Gram's storage, so no product temporary joins
-    # the p Grams. Measured at n = 300: linear 6.12, rbf 6.64 n^2 float64s
-    # (the rbf median's upper triangle while the last Gram is built)
+    # the report holds one set of p slots for all layers: each Gram, its
+    # pair products and its RBF temporaries go into them, and the last
+    # Gram's pair products into the other Gram's slot, so no product
+    # temporary joins the p Grams. Measured at n = 300: linear 6.10, rbf
+    # 6.63 n^2 float64s (the rbf median's upper triangle next to the slots)
     n, p = 300, 6
     layerwise_cka_report(*_random_sets(4), kernel=kernel)   # numpy's lazy imports
     sa, sb = _random_sets(n)

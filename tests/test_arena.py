@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from part import (
@@ -24,7 +24,7 @@ from part import (
 )
 from part import net
 from part.net import NORM_PARAMS, SHARED, path_index, trainable_keys
-from part.numerics import FlatAdam, Segments
+from part.numerics import ADAM_BETA1, ADAM_BETA2, FlatAdam, Segments
 
 from conftest import attach_synthetic, cells, make_grid, norm_keys
 
@@ -302,8 +302,19 @@ def flat_problem(draw):
     return sizes, rows, widths, steps, draw(st.integers(0, 2**32 - 1))
 
 
+# every tensor in every step: the counters stay equal (scalar corrections),
+# a zero gradient included
+EQUAL_COUNTERS = ([2, 3], 2, [1, 2], [({0, 1, 2, 3}, set(), 0.1), ({0, 1, 2, 3}, {1}, 0.01),
+                                      ({0, 1, 2, 3}, set(), 0.5)], 7)
+# a subset first: the later full steps hold unequal counters
+UNEQUAL_COUNTERS = ([2, 3], 2, [1, 2], [({0, 2}, set(), 0.1), ({0, 1, 2, 3}, set(), 0.1),
+                                        ({0, 1, 2, 3}, {3}, 0.2)], 8)
+
+
 @settings(max_examples=40, deadline=None)
 @given(flat_problem())
+@example(EQUAL_COUNTERS)
+@example(UNEQUAL_COUNTERS)
 def test_fused_step_matches_per_tensor_adam_step(problem):
     sizes, rows, widths, steps, seed = problem
     rng = np.random.default_rng(seed)
@@ -341,6 +352,18 @@ def test_fused_step_matches_per_tensor_adam_step(problem):
         assert fused.steps[p[0]] == state.step
 
 
+def test_equal_counters_take_scalar_bias_corrections():
+    # the two cases the examples above step through: one scalar pair when
+    # every counter is equal, one pair per tensor otherwise
+    adam = FlatAdam(1)
+    c1, c2 = adam._corrections(np.array([3, 3, 3]), uniform=True)
+    assert (c1, c2) == (1.0 - ADAM_BETA1 ** 3, 1.0 - ADAM_BETA2 ** 3)
+    per_tensor = adam._corrections(np.array([2, 3, 2]), uniform=False)
+    assert per_tensor.shape == (2, 3)
+    assert per_tensor[:, 1].tolist() == [c1, c2]
+    assert per_tensor[:, 0].tolist() == [1.0 - ADAM_BETA1 ** 2, 1.0 - ADAM_BETA2 ** 2]
+
+
 @st.composite
 def resident_problem(draw):
     """Tensors at scattered positions of a flat vector, a few tensor sets
@@ -361,6 +384,9 @@ def resident_problem(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(resident_problem())
+@example(([3, 1, 2], [{0, 1, 2}], [(0, 3, set(), 0.1), (0, 2, {1}, 0.3)], 9))
+@example(([3, 1, 2], [{0, 1}, {0, 1, 2}],
+          [(0, 2, set(), 0.1), (1, 2, {2}, 0.3), (1, 1, set(), 0.05)], 10))
 def test_held_moments_match_per_tensor_adam_step_after_every_step(problem):
     sizes, sets, runs, seed = problem
     rng = np.random.default_rng(seed)

@@ -5,17 +5,21 @@ functions and `ModuleGrid` methods, and silently skips a name it no longer
 finds. Renaming or deleting one of them would leave its benchmark metrics
 at 0; the first test fails first. The second runs the wrapped loss and
 backward once each on task-width arrays and reads the tracer's counts.
+The third runs a CKA report under the tracer, whose Gram counter keys on
+the positional arguments: Gram buffers must be passed by keyword.
 """
 
 import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from part import analysis, experiment, forward_task, training
 from part.net import ModuleGrid
 
 from conftest import make_grid
+from test_analysis import _random_sets
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,3 +59,20 @@ def test_the_tracer_wraps_the_task_width_loss_and_backward(monkeypatch):
     assert metrics["numerics.softmax_xent_slice.calls"] == 1
     assert metrics["net.backward_task.calls"] == 1
     assert metrics["net.backward_task.flops"] == 2 * tracer_module.matmul_flops(grid, task, n)
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_the_tracer_counts_every_gram_of_a_report(monkeypatch, kernel):
+    monkeypatch.syspath_prepend(str(ROOT))
+    tracer_module = importlib.import_module("perfbench.tracer")
+    sa, sb = _random_sets(10, n_layers=3)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        report = analysis.layerwise_cka_report(sa, sb, kernel=kernel)
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    p = len(report.layers[0].labels)
+    assert metrics["analysis.gram.built"] == len(report.layers) * (2 + p)
+    assert metrics["analysis.gram.distinct"] == metrics["analysis.gram.built"]
