@@ -8,23 +8,38 @@ of the respective representation (an absolute sigma is also accepted).
 
 Every Gram the package builds is symmetric bit for bit by construction:
 representations are made C-contiguous float64, so numpy computes X X^T
-with syrk and mirrors the triangle, and every later RBF step is
-elementwise or commutes (sq_i + sq_j). Only `hsic()`, whose Grams come
+(and X^T X) with syrk and mirrors the triangle, and every later RBF step
+is elementwise or commutes (sq_i + sq_j). Only `hsic()`, whose Grams come
 from the caller, checks symmetry.
 
 Every CKA value comes from one all-pairs routine (`_cka_matrix`): `cka()`
 is it over two representations, and a layerwise report calls it once for
-the task pair and once for the module representations. Each Gram depends
-on one representation only, so it is built and centred once; each pair
-then costs one elementwise product and sum, the same bits in every
-caller. A report holds one set of p n x n slots for its whole run, p
-being the most representations of any of its calls (at least 2): every
-call builds its Grams, pair products and RBF row-block sums in them
-(`cka()` holds its own 2). Outside the slots, an RBF Gram takes only the
-upper triangle of its squared distances while the median is taken (and
-a call's last Gram its row-block sums), so the peak is about
-(p + 0.6) n^2 float64s. A Gram that overflows (its self-HSIC is not
-finite) raises NumericError.
+the task pair and once for the module representations. A representation
+whose rows are all equal is flagged before any Gram, under both kernels.
+The rest depends on the kernel:
+
+- linear: with columns centred, hsic(X, Y) = ||X^T Y||_F^2 / (n-1)^2
+  (Kornblith et al. 2019, arXiv:1905.00414, section 3). Each
+  representation is centred once; its self-HSIC comes from its d x d
+  feature Gram and each pair from one d_i x d_j product. No n x n array
+  is built and no slot is taken: the peak is a few n x d copies. A pair
+  costs O(n d^2) against the Gram form's O(n^2) per pair (plus O(n^2 d)
+  per Gram), so the Gram form would be faster from about d = 200 at
+  n = 400, or d = 40 at n = 12; the grid's d_hid is at most 16 in every
+  shipped config, and there is one path.
+- RBF: each centred n x n Gram is built once, and a pair is the sum of
+  the elementwise product of two Grams, taken by einsum in one pass with
+  no product temporary. A report holds one set of p n x n slots for its
+  whole run, p being the most representations of any of its calls (at
+  least 2), and builds every Gram in them (`cka()` holds its own 2), with
+  its row-block sums in the next slot while that is free. Outside the
+  slots, an RBF Gram takes only the upper triangle of its squared
+  distances while the median is taken (and a call's last Gram its
+  row-block sums), so the peak is about (p + 0.6) n^2 float64s.
+
+Pair sums use einsum, not a BLAS dot, so no value depends on the BLAS
+thread count. A Gram that overflows (its self-HSIC is not finite) raises
+NumericError.
 """
 
 from __future__ import annotations
@@ -158,11 +173,12 @@ def hsic(K: np.ndarray, Lm: np.ndarray) -> float:
         raise InputError(f"need n >= 3 for centering, got {n}")
     _check_symmetric(K)
     _check_symmetric(Lm)
-    return _pair_sum(_center(K), _center(Lm))
+    return _pair_sum(_center(K), _center(Lm), n)
 
 
-def _gram_linear(X: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
-    return np.matmul(X, X.T, out=out)
+def _gram_linear(X: np.ndarray) -> np.ndarray:
+    # the d x d feature Gram X^T X of a column-centred representation
+    return np.matmul(X.T, X)
 
 
 def _gram_rbf(X: np.ndarray, frac: float, sigma: Optional[float], *,
@@ -226,13 +242,12 @@ def _check_reps(*reps) -> list[np.ndarray]:
     return reps
 
 
-def _pair_sum(Ka: np.ndarray, Kb: np.ndarray, into: Optional[np.ndarray] = None) -> float:
-    """sum(Ka * Kb) / (n-1)^2 of two centred Grams: their HSIC. The product
-    is formed in `into` (a free slot, or Ka or Kb at its last use) if given,
-    else in a temporary; the bits are the same either way."""
-    n = Ka.shape[0]
-    product = Ka * Kb if into is None else np.multiply(Ka, Kb, out=into)
-    return float(np.sum(product) / (n - 1) ** 2)
+def _pair_sum(A: np.ndarray, B: np.ndarray, n: int) -> float:
+    """sum(A * B) / (n-1)^2 in one pass, with no product temporary. Of two
+    centred n x n Grams it is their HSIC; of C = X^T Y, with X and Y
+    column-centred, sum(C * C) / (n-1)^2 is the linear HSIC. einsum, not
+    vdot: vdot goes through BLAS, whose bits change with the thread count."""
+    return float(np.einsum("ij,ij->", A, B) / (n - 1) ** 2)
 
 
 def _gram_slots(p: int, n: int) -> np.ndarray:
@@ -240,37 +255,54 @@ def _gram_slots(p: int, n: int) -> np.ndarray:
     return np.empty((p, n, n))
 
 
+_CONSTANT = "constant representation: every sample is identical"
+
+
 def _cka_matrix(reps: list[np.ndarray], kernel: str, rbf_frac: float,
-                rbf_sigma: Optional[float], slots: np.ndarray) -> tuple[list, list]:
+                rbf_sigma: Optional[float], slots: Optional[np.ndarray]) -> tuple[list, list]:
     """(all-pairs CKA matrix, per-representation flags) of checked
     representations. A flagged representation is constant (its flag says
-    how) and its row and column are None. Gram j is built in slots[j],
-    centred, and scored against Grams 0..j-1 as it arrives. Until the last
-    Gram, slots[j + 1] is free: Gram j's RBF row-block sums, pair products
-    and self product go there. The last Gram's pair products are formed in
-    the other Gram's slot (its last use) and its self-HSIC, taken last, in
-    its own. A non-finite self-HSIC raises NumericError."""
+    how) and its row and column are None. Each representation is scored
+    against the earlier ones as it arrives; entry (i, j), i < j, is the
+    pair taken in that order.
+
+    Linear: a representation's columns are centred once, its self-HSIC is
+    the squared Frobenius norm of its d x d feature Gram, and pair (i, j)
+    that of X_i^T X_j; nothing n x n is built and `slots` is not used.
+    RBF: Gram j is built in slots[j] (its row-block sums in slots[j + 1]
+    while that is free) and centred; a pair is the sum of the elementwise
+    product of two Grams. A non-finite self-HSIC raises NumericError."""
     if kernel not in ("linear", "rbf"):
         raise InputError(f"kernel must be 'linear' or 'rbf', got {kernel!r}")
-    p = len(reps)
-    grams, hsics, flags, sums = [], [], [], {}
+    p, n = len(reps), reps[0].shape[0]
+    kept, hsics, flags, sums = [], [], [], {}
     for j, X in enumerate(reps):
-        last = j == p - 1
-        spare = None if last else slots[j + 1]
-        try:
-            K = _center(_gram_linear(X, out=slots[j]) if kernel == "linear"
-                        else _gram_rbf(X, rbf_frac, rbf_sigma, out=slots[j], scratch=spare))
-        except DegenerateRepresentation as e:
-            K, h, flag = None, None, str(e)
+        F = h = flag = None
+        if (X == X[0]).all():
+            flag = _CONSTANT
+        elif kernel == "linear":
+            F = X - X.mean(axis=0)
+            G = _gram_linear(F)
         else:
-            for i in range(j):
-                if grams[i] is not None:
-                    sums[i, j] = _pair_sum(grams[i], K, into=grams[i] if last else spare)
-            h = _pair_sum(K, K, into=K if last else spare)
+            try:
+                F = G = _center(_gram_rbf(X, rbf_frac, rbf_sigma, out=slots[j],
+                                          scratch=slots[j + 1] if j + 1 < p else None))
+            except DegenerateRepresentation as e:
+                flag = str(e)
+        if F is not None:
+            h = _pair_sum(G, G, n)
             if not math.isfinite(h):
                 raise NumericError(f"self-HSIC is {h}: a {kernel} Gram overflowed")
-            flag = "constant representation: self-HSIC is zero" if h <= 1e-300 else None
-        grams.append(None if flag or last else K)
+            if h <= 1e-300:
+                F, flag = None, "numerically constant representation: self-HSIC is zero"
+        for i, E in enumerate(kept):
+            if E is not None and F is not None:
+                if kernel == "linear":
+                    C = np.matmul(E.T, F)
+                    sums[i, j] = _pair_sum(C, C, n)
+                else:
+                    sums[i, j] = _pair_sum(E, F, n)
+        kept.append(F)
         hsics.append(h)
         flags.append(flag)
     matrix: list[list[Optional[float]]] = [[None] * p for _ in range(p)]
@@ -289,13 +321,16 @@ def cka(X: np.ndarray, Y: np.ndarray, kernel: str = "linear",
 
     kernel 'linear' or 'rbf'; for 'rbf' the bandwidth is rbf_frac times
     the median pairwise distance of each set separately, unless an
-    absolute rbf_sigma is given. Raises DegenerateRepresentation when a
-    set is constant across samples (self-HSIC zero), rather than
-    reporting a silent 0, and NumericError when a Gram overflows.
+    absolute rbf_sigma is given. The same routine as a report's
+    (`_cka_matrix`): linear CKA from the column-centred features, with no
+    n x n array; RBF from two centred Grams in two n x n slots. Raises
+    DegenerateRepresentation when a set is constant across samples (every
+    row equal, checked exactly before any Gram) rather than reporting a
+    silent 0, and NumericError when a Gram overflows.
     """
     reps = _check_reps(X, Y)
-    matrix, flags = _cka_matrix(reps, kernel, rbf_frac, rbf_sigma,
-                                _gram_slots(2, reps[0].shape[0]))
+    slots = _gram_slots(2, reps[0].shape[0]) if kernel == "rbf" else None
+    matrix, flags = _cka_matrix(reps, kernel, rbf_frac, rbf_sigma, slots)
     if flags[0] or flags[1]:
         raise DegenerateRepresentation(flags[0] or flags[1])
     return matrix[0][1]
@@ -416,9 +451,9 @@ class CkaReport:
 
 
 def _layer_cka(la: ActivationSet, lb: ActivationSet, kernel: str, rbf_frac: float,
-               rbf_sigma: Optional[float], slots: np.ndarray) -> LayerCka:
+               rbf_sigma: Optional[float], slots: Optional[np.ndarray]) -> LayerCka:
     """One layer of a report: the task pair's CKA, then the module matrix,
-    each built in the report's slots."""
+    RBF Grams each built in the report's slots."""
     entries = (
         [(f"t{la.task_id}:m{m}", rep) for m, rep in la.per_module.items()]
         + [(f"t{lb.task_id}:m{m}", rep) for m, rep in lb.per_module.items()]
@@ -436,8 +471,9 @@ def layerwise_cka_report(set_a: list[ActivationSet], set_b: list[ActivationSet],
                          kernel: str = "rbf", rbf_frac: float = 0.5,
                          rbf_sigma: Optional[float] = None,
                          setup: str = "") -> CkaReport:
-    """Task-vs-task CKA per layer plus the all-pairs module matrix. Every
-    layer's Grams are built in one set of slots, allocated once."""
+    """Task-vs-task CKA per layer plus the all-pairs module matrix. Under
+    the RBF kernel every layer's Grams are built in one set of slots,
+    allocated once; the linear kernel needs none."""
     if len(set_a) != len(set_b):
         raise InputError(f"layer counts differ: {len(set_a)} vs {len(set_b)}")
     if not set_a:
@@ -446,7 +482,7 @@ def layerwise_cka_report(set_a: list[ActivationSet], set_b: list[ActivationSet],
     if any(s.rep.shape[0] != n for s in (*set_a, *set_b)):
         raise InputError("activation sets have different sample counts")
     p = max(2, *(len(la.per_module) + len(lb.per_module) for la, lb in zip(set_a, set_b)))
-    slots = _gram_slots(p, n)
+    slots = _gram_slots(p, n) if kernel == "rbf" else None
     layers = [_layer_cka(la, lb, kernel, rbf_frac, rbf_sigma, slots)
               for la, lb in zip(set_a, set_b)]
     return CkaReport(setup=setup, kernel=kernel_label(kernel, rbf_frac, rbf_sigma),

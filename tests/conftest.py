@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from part import ModuleGrid, assign_random_path, register_task
+from part import DegenerateRepresentation, ModuleGrid, assign_random_path, register_task
 from part.net import SHARED
 from part.data import Dataset, gen_synthetic_task
 
@@ -58,6 +59,79 @@ def attach_synthetic(grid, rng, n_per_class=30, margin=6.0):
         task.train_ds = train
         task.val_ds = val
     return grid
+
+
+# A per-pair copy of the CKA arithmetic of `part.analysis._cka_matrix`,
+# in fresh memory: an all-pairs matrix must hold these bits in every entry.
+
+CONSTANT_FLAG = "constant representation: every sample is identical"
+
+
+def rbf_gram(X, frac, sigma):
+    """The RBF Gram in its direct form, with the bits of `_gram_rbf`."""
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    if sigma is None:
+        iu = np.triu_indices(X.shape[0], k=1)
+        med = float(np.median(np.sqrt(d2[iu])))
+        if med == 0.0:
+            raise DegenerateRepresentation(
+                "zero median pairwise distance: representation is constant")
+        sigma = frac * med
+    K = np.exp(-d2 / (2.0 * sigma * sigma))
+    return (K + K.T) / 2.0
+
+
+def centred_gram(K):
+    """H K H out of place, with the bits of `_center`."""
+    return K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+
+
+def pair_cka(X, Y, kernel, frac=0.5, sigma=None):
+    """(CKA, flag) of the pair (X, Y), taken in that order. Linear: from
+    column-centred features, hsic(X, Y) = sum(C * C) / (n-1)^2 with
+    C = X^T Y; RBF: from two centred Grams, sum(Kx * Ky) / (n-1)^2. Both
+    sums by einsum. A flag is the first of X's and Y's."""
+    n = X.shape[0]
+
+    def prepare(R):
+        """(centred features or Gram, self-HSIC, flag) of one representation."""
+        if (R == R[0]).all():
+            return None, None, CONSTANT_FLAG
+        if kernel == "linear":
+            F = R - R.mean(axis=0)
+            G = F.T @ F
+        else:
+            try:
+                F = G = centred_gram(rbf_gram(R, frac, sigma))
+            except DegenerateRepresentation as e:
+                return None, None, str(e)
+        h = float(np.einsum("ij,ij->", G, G) / (n - 1) ** 2)
+        if h <= 1e-300:
+            return None, None, "numerically constant representation: self-HSIC is zero"
+        return F, h, None
+
+    (Fx, hx, flag_x), (Fy, hy, flag_y) = prepare(X), prepare(Y)
+    if flag_x or flag_y:
+        return None, flag_x or flag_y
+    if Y is X:
+        hxy = hx
+    elif kernel == "linear":
+        C = Fx.T @ Fy
+        hxy = float(np.einsum("ij,ij->", C, C) / (n - 1) ** 2)
+    else:
+        hxy = float(np.einsum("ij,ij->", Fx, Fy) / (n - 1) ** 2)
+    return hxy / math.sqrt(hx * hy), None
+
+
+def assert_matrix_is_per_pair(matrix, reps, kernel, frac=0.5, sigma=None):
+    """Every entry of an all-pairs matrix, bit for bit: entry (i, j) and
+    (j, i) are both the pair taken in index order."""
+    for i, X in enumerate(reps):
+        for j, Y in enumerate(reps):
+            first, second = (X, Y) if i <= j else (Y, X)
+            assert matrix[i][j] == pair_cka(first, second, kernel, frac, sigma)[0]
 
 
 @pytest.fixture

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
@@ -33,7 +37,7 @@ from part.net import (
     register_task,
 )
 
-from conftest import make_grid, norm_keys
+from conftest import CONSTANT_FLAG, assert_matrix_is_per_pair, make_grid, norm_keys, pair_cka
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +271,54 @@ def test_constant_representation_is_flagged_not_zero():
             cka(X, const, kernel=kernel)
 
 
+CONSTANT_REPS = {
+    "fill 0.1": np.full((400, 16), 0.1),
+    "fill 7.7": np.full((400, 16), 7.7),
+    "tiled row": np.tile(np.random.default_rng(22).uniform(0.5, 3.0, 16), (400, 1)),
+}
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+@pytest.mark.parametrize("name", sorted(CONSTANT_REPS))
+def test_constant_representation_raises_whatever_its_rounding(kernel, name):
+    # centring these leaves ~1e-17 residues (their column means do not
+    # round back to the row), and equal rows' squared distances are not
+    # exactly 0, so neither a self-HSIC threshold nor the RBF median check
+    # sees them: only the exact every-row-equals-row-0 check does
+    const = CONSTANT_REPS[name]
+    Y = np.random.default_rng(23).normal(size=const.shape)
+    for X, Yb in ((const, Y), (Y, const)):
+        with pytest.raises(DegenerateRepresentation, match=f"^{CONSTANT_FLAG}$"):
+            cka(X, Yb, kernel=kernel)
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+@pytest.mark.parametrize("name", sorted(CONSTANT_REPS))
+def test_constant_representation_is_flagged_in_a_report(kernel, name):
+    const = CONSTANT_REPS[name][:60]
+    sa, sb = _random_sets(60)
+    sa[0].rep = const                       # task a's layer 0
+    sb[1].per_module[3] = const             # task b's last module at layer 1
+    report = layerwise_cka_report(sa, sb, kernel=kernel)
+    assert report.layers[0].task_cka is None
+    assert report.layers[0].task_cka_flag == CONSTANT_FLAG
+    assert report.layers[1].task_cka is not None
+    matrix = report.layers[1].matrix
+    assert matrix[-1] == [None] * 6 and [row[-1] for row in matrix] == [None] * 6
+    assert all(v is not None for row in matrix[:-1] for v in row[:-1])
+
+
+def test_rbf_zero_median_of_a_varying_representation_is_still_flagged():
+    # 4 of 5 rows equal: 6 of the 10 pairwise distances are zero, so the
+    # median is zero although the representation is not constant
+    X = np.ones((5, 3))
+    X[4] = 2.0
+    Y = np.random.default_rng(24).normal(size=(5, 3))
+    with pytest.raises(DegenerateRepresentation, match="zero median pairwise distance"):
+        cka(X, Y, kernel="rbf")
+    assert cka(X, Y, kernel="linear") is not None
+
+
 def gram_rbf_reference(X, frac, sigma):
     """The RBF Gram in its direct form, which `analysis._gram_rbf` must match
     bit for bit: np.median of the sqrt of the upper-triangle gather, negate
@@ -385,21 +437,20 @@ def checked_reps(draw):
 @given(checked_reps(), st.one_of(st.none(), st.floats(1e-2, 1e2)))
 def test_grams_of_checked_reps_are_symmetric_bit_for_bit(X, sigma):
     # nothing symmetrises or checks a Gram the package builds: this is
-    # what guards numpy computing X @ X.T of a C-contiguous X with syrk
-    # and mirroring the triangle
-    # and a Gram built in a report's slot (NaN-filled here: every element is
-    # written before it is read) has the same bits as a fresh one
+    # what guards numpy computing X @ X.T (RBF) and X^T X (the linear
+    # feature Gram) of a C-contiguous X with syrk and mirroring the triangle
+    # and an RBF Gram built in a report's slot (NaN-filled here: every
+    # element is written before it is read) has the same bits as a fresh one
     (R,) = analysis._check_reps(X)
     assert R.flags.c_contiguous
+    G = analysis._gram_linear(R - R.mean(axis=0))
+    assert G.shape == (R.shape[1], R.shape[1])
+    assert G.tobytes() == G.T.tobytes()
     slots = np.full((2, R.shape[0], R.shape[0]), np.nan)
-    builds = [(lambda: analysis._gram_linear(R),
-               lambda: analysis._gram_linear(R, out=slots[0])),
-              (lambda: analysis._gram_rbf(R, 0.5, sigma),
-               lambda: analysis._gram_rbf(R, 0.5, sigma, out=slots[0], scratch=slots[1]))]
-    for fresh, in_slot in builds:
-        K = fresh()
-        assert K.tobytes() == K.T.tobytes()
-        assert in_slot().tobytes() == K.tobytes()
+    K = analysis._gram_rbf(R, 0.5, sigma)
+    assert K.tobytes() == K.T.tobytes()
+    assert analysis._gram_rbf(R, 0.5, sigma, out=slots[0], scratch=slots[1]).tobytes() \
+        == K.tobytes()
 
 
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
@@ -583,27 +634,6 @@ def test_report_builds_one_gram_per_representation(monkeypatch, kernel):
     assert len(built) == len(report.layers) * (2 + p)
 
 
-def fresh_centred_gram(R, kernel, sigma):
-    """A Gram in new memory (X X^T or the direct RBF form), centred out of
-    place as test_golden's old_center does."""
-    K = R @ R.T if kernel == "linear" else gram_rbf_reference(R, 0.5, sigma)
-    return K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
-
-
-def fresh_cka(X, Y, kernel, sigma):
-    """(CKA, flag) of one pair from Grams built fresh for it."""
-    try:
-        Kx, Ky = fresh_centred_gram(X, kernel, sigma), fresh_centred_gram(Y, kernel, sigma)
-    except DegenerateRepresentation as e:
-        return None, str(e)
-    n = X.shape[0]
-    hxx, hyy, hxy = (float(np.sum(A * B) / (n - 1) ** 2) for A, B in
-                     ((Kx, Kx), (Ky, Ky), (Kx, Ky)))
-    if hxx <= 1e-300 or hyy <= 1e-300:
-        return None, "constant representation: self-HSIC is zero"
-    return hxy / math.sqrt(hxx * hyy), None
-
-
 @st.composite
 def slot_problem(draw):
     """Two tasks' random layer representations: per layer, 1-4 modules per
@@ -625,8 +655,9 @@ def slot_problem(draw):
 @example((4, 3, [(1, 2, "task"), (4, 3, "module")], "linear", None, 1))
 @example((6, 1, [(2, 3, None), (1, 2, "module")], "rbf", 0.7, 2))
 def test_reused_slots_hold_no_stale_data(problem):
-    # every layer's Grams reuse one set of slots, NaN-filled before the
-    # report: each entry must equal one built from fresh Grams, bit for bit
+    # every layer's RBF Grams reuse one set of slots, NaN-filled before the
+    # report: each entry must equal the pair taken alone in fresh memory
+    # (conftest.pair_cka), bit for bit
     n, d, layers, kernel, sigma, seed = problem
     rng = np.random.default_rng(seed)
     set_a, set_b = [], []
@@ -650,11 +681,86 @@ def test_reused_slots_hold_no_stale_data(problem):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_gram_slots", nan_slots)
         report = layerwise_cka_report(set_a, set_b, kernel=kernel, rbf_sigma=sigma)
-    assert allocated == [max(2, *(a + b for a, b, _ in layers))]
+    # the linear kernel works on features and takes no slots
+    assert allocated == ([max(2, *(a + b for a, b, _ in layers))] if kernel == "rbf" else [])
     for la, lb, lc in zip(set_a, set_b, report.layers):
-        assert (lc.task_cka, lc.task_cka_flag) == fresh_cka(la.rep, lb.rep, kernel, sigma)
+        assert (lc.task_cka, lc.task_cka_flag) == pair_cka(la.rep, lb.rep, kernel, 0.5, sigma)
         reps = [*la.per_module.values(), *lb.per_module.values()]
-        assert lc.matrix == [[fresh_cka(X, Y, kernel, sigma)[0] for Y in reps] for X in reps]
+        assert_matrix_is_per_pair(lc.matrix, reps, kernel, 0.5, sigma)
+
+
+def gram_cka_reference(X, Y, kernel, sigma):
+    """(CKA, flag) of one pair by the n x n Gram formula, independent of the
+    package's: K = X X^T or the direct RBF form, centred out of place,
+    hsic(K, L) = sum(K * L) / (n-1)^2 as one product and pairwise sum."""
+    n = X.shape[0]
+    grams = []
+    for R in (X, Y):
+        if (R == R[0]).all():
+            return None, CONSTANT_FLAG
+        try:
+            K = R @ R.T if kernel == "linear" else gram_rbf_reference(R, 0.5, sigma)
+        except DegenerateRepresentation as e:
+            return None, str(e)
+        grams.append(K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True)
+                     + K.mean())
+    Kx, Ky = grams
+    hxx, hyy, hxy = (float(np.sum(A * B) / (n - 1) ** 2) for A, B in
+                     ((Kx, Kx), (Ky, Ky), (Kx, Ky)))
+    if hxx <= 1e-300 or hyy <= 1e-300:
+        return None, "numerically constant representation: self-HSIC is zero"
+    return hxy / math.sqrt(hxx * hyy), None
+
+
+@st.composite
+def gram_problem(draw):
+    """p representations of n samples and d features (d > n too), each
+    scaled and shifted, some constant (a fill or a tiled row), under either
+    kernel with a median or an absolute sigma."""
+    n = draw(st.integers(3, 40))
+    d = draw(st.integers(1, 48))
+    p = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reps = []
+    for _ in range(p):
+        kind = draw(st.sampled_from(["normal", "normal", "normal", "fill", "row"]))
+        if kind == "fill":
+            reps.append(np.full((n, d), draw(st.sampled_from([0.1, 7.7, -1.5]))))
+        elif kind == "row":
+            reps.append(np.tile(rng.uniform(0.5, 3.0, d), (n, 1)))
+        else:
+            reps.append(rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0)
+                        + rng.uniform(-2.0, 2.0, d))
+    kernel, sigma = draw(st.sampled_from([("linear", None), ("rbf", None), ("rbf", 0.7),
+                                          ("rbf", 3.0), ("rbf", 20.0)]))
+    return reps, kernel, sigma
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram_problem())
+@example(([np.full((5, 3), 0.1), np.arange(15.0).reshape(5, 3)], "linear", None))
+@example(([np.array([[0.0], [1e-170], [0.0]]), np.eye(3, 2)], "linear", None))  # underflow
+@example(([np.arange(12.0).reshape(3, 4) ** 2, np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)),
+           np.eye(3, 4)], "rbf", None))
+def test_report_entries_match_the_gram_formula(problem):
+    # the package takes linear HSIC from centred features and RBF pair sums
+    # by einsum; the Gram formula gives the same numbers up to rounding
+    reps, kernel, sigma = problem
+    per_module = dict(enumerate(reps))
+    sa = [ActivationSet(task_id=0, layer=0, rep=reps[0], per_module=per_module)]
+    sb = [ActivationSet(task_id=1, layer=0, rep=reps[1], per_module={})]
+    lc = layerwise_cka_report(sa, sb, kernel=kernel, rbf_sigma=sigma).layers[0]
+    value, flag = gram_cka_reference(reps[0], reps[1], kernel, sigma)
+    assert lc.task_cka_flag == flag
+    assert (lc.task_cka is None) == (value is None)
+    if value is not None:
+        assert abs(lc.task_cka - value) <= 1e-12
+    for i, X in enumerate(reps):
+        for j, Y in enumerate(reps):
+            value = gram_cka_reference(X, Y, kernel, sigma)[0]
+            assert (lc.matrix[i][j] is None) == (value is None)
+            if value is not None:
+                assert abs(lc.matrix[i][j] - value) <= 1e-12
 
 
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
@@ -674,6 +780,61 @@ def test_report_peak_memory_stays_below_one_layer_of_grams(kernel):
     finally:
         tracemalloc.stop()
     assert peak < (p + 0.75) * n * n * 8
+
+
+def test_linear_report_peak_memory_stays_below_one_gram():
+    # linear CKA works on centred n x d features and d x d products: no
+    # n x n array is built at all
+    n = 300
+    layerwise_cka_report(*_random_sets(4), kernel="linear")
+    sa, sb = _random_sets(n)
+    tracemalloc.start()
+    try:
+        layerwise_cka_report(sa, sb, kernel="linear")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_cka_takes_gram_slots_only_for_rbf(monkeypatch, kernel):
+    allocated = []
+    real = analysis._gram_slots
+    monkeypatch.setattr(analysis, "_gram_slots",
+                        lambda p, n: allocated.append(p) or real(p, n))
+    rng = np.random.default_rng(25)
+    cka(rng.normal(size=(20, 3)), rng.normal(size=(20, 4)), kernel=kernel)
+    assert allocated == ([2] if kernel == "rbf" else [])
+
+
+THREADS_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+from part.analysis import ActivationSet, layerwise_cka_report
+rng = np.random.default_rng(26)
+sets = []
+for task_id, mods in ((0, (0, 1, 2)), (1, (2, 3, 4))):
+    per_module = {m: rng.normal(size=(400, 16)) for m in mods}
+    sets.append([ActivationSet(task_id, 0, sum(per_module.values()), per_module)])
+reports = {k: layerwise_cka_report(*sets, kernel=k).layers[0] for k in ("linear", "rbf")}
+doc = {k: [lc.task_cka, lc.matrix] for k, lc in reports.items()}
+print(hashlib.sha256(json.dumps(doc).encode()).hexdigest())
+"""
+
+
+def test_report_bits_do_not_depend_on_the_blas_thread_count():
+    # the pair sums are einsum, which does not go through BLAS; the BLAS
+    # products (Grams, X^T Y) split no dot product across threads
+    root = FilePath(__file__).resolve().parent.parent
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(root / "src"))
+        result = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout)
+    assert len(digests) == 1
 
 
 def test_average_cka_reports_elementwise_mean():

@@ -6,7 +6,7 @@ file with hashes taken when the block bias was deleted (checkpoint format
 2), and the sha256 of its console lines with one captured before the three
 procedures became one loop, which that deletion did not move. The CKA
 cases pin `analyze`'s cka_report.json for both kernels the same way, and
-check every report entry against a copy of the per-pair formula. A refactor that is
+check every report entry against a per-pair copy of its arithmetic. A refactor that is
 meant to keep the numbers must keep these hashes; a change that alters bits
 on purpose re-pins them and says by how much the numbers moved. The hashes
 hold for numpy's bundled OpenBLAS on x86-64; another BLAS may round matrix
@@ -15,8 +15,6 @@ products differently.
 
 import hashlib
 import json
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +23,6 @@ from hypothesis import strategies as st
 import part.training
 from part.analysis import ActivationSet, layerwise_cka_report
 from part.config import parse_config
-from part.errors import DegenerateRepresentation
 from part.experiment import (
     CHECKPOINT_NAME,
     REPORT_NAME,
@@ -34,6 +31,8 @@ from part.experiment import (
     run_experiment,
 )
 from part.training import train_sequential
+
+from conftest import assert_matrix_is_per_pair, pair_cka
 
 GOLDEN = {
     ("parallel", "per-task"): (
@@ -167,13 +166,13 @@ def test_memo_sees_a_one_ulp_change_to_a_finished_task(tmp_path, monkeypatch, bu
 
 
 # ---------------------------------------------------------------------------
-# CKA reports: pinned when the block bias was deleted; the entries equal
-# the per-pair cka() formula below, which the report used before each
-# representation's centred Gram was built once per layer
+# CKA reports: re-pinned when linear CKA moved to centred features and the
+# pair sums to einsum (entries moved by at most 4.4e-16 absolute here); the
+# entries equal the per-pair arithmetic of conftest.pair_cka
 
 CKA_GOLDEN = {
-    "linear": "b7678929467b4cef498b018a0f0d4559386093ce6d950bdf7d49129234855511",
-    "rbf": "a1778d67a1019d63b932a0e809228eef1b8fa6c949a0414818f8c78d44741621",
+    "linear": "f9c3655ba486518200713fc0b5a2fbe947e345c9276d0a454ff67c9bc965a598",
+    "rbf": "fca105cc1909ec8c524155894744e5cccaffb040df0a80d1dca5a98cd1742e7d",
 }
 
 
@@ -199,49 +198,8 @@ def test_golden_cka_report(tmp_path, kernel):
     assert hashlib.sha256(doc).hexdigest() == CKA_GOLDEN[kernel]
 
 
-# A copy of the per-pair formula the pins above were taken with: fresh Grams
-# for every pair, hsic(Kx,Ky)/sqrt(hsic(Kx,Kx) hsic(Ky,Ky)).
-
-def old_center(K):
-    row = K.mean(axis=0, keepdims=True)
-    col = K.mean(axis=1, keepdims=True)
-    return K - row - col + K.mean()
-
-
-def old_hsic(K, Lm):
-    n = K.shape[0]
-    return float(np.sum(old_center(K) * old_center(Lm)) / (n - 1) ** 2)
-
-
-def old_gram(X, kernel, frac, sigma):
-    if kernel == "linear":
-        return X @ X.T
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    if sigma is None:
-        iu = np.triu_indices(X.shape[0], k=1)
-        med = float(np.median(np.sqrt(d2[iu])))
-        if med == 0.0:
-            raise DegenerateRepresentation(
-                "zero median pairwise distance: representation is constant")
-        sigma = frac * med
-    K = np.exp(-d2 / (2.0 * sigma * sigma))
-    return (K + K.T) / 2.0
-
-
-def old_cka(X, Y, kernel, frac, sigma):
-    """(value, flag) of one pair, as the report recorded it."""
-    try:
-        Kx = old_gram(X, kernel, frac, sigma)
-        Ky = old_gram(Y, kernel, frac, sigma)
-        hxx, hyy = old_hsic(Kx, Kx), old_hsic(Ky, Ky)
-        if hxx <= 1e-300 or hyy <= 1e-300:
-            raise DegenerateRepresentation("constant representation: self-HSIC is zero")
-        return old_hsic(Kx, Ky) / math.sqrt(hxx * hyy), None
-    except DegenerateRepresentation as e:
-        return None, str(e)
-
+# The report's entries against `conftest.pair_cka`, the same arithmetic
+# taken pair by pair in fresh memory.
 
 def activation_sets(n, n_layers, seed, constant):
     """Two tasks' random layer representations; `constant` makes one task
@@ -273,8 +231,8 @@ CASES = st.tuples(st.integers(3, 9), st.integers(1, 2), st.integers(0, 2**32 - 1
 
 @settings(max_examples=40, deadline=None)
 @given(CASES)
-@example((3, 1, 0, "task", ("rbf", None)))       # zero median distance flag
-@example((3, 2, 1, "task", ("rbf", 0.7)))        # absolute sigma: self-HSIC flag
+@example((3, 1, 0, "task", ("rbf", None)))       # constant task rep, median sigma
+@example((3, 2, 1, "task", ("rbf", 0.7)))        # absolute sigma: constant flag
 @example((3, 1, 2, "module", ("linear", None)))  # constant module rep
 def test_report_entries_equal_the_old_per_pair_formula(case):
     n, n_layers, seed, constant, (kernel, sigma) = case
@@ -282,8 +240,6 @@ def test_report_entries_equal_the_old_per_pair_formula(case):
     report = layerwise_cka_report(set_a, set_b, kernel=kernel, rbf_frac=0.5,
                                   rbf_sigma=sigma)
     for la, lb, lc in zip(set_a, set_b, report.layers):
-        assert (lc.task_cka, lc.task_cka_flag) == old_cka(la.rep, lb.rep, kernel, 0.5, sigma)
+        assert (lc.task_cka, lc.task_cka_flag) == pair_cka(la.rep, lb.rep, kernel, 0.5, sigma)
         reps = list(la.per_module.values()) + list(lb.per_module.values())
-        for i, X in enumerate(reps):
-            for j, Y in enumerate(reps):
-                assert lc.matrix[i][j] == old_cka(X, Y, kernel, 0.5, sigma)[0]
+        assert_matrix_is_per_pair(lc.matrix, reps, kernel, 0.5, sigma)
