@@ -57,11 +57,14 @@ from .net import (
 )
 from .numerics import AdamState, adam_step, finite_diff_check, softmax_xent_slice
 from .training import (
+    SCHEDULES,
     EpochScheduler,
+    Phase,
     RunReport,
     TrainConfig,
     derive_rng,
     schedule_round,
+    train,
     train_parallel,
     train_sequential,
     train_single,

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path as FsPath
 
 from .checkpoint import write_json
-from .config import MODES, load_config
+from .config import load_config
 from .errors import ContractError, InputError, NumericError
 from .experiment import (
     CHECKPOINT_NAME,
@@ -25,6 +25,7 @@ from .experiment import (
     profile_sharing_trials,
     run_experiment,
 )
+from .training import SCHEDULES
 
 
 def _cmd_gen_data(args) -> int:
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run a training experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=MODES, default=None, help="override config mode")
+    p.add_argument("--mode", choices=SCHEDULES, default=None, help="override config mode")
     p.add_argument("--out", default=None, help="override config out_dir")
     p.set_defaults(func=_cmd_train)
 

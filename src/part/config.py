@@ -4,7 +4,7 @@ Shape:
 
     {
       "seed": 7,
-      "mode": "parallel",                  # parallel | sequential | single
+      "mode": "parallel",                  # a key of training.SCHEDULES
       "norm_mode": "shared",               # shared | per-task
       "out_dir": "runs/demo",
       "grid": {"n_layers": 4, "n_modules": 6, "path_width": 3,
@@ -34,9 +34,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path as FsPath
 
 from .errors import ConfigError
-from .training import TrainConfig
+from .training import SCHEDULES, TrainConfig
 
-MODES = ("parallel", "sequential", "single")
 NORM_MODES = ("shared", "per-task")
 
 
@@ -168,8 +167,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if seed < 0:
         raise ConfigError("seed", f"must be >= 0, got {seed}")
     mode = _get(doc, "mode", str, default="parallel")
-    if mode not in MODES:
-        raise ConfigError("mode", f"must be one of {MODES}, got {mode!r}")
+    if mode not in SCHEDULES:
+        raise ConfigError("mode", f"must be one of {tuple(SCHEDULES)}, got {mode!r}")
     norm_mode = _get(doc, "norm_mode", str, default="shared")
     if norm_mode not in NORM_MODES:
         raise ConfigError("norm_mode", f"must be one of {NORM_MODES}, got {norm_mode!r}")

@@ -32,11 +32,14 @@ from .training import (
     STREAM_DATA,
     STREAM_OVERSAMPLE,
     STREAM_PATHS,
+    SCHEDULES,
     RunReport,
     derive_rng,
-    train_parallel,
-    train_sequential,
-    train_single,
+    train,
+    # not called here: perfbench calls the train_* wrappers through this module
+    train_parallel,  # noqa: F401
+    train_sequential,  # noqa: F401
+    train_single,  # noqa: F401
     validate,
 )
 
@@ -125,14 +128,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, log=None) -> RunReport:
     out = FsPath(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = build_experiment(cfg)
-    h = cfg.config_hash()
-    if cfg.mode == "parallel":
-        report = train_parallel(grid, grid.tasks, cfg.train, config_hash=h, log=log)
-    elif cfg.mode == "sequential":
-        report = train_sequential(grid, grid.tasks, cfg.train, config_hash=h, log=log)
-    else:
-        report = train_single(grid, grid.tasks[cfg.single_task_index], cfg.train,
-                              config_hash=h, log=log)
+    report = train(grid, cfg.mode, SCHEDULES[cfg.mode](grid.tasks, cfg.single_task_index),
+                   grid.tasks, cfg.train, config_hash=cfg.config_hash(), log=log)
     write_report(report, out / REPORT_NAME)
     save_checkpoint(grid, out / CHECKPOINT_NAME)
     return report
@@ -168,6 +165,8 @@ def _report_problem(report: RunReport):
     ids, finals = [row.get("id") for row in report.tasks], [row["task"] for row in report.final]
     if finals != ids:
         return f"final rows cover tasks {finals}, not one per task {ids} in order"
+    if len(set(ids)) < len(ids):
+        return f"tasks rows repeat an id: {ids}"
     return None
 
 

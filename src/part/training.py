@@ -1,15 +1,4 @@
-"""The three learning procedures: parallel, sequential-with-freezing, single.
-
-All three run one training loop over phases. A phase is a list of tasks
-that train together for cfg.epochs, with the LR schedule restarted; within
-an epoch, batch-sets are interleaved by drawing the next task uniformly
-from those with untrained batches left. Parallel training is one phase of
-all tasks and never freezes anything. Sequential training is one phase
-per task and freezes each task's path (plus its own norm instances and
-head slice) when its phase ends. Single-task training, the per-task
-achievable baseline, is one one-task phase reported on every task with
-data.
-"""
+"""Training: `train`, one loop over `Phase` values, and `SCHEDULES`, each mode's phases."""
 
 from __future__ import annotations
 
@@ -18,6 +7,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,7 +106,7 @@ class RunReport:
     """Everything a run produced, JSON-serializable.
 
     epochs: [{epoch, lr, per_task: [{loss, val_acc}]}] where loss is None
-    for tasks not trained that epoch (sequential/single baselines).
+    for tasks outside that epoch's phase.
     """
 
     config_hash: str | None   # the ExperimentConfig's hash; None for a direct call
@@ -220,10 +210,6 @@ class _ValidationMemo:
         return acc
 
 
-def _task_rows(tasks: list[TaskSpec]) -> list[dict]:
-    return [{"id": t.id, "c": t.c, "slice": list(t.slice)} for t in tasks]
-
-
 def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
     """Forward, loss and backward kernels, then one fused Adam step over the
     task's trainable tensors in the backward's order. Checks no input:
@@ -244,16 +230,56 @@ def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
     return loss
 
 
-def _check_ready(grid: ModuleGrid, tasks: list[TaskSpec], report_tasks=()) -> None:
-    """Once per training call, before any parameter moves, check what
-    `forward_task` and `softmax_xent_slice` check per batch and validation:
-    a path and datasets (else ContractError); then `path_index`'s task
-    check, and datasets of d_in finite features with labels in [0, c)
-    (else InputError). Each of `tasks` has both datasets checked, and a
-    training set of at least 2 samples, since a training batch needs 2; a
-    task of `report_tasks` that does not train, only what validation reads,
-    its val_ds. Datasets are immutable only by convention, so every call
-    checks again."""
+class Phase(NamedTuple):
+    """Tasks that train together for cfg.epochs, the LR schedule restarted.
+    With `freeze`, their paths, norm instances and head slices are
+    fingerprinted and frozen when the phase ends. `label` names it in logs."""
+
+    label: str
+    tasks: tuple
+    freeze: bool = False
+
+
+# each mode's phases, built from the tasks and the index of single's task
+SCHEDULES = {
+    "parallel": lambda tasks, i: [Phase("parallel", tuple(tasks))],
+    "sequential": lambda tasks, i: [Phase(f"sequential[task {t.id}]", (t,), freeze=True)
+                                    for t in tasks],
+    "single": lambda tasks, i: [Phase(f"single[task {tasks[i].id}]", (tasks[i],))],
+}
+
+
+def _check_ready(grid: ModuleGrid, phases: list[Phase], report_tasks: list) -> None:
+    """Once per training call, before any parameter moves, check the
+    schedule: a phase, a task in each, no task twice in one phase or in
+    `report_tasks`, and none in a phase after one that froze it (else
+    InputError). Then check what `forward_task` and `softmax_xent_slice`
+    check per batch and validation: a path and datasets (else
+    ContractError); then `path_index`'s task check, and datasets of d_in
+    finite features with labels in [0, c) (else InputError). A task that
+    trains has both datasets checked, and a training set of at least 2
+    samples, since a training batch needs 2; a task of `report_tasks` that
+    does not train, only what validation reads, its val_ds. A phase's
+    training sets need one size (else ContractError). Datasets are
+    immutable only by convention, so every call checks again."""
+    if not phases:
+        raise InputError("a training call needs at least one phase")
+    frozen = set()
+    for label, tasks, freeze in phases:
+        ids = [t.id for t in tasks]
+        if not ids:
+            raise InputError(f"phase {label!r} has no task")
+        if len(set(ids)) < len(ids):
+            raise InputError(f"phase {label!r} lists a task twice: {ids}")
+        if frozen.intersection(ids):
+            raise InputError(f"phase {label!r} trains tasks {sorted(frozen.intersection(ids))}, "
+                             f"frozen by an earlier phase")
+        if freeze:
+            frozen.update(ids)
+    ids = [t.id for t in report_tasks]
+    if len(set(ids)) < len(ids):
+        raise InputError(f"report_tasks lists a task twice: {ids}")
+    tasks = [t for phase in phases for t in phase.tasks]
     checks = [(t, (t.train_ds, t.val_ds)) for t in tasks]
     checks += [(t, (t.val_ds,)) for t in report_tasks if all(t is not u for u in tasks)]
     for t, datasets in checks:
@@ -274,23 +300,26 @@ def _check_ready(grid: ModuleGrid, tasks: list[TaskSpec], report_tasks=()) -> No
         if t.train_ds.n < 2:
             raise InputError(f"task {t.id}: training set {t.train_ds.name!r} has "
                              f"{t.train_ds.n} sample(s); a training batch needs at least 2")
+    for phase in phases:
+        sizes = {t.train_ds.n for t in phase.tasks}
+        if len(sizes) > 1:
+            raise ContractError(f"training sets must be oversampled to equal size, "
+                                f"got {sorted(sizes)}")
 
 
-def _train_phases(grid, mode, phases, report_tasks, cfg, config_hash, log,
-                  freeze=False) -> RunReport:
-    """The one training loop. Each phase is a (log label, tasks) pair whose
-    tasks train together for cfg.epochs, with the LR schedule restarted;
-    with `freeze`, each task's path, norm instances and head slice are
-    frozen and fingerprinted when its phase ends. Every epoch row reports
-    on `report_tasks`; a task outside the phase has loss None. One
-    scheduler stream, optimizer and validation memo serve the whole call."""
+def train(grid: ModuleGrid, mode: str, phases: list[Phase], report_tasks: list[TaskSpec],
+          cfg: TrainConfig, config_hash: str | None = None, log=None) -> RunReport:
+    """Runs `phases` in order, every epoch row reporting on `report_tasks`,
+    and names the report `mode`. One scheduler stream, optimizer and
+    validation memo serve the whole call."""
+    _check_ready(grid, phases, report_tasks)
     t0 = time.perf_counter()
     sched_rng = derive_rng(cfg.seed, STREAM_SCHED)
     adam = FlatAdam(grid.arena.size)
     memo = _ValidationMemo()
     rows = []
-    freeze_hashes = {} if freeze else None
-    for label, tasks in phases:
+    freeze_hashes = {} if any(phase.freeze for phase in phases) else None
+    for label, tasks, freeze in phases:
         by_id = {t.id: t for t in tasks}
         rngs = {t.id: batch_rng(cfg.seed, t.id) for t in tasks}
         for phase_epoch in range(1, cfg.epochs + 1):
@@ -320,7 +349,8 @@ def _train_phases(grid, mode, phases, report_tasks, cfg, config_hash, log,
                 freeze_path(grid, t.path)
                 freeze_task(grid, t)
     return RunReport(
-        config_hash=config_hash, seed=cfg.seed, mode=mode, tasks=_task_rows(report_tasks),
+        config_hash=config_hash, seed=cfg.seed, mode=mode,
+        tasks=[{"id": t.id, "c": t.c, "slice": list(t.slice)} for t in report_tasks],
         epochs=rows, final=[{"task": t.id, "val_acc": memo.accuracy(grid, t, False)}
                             for t in report_tasks],
         wallclock_s=time.perf_counter() - t0, freeze_hashes=freeze_hashes,
@@ -329,16 +359,27 @@ def _train_phases(grid, mode, phases, report_tasks, cfg, config_hash, log,
 
 def train_parallel(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
                    config_hash: str | None = None, log=None) -> RunReport:
-    """Interleaved multi-task training, one phase of all tasks; every epoch
-    consumes each task's full (equal-size) training set in uniformly
-    scheduled batch-sets."""
-    _check_ready(grid, tasks)
+    """`train` on the "parallel" schedule, reported on `tasks`. A grid with
+    frozen modules is refused, even for one task."""
     if grid.frozen:
         raise ContractError("parallel training never runs on a grid with frozen modules")
-    sizes = {t.train_ds.n for t in tasks}
-    if len(sizes) != 1:
-        raise ContractError(f"training sets must be oversampled to equal size, got {sorted(sizes)}")
-    return _train_phases(grid, "parallel", [("parallel", tasks)], tasks, cfg, config_hash, log)
+    return train(grid, "parallel", SCHEDULES["parallel"](tasks, 0), tasks, cfg, config_hash, log)
+
+
+def train_sequential(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
+                     config_hash: str | None = None, log=None) -> RunReport:
+    """`train` on the "sequential" schedule, reported on `tasks`."""
+    return train(grid, "sequential", SCHEDULES["sequential"](tasks, 0), tasks, cfg,
+                 config_hash, log)
+
+
+def train_single(grid: ModuleGrid, task: TaskSpec, cfg: TrainConfig,
+                 config_hash: str | None = None, log=None) -> RunReport:
+    """`train` on the "single" schedule of `task`, reported on every
+    registered task with data (the others keep their initial parameters)."""
+    report_tasks = [t for t in grid.tasks if t.train_ds is not None and t.val_ds is not None]
+    return train(grid, "single", SCHEDULES["single"]([task], 0), report_tasks, cfg,
+                 config_hash, log)
 
 
 def freeze_fingerprint(grid: ModuleGrid, task: TaskSpec) -> dict[str, str]:
@@ -358,28 +399,6 @@ def freeze_fingerprint(grid: ModuleGrid, task: TaskSpec) -> dict[str, str]:
             fp[repr(("norm_stats", l, m, nk))] = hashlib.sha256(
                 mean.tobytes() + var.tobytes()).hexdigest()
     return fp
-
-
-def train_sequential(grid: ModuleGrid, tasks: list[TaskSpec], cfg: TrainConfig,
-                     config_hash: str | None = None, log=None) -> RunReport:
-    """Tasks one after another, one phase of cfg.epochs each (the LR
-    schedule restarts per task, mirroring a fresh single-task run); each
-    finished task's path is frozen before the next task starts."""
-    _check_ready(grid, tasks)
-    phases = [(f"sequential[task {t.id}]", [t]) for t in tasks]
-    return _train_phases(grid, "sequential", phases, tasks, cfg, config_hash, log,
-                         freeze=True)
-
-
-def train_single(grid: ModuleGrid, task: TaskSpec, cfg: TrainConfig,
-                 config_hash: str | None = None, log=None) -> RunReport:
-    """Train only one task from scratch; every other registered task keeps
-    its freshly initialized head slice (and norm instances). The report
-    covers every registered task with data."""
-    report_tasks = [t for t in grid.tasks if t.train_ds is not None and t.val_ds is not None]
-    _check_ready(grid, [task], report_tasks)
-    return _train_phases(grid, "single", [(f"single[task {task.id}]", [task])],
-                         report_tasks, cfg, config_hash, log)
 
 
 def _format_epoch(row: dict, label: str) -> str:

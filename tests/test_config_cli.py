@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from part import ConfigError, load_csv
-from part.cli import main
-from part.config import MODES, NORM_MODES, parse_config
+from part.cli import build_parser, main
+from part.config import NORM_MODES, parse_config
 from part.experiment import build_datasets, run_experiment
+from part.training import SCHEDULES
 
 
 def minimal_config(out_dir, **overrides):
@@ -69,6 +70,23 @@ def test_config_field_errors_are_specific(tmp_path):
     doc["mode"] = "swarm"
     with pytest.raises(ConfigError, match="mode"):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("mode", list(SCHEDULES))
+def test_every_schedule_is_a_config_mode(tmp_path, mode):
+    assert parse_config(minimal_config(tmp_path, mode=mode)).mode == mode
+
+
+@pytest.mark.parametrize("mode", ["Parallel", "finetune", "", "parallel "])
+def test_a_mode_outside_the_schedule_table_is_refused(tmp_path, mode):
+    with pytest.raises(ConfigError, match="mode"):
+        parse_config(minimal_config(tmp_path, mode=mode))
+
+
+def test_the_cli_mode_choices_are_the_schedule_table():
+    [subparsers] = [a for a in build_parser()._actions if a.dest == "command"]
+    [mode] = [a for a in subparsers.choices["train"]._actions if a.dest == "mode"]
+    assert list(mode.choices) == list(SCHEDULES)
 
 
 def test_one_run_seed(tmp_path):
@@ -143,7 +161,7 @@ def config_docs(draw):
         "pair": st.lists(st.integers(0, k - 1), min_size=2, max_size=2),
         "capture_n": st.integers(3, 500), "kernel": st.sampled_from(["linear", "rbf"]),
         "rbf_frac": number, "rbf_sigma": st.one_of(st.none(), number)})
-    optional = {"mode": st.sampled_from(MODES), "norm_mode": st.sampled_from(NORM_MODES),
+    optional = {"mode": st.sampled_from(list(SCHEDULES)), "norm_mode": st.sampled_from(NORM_MODES),
                 "out_dir": st.just("runs/x"), "single_task_index": st.integers(0, k - 1),
                 "train": train, "analysis": analysis,
                 "controlled_sharing": st.sampled_from([None, "layer 1"] if controlled else [None])}
@@ -670,9 +688,11 @@ def _set_final(field, value):
     _set_final("val_acc", float("nan")),
     _set_final("val_acc", float("inf")),
     _set_final("task", 1),
+    # tasks and final rows both repeat every id: compare would pair duplicates
+    lambda doc: doc.update(tasks=doc["tasks"] * 2, final=doc["final"] * 2),
 ], ids=["final-int", "final-of-ints", "final-object", "tasks-str", "tasks-of-null",
         "no-val_acc", "task-str", "task-bool", "task-float", "acc-str", "acc-null",
-        "acc-bool", "acc-nan", "acc-inf", "task-not-in-tasks"])
+        "acc-bool", "acc-nan", "acc-inf", "task-not-in-tasks", "ids-repeat"])
 def test_compare_report_with_wrong_field_types_exits_2(tmp_path, capsys, mutate):
     _trained(tmp_path, capsys)
     good = tmp_path / "run" / "report.json"

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from part import (
+    SCHEDULES,
     ContractError,
     EpochScheduler,
     InputError,
     ModuleGrid,
     Path,
+    Phase,
     TrainConfig,
     build_controlled_paths,
     forward_task,
@@ -19,6 +21,7 @@ from part import (
     oversample_to_equal,
     register_task,
     schedule_round,
+    train,
     train_parallel,
     train_sequential,
     train_single,
@@ -333,7 +336,7 @@ PROCEDURES = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(PROCEDURES))
+@pytest.mark.parametrize("mode", sorted(SCHEDULES))
 def test_report_lr_column_follows_schedule(mode):
     # the schedule restarts with each phase; a row's loss is set exactly for
     # the tasks of its phase, and every row covers every task with data
@@ -347,6 +350,61 @@ def test_report_lr_column_follows_schedule(mode):
         assert row["lr"] == CFG.effective_lr((row["epoch"] - 1) % E + 1)
         trained = phases[(row["epoch"] - 1) // E]
         assert [pt["loss"] is not None for pt in row["per_task"]] == [0 in trained, 1 in trained]
+
+
+def _late_task_run(seed):
+    """Tasks 0 and 1 co-trained and frozen, then task 2 trained: one call."""
+    grid = attach_synthetic(make_grid(seed=seed, class_counts=(3, 3, 2)),
+                            np.random.default_rng(seed), n_per_class=12)
+    t0, t1, t2 = grid.tasks
+    phases = [Phase("co-train", (t0, t1), freeze=True), Phase("late", (t2,))]
+    return grid, train(grid, "late", phases, grid.tasks, CFG)
+
+
+def test_a_late_task_schedule_is_one_run_with_one_report():
+    grid, report = _late_task_run(37)
+    E = CFG.epochs
+    assert report.mode == "late"
+    assert [row["epoch"] for row in report.epochs] == list(range(1, 2 * E + 1))
+    for row in report.epochs:
+        trained = {0, 1} if row["epoch"] <= E else {2}
+        assert [pt["loss"] is not None for pt in row["per_task"]] == [
+            t.id in trained for t in grid.tasks]
+    assert set(report.freeze_hashes) == {"0", "1"}
+    for t in grid.tasks[:2]:
+        assert report.freeze_hashes[str(t.id)] == freeze_fingerprint(grid, t)
+    a = report.to_json_dict()
+    b = _late_task_run(37)[1].to_json_dict()
+    a.pop("wallclock_s")
+    b.pop("wallclock_s")
+    assert a == b
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g, cfg: train_parallel(g, [], cfg), "phase 'parallel' has no task"),
+    (lambda g, cfg: train_sequential(g, [], cfg), "at least one phase"),
+    (lambda g, cfg: train(g, "x", [Phase("a", (g.tasks[0],)), Phase("b", ())], g.tasks, cfg),
+     "phase 'b' has no task"),
+    (lambda g, cfg: train_parallel(g, [g.tasks[0], g.tasks[0]], cfg),
+     r"lists a task twice: \[0, 0\]"),
+    (lambda g, cfg: train(g, "x", [Phase("a", (g.tasks[0],))], [g.tasks[1], g.tasks[1]], cfg),
+     r"report_tasks lists a task twice: \[1, 1\]"),
+    (lambda g, cfg: train_sequential(g, [g.tasks[0], g.tasks[0]], cfg),
+     r"trains tasks \[0\], frozen by an earlier phase"),
+    (lambda g, cfg: train(g, "x", [Phase("a", tuple(g.tasks), freeze=True),
+                                   Phase("b", (g.tasks[1],))], g.tasks, cfg),
+     r"phase 'b' trains tasks \[1\], frozen"),
+], ids=["parallel-empty", "sequential-empty", "empty-phase", "twice-in-phase",
+        "twice-in-report", "sequential-twice", "after-frozen"])
+def test_degenerate_schedules_are_refused_before_anything_trains(call, message):
+    grid = build_pair(60, c=(4, 4), n_per_class=20)
+    version = grid.version
+    digest = hashlib.sha256(grid.arena.tobytes()).hexdigest()
+    cfg = TrainConfig(epochs=2, batch_size=8, batch_set_size=3, lr0=3e-3, seed=8)
+    with pytest.raises(InputError, match=message):
+        call(grid, cfg)
+    assert grid.version == version
+    assert hashlib.sha256(grid.arena.tobytes()).hexdigest() == digest
 
 
 def test_determinism_identical_reports_minus_wallclock():
