@@ -50,8 +50,7 @@ from .net import (
     backward_task,
     build_controlled_paths,
     forward_task,
-    freeze_path,
-    freeze_task,
+    freeze,
     register_task,
     trainable_keys,
 )

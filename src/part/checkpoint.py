@@ -18,9 +18,9 @@ Saving goes through `write_atomic` (a temporary file next to the target,
 renamed into place), so a checkpoint is never seen half-written; the
 report and analysis files are written the same way. Loading rejects a
 missing or unreadable file with InputError, and a corrupt one (bad magic,
-unknown version, undecodable or inconsistent metadata, wrong blob size, a
-NaN or infinite parameter) with ContractError, before any of it reaches a
-grid.
+unknown version, undecodable or inconsistent metadata, frozen cells that
+are not its frozen tasks' paths, wrong blob size, a NaN or infinite
+parameter) with ContractError, before any of it reaches a grid.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .errors import ContractError, InputError
-from .net import ModuleGrid, Path, register_task
+from .net import ModuleGrid, Path, freeze, register_task
 
 MAGIC = b"PART"
 FORMAT_VERSION = 2
@@ -97,6 +97,9 @@ def save_checkpoint(grid: ModuleGrid, path) -> None:
 
 
 def _grid_from_metadata(meta: dict) -> ModuleGrid:
+    """The grid `meta` describes, its arena as construction left it. Its freeze
+    record is one `freeze` call per frozen task; the file's frozen cells must be
+    the cells those calls froze, compared as JSON (a bool or float is no int)."""
     grid = ModuleGrid(meta["n_layers"], meta["n_modules"], meta["d_in"],
                       meta["d_hid"], norm_mode=meta["norm_mode"], seed=meta["seed"])
     for row in meta["tasks"]:
@@ -106,16 +109,12 @@ def _grid_from_metadata(meta: dict) -> ModuleGrid:
         if row["path"] is not None:
             task.path = Path(tuple(tuple(r) for r in row["path"]))
             task.path.check(grid.n_modules, grid.n_layers)
-    L, M = grid.n_layers, grid.n_modules
-    for cell in meta["frozen"]:
-        if not (len(cell) == 2 and all(type(i) is int for i in cell)
-                and 0 <= cell[0] < L and 0 <= cell[1] < M):
-            raise InputError(f"frozen cell {cell} is not a cell of the {L} x {M} grid")
     for tid in meta["frozen_tasks"]:
         if type(tid) is not int or not 0 <= tid < len(grid.tasks):
             raise InputError(f"frozen task {tid!r} is not a registered task")
-    grid.frozen = {tuple(cell) for cell in meta["frozen"]}
-    grid.frozen_tasks = set(meta["frozen_tasks"])
+        freeze(grid, grid.tasks[tid])
+    if {json.dumps(cell) for cell in meta["frozen"]} != {json.dumps(list(c)) for c in grid.frozen}:
+        raise InputError(f"frozen cells {meta['frozen']} are not the paths of the frozen tasks")
     return grid
 
 

@@ -9,8 +9,8 @@ indices per layer, chosen independently per layer. A forward pass runs
 only the selected blocks, sums their outputs per layer, and reads logits
 from the task's head slice; the backward pass produces gradients for
 exactly the path blocks, the norm instances the task used, and the head
-slice. Blocks can be frozen (sequential baseline): their parameters stop
-updating and their running stats stop tracking.
+slice. `freeze` freezes a finished task (sequential baseline): its path
+blocks, norms and head slice stop updating and its norm stats stop tracking.
 
 Every parameter lives in one float64 vector, the grid's *arena*, laid out
 in checkpoint format-2 order: layer-major, module-minor; per module W
@@ -408,17 +408,12 @@ def build_controlled_paths(L: int, M: int = 4, N: int = 2,
     return Path(rows_a), Path(rows_b)
 
 
-def freeze_path(grid: ModuleGrid, path: Path) -> None:
-    """Mark every block on the path frozen: excluded from future optimizer
-    updates, and (shared-norm mode) its norm's running stats stop updating."""
-    path.check(grid.n_modules, grid.n_layers)
-    for cell in path.modules():
-        grid.frozen.add(cell)
-
-
-def freeze_task(grid: ModuleGrid, task: TaskSpec) -> None:
-    """Freeze a finished task's own holdings: its per-task norm instances
-    and its head slice (tracked via the task id)."""
+def freeze(grid: ModuleGrid, task: TaskSpec) -> None:
+    """Freeze a finished task, which `path_index` must accept: the blocks on
+    its path stop updating (and, in shared-norm mode, their norm's running
+    stats stop tracking), and so do its per-task norm instances and head slice."""
+    path_index(grid, task)
+    grid.frozen.update(task.path.modules())
     grid.frozen_tasks.add(task.id)
 
 

@@ -20,8 +20,7 @@ from .net import (
     backward_task,  # noqa: F401
     forward_kernel,
     forward_task,
-    freeze_path,
-    freeze_task,
+    freeze,
     path_index,
     trainable_keys,  # noqa: F401
 )
@@ -252,8 +251,8 @@ SCHEDULES = {
 def _check_ready(grid: ModuleGrid, phases: list[Phase], report_tasks: list) -> None:
     """Once per training call, before any parameter moves, check the
     schedule: a phase, a task in each, no task twice in one phase or in
-    `report_tasks`, and none in a phase after one that froze it (else
-    InputError). Then check what `forward_task` and `softmax_xent_slice`
+    `report_tasks`, and none that a `freeze` of an earlier call or phase froze
+    (else InputError). Then check what `forward_task` and `softmax_xent_slice`
     check per batch and validation: a path and datasets (else
     ContractError); then `path_index`'s task check, and datasets of d_in
     finite features with labels in [0, c) (else InputError). A task that
@@ -264,8 +263,8 @@ def _check_ready(grid: ModuleGrid, phases: list[Phase], report_tasks: list) -> N
     immutable only by convention, so every call checks again."""
     if not phases:
         raise InputError("a training call needs at least one phase")
-    frozen = set()
-    for label, tasks, freeze in phases:
+    frozen = set(grid.frozen_tasks)
+    for label, tasks, freezes in phases:
         ids = [t.id for t in tasks]
         if not ids:
             raise InputError(f"phase {label!r} has no task")
@@ -273,8 +272,8 @@ def _check_ready(grid: ModuleGrid, phases: list[Phase], report_tasks: list) -> N
             raise InputError(f"phase {label!r} lists a task twice: {ids}")
         if frozen.intersection(ids):
             raise InputError(f"phase {label!r} trains tasks {sorted(frozen.intersection(ids))}, "
-                             f"frozen by an earlier phase")
-        if freeze:
+                             f"frozen by an earlier phase or call")
+        if freezes:
             frozen.update(ids)
     ids = [t.id for t in report_tasks]
     if len(set(ids)) < len(ids):
@@ -319,7 +318,7 @@ def train(grid: ModuleGrid, mode: str, phases: list[Phase], report_tasks: list[T
     memo = _ValidationMemo()
     rows = []
     freeze_hashes = {} if any(phase.freeze for phase in phases) else None
-    for label, tasks, freeze in phases:
+    for label, tasks, freezes in phases:
         by_id = {t.id: t for t in tasks}
         rngs = {t.id: batch_rng(cfg.seed, t.id) for t in tasks}
         for phase_epoch in range(1, cfg.epochs + 1):
@@ -341,13 +340,12 @@ def train(grid: ModuleGrid, mode: str, phases: list[Phase], report_tasks: list[T
                  "val_acc": memo.accuracy(grid, t, t.id in by_id)} for t in report_tasks]})
             if log:
                 log(_format_epoch(rows[-1], label))
-        if freeze:
+        if freezes:
             for t in tasks:
                 # fingerprint first, while the cached path index still
                 # serves it: freezing moves no value and leaves its keys alone
                 freeze_hashes[str(t.id)] = freeze_fingerprint(grid, t)
-                freeze_path(grid, t.path)
-                freeze_task(grid, t)
+                freeze(grid, t)
     return RunReport(
         config_hash=config_hash, seed=cfg.seed, mode=mode,
         tasks=[{"id": t.id, "c": t.c, "slice": list(t.slice)} for t in report_tasks],

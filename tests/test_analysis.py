@@ -32,7 +32,7 @@ from part.net import (
     Path,
     assign_random_path,
     build_controlled_paths,
-    freeze_path,
+    freeze,
     path_index,
     register_task,
 )
@@ -161,21 +161,17 @@ def test_profile_errors_name_the_first_bad_path():
         sharing_profile([bad_depth, bad_module], 4, 2)
 
 
-def _index(grid, path):
-    task = register_task(grid, 2)
-    task.path = path
-    path_index(grid, task)
-
-
-@pytest.mark.parametrize("use", [_index, freeze_path], ids=["path_index", "freeze_path"])
+@pytest.mark.parametrize("use", [path_index, freeze], ids=["path_index", "freeze"])
 def test_grid_callers_name_the_bad_path_like_the_profile(use):
     # one check (Path.check) serves every caller, with the profile's messages
     for path, message in [(Path(((0,),)), r"^path depth 1 != L=2$"),
                           (Path(((0, 1), (2, 7, 9))), r"^path selects module 7 >= M=4$")]:
         grid = ModuleGrid(2, 4, 3, 5)
+        task = register_task(grid, 2)
+        task.path = path
         with pytest.raises(InputError, match=message):
-            use(grid, path)
-        assert not grid.frozen
+            use(grid, task)
+        assert not grid.frozen and not grid.frozen_tasks
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from part import (
     NumericError,
     TrainConfig,
     adam_step,
-    freeze_path,
-    freeze_task,
+    freeze,
     load_checkpoint,
     register_task,
     save_checkpoint,
@@ -194,7 +193,7 @@ def test_path_index_segments_are_cached_until_a_freeze():
     positions = np.arange(grid.arena.size)
     np.testing.assert_array_equal(
         seg.index, np.concatenate([grid._view(positions, k).ravel() for k in keys]))
-    freeze_path(grid, ta.path)
+    freeze(grid, ta)
     index2 = path_index(grid, tb)
     assert [k for k, t in zip(index2.keys, index2.trains) if t] == trainable_keys(grid, tb)
     assert index2.segments is not seg
@@ -235,7 +234,7 @@ def test_index_after_freezing_equals_a_fresh_build(norm_mode, tmp_path):
 
     check(grid)
     before = [path_index(grid, t) for t in grid.tasks]
-    freeze_path(grid, ta.path)
+    freeze(grid, ta)
     check(grid)
     for t, old in zip(grid.tasks, before):
         # freezing keeps the positions, and the whole index of a task whose
@@ -243,16 +242,12 @@ def test_index_after_freezing_equals_a_fresh_build(norm_mode, tmp_path):
         index = path_index(grid, t)
         assert index.positions is old.positions
         assert (index is old) == (index.trains == old.trains)
-    freeze_task(grid, ta)
-    check(grid)
-    freeze_path(grid, tb.path)
-    freeze_task(grid, tb)
+    freeze(grid, tb)
     check(grid)
     save_checkpoint(grid, tmp_path / "g.part")
     loaded = load_checkpoint(tmp_path / "g.part")
     check(loaded)
-    freeze_path(loaded, loaded.tasks[2].path)
-    freeze_task(loaded, loaded.tasks[2])
+    freeze(loaded, loaded.tasks[2])
     check(loaded)
 
 

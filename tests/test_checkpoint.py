@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from part import ContractError, forward_task, freeze_path, freeze_task, load_checkpoint, save_checkpoint
+from part import ContractError, forward_task, freeze, load_checkpoint, save_checkpoint
 from part.net import Path as TaskPath
 from part.checkpoint import FORMAT_VERSION, MAGIC, write_atomic
 from part.cli import main
@@ -18,8 +18,7 @@ from conftest import make_grid
 def test_roundtrip_is_byte_identical(tmp_path):
     grid = make_grid(L=3, M=4, N=2, seed=70, norm_mode="per-task",
                      randomize_norms=True)
-    freeze_path(grid, grid.tasks[0].path)
-    freeze_task(grid, grid.tasks[0])
+    freeze(grid, grid.tasks[0])
     p1 = tmp_path / "a.part"
     p2 = tmp_path / "b.part"
     save_checkpoint(grid, p1)
@@ -52,8 +51,7 @@ def saved_grid(draw):
                      seed=draw(st.integers(0, 2**16)), class_counts=classes)
     for task in grid.tasks:
         if draw(st.booleans()):
-            freeze_path(grid, task.path)
-            freeze_task(grid, task)
+            freeze(grid, task)
     special = st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1.7e308, 1.0, -1.0])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     arena = grid.arena
@@ -148,24 +146,26 @@ def test_path_that_does_not_fit_the_grid_is_rejected_at_load(tmp_path, path, mes
         load_checkpoint(p)
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("frozen", [[5, 9]], r"frozen cell \[5, 9\] is not a cell of the 2 x 4 grid"),
-    ("frozen", [[1, 2], [1, 4]], r"frozen cell \[1, 4\] is not a cell of the 2 x 4 grid"),
-    ("frozen", [[1, 2, 3]], r"frozen cell \[1, 2, 3\] is not a cell of the 2 x 4 grid"),
-    ("frozen", [[-1, 0]], r"frozen cell \[-1, 0\] is not a cell of the 2 x 4 grid"),
-    ("frozen_tasks", [7], "frozen task 7 is not a registered task"),
-    ("frozen_tasks", [0, -1], "frozen task -1 is not a registered task"),
+CELLS = r"frozen cells {} are not the paths of the frozen tasks"
+
+
+@pytest.mark.parametrize("update, message", [
+    ({"frozen": [[5, 9]]}, CELLS.format(r"\[\[5, 9\]\]")),
+    ({"frozen": [[1, 2], [1, 4]]}, CELLS.format(r"\[\[1, 2\], \[1, 4\]\]")),
+    ({"frozen": [[1, 2, 3]]}, CELLS.format(r"\[\[1, 2, 3\]\]")),
+    ({"frozen": [[-1, 0]]}, CELLS.format(r"\[\[-1, 0\]\]")),
+    ({"frozen": [[0, 0]], "frozen_tasks": []}, CELLS.format(r"\[\[0, 0\]\]")),
+    ({"frozen_tasks": [7]}, "frozen task 7 is not a registered task"),
+    ({"frozen_tasks": [0, -1]}, "frozen task -1 is not a registered task"),
 ], ids=["cell-beyond-grid", "module-beyond-M", "not-a-pair", "negative-layer",
-        "unregistered-task", "negative-task"])
-def test_frozen_entries_that_do_not_fit_the_grid_are_rejected_at_load(tmp_path, field, value,
-                                                                         message):
+        "cells-without-task", "unregistered-task", "negative-task"])
+def test_frozen_entries_that_do_not_fit_the_grid_are_rejected_at_load(tmp_path, update, message):
     p = tmp_path / "frozen.part"
     grid = make_grid(L=2, M=4, seed=76)
-    freeze_path(grid, grid.tasks[0].path)
-    freeze_task(grid, grid.tasks[0])
+    freeze(grid, grid.tasks[0])
     save_checkpoint(grid, p)
     assert load_checkpoint(p).frozen == grid.frozen
-    rewrite_metadata(p, lambda meta: meta.update({field: value}))
+    rewrite_metadata(p, lambda meta: meta.update(update))
     with pytest.raises(ContractError, match=f"invalid checkpoint metadata .*: {message}$"):
         load_checkpoint(p)
 

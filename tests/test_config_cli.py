@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from part import ConfigError, load_csv
+from part import ConfigError, ContractError, InputError, load_checkpoint, load_config, load_csv
 from part.cli import build_parser, main
 from part.config import NORM_MODES, parse_config
-from part.experiment import build_datasets, run_experiment
+from part.data import Dataset, standardize_pair, write_csv
+from part.experiment import attach_datasets, build_datasets, run_experiment
 from part.training import SCHEDULES
 
 
@@ -32,6 +33,11 @@ def minimal_config(out_dir, **overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def _solo(**fields):
+    """`minimal_config`'s task list with `fields` changed in its one task."""
+    return [dict(minimal_config("")["tasks"][0], **fields)]
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -270,6 +276,53 @@ def test_gen_data_does_not_read_the_csv_tasks(tmp_path, capsys):
             == (tmp_path / "alone" / "data" / name).read_bytes()
 
 
+def _csv_files(tmp_path):
+    """`part gen-data` CSVs of a 3-class task "a" and a 2-class task "b",
+    both at `minimal_config`'s d_in, in tmp_path/gen/data."""
+    tasks = [{"type": "synthetic", "c": 3, "n_per_class": 10, "margin": 6.0, "name": "a"},
+             {"type": "synthetic", "c": 2, "n_per_class": 15, "margin": 6.0, "name": "b"}]
+    doc = minimal_config(tmp_path / "gen", tasks=tasks)
+    assert main(["gen-data", "--config", str(write_config(tmp_path, doc, "gen.json"))]) == 0
+    return tmp_path / "gen" / "data"
+
+
+def _with_csv_task(tmp_path, train, val):
+    """`minimal_config` in parallel mode, its task 1 a CSV task, its task 0
+    the size of task "b" of `_csv_files`, so no training set is oversampled."""
+    csv = {"type": "csv", "train": str(train), "val": str(val), "name": "ext"}
+    return minimal_config(tmp_path / "run", mode="parallel",
+                          tasks=_solo(c=2, n_per_class=15) + [csv])
+
+
+def test_a_csv_task_trains_on_the_standardized_files(tmp_path, capsys):
+    data = _csv_files(tmp_path)
+    doc = _with_csv_task(tmp_path, data / "b_train.csv", data / "b_val.csv")
+    assert main(["train", "--config", str(write_config(tmp_path, doc))]) == 0
+    assert (tmp_path / "run" / "checkpoint.part").exists()
+    got = build_datasets(parse_config(doc))[1]
+    want = standardize_pair(load_csv(data / "b_train.csv"), load_csv(data / "b_val.csv"))
+    for ds, ref in zip(got, want):
+        assert ds.features.tobytes() == ref.features.tobytes()
+        np.testing.assert_array_equal(ds.labels, ref.labels)
+
+
+def test_a_csv_task_that_does_not_fit_exits_2(tmp_path, capsys):
+    data = _csv_files(tmp_path)
+    wide = Dataset(features=np.ones((4, 8)), labels=[0, 1, 0, 1], c=2)
+    write_csv(tmp_path / "wide.csv", wide)
+    for (train, val), message in [
+        ((data / "b_train.csv", data / "a_val.csv"), "train has 2 classes, val has 3"),
+        ((tmp_path / "wide.csv", data / "b_val.csv"), "CSV feature width 8 != grid d_in 6"),
+    ]:
+        doc = _with_csv_task(tmp_path, train, val)
+        with pytest.raises(ConfigError, match=f": {message}$") as err:
+            build_datasets(parse_config(doc))
+        assert err.value.field == "tasks[1]"
+        code, err = _exit_and_stderr(["train", "--config", str(write_config(tmp_path, doc))],
+                                     capsys)
+        assert code == 2 and err == f"error: config field 'tasks[1]': {message}\n"
+
+
 def test_eval_subcommand(tmp_path, capsys):
     out = tmp_path / "run"
     cfgp = write_config(tmp_path, minimal_config(out))
@@ -433,7 +486,8 @@ def test_missing_checkpoint_exits_2(tmp_path, capsys):
                                      "path beyond M", "path too short",
                                      "path float", "path string", "path bool",
                                      "frozen cell beyond grid", "unregistered frozen task",
-                                     "d_in zero", "d_hid zero", "d_in negative"])
+                                     "frozen cells without task", "d_in zero", "d_hid zero",
+                                     "d_in negative"])
 def test_corrupt_checkpoint_metadata_exits_1(tmp_path, capsys, corrupt):
     cfgp, ckpt = _trained(tmp_path, capsys)
     raw = bytearray(ckpt.read_bytes())
@@ -451,6 +505,8 @@ def test_corrupt_checkpoint_metadata_exits_1(tmp_path, capsys, corrupt):
             doc["frozen"] = [[5, 9]]
         elif corrupt == "unregistered frozen task":
             doc["frozen_tasks"] = [7]
+        elif corrupt == "frozen cells without task":
+            doc["frozen"], doc["frozen_tasks"] = [[0, 0]], []
         elif corrupt.startswith("d_"):
             field, value = corrupt.split()
             doc[field] = 0 if value == "zero" else -1
@@ -462,9 +518,10 @@ def test_corrupt_checkpoint_metadata_exits_1(tmp_path, capsys, corrupt):
         meta = json.dumps(doc).encode()
     ckpt.write_bytes(bytes(raw[:8]) + len(meta).to_bytes(8, "little") + meta
                      + bytes(raw[16 + meta_len:]))
-    code, err = _exit_and_stderr(["eval", "--ckpt", str(ckpt), "--config", str(cfgp)],
-                                 capsys)
-    assert code == 1 and "invalid checkpoint metadata" in err
+    for command in ("eval", "analyze"):
+        code, err = _exit_and_stderr([command, "--ckpt", str(ckpt), "--config", str(cfgp)],
+                                     capsys)
+        assert code == 1 and "invalid checkpoint metadata" in err
 
 
 def test_nonfinite_checkpoint_exits_1(tmp_path, capsys):
@@ -475,6 +532,35 @@ def test_nonfinite_checkpoint_exits_1(tmp_path, capsys):
     code, err = _exit_and_stderr(["eval", "--ckpt", str(ckpt), "--config", str(cfgp)],
                                  capsys)
     assert code == 1 and "non-finite" in err
+
+
+def _damaged(raw, damage):
+    """The checkpoint bytes `raw` with its task registry, metadata length or
+    blob length damaged."""
+    meta_len = int.from_bytes(raw[8:16], "little")
+    if damage == "registry":
+        doc = json.loads(raw[16:16 + meta_len])
+        doc["tasks"][0]["slice"] = [0, 2]
+        meta = json.dumps(doc).encode()
+        return raw[:8] + len(meta).to_bytes(8, "little") + meta + raw[16 + meta_len:]
+    if damage == "truncated metadata":
+        return raw[:16 + meta_len - 1]
+    return raw + struct.pack("<d", 0.0)
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("registry", "task registry in checkpoint is inconsistent"),
+    ("truncated metadata", "truncated checkpoint metadata: "),
+    ("blob too long", "checkpoint parameter blob has 8 unread bytes"),
+])
+def test_malformed_checkpoint_file_exits_1(tmp_path, capsys, damage, message):
+    cfgp, ckpt = _trained(tmp_path, capsys)
+    ckpt.write_bytes(_damaged(ckpt.read_bytes(), damage))
+    with pytest.raises(ContractError, match=f"^{message}"):
+        load_checkpoint(ckpt)
+    code, err = _exit_and_stderr(["eval", "--ckpt", str(ckpt), "--config", str(cfgp)],
+                                 capsys)
+    assert code == 1 and err.startswith(f"internal contract violation: {message}")
 
 
 @pytest.fixture(scope="module")
@@ -507,10 +593,28 @@ def test_config_must_describe_the_checkpoint(tmp_path, capsys, trained_checkpoin
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+@pytest.mark.parametrize("tasks, message", [
+    (_solo() * 2, "checkpoint has 1 tasks, config defines 2"),
+    (_solo(c=4), "task 0: checkpoint has 3 classes, config data has 4"),
+], ids=["task-count", "class-count"])
+def test_config_tasks_must_match_the_checkpoint(tmp_path, capsys, trained_checkpoint, command,
+                                                tasks, message):
+    doc = minimal_config(tmp_path / "out", tasks=tasks, analysis={"capture_n": 12})
+    with pytest.raises(InputError, match=f"^{message}$"):
+        attach_datasets(load_checkpoint(trained_checkpoint), parse_config(doc))
+    argv = [command, "--ckpt", str(trained_checkpoint),
+            "--config", str(write_config(tmp_path, doc))]
+    code, err = _exit_and_stderr(argv, capsys)
+    assert code == 2 and err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "analyze"])
 @pytest.mark.parametrize("field, value", [
     ("train.lr0", float("nan")), ("train.lr0", float("inf")), ("train.lr0", -float("inf")),
     ("tasks[0].margin", float("nan")), ("tasks[0].margin", float("inf")),
+    ("tasks[0].margin", 0),
     ("analysis.rbf_frac", float("nan")), ("analysis.rbf_frac", float("inf")),
     ("analysis.rbf_frac", 0), ("analysis.rbf_frac", -0.5),
     ("analysis.rbf_sigma", float("nan")), ("analysis.rbf_sigma", float("inf")),
@@ -539,6 +643,52 @@ def test_out_of_range_seed_or_width_exits_2_naming_it(tmp_path, capsys, field, v
                                  capsys)
     assert code == 2 and err.startswith(f"error: config field '{field}': must be >= ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("updates, field, message", [
+    ({"tasks": _solo(n_per_class=4)}, "tasks[0].n_per_class", "must be >= 5, got 4"),
+    ({"tasks": _solo(type="image")}, "tasks[0].type",
+     "must be 'synthetic' or 'csv', got 'image'"),
+    ({"norm_mode": "batch"}, "norm_mode",
+     "must be one of ('shared', 'per-task'), got 'batch'"),
+    ({"grid.n_layers": 0}, "grid.n_layers", "must be >= 1"),
+    ({"tasks": []}, "tasks", "at least one task is required"),
+    ({"train.epochs": -1}, "train", "epochs must be >= 0, got -1"),
+    ({"single_task_index": 1}, "single_task_index", "must index a task in [0,1), got 1"),
+    ({"tasks": _solo() * 2, "controlled_sharing": "layer 1", "grid.path_width": 1},
+     "controlled_sharing", "controlled setups need n_modules = 2 * path_width"),
+    ({"analysis.pair": [0, 1]}, "analysis.pair", "must name two registered tasks, got (0, 1)"),
+    ({"analysis.kernel": "poly"}, "analysis.kernel", "must be 'linear' or 'rbf', got 'poly'"),
+    ({"analysis.capture_n": 2}, "analysis.capture_n", "must be >= 3"),
+], ids=["n_per_class", "task-type", "norm_mode", "n_layers", "no-tasks",
+        "train-field", "single_task_index", "controlled-M-not-2N", "analysis.pair",
+        "analysis.kernel", "capture_n"])
+def test_config_value_out_of_range_exits_2_naming_the_field(tmp_path, capsys, updates, field,
+                                                            message):
+    doc = minimal_config(tmp_path / "run")
+    for name, value in updates.items():
+        _with(doc, name, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.field == field
+    code, err = _exit_and_stderr(["train", "--config", str(write_config(tmp_path, doc))],
+                                 capsys)
+    assert code == 2 and err == f"error: config field '{field}': {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"seed": 5,', "invalid JSON: "),
+    ("[1, 2]", "top-level JSON value must be an object"),
+], ids=["not-json", "not-an-object"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, content, message):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(content, encoding="utf-8")
+    with pytest.raises(ConfigError, match=message) as err:
+        load_config(cfgp)
+    assert err.value.field == "(file)"
+    code, err = _exit_and_stderr(["train", "--config", str(cfgp)], capsys)
+    assert code == 2 and err.startswith(f"error: config field '(file)': {message}")
 
 
 def test_failed_save_leaves_the_old_checkpoint(tmp_path, capsys, monkeypatch):

@@ -24,8 +24,7 @@ from part import (
     assign_random_path,
     backward_task,
     forward_task,
-    freeze_path,
-    freeze_task,
+    freeze,
     register_task,
 )
 from part.net import (
@@ -152,8 +151,7 @@ def build(problem):
     for t in grid.tasks:
         grid.set_param(("head", t.id, "b"), head_b[slice(*t.slice)])
     for tid in sorted(p["finished"]):
-        freeze_path(grid, grid.tasks[tid].path)
-        freeze_task(grid, grid.tasks[tid])
+        freeze(grid, grid.tasks[tid])
     task = grid.tasks[p["target"]]
     x = rng.normal(size=(p["n"], p["d_in"]))
     dslice = rng.normal(size=(p["n"], task.c))
@@ -268,8 +266,7 @@ def _uneven_rows(norm_mode):
     task.path = Path(((0, 1, 2), (1,), (0, 3)))
     rng = np.random.default_rng(12)
     randomize_norm_instances(grid, rng)
-    freeze_path(grid, done.path)
-    freeze_task(grid, done)
+    freeze(grid, done)
     return grid, task, rng.normal(size=(7, 5)), rng.normal(size=(7, task.c))
 
 
@@ -298,8 +295,7 @@ def _frozen_below(rows_done, rows_task, seed):
     grid = ModuleGrid(len(rows_task), 4, 5, 6, norm_mode="shared", seed=seed)
     done, task = register_task(grid, 3), register_task(grid, 2)
     done.path, task.path = Path(rows_done), Path(rows_task)
-    freeze_path(grid, done.path)
-    freeze_task(grid, done)
+    freeze(grid, done)
     return grid, task
 
 

@@ -16,7 +16,7 @@ from part import (
     build_controlled_paths,
     finite_diff_check,
     forward_task,
-    freeze_path,
+    freeze,
     register_task,
     softmax_xent_slice,
     trainable_keys,
@@ -320,7 +320,7 @@ def test_forward_input_validation():
 
 
 @pytest.mark.parametrize("entry", ["path_index", "trainable_keys", "freeze_fingerprint",
-                                   "forward_task"])
+                                   "forward_task", "freeze"])
 def test_a_task_of_another_grid_is_rejected(entry):
     # the same shape, a colliding id and the same Path object: only the
     # registration tells the tasks apart, so the cached index must not answer
@@ -333,9 +333,18 @@ def test_a_task_of_another_grid_is_rejected(entry):
         "trainable_keys": lambda: trainable_keys(grid, foreign),
         "freeze_fingerprint": lambda: freeze_fingerprint(grid, foreign),
         "forward_task": lambda: forward_task(grid, foreign, np.zeros((3, grid.d_in))),
+        "freeze": lambda: freeze(grid, foreign),
     }
     with pytest.raises(InputError, match="task 0 is not registered on this grid"):
         calls[entry]()
+    assert not grid.frozen and not grid.frozen_tasks
+
+
+def test_freeze_of_a_task_the_grid_never_registered_freezes_nothing():
+    grid, foreign = ModuleGrid(2, 4, 6, 10, seed=7), make_grid(seed=8).tasks[1]
+    with pytest.raises(InputError, match="task 1 is not registered on this grid"):
+        freeze(grid, foreign)
+    assert not grid.frozen and not grid.frozen_tasks
 
 
 def test_one_sample_training_batch_rejected():
@@ -545,7 +554,7 @@ def test_nothing_frozen_after_construction():
 def test_freeze_marks_cells_and_excludes_from_training():
     grid = make_grid(L=2, M=4, N=2, seed=18)
     ta, tb = grid.tasks
-    freeze_path(grid, ta.path)
+    freeze(grid, ta)
     for cell in ta.path.modules():
         assert cell in grid.frozen
     keys = trainable_keys(grid, tb)
@@ -568,7 +577,7 @@ def test_frozen_params_bit_stable_under_overlapping_training():
     tb = register_task(grid, 3)
     ta.path = Path(((0, 1), (0, 1)))
     tb.path = Path(((1, 2), (1, 2)))  # overlaps task a on module 1
-    freeze_path(grid, ta.path)
+    freeze(grid, ta)
     hashes = {k: param_hash(grid, k) for cell in ta.path.modules()
               for k in [("block", *cell, "W")] + [("norm", *cell, SHARED, w) for w in NORM_PARAMS]}
     rng = np.random.default_rng(10)

@@ -17,6 +17,7 @@ from part import (
     TrainConfig,
     build_controlled_paths,
     forward_task,
+    freeze,
     gen_synthetic_task,
     oversample_to_equal,
     register_task,
@@ -297,14 +298,11 @@ def test_fully_shared_sequential_trains_only_head_and_own_norms():
 
     # mid-run state: once task 0 froze the (fully shared) path, task 1 is
     # left with exactly its head slice and its own norm instances
-    from part import freeze_path, freeze_task
-
     grid2 = ModuleGrid(2, 4, 6, 12, norm_mode="per-task", seed=40)
     t0 = register_task(grid2, 3)
     t1 = register_task(grid2, 3)
     t0.path = t1.path = pa
-    freeze_path(grid2, t0.path)
-    freeze_task(grid2, t0)
+    freeze(grid2, t0)
     keys = trainable_keys(grid2, t1)
     assert keys
     assert all(k[0] in ("head", "norm") for k in keys)
@@ -313,9 +311,7 @@ def test_fully_shared_sequential_trains_only_head_and_own_norms():
 
 def test_parallel_rejects_frozen_grid():
     grid = build_pair(21)
-    from part import freeze_path
-
-    freeze_path(grid, grid.tasks[0].path)
+    freeze(grid, grid.tasks[0])
     with pytest.raises(ContractError):
         train_parallel(grid, grid.tasks, CFG)
 
@@ -380,6 +376,14 @@ def test_a_late_task_schedule_is_one_run_with_one_report():
     assert a == b
 
 
+def _after_freezing_task_0(call):
+    """`call` on a grid whose task 0 an earlier call froze."""
+    def run(g, cfg):
+        freeze(g, g.tasks[0])
+        return call(g, cfg)
+    return run
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda g, cfg: train_parallel(g, [], cfg), "phase 'parallel' has no task"),
     (lambda g, cfg: train_sequential(g, [], cfg), "at least one phase"),
@@ -394,8 +398,13 @@ def test_a_late_task_schedule_is_one_run_with_one_report():
     (lambda g, cfg: train(g, "x", [Phase("a", tuple(g.tasks), freeze=True),
                                    Phase("b", (g.tasks[1],))], g.tasks, cfg),
      r"phase 'b' trains tasks \[1\], frozen"),
+    (_after_freezing_task_0(lambda g, cfg: train_sequential(g, g.tasks, cfg)),
+     r"phase 'sequential\[task 0\]' trains tasks \[0\], frozen by an earlier phase or call"),
+    (_after_freezing_task_0(lambda g, cfg: train_single(g, g.tasks[0], cfg)),
+     r"phase 'single\[task 0\]' trains tasks \[0\], frozen by an earlier phase or call"),
 ], ids=["parallel-empty", "sequential-empty", "empty-phase", "twice-in-phase",
-        "twice-in-report", "sequential-twice", "after-frozen"])
+        "twice-in-report", "sequential-twice", "after-frozen", "sequential-after-a-call",
+        "single-after-a-call"])
 def test_degenerate_schedules_are_refused_before_anything_trains(call, message):
     grid = build_pair(60, c=(4, 4), n_per_class=20)
     version = grid.version
@@ -458,6 +467,8 @@ def test_zero_epoch_budget_stays_at_chance():
 
 def test_tasks_without_paths_or_data_rejected():
     grid = make_grid(seed=41)
+    with pytest.raises(ContractError, match="^task 0 has no datasets attached$"):
+        train_parallel(grid, grid.tasks, CFG)
     grid.tasks[0].path = None
     with pytest.raises(ContractError):
         train_parallel(grid, grid.tasks, CFG)
