@@ -31,11 +31,10 @@ The rest depends on the kernel:
   the elementwise product of two Grams, taken by einsum in one pass with
   no product temporary. A report holds one set of p n x n slots for its
   whole run, p being the most representations of any of its calls (at
-  least 2), and builds every Gram in them (`cka()` holds its own 2), with
-  its row-block sums in the next slot while that is free. Outside the
-  slots, an RBF Gram takes only the upper triangle of its squared
-  distances while the median is taken (and a call's last Gram its
-  row-block sums), so the peak is about (p + 0.6) n^2 float64s.
+  least 2), and builds every Gram in them (`cka()` holds its own 2).
+  Outside the slots, an RBF Gram takes only its small row-block sums and,
+  while the median is taken, the upper triangle of its squared distances,
+  so the peak is about (p + 0.6) n^2 float64s.
 
 Pair sums use einsum, not a BLAS dot, so no value depends on the BLAS
 thread count. A Gram that overflows (its self-HSIC is not finite) raises
@@ -182,20 +181,18 @@ def _gram_linear(X: np.ndarray) -> np.ndarray:
 
 
 def _gram_rbf(X: np.ndarray, frac: float, sigma: Optional[float], *,
-              out: Optional[np.ndarray] = None,
-              scratch: Optional[np.ndarray] = None) -> np.ndarray:
+              out: Optional[np.ndarray] = None) -> np.ndarray:
     # exp(-d2 / (2 sigma^2)) with d2 the squared pairwise distances, built in
     # place in one n x n array (`out`, or a new one); the row-block sums
-    # sq_i + sq_j go into the rows of `scratch` if given, else temporaries,
-    # and the upper triangle of d2 is a temporary while the median is taken
+    # sq_i + sq_j and, while the median is taken, the upper triangle of d2
+    # are temporaries
     n = X.shape[0]
     sq = np.sum(X * X, axis=1)
     d2 = np.matmul(X, X.T, out=out)
     d2 *= 2.0
     for rows in _blocks(n):
         # (sq_i + sq_j) - 2 x_i.x_j
-        sums = None if scratch is None else scratch[rows]
-        np.subtract(np.add(sq[rows, None], sq[None, :], out=sums), d2[rows], out=d2[rows])
+        np.subtract(sq[rows, None] + sq[None, :], d2[rows], out=d2[rows])
     np.maximum(d2, 0.0, out=d2)
     if sigma is None:
         # the median pairwise distance, exactly as np.median of the sqrt of
@@ -269,9 +266,9 @@ def _cka_matrix(reps: list[np.ndarray], kernel: str, rbf_frac: float,
     Linear: a representation's columns are centred once, its self-HSIC is
     the squared Frobenius norm of its d x d feature Gram, and pair (i, j)
     that of X_i^T X_j; nothing n x n is built and `slots` is not used.
-    RBF: Gram j is built in slots[j] (its row-block sums in slots[j + 1]
-    while that is free) and centred; a pair is the sum of the elementwise
-    product of two Grams. A non-finite self-HSIC raises NumericError."""
+    RBF: Gram j is built in slots[j] and centred; a pair is the sum of the
+    elementwise product of two Grams. A non-finite self-HSIC raises
+    NumericError."""
     if kernel not in ("linear", "rbf"):
         raise InputError(f"kernel must be 'linear' or 'rbf', got {kernel!r}")
     p, n = len(reps), reps[0].shape[0]
@@ -285,8 +282,7 @@ def _cka_matrix(reps: list[np.ndarray], kernel: str, rbf_frac: float,
             G = _gram_linear(F)
         else:
             try:
-                F = G = _center(_gram_rbf(X, rbf_frac, rbf_sigma, out=slots[j],
-                                          scratch=slots[j + 1] if j + 1 < p else None))
+                F = G = _center(_gram_rbf(X, rbf_frac, rbf_sigma, out=slots[j]))
             except DegenerateRepresentation as e:
                 flag = str(e)
         if F is not None:

@@ -28,14 +28,17 @@ class Dataset:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
-            raise InputError(f"features must be 2-D, got shape {self.features.shape}")
+            raise InputError(f"dataset {self.name!r} features must be 2-D, "
+                             f"got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
-            raise InputError("labels must be one per sample")
+            raise InputError(f"dataset {self.name!r} labels must be one per sample")
+        if self.c < 1:
+            raise InputError(f"dataset {self.name!r} needs at least one class, got c={self.c}")
         if not np.all(np.isfinite(self.features)):
             raise InputError(f"dataset {self.name!r} has non-finite features")
         if self.n < self.c:
             raise InputError(f"dataset {self.name!r} has fewer samples than classes")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.c):
+        if self.labels.min() < 0 or self.labels.max() >= self.c:
             raise InputError(f"labels outside [0,{self.c}) in dataset {self.name!r}")
         present = np.count_nonzero(np.bincount(self.labels))
         if present != self.c:

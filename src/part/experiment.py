@@ -126,8 +126,8 @@ def attach_datasets(grid: ModuleGrid, cfg: ExperimentConfig) -> None:
 def run_experiment(cfg: ExperimentConfig, out_dir=None, log=None) -> RunReport:
     """Train per cfg.mode, write report.json and a checkpoint, return the report."""
     out = FsPath(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid = build_experiment(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     report = train(grid, cfg.mode, SCHEDULES[cfg.mode](grid.tasks, cfg.single_task_index),
                    grid.tasks, cfg.train, config_hash=cfg.config_hash(), log=log)
     write_report(report, out / REPORT_NAME)

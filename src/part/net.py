@@ -19,16 +19,14 @@ run_mean, run_var each); then head_W (row-major) and head_b. A parameter is
 named by a key (see `get_param`): `get_param` copies it out and `set_param`
 copies into the arena and bumps `version`, so a tape taken before the write
 is rejected. `head_W` and `head_b` are read-only views of the head. A key's
-place in the arena is computed from the grid's layer table (see
-`ModuleGrid`). Construction fills the arena directly; each registration
-adopts a wider one, copying each layer's cells (adding a norm instance to
-each in per-task mode) and the head.
+place in the arena comes from `ModuleGrid._view` alone, which reads the
+grid's layer table (see `ModuleGrid`). Construction fills the arena
+directly; each registration adopts a wider one, copying each layer's cells
+(adding a norm instance to each in per-task mode) and the head.
 
 Each task has a cached *path index* (`path_index`), built only for a task
 registered on the grid whose path fits it: the arena positions its eval
-forward reads, in gather order. Per layer that is each path module's W,
-then the gamma, beta, run_mean and run_var of the norm instances the task
-uses, each module-major as one (N*d_hid,) vector; then the head slice.
+forward reads, in gather order, each tensor's where `_view` places it.
 Freezing cannot move those positions, so a freeze keeps them and refreshes
 only the index's freeze-dependent fields. A forward pass reads every layer
 with one gather. A layer runs its N blocks on one C-contiguous sample-major
@@ -431,10 +429,11 @@ class PathIndex:
 
     `task_id` is the task's id, which its tapes carry. `head` is the task's
     head slice, its columns [start, end) of the head. `positions` lists, in
-    gather order, every arena position an eval forward reads: per layer of
-    the path, each module's W (row-major), then gamma, beta, run_mean and
-    run_var, each module-major over the layer's N modules as one (N*d_hid,)
-    vector; then the head slice's W and b. Layer l's entries start at
+    gather order, every arena position an eval forward reads, each tensor's
+    positions as `ModuleGrid._view` places it: per layer of the path, each
+    module's W (row-major), then gamma, beta, run_mean and run_var, each
+    module-major over the layer's N modules as one (N*d_hid,) vector; then
+    the head slice's W (row-major) and b. Layer l's entries start at
     `starts[l]`, and the head's at `starts[L]`: the forward gathers the
     first `starts[L]` entries (the layers) in one go. `norm_stats` holds the
     arena positions of every running statistic the path reads, in the order
@@ -509,38 +508,29 @@ def path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
 
 def _build_path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
     """A task's PathIndex from scratch: the fields freezing leaves alone,
-    read off each layer's (N, cell size) block of arena positions (see
-    ModuleGrid), then those it changes (`_frozen_fields`)."""
-    d, C, nk = grid.d_hid, grid.c_total, grid.norm_key(task.id)
-    slot = grid._norm_slots[nk]
-    rows = task.path.rows
-    starts = np.cumsum([0] + [len(row) * (fan_in + 4) * d
-                              for (_, _, fan_in), row in zip(grid._layers, rows)]).tolist()
-    c, at = task.c, starts[-1]
-    positions = np.empty(at + (d + 1) * c, dtype=int)
-    keys, tensors, stats = [], [], []
-    for l, row in enumerate(rows):
-        offset, cell, fan_in = grid._layers[l]
-        N, fd, norm = len(row), fan_in * d, (fan_in + 4 * slot) * d
-        cells = offset + cell * np.array(row)[:, None] + np.arange(cell)
-        # each module's W, then gamma, beta, run_mean and run_var, each
-        # module-major as one (N*d,) vector
-        Ws = positions[starts[l]:starts[l] + N * fd].reshape(N, fan_in, d)
-        vectors = positions[starts[l] + N * fd:starts[l + 1]].reshape(4, N, d)
-        Ws.reshape(N, fd)[...] = cells[:, :fd]
-        vectors[...] = cells[:, norm:norm + 4 * d].reshape(N, 4, d).transpose(1, 0, 2)
-        stats.append(vectors[2:].ravel())
-        for k, m in enumerate(row):
-            keys += [("block", l, m, "W"), ("norm", l, m, nk, "gamma"),
-                     ("norm", l, m, nk, "beta")]
-            tensors += [Ws[k], vectors[0, k], vectors[1, k]]
-    start, end = task.slice
-    head_W = positions[at:at + d * c].reshape(d, c)
-    head_W[...] = grid._head + C * np.arange(d)[:, None] + np.arange(start, end)
-    positions[at + d * c:] = grid._head + d * C + np.arange(start, end)
+    each tensor's arena positions read off `ModuleGrid._view` over the
+    arena's position numbers, then those it changes (`_frozen_fields`)."""
+    nk = grid.norm_key(task.id)
+    gather, keys, layer_ends = [], [], []
+    for l, row in enumerate(task.path.rows):
+        # each module's W, then gamma, beta, run_mean and run_var, each module-major
+        Ws = [("block", l, m, "W") for m in row]
+        gamma, beta, mean, var = ([("norm", l, m, nk, which) for m in row]
+                                  for which in NORM_PARAMS)
+        gather += Ws + gamma + beta + mean + var
+        keys += [key for trio in zip(Ws, gamma, beta) for key in trio]
+        layer_ends.append(len(gather))
     keys += [("head", task.id, "W"), ("head", task.id, "b")]
-    tensors += [head_W, positions[at + d * c:]]
-    norm_stats = np.concatenate(stats)
+    gather += keys[-2:]
+    places = np.arange(grid.arena.size)
+    views = [grid._view(places, key) for key in gather]
+    positions = np.concatenate([view.ravel() for view in views])
+    ends = np.cumsum([view.size for view in views]).tolist()
+    tensor = {key: positions[end - view.size:end].reshape(view.shape)
+              for key, view, end in zip(gather, views, ends)}
+    tensors = [tensor[key] for key in keys]
+    starts = [0] + [ends[k - 1] for k in layer_ends]
+    norm_stats = np.concatenate([tensor[key] for key in gather if key[-1].startswith("run_")])
     return PathIndex(
         task_id=task.id, path=task.path, head=task.slice, positions=positions,
         starts=tuple(starts), norm_stats=norm_stats,

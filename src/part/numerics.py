@@ -216,8 +216,8 @@ def softmax_xent_slice(logits: np.ndarray, labels: np.ndarray):
     returns them, and `labels` are n task-local integers in [0, c). Returns
     (loss, dslice), where dslice = (softmax - onehot) / n is (n, c): the
     gradient `backward_task` takes. No other task's output column takes
-    part. Checks its inputs (finite logits, labels in range), then runs
-    `softmax_xent_kernel`.
+    part. Checks its inputs (a non-empty batch, finite logits, labels in
+    range), then runs `softmax_xent_kernel`.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
@@ -225,11 +225,13 @@ def softmax_xent_slice(logits: np.ndarray, labels: np.ndarray):
     if not np.isfinite(logits).all():
         raise InputError("logits contain non-finite values")
     n, c = logits.shape
+    if n == 0:
+        raise InputError("empty batch")
     labels = np.asarray(labels)
     if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
         raise InputError(f"labels must be {n} integers, got {labels.dtype} of shape "
                          f"{labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
+    if labels.min() < 0 or labels.max() >= c:
         raise InputError(f"labels must lie in [0,{c})")
     return softmax_xent_kernel(logits, labels)
 
@@ -264,11 +266,13 @@ def finite_diff_check(
 
     `params` is a list of arrays; f is called with the (possibly perturbed)
     list. Relative error per element uses denominator
-    max(|analytic|, |numeric|, 1e-8). The perturbation loop is the oracle:
-    it never calls any backward code.
+    max(|analytic|, |numeric|, 1e-8), with a positive finite step h. The
+    perturbation loop is the oracle: it never calls any backward code.
     """
     if isinstance(params, np.ndarray):
         raise InputError("params must be a list of arrays, not one array")
+    if not (h > 0 and np.isfinite(h)):
+        raise InputError(f"step h must be positive and finite, got {h}")
     plist, glist = list(params), list(analytic_grads)
     if len(plist) != len(glist):
         raise InputError("params and analytic_grads must pair up")

@@ -445,8 +445,7 @@ def test_grams_of_checked_reps_are_symmetric_bit_for_bit(X, sigma):
     slots = np.full((2, R.shape[0], R.shape[0]), np.nan)
     K = analysis._gram_rbf(R, 0.5, sigma)
     assert K.tobytes() == K.T.tobytes()
-    assert analysis._gram_rbf(R, 0.5, sigma, out=slots[0], scratch=slots[1]).tobytes() \
-        == K.tobytes()
+    assert analysis._gram_rbf(R, 0.5, sigma, out=slots[0]).tobytes() == K.tobytes()
 
 
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])

@@ -321,6 +321,7 @@ def test_a_csv_task_that_does_not_fit_exits_2(tmp_path, capsys):
         code, err = _exit_and_stderr(["train", "--config", str(write_config(tmp_path, doc))],
                                      capsys)
         assert code == 2 and err == f"error: config field 'tasks[1]': {message}\n"
+        assert not (tmp_path / "run").exists()      # no run directory left behind
 
 
 def test_eval_subcommand(tmp_path, capsys):

@@ -80,13 +80,15 @@ def test_degenerate_parameters_rejected():
 
 
 @pytest.mark.parametrize("features, labels, c, message", [
-    ([1.0, 2.0], [0, 1], 2, r"features must be 2-D, got shape \(2,\)"),
-    ([[1.0], [2.0]], [0, 1, 1], 2, "labels must be one per sample"),
+    ([1.0, 2.0], [0, 1], 2, r"dataset 'd' features must be 2-D, got shape \(2,\)"),
+    ([[1.0], [2.0]], [0, 1, 1], 2, "dataset 'd' labels must be one per sample"),
+    (np.empty((0, 4)), np.empty(0, int), 0, "dataset 'd' needs at least one class, got c=0"),
     ([[1.0], [np.inf]], [0, 1], 2, "dataset 'd' has non-finite features"),
     ([[1.0], [2.0]], [0, 1], 3, "dataset 'd' has fewer samples than classes"),
     ([[1.0], [2.0]], [0, 2], 2, r"labels outside \[0,2\) in dataset 'd'"),
     ([[1.0], [2.0], [3.0]], [0, 0, 2], 3, "dataset 'd' is missing classes: expected 3, saw 2"),
-], ids=["1-D", "label-count", "non-finite", "few-samples", "label-range", "missing-class"])
+], ids=["1-D", "label-count", "no-class", "non-finite", "few-samples", "label-range",
+        "missing-class"])
 def test_malformed_dataset_rejected(features, labels, c, message):
     with pytest.raises(InputError, match=f"^{message}$"):
         Dataset(features=np.array(features), labels=np.array(labels), c=c, name="d")

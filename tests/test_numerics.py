@@ -124,6 +124,7 @@ def test_label_out_of_slice_range_rejected():
     (np.zeros((2, 2)), np.array([True, False])), # boolean labels
     (np.zeros((2, 2)), np.array([0, 1, 1])),     # one label too many
     (np.zeros((2, 2)), np.array([[0, 1]])),      # 2-D labels
+    (np.zeros((0, 3)), np.zeros(0, int)),        # empty batch
 ])
 def test_malformed_logits_or_labels_rejected(logits, labels):
     with pytest.raises(InputError):
@@ -195,6 +196,12 @@ def test_mismatched_grad_shape_rejected():
 
     with pytest.raises(InputError):
         finite_diff_check(f, [np.zeros(3)], [np.zeros(2)])
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])
+def test_step_that_is_not_positive_and_finite_rejected(h):
+    with pytest.raises(InputError, match="step h"):
+        finite_diff_check(lambda plist: 0.0, [np.zeros(2)], [np.zeros(2)], h=h)
 
 
 def test_one_array_instead_of_a_list_rejected():
