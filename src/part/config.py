@@ -22,7 +22,8 @@ Shape:
                    "rbf_sigma": null}
     }
 
-The config hash covers everything except out_dir.
+The config hash covers everything except out_dir. A key that no field
+reads is refused, naming it (a `ConfigError`, exit 2).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path as FsPath
 
 from .errors import ConfigError
@@ -99,9 +100,6 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-_MISSING = object()
-
-
 def _is_a(v, typ) -> bool:
     """isinstance(v, typ), except that a bool is no int and an int is a
     float; `typ` may be a tuple of types."""
@@ -118,18 +116,19 @@ def _name(typ) -> str:
     return "null" if typ is type(None) else typ.__name__
 
 
-def _get(d: dict, key: str, typ, where: str = "", default=_MISSING, items=None):
-    """d[key], checked to be a `typ` (see `_is_a`) and, for a list, to hold
-    only `items`; `default` if the key is absent, and an error if it is
+def _get(d: dict, key: str, typ, where: str = "", default=MISSING, items=None):
+    """d[key], taken out of `d`, a section's own copy (`_no_more` refuses
+    what is left), checked to be a `typ` (see `_is_a`) and, for a list, to
+    hold only `items`; `default` if the key is absent, and an error if it is
     absent with no default. A float must be finite (JSON parsing takes NaN
     and Infinity). The value comes back as the file has it (an int read as
     a float stays an int), so the check leaves the hash alone."""
     name = f"{where}.{key}" if where else key
     if key not in d:
-        if default is _MISSING:
+        if default is MISSING:
             raise ConfigError(name, "missing")
         return default
-    v = d[key]
+    v = d.pop(key)
     if not _is_a(v, typ):
         raise ConfigError(name, f"expected {_name(typ)}, got {_name(type(v))}")
     if isinstance(v, float) and not math.isfinite(v):
@@ -140,8 +139,34 @@ def _get(d: dict, key: str, typ, where: str = "", default=_MISSING, items=None):
     return v
 
 
+def _no_more(d: dict, where: str = "") -> None:
+    """ConfigError for the first key of a section that no `_get` took out."""
+    for key in d:
+        raise ConfigError(f"{where}.{key}" if where else key, "unknown field")
+
+
+# `_get`'s (type, item type) check for each annotation of a section's fields
+_CHECKS = {"int": (int, None), "float": (float, None), "bool": (bool, None), "str": (str, None),
+           "float | None": ((float, type(None)), None),
+           "tuple[int, ...]": (list, int), "tuple[int, int]": (list, int)}
+
+
+def _section(d: dict, where: str, cls, skip=(), **defaults) -> dict:
+    """The fields of dataclass `cls` but `skip`, read from section `d` by
+    `_get` as each annotation says (a list comes back as a tuple), with
+    `defaults` before the class's own; then `_no_more`."""
+    d, out = dict(d), {}
+    for f in fields(cls):
+        if f.name not in skip:
+            typ, items = _CHECKS[f.type]
+            v = _get(d, f.name, typ, where, defaults.get(f.name, f.default), items)
+            out[f.name] = v if items is None else tuple(v)
+    _no_more(d, where)
+    return out
+
+
 def _parse_task(i: int, d: dict) -> TaskConfig:
-    where = f"tasks[{i}]"
+    where, d = f"tasks[{i}]", dict(d)
     kind = _get(d, "type", str, where)
     name = _get(d, "name", str, where, f"task{i}")
     if kind == "synthetic":
@@ -154,15 +179,19 @@ def _parse_task(i: int, d: dict) -> TaskConfig:
         margin = float(_get(d, "margin", float, where))
         if margin <= 0:
             raise ConfigError(f"{where}.margin", f"must be positive, got {margin}")
-        return TaskConfig(kind=kind, name=name, c=c, n_per_class=n_per_class, margin=margin)
-    if kind == "csv":
-        return TaskConfig(kind=kind, name=name,
+        task = TaskConfig(kind=kind, name=name, c=c, n_per_class=n_per_class, margin=margin)
+    elif kind == "csv":
+        task = TaskConfig(kind=kind, name=name,
                           train_csv=_get(d, "train", str, where),
                           val_csv=_get(d, "val", str, where))
-    raise ConfigError(f"{where}.type", f"must be 'synthetic' or 'csv', got {kind!r}")
+    else:
+        raise ConfigError(f"{where}.type", f"must be 'synthetic' or 'csv', got {kind!r}")
+    _no_more(d, where)
+    return task
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
+    doc = dict(doc)
     seed = _get(doc, "seed", int)
     if seed < 0:
         raise ConfigError("seed", f"must be >= 0, got {seed}")
@@ -174,14 +203,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("norm_mode", f"must be one of {NORM_MODES}, got {norm_mode!r}")
     out_dir = _get(doc, "out_dir", str, default="runs/out")
 
-    g = _get(doc, "grid", dict)
-    grid = GridConfig(
-        n_layers=_get(g, "n_layers", int, "grid"),
-        n_modules=_get(g, "n_modules", int, "grid"),
-        path_width=_get(g, "path_width", int, "grid"),
-        d_in=_get(g, "d_in", int, "grid"),
-        d_hid=_get(g, "d_hid", int, "grid"),
-    )
+    grid = GridConfig(**_section(_get(doc, "grid", dict), "grid", GridConfig))
     if grid.n_layers < 1:
         raise ConfigError("grid.n_layers", "must be >= 1")
     if not (1 <= grid.path_width <= grid.n_modules):
@@ -198,17 +220,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("tasks", "at least one task is required")
     tasks = [_parse_task(i, t) for i, t in enumerate(raw_tasks)]
 
-    t = _get(doc, "train", dict, default={})
-    fields = dict(
-        epochs=_get(t, "epochs", int, "train", TrainConfig.epochs),
-        batch_size=_get(t, "batch_size", int, "train", TrainConfig.batch_size),
-        batch_set_size=_get(t, "batch_set_size", int, "train", TrainConfig.batch_set_size),
-        lr0=_get(t, "lr0", float, "train", TrainConfig.lr0),
-        lr_halve_epochs=tuple(_get(t, "lr_halve_epochs", list, "train",
-                                   TrainConfig.lr_halve_epochs, items=int)),
-    )
+    t = _section(_get(doc, "train", dict, default={}), "train", TrainConfig, skip=("seed",))
     try:
-        train = TrainConfig(**fields, seed=seed)
+        train = TrainConfig(**t, seed=seed)
     except ValueError as e:
         raise ConfigError("train", str(e)) from None
     if train.batch_size < 2:
@@ -231,29 +245,21 @@ def parse_config(doc: dict) -> ExperimentConfig:
                               "controlled setups need n_modules = 2 * path_width")
 
     a = _get(doc, "analysis", dict, default={})
-    default_pair = [0, 1] if len(tasks) >= 2 else [0, 0]
-    pair = tuple(_get(a, "pair", list, "analysis", default_pair, items=int))
-    if len(pair) != 2 or not all(0 <= p < len(tasks) for p in pair):
-        raise ConfigError("analysis.pair", f"must name two registered tasks, got {pair}")
-    kernel = _get(a, "kernel", str, "analysis", AnalysisConfig.kernel)
-    if kernel not in ("linear", "rbf"):
-        raise ConfigError("analysis.kernel", f"must be 'linear' or 'rbf', got {kernel!r}")
-    analysis = AnalysisConfig(
-        cka=_get(a, "cka", bool, "analysis", AnalysisConfig.cka),
-        sharing=_get(a, "sharing", bool, "analysis", AnalysisConfig.sharing),
-        pair=pair,
-        capture_n=_get(a, "capture_n", int, "analysis", AnalysisConfig.capture_n),
-        kernel=kernel,
-        rbf_frac=_get(a, "rbf_frac", float, "analysis", AnalysisConfig.rbf_frac),
-        rbf_sigma=_get(a, "rbf_sigma", (float, type(None)), "analysis",
-                       AnalysisConfig.rbf_sigma),
-    )
+    analysis = AnalysisConfig(**_section(a, "analysis", AnalysisConfig,
+                                         pair=(0, 1) if len(tasks) >= 2 else (0, 0)))
+    if len(analysis.pair) != 2 or not all(0 <= p < len(tasks) for p in analysis.pair):
+        raise ConfigError("analysis.pair",
+                          f"must name two registered tasks, got {analysis.pair}")
+    if analysis.kernel not in ("linear", "rbf"):
+        raise ConfigError("analysis.kernel",
+                          f"must be 'linear' or 'rbf', got {analysis.kernel!r}")
     if analysis.capture_n < 3:
         raise ConfigError("analysis.capture_n", "must be >= 3")
     if analysis.rbf_frac <= 0:
         raise ConfigError("analysis.rbf_frac", f"must be positive, got {analysis.rbf_frac}")
     if analysis.rbf_sigma is not None and analysis.rbf_sigma <= 0:
         raise ConfigError("analysis.rbf_sigma", f"must be positive, got {analysis.rbf_sigma}")
+    _no_more(doc)
 
     return ExperimentConfig(seed=seed, mode=mode, norm_mode=norm_mode, out_dir=out_dir,
                             grid=grid, tasks=tasks, train=train,

@@ -26,12 +26,18 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = np.asarray(self.labels)
+        if not np.issubdtype(self.labels.dtype, np.integer):
+            raise InputError(f"dataset {self.name!r} labels must be integers, "
+                             f"got dtype {self.labels.dtype}")
+        self.labels = self.labels.astype(np.int64, copy=False)
         if self.features.ndim != 2:
             raise InputError(f"dataset {self.name!r} features must be 2-D, "
                              f"got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
             raise InputError(f"dataset {self.name!r} labels must be one per sample")
+        if not isinstance(self.c, int) or isinstance(self.c, bool):
+            raise InputError(f"dataset {self.name!r} class count must be an int, got {self.c!r}")
         if self.c < 1:
             raise InputError(f"dataset {self.name!r} needs at least one class, got c={self.c}")
         if not np.all(np.isfinite(self.features)):
@@ -127,9 +133,6 @@ def oversample_to_equal(datasets: list[Dataset], rng: np.random.Generator) -> li
     """
     if not datasets:
         raise InputError("no datasets to oversample")
-    for ds in datasets:
-        if ds.n == 0:
-            raise InputError(f"dataset {ds.name!r} is empty")
     target = max(ds.n for ds in datasets)
     out = []
     for ds in datasets:

@@ -10,7 +10,8 @@ only the selected blocks, sums their outputs per layer, and reads logits
 from the task's head slice; the backward pass produces gradients for
 exactly the path blocks, the norm instances the task used, and the head
 slice. `freeze` freezes a finished task (sequential baseline): its path
-blocks, norms and head slice stop updating and its norm stats stop tracking.
+blocks, norms and head slice stop updating and its norm stats stop tracking,
+and `freeze_fingerprint` hashes them, key by key.
 
 Every parameter lives in one float64 vector, the grid's *arena*, laid out
 in checkpoint format-2 order: layer-major, module-minor; per module W
@@ -62,6 +63,7 @@ layers changed.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -413,6 +415,23 @@ def freeze(grid: ModuleGrid, task: TaskSpec) -> None:
     path_index(grid, task)
     grid.frozen.update(task.path.modules())
     grid.frozen_tasks.add(task.id)
+
+
+def freeze_fingerprint(grid: ModuleGrid, task: TaskSpec) -> dict[str, str]:
+    """Hashes of the task's frozen surface, which `path_index` must accept:
+    every tensor its path index keys (path blocks, the norm instances it
+    used, its head slice), and per path module its running statistics,
+    run_mean then run_var, each read by key."""
+    index = path_index(grid, task)
+    arena, nk = grid.arena, grid.norm_key(task.id)
+    fp = {repr(key): hashlib.sha256(arena[t].tobytes()).hexdigest()
+          for key, t in zip(index.keys, index.tensors)}
+    for l, m in task.path.modules():
+        mean, var = (grid._view(arena, ("norm", l, m, nk, which))
+                     for which in ("run_mean", "run_var"))
+        fp[repr(("norm_stats", l, m, nk))] = hashlib.sha256(
+            mean.tobytes() + var.tobytes()).hexdigest()
+    return fp
 
 
 def trainable_keys(grid: ModuleGrid, task: TaskSpec) -> list:

@@ -1,9 +1,9 @@
-"""Training: `train`, one loop over `Phase` values, and `SCHEDULES`, each mode's phases."""
+"""Training: `train`, one loop over `Phase` values, and `SCHEDULES`, each mode's
+phases. A freezing phase's report keeps `net.freeze_fingerprint` of its tasks."""
 
 from __future__ import annotations
 
 import bisect
-import hashlib
 import math
 import time
 from dataclasses import dataclass, fields
@@ -21,6 +21,7 @@ from .net import (
     forward_kernel,
     forward_task,
     freeze,
+    freeze_fingerprint,
     path_index,
     trainable_keys,  # noqa: F401
 )
@@ -150,7 +151,7 @@ def validate(grid: ModuleGrid, task: TaskSpec, inputs: list | None = None) -> fl
     list), and `inputs` is completed in place to h_0 .. h_L, the last being
     the input of the head."""
     ds = task.val_ds
-    if ds is None or ds.n == 0:
+    if ds is None:
         raise InputError(f"task {task.id} has no validation samples")
     start = len(inputs) - 1 if inputs else 0
     if start:
@@ -342,8 +343,6 @@ def train(grid: ModuleGrid, mode: str, phases: list[Phase], report_tasks: list[T
                 log(_format_epoch(rows[-1], label))
         if freezes:
             for t in tasks:
-                # fingerprint first, while the cached path index still
-                # serves it: freezing moves no value and leaves its keys alone
                 freeze_hashes[str(t.id)] = freeze_fingerprint(grid, t)
                 freeze(grid, t)
     return RunReport(
@@ -378,25 +377,6 @@ def train_single(grid: ModuleGrid, task: TaskSpec, cfg: TrainConfig,
     report_tasks = [t for t in grid.tasks if t.train_ds is not None and t.val_ds is not None]
     return train(grid, "single", SCHEDULES["single"]([task], 0), report_tasks, cfg,
                  config_hash, log)
-
-
-def freeze_fingerprint(grid: ModuleGrid, task: TaskSpec) -> dict[str, str]:
-    """Hashes of the task's frozen surface (every tensor its path index
-    keys: path blocks, the norm instances it used, its head slice),
-    running stats included: per path module, its run_mean then run_var."""
-    index = path_index(grid, task)
-    arena, d, nk = grid.arena, grid.d_hid, grid.norm_key(task.id)
-    fp = {repr(key): hashlib.sha256(arena[t].tobytes()).hexdigest()
-          for key, t in zip(index.keys, index.tensors)}
-    at = 0
-    for l, row in enumerate(task.path.rows):
-        # the layer's run_means, then its run_vars, each module-major
-        means, variances = arena[index.norm_stats[at:at + 2 * len(row) * d]].reshape(2, -1, d)
-        at += 2 * len(row) * d
-        for m, mean, var in zip(row, means, variances):
-            fp[repr(("norm_stats", l, m, nk))] = hashlib.sha256(
-                mean.tobytes() + var.tobytes()).hexdigest()
-    return fp
 
 
 def _format_epoch(row: dict, label: str) -> str:

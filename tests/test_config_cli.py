@@ -678,6 +678,32 @@ def test_config_value_out_of_range_exits_2_naming_the_field(tmp_path, capsys, up
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("updates, field", [
+    ({"mdoe": "parallel"}, "mdoe"),
+    ({"grid.d_out": 4}, "grid.d_out"),
+    ({"tasks": _solo(colour="red")}, "tasks[0].colour"),
+    ({"tasks": [{"type": "csv", "train": "t.csv", "val": "v.csv", "c": 3}]}, "tasks[0].c"),
+    ({"train.epoch": 30}, "train.epoch"),
+    ({"train.lr": 0.1}, "train.lr"),
+    ({"train.seed": 5}, "train.seed"),
+    ({"analysis.kernal": "linear"}, "analysis.kernal"),
+], ids=["top-level", "grid", "synthetic-task", "csv-task", "train.epoch", "train.lr",
+        "train.seed", "analysis"])
+def test_an_unknown_config_key_exits_2_naming_it(tmp_path, capsys, updates, field):
+    doc = minimal_config(tmp_path / "run")
+    for name, value in updates.items():
+        _with(doc, name, value)
+    before = json.dumps(doc)
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.field == field
+    assert json.dumps(doc) == before            # the caller's document is left as it was
+    code, err = _exit_and_stderr(["train", "--config", str(write_config(tmp_path, doc))],
+                                 capsys)
+    assert code == 2 and err == f"error: config field '{field}': unknown field\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("content, message", [
     ('{"seed": 5,', "invalid JSON: "),
     ("[1, 2]", "top-level JSON value must be an object"),

@@ -87,8 +87,13 @@ def test_degenerate_parameters_rejected():
     ([[1.0], [2.0]], [0, 1], 3, "dataset 'd' has fewer samples than classes"),
     ([[1.0], [2.0]], [0, 2], 2, r"labels outside \[0,2\) in dataset 'd'"),
     ([[1.0], [2.0], [3.0]], [0, 0, 2], 3, "dataset 'd' is missing classes: expected 3, saw 2"),
+    ([[1.0], [2.0], [3.0]], [0.5, 1, 0], 2,
+     "dataset 'd' labels must be integers, got dtype float64"),
+    ([[1.0], [2.0]], [False, True], 2, "dataset 'd' labels must be integers, got dtype bool"),
+    ([[1.0], [2.0]], [0, 1], 2.0, "dataset 'd' class count must be an int, got 2.0"),
+    ([[1.0], [2.0]], [0, 1], True, "dataset 'd' class count must be an int, got True"),
 ], ids=["1-D", "label-count", "no-class", "non-finite", "few-samples", "label-range",
-        "missing-class"])
+        "missing-class", "float-labels", "bool-labels", "float-c", "bool-c"])
 def test_malformed_dataset_rejected(features, labels, c, message):
     with pytest.raises(InputError, match=f"^{message}$"):
         Dataset(features=np.array(features), labels=np.array(labels), c=c, name="d")
@@ -142,17 +147,6 @@ def test_oversample_preserves_class_proportions_on_average():
         props.append(np.bincount(out_small.labels, minlength=2) / out_small.n)
     mean_p = np.mean(props, axis=0)
     assert np.all(np.abs(mean_p - orig_p) <= 0.05)
-
-
-def test_oversample_rejects_empty_dataset():
-    rng = np.random.default_rng(8)
-    hollow = Dataset.__new__(Dataset)  # bypass invariants to hit the guard
-    hollow.features = np.zeros((0, 3))
-    hollow.labels = np.zeros(0, dtype=np.int64)
-    hollow.c = 2
-    hollow.name = "empty"
-    with pytest.raises(InputError):
-        oversample_to_equal([hollow], rng)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,39 @@ def test_sequential_freezes_everything_it_trained():
         assert rep.freeze_hashes[str(t.id)] == freeze_fingerprint(grid, t)
 
 
+def _fingerprint_by_key(grid, task):
+    """`freeze_fingerprint`'s oracle, read through `get_param` by key: each
+    key of the task's path index, then each path module's run_mean and
+    run_var, hashed together."""
+    nk = grid.norm_key(task.id)
+    fp = {repr(key): hashlib.sha256(grid.get_param(key).tobytes()).hexdigest()
+          for key in path_index(grid, task).keys}
+    for l, m in task.path.modules():
+        mean, var = (grid.get_param(("norm", l, m, nk, which))
+                     for which in ("run_mean", "run_var"))
+        fp[repr(("norm_stats", l, m, nk))] = hashlib.sha256(
+            mean.tobytes() + var.tobytes()).hexdigest()
+    return fp
+
+
+@pytest.mark.parametrize("norm_mode", ["shared", "per-task"])
+def test_freeze_fingerprint_equals_an_oracle_read_by_key(norm_mode):
+    # task 1 shares task 0's layer-0 cells; it trains after task 0 froze
+    grid = build_pair(21, norm_mode=norm_mode)
+    t0, t1 = grid.tasks
+    t1.path = build_controlled_paths(2, 4, 2, shared_layers=(0,))[1]
+    report = train(grid, "first", [Phase("first", (t0,), freeze=True)], [t0], CFG)
+    at_freeze = _fingerprint_by_key(grid, t0)
+    assert report.freeze_hashes["0"] == at_freeze == freeze_fingerprint(grid, t0)
+    shared = [("norm", 0, m, grid.norm_key(t1.id), "run_mean") for m in t0.path.rows[0]]
+    before = [grid.get_param(key) for key in shared]
+    train(grid, "second", [Phase("second", (t1,))], [t1], CFG)
+    # in per-task mode the later call trained task 1's own norms in the shared cells
+    moved = [not np.array_equal(grid.get_param(key), b) for key, b in zip(shared, before)]
+    assert moved == [norm_mode == "per-task"] * 2
+    assert freeze_fingerprint(grid, t0) == _fingerprint_by_key(grid, t0) == at_freeze
+
+
 def test_fully_shared_sequential_trains_only_head_and_own_norms():
     from part import trainable_keys
 
