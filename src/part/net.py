@@ -19,34 +19,38 @@ in checkpoint format-2 order: layer-major, module-minor; per module W
 run_mean, run_var each); then head_W (row-major) and head_b. A parameter is
 named by a key (see `get_param`): `get_param` copies it out and `set_param`
 copies into the arena and bumps `version`, so a tape taken before the write
-is rejected. `head_W` and `head_b` are read-only views of the head. A key's
-place in the arena comes from `ModuleGrid._view` alone, which reads the
-grid's layer table (see `ModuleGrid`). Construction fills the arena
-directly; each registration adopts a wider one, copying each layer's cells
-(adding a norm instance to each in per-task mode) and the head.
+is rejected. No other handle on a parameter is kept: `head_W` and `head_b`
+are read-only views of the head made on each read, so a copied or unpickled
+grid reads and trains its own arena. A key's place in it comes from
+`ModuleGrid._view` alone, which reads the grid's layer table. Construction
+fills the arena directly; each registration adopts a wider one, copying
+each layer's cells (adding a norm instance to each in per-task mode) and
+the head.
 
 Each task has a cached *path index* (`path_index`), built only for a task
 registered on the grid whose path fits it: the arena positions its eval
 forward reads, in gather order, each tensor's where `_view` places it.
 Freezing cannot move those positions, so a freeze keeps them and refreshes
-only the index's freeze-dependent fields. A forward pass reads every layer
-with one gather. A layer runs its N blocks on one C-contiguous sample-major
+only the index's freeze-dependent fields. A forward pass reads its
+parameters, every layer's and then the head slice's, with one gather and in
+no other way. A layer runs its N blocks on one C-contiguous sample-major
 (n, N, d_hid) array, that is (n, N*d_hid) with column block k for path
 module k: a batched matmul writes each module's block, batch norm reduces
 over the samples (axis 0) and broadcasts (N, d_hid) vectors, and the ReLU
 output is made module-major, (N, n, d_hid), which the module sum reduces
 over axis 0. A train pass stacks every layer's batch moments and writes the
 running statistics with one update and one scatter after the last layer.
-The pass's `Tape` holds the mode and the path rows once, and one
-`LayerRecord` (the layer's six arrays) per layer. The backward reads that
-tape and the task-width loss gradient, and returns one flat gradient vector
-over the task's trainable surface only (the tensors `trainable_keys` names,
-in the same order: per layer and module W, gamma, beta, then the head
-slice's W and b); the trainer hands it to the optimizer as it is. The
-backward stops at the lowest layer that holds a trainable tensor, and a
-layer with none above it only carries the gradient through. This layout
-gives the same bits as running the blocks one by one (`_column_sums` covers
-the one shape that needs care).
+The pass's `Tape` holds the mode, the path rows and the head slice's W
+once, and one `LayerRecord` (the layer's six arrays) per layer. The
+backward reads that tape and the task-width loss gradient, nothing of the
+arena, and returns one flat gradient vector over the task's trainable
+surface only (the tensors `trainable_keys` names, in the same order: per
+layer and module W, gamma, beta, then the head slice's W and b); the
+trainer hands it to the optimizer as it is. The backward stops at the
+lowest layer that holds a trainable tensor, and a layer with none above it
+only carries the gradient through. This layout gives the same bits as
+running the blocks one by one (`_column_sums` covers the one shape that
+needs care).
 
 Each pass is an unchecked kernel over a task's PathIndex (`forward_kernel`
 makes the tape, `backward_kernel` reads it) behind a checked entry point
@@ -151,6 +155,7 @@ class ModuleGrid:
                  norm_mode: str = "shared", seed: int = 0):
         if norm_mode not in ("shared", "per-task"):
             raise InputError(f"norm_mode must be 'shared' or 'per-task', got {norm_mode!r}")
+        _check_integers(n_layers=n_layers, n_modules=n_modules, d_in=d_in, d_hid=d_hid)
         if n_layers < 1 or n_modules < 1:
             raise InputError("grid needs at least one layer and one module")
         if d_in < 1 or d_hid < 1:
@@ -191,12 +196,12 @@ class ModuleGrid:
     @property
     def head_W(self) -> np.ndarray:
         """The head weights, (d_hid, c_total): a read-only view of the arena."""
-        return self._head_W
+        return self._head_views(self._arena, writeable=False)[0]
 
     @property
     def head_b(self) -> np.ndarray:
         """The head biases, (c_total,): a read-only view of the arena."""
-        return self._head_b
+        return self._head_views(self._arena, writeable=False)[1]
 
     def _adopt_new_arena(self) -> np.ndarray:
         """Adopt a new, unfilled arena for the grid's current shape and set
@@ -212,15 +217,15 @@ class ModuleGrid:
             offset += self.n_modules * cell
         self._layers, self._head = tuple(layers), offset
         self._arena = np.empty(offset + (d + 1) * self.c_total)
-        self._head_W, self._head_b = self._head_views(self._arena)
-        self._head_W.flags.writeable = self._head_b.flags.writeable = False
         self._paths.clear()
         return self._arena
 
-    def _head_views(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _head_views(self, flat: np.ndarray, writeable=True) -> tuple[np.ndarray, np.ndarray]:
         """head_W (d_hid, c_total) and head_b (c_total,) inside `flat`."""
         at, d, c = self._head, self.d_hid, self.c_total
-        return flat[at:at + d * c].reshape(d, c), flat[at + d * c:at + (d + 1) * c]
+        W, b = flat[at:at + d * c].reshape(d, c), flat[at + d * c:at + (d + 1) * c]
+        W.flags.writeable = b.flags.writeable = writeable
+        return W, b
 
     # -- parameter addressing ------------------------------------------------
     # keys: ("block", l, m, "W")
@@ -270,6 +275,14 @@ def _is_index(i, n: int) -> bool:
     return isinstance(i, (int, np.integer)) and 0 <= i < n
 
 
+def _check_integers(**sizes) -> None:
+    """InputError naming the first of `sizes` that is not a Python or numpy
+    integer; a bool is not one."""
+    for name, v in sizes.items():
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise InputError(f"{name} must be an integer, got {v!r}")
+
+
 def register_task(grid: ModuleGrid, c: int, name: str = "",
                   train_ds=None, val_ds=None) -> TaskSpec:
     """Add a task to the grid: widen the head by c freshly initialized
@@ -278,6 +291,7 @@ def register_task(grid: ModuleGrid, c: int, name: str = "",
 
     The returned TaskSpec has no path yet; assign one explicitly.
     """
+    _check_integers(c=c)
     if c < 2:
         raise InputError(f"class count must be >= 2, got {c}")
     tid = len(grid.tasks)
@@ -285,7 +299,7 @@ def register_task(grid: ModuleGrid, c: int, name: str = "",
     bound = 1.0 / np.sqrt(grid.d_hid)
     new_cols = grid.rng.uniform(-bound, bound, size=(grid.d_hid, c))
     old, old_layers = grid.arena, grid._layers
-    old_head_W, old_head_b = grid.head_W, grid.head_b
+    old_head_W, old_head_b = grid._head_views(old)
     task = TaskSpec(id=tid, c=c, slice=(start, start + c), name=name or f"task{tid}",
                     train_ds=train_ds, val_ds=val_ds)
     grid.tasks.append(task)
@@ -337,6 +351,7 @@ def assign_random_paths(M: int, N: int, L: int, k: int,
     any draw would be rejected (a chance of 4.4e-9 per row at M = 12,
     N = 4).
     """
+    _check_integers(M=M, N=N, L=L, k=k)
     if not (1 <= N <= M):
         raise InputError(f"need 1 <= N <= M, got N={N}, M={M}")
     if L < 1:
@@ -446,15 +461,15 @@ def trainable_keys(grid: ModuleGrid, task: TaskSpec) -> list:
 class PathIndex:
     """Where one task's path lives in the arena and in its flat gradient.
 
-    `task_id` is the task's id, which its tapes carry. `head` is the task's
-    head slice, its columns [start, end) of the head. `positions` lists, in
-    gather order, every arena position an eval forward reads, each tensor's
-    positions as `ModuleGrid._view` places it: per layer of the path, each
-    module's W (row-major), then gamma, beta, run_mean and run_var, each
-    module-major over the layer's N modules as one (N*d_hid,) vector; then
-    the head slice's W (row-major) and b. Layer l's entries start at
-    `starts[l]`, and the head's at `starts[L]`: the forward gathers the
-    first `starts[L]` entries (the layers) in one go. `norm_stats` holds the
+    `task_id` is the task's id, which its tapes carry. `positions` lists,
+    in gather order, every arena position an eval forward reads, each
+    tensor's positions as `ModuleGrid._view` places it: per layer of the
+    path, each module's W (row-major), then gamma, beta, run_mean and
+    run_var, each module-major over the layer's N modules as one (N*d_hid,)
+    vector; then the head slice's W (row-major) and b. Layer l's entries
+    start at `starts[l]`, and the head's at `starts[L]`: a forward from
+    layer l gathers every entry from `starts[l]` on, the head included, in
+    one go, and reads no parameter any other way. `norm_stats` holds the
     arena positions of every running statistic the path reads, in the order
     the train forward stacks its batch moments (per layer the mean, then the
     variance, each module-major).
@@ -480,7 +495,6 @@ class PathIndex:
 
     task_id: int
     path: Path
-    head: tuple
     positions: np.ndarray
     starts: tuple
     norm_stats: np.ndarray
@@ -551,7 +565,7 @@ def _build_path_index(grid: ModuleGrid, task: TaskSpec) -> PathIndex:
     starts = [0] + [ends[k - 1] for k in layer_ends]
     norm_stats = np.concatenate([tensor[key] for key in gather if key[-1].startswith("run_")])
     return PathIndex(
-        task_id=task.id, path=task.path, head=task.slice, positions=positions,
+        task_id=task.id, path=task.path, positions=positions,
         starts=tuple(starts), norm_stats=norm_stats,
         size=int(sum(t.size for t in tensors)), keys=keys, tensors=tensors,
         **_frozen_fields(grid, task.path, norm_stats, tensors, _freeze_flags(grid, task)))
@@ -611,7 +625,8 @@ class LayerRecord(NamedTuple):
 
 @dataclass
 class Tape:
-    """Activation record of one forward pass."""
+    """Activation record of one forward pass: with its `LayerRecord`s and
+    `head_W`, every parameter the backward reads, as the forward read it."""
 
     task_id: int
     grid_version: int
@@ -620,6 +635,7 @@ class Tape:
     inputs: list            # h_0 .. h_{L-1}: the input each layer consumed
     layers: list            # one LayerRecord per layer
     h_final: np.ndarray
+    head_W: np.ndarray      # (d_hid, c) the task's head weights as read by the forward
 
     def layer_sum(self, layer: int) -> np.ndarray:
         """The summed output of a layer: the next layer's input."""
@@ -673,10 +689,10 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
     task of this grid. Returns (logits, tape): the task-width logits and the
     Tape, stamped with the task and `grid.version`, that the backward reads.
 
-    One gather reads every layer's parameters, a layer runs on one
-    sample-major (n, N, d_hid) array (see the module docstring), and a train
-    pass writes every layer's running statistics with one scatter after the
-    last.
+    One gather reads every parameter the pass uses, the head slice's last, a
+    layer runs on one sample-major (n, N, d_hid) array (see the module
+    docstring), and a train pass writes every layer's running statistics
+    with one scatter after the last.
 
     An eval pass may resume at layer `start` (grid.n_layers: the head
     alone): x is then the input that layer took in an earlier eval pass
@@ -691,7 +707,7 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
     n = x.shape[0]
     sample_sum = reduce if d > 1 else _column_sums
     rows = index.path.rows[start:]
-    params = arena[index.positions[index.starts[start]:index.starts[-1]]]
+    params = arena[index.positions[index.starts[start]:]]
     if train:   # per layer the batch mean, then the variance: (2, N, d_hid)
         moments = np.empty(2 * d * sum(map(len, rows)))
     inputs, layers = [], []
@@ -734,10 +750,10 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
         moments *= NORM_MOMENTUM
         new += moments if index.live is None else moments[index.live]
         arena[index.stats] = new
-    start, end = index.head
-    logits = h @ grid.head_W[:, start:end]
-    logits += grid.head_b[start:end]
-    tape = Tape(index.task_id, grid.version, train, rows, inputs, layers, h)
+    head = params[at:].reshape(d + 1, -1)       # the head slice's W rows, then b
+    logits = h @ head[:d]
+    logits += head[d]
+    tape = Tape(index.task_id, grid.version, train, rows, inputs, layers, h, head[:d])
     return logits, tape
 
 
@@ -782,9 +798,10 @@ def backward_kernel(grid: ModuleGrid, index: PathIndex, tape: Tape,
     """The backward pass of `backward_task`, unchecked: `tape` is what
     `forward_kernel` returned for this grid state and `index`, and dslice
     the task-width (n, c) loss gradient. Returns the flat gradient over
-    the task's trainable tensors. Nothing is computed below the lowest layer that holds a
-    trainable tensor, and a layer without one above it only passes the
-    gradient down. Batch norm's gradient runs on the forward's sample-major
+    the task's trainable tensors; every parameter it reads is the tape's, as
+    the forward read it, and nothing is read from the arena. Nothing is
+    computed below the lowest layer that holds a trainable tensor, and a
+    layer without one above it only passes the gradient down. Batch norm's gradient runs on the forward's sample-major
     layout; dz is then made module-contiguous for the weight and input
     gradients, whose products round differently on a strided dz."""
     # fresh temporaries are updated in place and reductions written into
@@ -794,14 +811,13 @@ def backward_kernel(grid: ModuleGrid, index: PathIndex, tape: Tape,
     d = grid.d_hid
     n, c = dslice.shape
     sample_sum = reduce if d > 1 else _column_sums
-    start, end = index.head
     work = np.empty(index.size)
     offset = index.size - (d + 1) * c
     if index.trainable is None or index.trainable[-1]:     # the head slice trains
         np.matmul(tape.h_final.T, dslice, out=work[offset:offset + d * c].reshape(d, c))
         reduce(dslice, axis=0, out=work[offset + d * c:])
     if index.lowest < grid.n_layers:
-        dh = dslice @ grid.head_W[:, start:end].T
+        dh = dslice @ tape.head_W.T
     for l in range(grid.n_layers - 1, index.lowest - 1, -1):
         h_prev, (Ws, gamma, zhat, inv_std, y, _) = tape.inputs[l], tape.layers[l]
         N, dd = Ws.shape[0], h_prev.shape[1] * d

@@ -1,6 +1,9 @@
 """The flat parameter arena and the fused Adam step built on it."""
 
+import copy
 import dataclasses
+import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -12,12 +15,16 @@ from part import (
     InputError,
     ModuleGrid,
     NumericError,
+    Phase,
     TrainConfig,
     adam_step,
+    backward_task,
+    forward_task,
     freeze,
     load_checkpoint,
     register_task,
     save_checkpoint,
+    train,
     train_parallel,
     train_sequential,
 )
@@ -181,6 +188,73 @@ def test_registering_after_training_keeps_every_value(norm_mode, tmp_path):
         np.testing.assert_array_equal(grid.get_param(key), value)
     save_checkpoint(grid, tmp_path / "g.part")
     np.testing.assert_array_equal(load_checkpoint(tmp_path / "g.part").arena, grid.arena)
+
+
+def copy_grid(grid, how):
+    return copy.deepcopy(grid) if how == "deepcopy" else pickle.loads(pickle.dumps(grid))
+
+
+def arena_sha(grid):
+    return hashlib.sha256(grid.arena.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+@pytest.mark.parametrize("norm_mode", ["shared", "per-task"])
+def test_a_copied_grid_trains_to_the_originals_bits(norm_mode, how):
+    # a phase freezes task 0, the grid is copied, then the same two phases
+    # run on the copy and on the original: the copy's head is its own
+    # arena's, training it leaves the original as it was, and both end with
+    # the same report, freeze hashes and arena
+    grid = make_grid(L=2, M=4, N=2, norm_mode=norm_mode, seed=86, class_counts=(3, 3, 2))
+    attach_synthetic(grid, np.random.default_rng(86), n_per_class=10)
+    cfg = TrainConfig(epochs=2, batch_size=8, batch_set_size=2, lr0=1e-2, seed=86)
+    train(grid, "sequential", [Phase("first", grid.tasks[:1], freeze=True)], grid.tasks, cfg)
+    copied = copy_grid(grid, how)
+    for view in (copied.head_W, copied.head_b):
+        assert np.shares_memory(view, copied.arena) and not view.flags.writeable
+
+    def train_on(g):
+        phases = [Phase("second", (g.tasks[1],), freeze=True), Phase("third", (g.tasks[2],))]
+        return dataclasses.replace(train(g, "sequential", phases, g.tasks, cfg), wallclock_s=0.0)
+
+    original = arena_sha(grid), grid.version
+    report = train_on(copied)
+    assert (arena_sha(grid), grid.version) == original
+    assert train_on(grid) == report and report.freeze_hashes
+    assert arena_sha(copied) == arena_sha(grid)
+
+
+def same_grads(a, b):
+    return a.keys() == b.keys() and all(a[key].tobytes() == b[key].tobytes() for key in a)
+
+
+@pytest.mark.parametrize("norm_mode", ["shared", "per-task"])
+def test_a_pass_reads_only_its_gather_and_the_backward_only_its_tape(norm_mode):
+    def build():
+        return make_grid(L=3, M=4, N=2, norm_mode=norm_mode, seed=87, class_counts=(3, 4, 2),
+                         randomize_norms=True)
+
+    clean, poisoned = build(), build()
+    outside = np.ones(clean.arena.size, dtype=bool)
+    outside[path_index(clean, clean.tasks[1]).positions] = False
+    poisoned.arena[outside] = np.nan
+    rng = np.random.default_rng(87)
+    x, dslice = rng.normal(size=(6, clean.d_in)), rng.normal(size=(6, 4))
+    for mode in ("eval", "train"):
+        (logits, tape), (p_logits, p_tape) = (forward_task(g, g.tasks[1], x, mode)
+                                              for g in (clean, poisoned))
+        assert logits.tobytes() == p_logits.tobytes()
+        assert same_grads(backward_task(clean, clean.tasks[1], tape, dslice),
+                          backward_task(poisoned, poisoned.tasks[1], p_tape, dslice))
+    assert clean.arena[~outside].tobytes() == poisoned.arena[~outside].tobytes()
+    # after the forward, the whole arena (the task's head included) is
+    # overwritten without a version bump: the backward reads only the tape
+    for mode in ("eval", "train"):
+        grid = build()
+        _, tape = forward_task(grid, grid.tasks[1], x, mode)
+        want = {key: g.copy() for key, g in backward_task(grid, grid.tasks[1], tape, dslice).items()}
+        grid.arena[:] = np.nan
+        assert same_grads(backward_task(grid, grid.tasks[1], tape, dslice), want)
 
 
 def test_path_index_segments_are_cached_until_a_freeze():

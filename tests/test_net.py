@@ -204,6 +204,33 @@ def test_grid_widths_below_one_rejected(d_in, d_hid):
         ModuleGrid(2, 2, d_in, d_hid, seed=0)
 
 
+NOT_INTEGER_SIZES = {
+    "float-modules": (lambda g, rng: ModuleGrid(2, 3.0, 4, 5), "n_modules"),
+    "str-layers": (lambda g, rng: ModuleGrid("2", 3, 4, 5), "n_layers"),
+    "bool-layers": (lambda g, rng: ModuleGrid(True, 3, 4, 5), "n_layers"),
+    "float-width": (lambda g, rng: ModuleGrid(2, 3, 4.5, 5), "d_in"),
+    "float-c": (lambda g, rng: register_task(g, 2.0), "c"),
+    "str-c": (lambda g, rng: register_task(g, "3"), "c"),
+    "bool-c": (lambda g, rng: register_task(g, True), "c"),
+    "float-N": (lambda g, rng: assign_random_paths(4, 2.0, 2, 1, rng), "N"),
+    "float-k": (lambda g, rng: assign_random_paths(4, 2, 2, 1.0, rng), "k"),
+    "bool-L": (lambda g, rng: assign_random_path(4, 2, True, rng), "L"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_INTEGER_SIZES)
+def test_a_size_that_is_not_an_integer_is_an_input_error(case):
+    # a Python or numpy integer is a size; a bool, float or str is not
+    grid = ModuleGrid(np.int64(1), 2, 4, 5, seed=0)
+    rng = np.random.default_rng(0)
+    call, name = NOT_INTEGER_SIZES[case]
+    with pytest.raises(InputError, match=f"^{name} must be an integer, got "):
+        call(grid, rng)
+    assert grid.tasks == [] and grid.version == 0
+    assert register_task(grid, np.int32(3)).c == 3
+    assert len(assign_random_paths(np.int64(4), 2, 2, np.int64(3), rng)) == 3
+
+
 def test_class_count_below_two_rejected():
     grid = ModuleGrid(1, 2, 4, 5, seed=0)
     with pytest.raises(InputError):

@@ -476,6 +476,14 @@ def test_train_config_rejects_settings_that_train_nothing_or_never_end(field, va
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("epochs", 2.5), ("epochs", True), ("batch_set_size", 2.0),
+                                          ("batch_size", 16.0), ("batch_size", "16")])
+def test_train_config_sizes_must_be_integers(field, value):
+    with pytest.raises(InputError, match=f"^{field} must be an integer, got "):
+        TrainConfig(**{field: value})
+    assert TrainConfig(**{field: np.int64(3)}).__dict__[field] == 3
+
+
 @pytest.mark.parametrize("procedure", [train_sequential, train_parallel])
 def test_report_round_trips_through_json(procedure):
     grid = build_pair(22)
