@@ -6,6 +6,7 @@ contiguous integers from 0, decimal floats, UTF-8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .errors import CsvParseError, InputError
+from .net import _is_integer
 
 
 @dataclass
@@ -36,8 +38,9 @@ class Dataset:
                              f"got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
             raise InputError(f"dataset {self.name!r} labels must be one per sample")
-        if not isinstance(self.c, int) or isinstance(self.c, bool):
+        if not _is_integer(self.c):
             raise InputError(f"dataset {self.name!r} class count must be an int, got {self.c!r}")
+        self.c = int(self.c)
         if self.c < 1:
             raise InputError(f"dataset {self.name!r} needs at least one class, got c={self.c}")
         if not np.all(np.isfinite(self.features)):
@@ -62,11 +65,17 @@ class Dataset:
 
 def _standardize(train: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both feature arrays shifted/scaled by train's per-feature mean and
-    std; constant features get std 1 so they pass through unscaled."""
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
+    std; constant features get std 1 so they pass through unscaled.
+
+    The statistics take the sums `ndarray.mean` and `.std` take, so they
+    are theirs bit for bit: the mean is the axis-0 sum over n, the std the
+    sqrt of the centred squares' axis-0 sum over n."""
+    n = train.shape[0]
+    mean = train.sum(axis=0) / n
+    centred = train - mean
+    std = np.sqrt((centred * centred).sum(axis=0) / n)
     std = np.where(std > 0, std, 1.0)
-    return (train - mean) / std, (val - mean) / std
+    return centred / std, (val - mean) / std
 
 
 def standardize_pair(train: Dataset, val: Dataset) -> tuple[Dataset, Dataset]:
@@ -87,6 +96,13 @@ def gen_synthetic_task(rng: np.random.Generator, c: int, n_per_class: int,
     means sits exactly `margin` apart (within-class std is 1), making the
     separation guarantee deterministic. Split is 80/20 stratified by
     class; both splits are standardized with train statistics.
+
+    The draws from `rng`, in stream order, on which every pinned output
+    depends: the (c, d) means; every class's samples in one (c,
+    n_per_class, d) normal draw, class after class; then one permutation
+    of each class's samples, class after class, whose first
+    round(0.2 * n_per_class) entries (at least 1) go to val. Each split
+    lists its samples class by class, in permutation order.
     """
     if c < 2:
         raise InputError(f"need c >= 2, got {c}")
@@ -98,31 +114,21 @@ def gen_synthetic_task(rng: np.random.Generator, c: int, n_per_class: int,
         raise InputError(f"need n_per_class >= 5 for a stratified split, got {n_per_class}")
 
     means = rng.normal(size=(c, d))
-    dmin = min(
-        np.linalg.norm(means[i] - means[j])
-        for i in range(c) for j in range(i + 1, c)
-    )
+    # np.linalg.norm of a vector is sqrt(x.dot(x)), and sqrt is monotone
+    dmin = math.sqrt(min(diff.dot(diff) for i in range(c) for diff in means[i] - means[i + 1:]))
     means *= margin / dmin
 
-    feats, labels = [], []
-    for k in range(c):
-        feats.append(means[k] + rng.normal(size=(n_per_class, d)))
-        labels.append(np.full(n_per_class, k, dtype=np.int64))
-    X = np.concatenate(feats)
-    y = np.concatenate(labels)
-
-    n_val_per_class = max(1, round(0.2 * n_per_class))
-    train_idx, val_idx = [], []
-    for k in range(c):
-        kidx = np.flatnonzero(y == k)
-        kidx = rng.permutation(kidx)
-        val_idx.append(kidx[:n_val_per_class])
-        train_idx.append(kidx[n_val_per_class:])
-    train_idx = np.concatenate(train_idx)
-    val_idx = np.concatenate(val_idx)
-    train_X, val_X = _standardize(X[train_idx], X[val_idx])
-    return (Dataset(features=train_X, labels=y[train_idx], c=c, name=f"{name}-train"),
-            Dataset(features=val_X, labels=y[val_idx], c=c, name=f"{name}-val"))
+    # class k's samples are X's rows k*n_per_class .. (k+1)*n_per_class, and
+    # row k of `perm` holds those row numbers shuffled; its first n_val
+    # columns go to val
+    X = (means[:, None, :] + rng.normal(size=(c, n_per_class, d))).reshape(c * n_per_class, d)
+    perm = rng.permuted(np.arange(c * n_per_class).reshape(c, n_per_class), axis=1)
+    n_val = max(1, round(0.2 * n_per_class))
+    train_X, val_X = _standardize(X[perm[:, n_val:].ravel()], X[perm[:, :n_val].ravel()])
+    classes = np.arange(c, dtype=np.int64)
+    return (Dataset(features=train_X, labels=np.repeat(classes, n_per_class - n_val), c=c,
+                    name=f"{name}-train"),
+            Dataset(features=val_X, labels=np.repeat(classes, n_val), c=c, name=f"{name}-val"))
 
 
 def oversample_to_equal(datasets: list[Dataset], rng: np.random.Generator) -> list[Dataset]:

@@ -94,7 +94,7 @@ class Path:
 
     def __post_init__(self):
         for l, row in enumerate(self.rows):
-            if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) for m in row):
+            if not all(map(_is_integer, row)):
                 raise InputError(f"path row {l} must hold integers, got {row}")
             if len(set(row)) != len(row) or list(row) != sorted(row):
                 raise InputError(f"path row {l} must be strictly increasing, got {row}")
@@ -155,11 +155,14 @@ class ModuleGrid:
                  norm_mode: str = "shared", seed: int = 0):
         if norm_mode not in ("shared", "per-task"):
             raise InputError(f"norm_mode must be 'shared' or 'per-task', got {norm_mode!r}")
-        _check_integers(n_layers=n_layers, n_modules=n_modules, d_in=d_in, d_hid=d_hid)
+        n_layers, n_modules, d_in, d_hid, seed = _check_integers(
+            n_layers=n_layers, n_modules=n_modules, d_in=d_in, d_hid=d_hid, seed=seed)
         if n_layers < 1 or n_modules < 1:
             raise InputError("grid needs at least one layer and one module")
         if d_in < 1 or d_hid < 1:
             raise InputError(f"grid widths must be >= 1, got d_in={d_in}, d_hid={d_hid}")
+        if seed < 0:
+            raise InputError(f"seed must be >= 0, got {seed}")
         self.n_layers = n_layers
         self.n_modules = n_modules
         self.d_in = d_in
@@ -178,8 +181,8 @@ class ModuleGrid:
         for offset, cell, fan_in in self._layers:
             cells = arena[offset:offset + n_modules * cell].reshape(n_modules, cell)
             bound = np.sqrt(6.0 / fan_in)       # He uniform
-            for m in range(n_modules):
-                cells[m, :fan_in * d_hid] = self.rng.uniform(-bound, bound, fan_in * d_hid)
+            # one draw per layer: module m's W is row m, in stream order
+            cells[:, :fan_in * d_hid] = self.rng.uniform(-bound, bound, (n_modules, fan_in * d_hid))
             # in shared mode, the one norm instance
             cells[:, fan_in * d_hid:] = np.repeat(_NEW_NORM * (norm_mode == "shared"), d_hid)
 
@@ -245,7 +248,7 @@ class ModuleGrid:
             case ("block", l, m, "W") if _is_index(l, L) and _is_index(m, M):
                 vector = None
             case ("norm", l, m, nk, which) if (_is_index(l, L) and _is_index(m, M)
-                                               and nk in self._norm_slots
+                                               and _is_integer(nk) and nk in self._norm_slots
                                                and which in NORM_PARAMS):
                 vector = 4 * self._norm_slots[nk] + NORM_PARAMS.index(which)
             case _:
@@ -270,17 +273,23 @@ class ModuleGrid:
         self.version += 1
 
 
+def _is_integer(v) -> bool:
+    """Whether v is a Python or numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _is_index(i, n: int) -> bool:
     """Whether i is an integer in [0, n)."""
-    return isinstance(i, (int, np.integer)) and 0 <= i < n
+    return _is_integer(i) and 0 <= i < n
 
 
-def _check_integers(**sizes) -> None:
-    """InputError naming the first of `sizes` that is not a Python or numpy
-    integer; a bool is not one."""
+def _check_integers(**sizes) -> list[int]:
+    """`sizes`' values as Python ints, in order; InputError naming the first
+    that is not an integer by `_is_integer`."""
     for name, v in sizes.items():
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+        if not _is_integer(v):
             raise InputError(f"{name} must be an integer, got {v!r}")
+    return [int(v) for v in sizes.values()]
 
 
 def register_task(grid: ModuleGrid, c: int, name: str = "",
@@ -291,7 +300,7 @@ def register_task(grid: ModuleGrid, c: int, name: str = "",
 
     The returned TaskSpec has no path yet; assign one explicitly.
     """
-    _check_integers(c=c)
+    (c,) = _check_integers(c=c)
     if c < 2:
         raise InputError(f"class count must be >= 2, got {c}")
     tid = len(grid.tasks)
@@ -351,7 +360,7 @@ def assign_random_paths(M: int, N: int, L: int, k: int,
     any draw would be rejected (a chance of 4.4e-9 per row at M = 12,
     N = 4).
     """
-    _check_integers(M=M, N=N, L=L, k=k)
+    M, N, L, k = _check_integers(M=M, N=N, L=L, k=k)
     if not (1 <= N <= M):
         raise InputError(f"need 1 <= N <= M, got N={N}, M={M}")
     if L < 1:

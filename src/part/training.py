@@ -63,8 +63,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(epochs=self.epochs, batch_size=self.batch_size,
-                        batch_set_size=self.batch_set_size)
+        self.epochs, self.batch_size, self.batch_set_size = _check_integers(
+            epochs=self.epochs, batch_size=self.batch_size, batch_set_size=self.batch_set_size)
         if self.epochs < 0:
             raise InputError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_set_size < 1:

@@ -86,6 +86,26 @@ def test_assignment_and_slice_updates_write_through():
     assert_checkpoint_order(grid)
 
 
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(1, 4), M=st.integers(1, 6), d_in=st.integers(1, 9), d_hid=st.integers(1, 9),
+       norm_mode=st.sampled_from(["shared", "per-task"]), seed=st.integers(0, 2**63 - 1))
+def test_a_new_grid_holds_one_draw_per_module_bit_for_bit(L, M, d_in, d_hid, norm_mode, seed):
+    # the reference: each module's W from its own uniform draw, layer after
+    # layer, module after module; in shared mode each W is followed by the
+    # one norm instance, gamma 1, beta 0, run_mean 0 and run_var 1
+    grid = ModuleGrid(L, M, d_in, d_hid, norm_mode=norm_mode, seed=seed)
+    rng = np.random.default_rng(seed)
+    norm = np.repeat([1.0, 0.0, 0.0, 1.0], d_hid) if norm_mode == "shared" else np.empty(0)
+    want = []
+    for l in range(L):
+        fan_in = d_in if l == 0 else d_hid
+        bound = np.sqrt(6.0 / fan_in)
+        want += [np.concatenate([rng.uniform(-bound, bound, fan_in * d_hid), norm])
+                 for _ in range(M)]
+    assert grid.arena.tobytes() == np.concatenate(want).tobytes()
+    assert grid.rng.bit_generator.state == rng.bit_generator.state
+
+
 def test_assignment_cannot_change_a_shape():
     grid = make_grid(seed=82)
     version = grid.version
@@ -126,6 +146,22 @@ UNKNOWN_KEYS = {
     "unregistered head task": ("head", 2, "W"),
     "negative head task": ("head", -1, "b"),
 }
+
+
+# a bool is not an integer, in any key position: as 1 or 0 each of these
+# would name a tensor
+UNKNOWN_KEYS.update({
+    f"{value} as {place}": key
+    for value in (True, False)
+    for place, key in {
+        "block layer": ("block", value, 0, "W"),
+        "block module": ("block", 0, value, "W"),
+        "norm layer": ("norm", value, 0, "nk", "gamma"),
+        "norm module": ("norm", 0, value, "nk", "beta"),
+        "norm task": ("norm", 0, 0, value, "run_mean"),
+        "head task": ("head", value, "b"),
+    }.items()
+})
 
 
 @pytest.mark.parametrize("norm_mode", ["shared", "per-task"])

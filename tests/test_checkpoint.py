@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from part import ContractError, forward_task, freeze, load_checkpoint, save_checkpoint
+from part import (
+    ContractError,
+    ModuleGrid,
+    assign_random_paths,
+    forward_task,
+    freeze,
+    load_checkpoint,
+    register_task,
+    save_checkpoint,
+)
 from part.net import Path as TaskPath
 from part.checkpoint import FORMAT_VERSION, MAGIC, write_atomic
 from part.cli import main
@@ -26,6 +35,23 @@ def test_roundtrip_is_byte_identical(tmp_path):
     save_checkpoint(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
+
+
+def test_numpy_integer_sizes_save_the_python_int_checkpoint(tmp_path):
+    # sizes and a seed given as numpy integers are stored as Python ints,
+    # so the metadata serialises as it does for Python ints
+    paths = []
+    for i, size in enumerate((int, np.int64)):
+        rng = np.random.default_rng(72)
+        grid = ModuleGrid(size(2), size(4), size(6), size(10), norm_mode="per-task",
+                          seed=size(72))
+        for c, path in zip((3, 2), assign_random_paths(size(4), size(2), size(2), size(2), rng)):
+            register_task(grid, size(c)).path = path
+        assert all(type(v) is int for v in (grid.n_layers, grid.n_modules, grid.d_in, grid.d_hid,
+                                             grid.seed, grid.c_total, *(t.c for t in grid.tasks)))
+        paths.append(tmp_path / f"{i}.part")
+        save_checkpoint(grid, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_numpy_integer_path_round_trips(tmp_path):

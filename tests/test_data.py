@@ -10,6 +10,7 @@ from part import CsvParseError, InputError
 from part.data import (
     BatchPlan,
     Dataset,
+    _standardize,
     gen_synthetic_task,
     load_csv,
     next_batches,
@@ -69,6 +70,60 @@ def test_train_split_is_standardized():
     np.testing.assert_allclose(train.features.std(axis=0), 1.0, atol=1e-12)
 
 
+def reference_standardize(train, val):
+    """`_standardize` with numpy's own mean and std."""
+    mean, std = np.mean(train, axis=0), np.std(train, axis=0)
+    std = np.where(std > 0, std, 1.0)
+    return (train - mean) / std, (val - mean) / std
+
+
+def reference_gen_synthetic_task(rng, c, n_per_class, d, margin, name):
+    """`gen_synthetic_task` with one draw per class and per-class splits:
+    the draws the generator must make, in the order it must make them."""
+    means = rng.normal(size=(c, d))
+    dmin = min(np.linalg.norm(means[i] - means[j]) for i in range(c) for j in range(i + 1, c))
+    means *= margin / dmin
+    X = np.concatenate([means[k] + rng.normal(size=(n_per_class, d)) for k in range(c)])
+    y = np.repeat(np.arange(c), n_per_class)
+    n_val = max(1, round(0.2 * n_per_class))
+    train_idx, val_idx = [], []
+    for k in range(c):
+        kidx = rng.permutation(np.flatnonzero(y == k))
+        val_idx.append(kidx[:n_val])
+        train_idx.append(kidx[n_val:])
+    train_idx, val_idx = np.concatenate(train_idx), np.concatenate(val_idx)
+    train_X, val_X = reference_standardize(X[train_idx], X[val_idx])
+    return ((train_X, y[train_idx], f"{name}-train"), (val_X, y[val_idx], f"{name}-val"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.integers(2, 8), n_per_class=st.integers(5, 60), d=st.integers(2, 10),
+       margin=st.floats(0.01, 50.0), seed=st.integers(0, 2**63 - 1))
+def test_synthetic_task_equals_per_class_draws_bit_for_bit(c, n_per_class, d, margin, seed):
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = gen_synthetic_task(rng, c, n_per_class, d, margin, name="t")
+    want = reference_gen_synthetic_task(twin, c, n_per_class, d, margin, name="t")
+    for ds, (features, labels, name) in zip(got, want):
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.dtype == np.int64 and np.array_equal(ds.labels, labels)
+        assert (ds.name, ds.c) == (name, c)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("n, d, constant", [
+    (9, 1, None), (10, 1, None), (300, 1, None), (300, 1, 0), (1, 3, None),
+    (2, 4, 1), (40, 3, 2), (257, 6, 0)])
+def test_standardize_takes_numpys_mean_and_std(n, d, constant):
+    # a lone column is one contiguous run, which numpy sums pairwise; a wide
+    # offset makes another summation order show in the low bits
+    rng = np.random.default_rng(n * d)
+    train, val = 1e6 + 1e3 * rng.normal(size=(n, d)), 1e6 + 1e3 * rng.normal(size=(5, d))
+    if constant is not None:
+        train[:, constant] = 7.25
+    for got, want in zip(_standardize(train, val), reference_standardize(train, val)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_degenerate_parameters_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(InputError):
@@ -97,6 +152,12 @@ def test_degenerate_parameters_rejected():
 def test_malformed_dataset_rejected(features, labels, c, message):
     with pytest.raises(InputError, match=f"^{message}$"):
         Dataset(features=np.array(features), labels=np.array(labels), c=c, name="d")
+
+
+@pytest.mark.parametrize("c", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_a_numpy_integer_class_count_is_stored_as_int(c):
+    ds = Dataset(features=np.array([[1.0], [2.0]]), labels=np.array([0, 1]), c=c, name="d")
+    assert type(ds.c) is int and ds.c == 2
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,8 @@ NOT_INTEGER_SIZES = {
     "str-layers": (lambda g, rng: ModuleGrid("2", 3, 4, 5), "n_layers"),
     "bool-layers": (lambda g, rng: ModuleGrid(True, 3, 4, 5), "n_layers"),
     "float-width": (lambda g, rng: ModuleGrid(2, 3, 4.5, 5), "d_in"),
+    "float-seed": (lambda g, rng: ModuleGrid(2, 3, 4, 5, seed=2.0), "seed"),
+    "bool-seed": (lambda g, rng: ModuleGrid(2, 3, 4, 5, seed=True), "seed"),
     "float-c": (lambda g, rng: register_task(g, 2.0), "c"),
     "str-c": (lambda g, rng: register_task(g, "3"), "c"),
     "bool-c": (lambda g, rng: register_task(g, True), "c"),
@@ -229,6 +231,11 @@ def test_a_size_that_is_not_an_integer_is_an_input_error(case):
     assert grid.tasks == [] and grid.version == 0
     assert register_task(grid, np.int32(3)).c == 3
     assert len(assign_random_paths(np.int64(4), 2, 2, np.int64(3), rng)) == 3
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(InputError, match="^seed must be >= 0, got -1$"):
+        ModuleGrid(2, 2, 4, 5, seed=-1)
 
 
 def test_class_count_below_two_rejected():

@@ -481,7 +481,8 @@ def test_train_config_rejects_settings_that_train_nothing_or_never_end(field, va
 def test_train_config_sizes_must_be_integers(field, value):
     with pytest.raises(InputError, match=f"^{field} must be an integer, got "):
         TrainConfig(**{field: value})
-    assert TrainConfig(**{field: np.int64(3)}).__dict__[field] == 3
+    stored = TrainConfig(**{field: np.int64(3)}).__dict__[field]
+    assert type(stored) is int and stored == 3
 
 
 @pytest.mark.parametrize("procedure", [train_sequential, train_parallel])
