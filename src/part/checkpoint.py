@@ -33,7 +33,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .errors import ContractError, InputError
-from .net import ModuleGrid, Path, freeze, register_task
+from .net import ModuleGrid, Path, freeze, register_tasks
 
 MAGIC = b"PART"
 FORMAT_VERSION = 2
@@ -102,8 +102,9 @@ def _grid_from_metadata(meta: dict) -> ModuleGrid:
     the cells those calls froze, compared as JSON (a bool or float is no int)."""
     grid = ModuleGrid(meta["n_layers"], meta["n_modules"], meta["d_in"],
                       meta["d_hid"], norm_mode=meta["norm_mode"], seed=meta["seed"])
-    for row in meta["tasks"]:
-        task = register_task(grid, row["c"], name=row["name"])
+    rows = meta["tasks"]
+    tasks = register_tasks(grid, [row["c"] for row in rows], [row["name"] for row in rows])
+    for row, task in zip(rows, tasks):
         if task.id != row["id"] or list(task.slice) != row["slice"]:
             raise ContractError("task registry in checkpoint is inconsistent")
         if row["path"] is not None:

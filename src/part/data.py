@@ -14,7 +14,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .errors import CsvParseError, InputError
-from .net import _is_integer
+from .net import _check_integers, _is_integer
 
 
 @dataclass
@@ -104,6 +104,7 @@ def gen_synthetic_task(rng: np.random.Generator, c: int, n_per_class: int,
     round(0.2 * n_per_class) entries (at least 1) go to val. Each split
     lists its samples class by class, in permutation order.
     """
+    c, n_per_class, d = _check_integers(c=c, n_per_class=n_per_class, d=d)
     if c < 2:
         raise InputError(f"need c >= 2, got {c}")
     if d < 2:

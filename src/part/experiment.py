@@ -26,7 +26,7 @@ from .checkpoint import load_checkpoint, save_checkpoint, write_atomic, write_js
 from .config import ExperimentConfig
 from .data import gen_synthetic_task, load_csv, oversample_to_equal, standardize_pair, write_csv
 from .errors import ConfigError, InputError
-from .net import ModuleGrid, assign_random_paths, build_controlled_paths, register_task
+from .net import ModuleGrid, assign_random_paths, build_controlled_paths, register_tasks
 from .training import (
     STREAM_ANALYSIS,
     STREAM_DATA,
@@ -94,9 +94,9 @@ def build_experiment(cfg: ExperimentConfig) -> ModuleGrid:
         path_rng = derive_rng(cfg.seed, STREAM_PATHS)
         paths = assign_random_paths(g.n_modules, g.path_width, g.n_layers,
                                     len(cfg.tasks), path_rng)
-    for tc, (train, val), path in zip(cfg.tasks, pairs, paths):
-        task = register_task(grid, train.c, name=tc.name, train_ds=train, val_ds=val)
-        task.path = path
+    tasks = register_tasks(grid, [train.c for train, _ in pairs], [tc.name for tc in cfg.tasks])
+    for task, (train, val), path in zip(tasks, pairs, paths):
+        task.train_ds, task.val_ds, task.path = train, val, path
     return grid
 
 

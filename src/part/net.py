@@ -23,8 +23,9 @@ is rejected. No other handle on a parameter is kept: `head_W` and `head_b`
 are read-only views of the head made on each read, so a copied or unpickled
 grid reads and trains its own arena. A key's place in it comes from
 `ModuleGrid._view` alone, which reads the grid's layer table. Construction
-fills the arena directly; each registration adopts a wider one, copying
-each layer's cells (adding a norm instance to each in per-task mode) and
+fills the arena directly; each registration call (`register_tasks`, for
+any number of tasks) adopts one wider arena, copying each layer's cells
+once (adding a norm instance per new task to each in per-task mode) and
 the head.
 
 Each task has a cached *path index* (`path_index`), built only for a task
@@ -88,7 +89,9 @@ _NEW_NORM = [1.0, 0.0, 0.0, 1.0]     # a new norm instance's NORM_PARAMS, per fe
 @dataclass(frozen=True)
 class Path:
     """Per-task module selection: one strictly increasing row of module
-    indices per layer, Python or numpy integers, stored as tuples of int."""
+    indices per layer, Python or numpy integers, stored as tuples of int.
+    Construction checks every row; `_of_valid` skips the checks for rows
+    that are valid by construction."""
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -103,6 +106,15 @@ class Path:
             if min(row) < 0:
                 raise InputError(f"path row {l} has negative module index")
         object.__setattr__(self, "rows", tuple(tuple(map(int, row)) for row in self.rows))
+
+    @classmethod
+    def _of_valid(cls, rows: tuple) -> Path:
+        """The Path of `rows`, without `__post_init__`'s checks: rows must
+        already be what it stores, non-empty tuples of strictly increasing
+        non-negative Python ints, as `_floyd_rows` builds them."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "rows", rows)
+        return path
 
     @property
     def depth(self) -> int:
@@ -292,38 +304,60 @@ def _check_integers(**sizes) -> list[int]:
     return [int(v) for v in sizes.values()]
 
 
-def register_task(grid: ModuleGrid, c: int, name: str = "",
-                  train_ds=None, val_ds=None) -> TaskSpec:
-    """Add a task to the grid: widen the head by c freshly initialized
-    columns and, in per-task norm mode, give every block a new instance.
-    The grid adopts a new arena holding every value of the old one.
+def register_tasks(grid: ModuleGrid, cs, names=None) -> list[TaskSpec]:
+    """Add one task per class count in `cs`, task i named `names[i]` (by
+    default, and when empty, "task<id>"): widen the head by each task's c
+    freshly initialized columns and, in per-task norm mode, give every block
+    a new instance per task. Every class count is checked before the grid
+    changes. The head columns are drawn from `grid.rng` in task order, so
+    the grid ends as k `register_task` calls leave it, bit for bit, but it
+    adopts one new arena holding every value of the old one, not k.
 
-    The returned TaskSpec has no path yet; assign one explicitly.
+    The returned TaskSpecs have no path yet; assign one explicitly.
     """
-    (c,) = _check_integers(c=c)
-    if c < 2:
-        raise InputError(f"class count must be >= 2, got {c}")
-    tid = len(grid.tasks)
-    start = grid.c_total
-    bound = 1.0 / np.sqrt(grid.d_hid)
-    new_cols = grid.rng.uniform(-bound, bound, size=(grid.d_hid, c))
+    cs = [_check_integers(c=c)[0] for c in cs]
+    names = [""] * len(cs) if names is None else list(names)
+    if len(names) != len(cs):
+        raise InputError(f"got {len(names)} names for {len(cs)} class counts")
+    for c in cs:
+        if c < 2:
+            raise InputError(f"class count must be >= 2, got {c}")
+    if not cs:
+        return []
+    d, start = grid.d_hid, grid.c_total
     old, old_layers = grid.arena, grid._layers
     old_head_W, old_head_b = grid._head_views(old)
-    task = TaskSpec(id=tid, c=c, slice=(start, start + c), name=name or f"task{tid}",
-                    train_ds=train_ds, val_ds=val_ds)
-    grid.tasks.append(task)
-    grid.c_total += c
+    tasks = []
+    for c, name in zip(cs, names):
+        tid, at = len(grid.tasks), grid.c_total
+        tasks.append(TaskSpec(id=tid, c=c, slice=(at, at + c), name=name or f"task{tid}"))
+        grid.tasks.append(tasks[-1])
+        grid.c_total += c
     arena = grid._adopt_new_arena()
     M = grid.n_modules
+    # in per-task mode each cell gains one norm instance per task, in task-id order
+    new_norms = np.repeat(_NEW_NORM * (len(cs) * (grid.norm_mode == "per-task")), d)
     for (was, old_cell, _), (at, cell, _) in zip(old_layers, grid._layers):
-        # each cell as it was, then its new norm instance (per-task mode)
         cells = arena[at:at + M * cell].reshape(M, cell)
         cells[:, :old_cell] = old[was:was + M * old_cell].reshape(M, old_cell)
-        cells[:, old_cell:] = np.repeat(_NEW_NORM * (grid.norm_mode == "per-task"), grid.d_hid)
+        cells[:, old_cell:] = new_norms
     head_W, head_b = grid._head_views(arena)
-    head_W[:, :start], head_W[:, start:] = old_head_W, new_cols
-    head_b[:start], head_b[start:] = old_head_b, 0.0
+    head_W[:, :start], head_b[:start], head_b[start:] = old_head_W, old_head_b, 0.0
+    bound = 1.0 / np.sqrt(d)
+    for task in tasks:
+        head_W[:, task.slice[0]:task.slice[1]] = grid.rng.uniform(-bound, bound, (d, task.c))
     grid.version += 1
+    return tasks
+
+
+def register_task(grid: ModuleGrid, c: int, name: str = "",
+                  train_ds=None, val_ds=None) -> TaskSpec:
+    """Add a task to the grid, with its datasets: `register_tasks(grid,
+    [c], [name])`'s one task. The returned TaskSpec has no path yet; assign
+    one explicitly.
+    """
+    (task,) = register_tasks(grid, [c], [name])
+    task.train_ds, task.val_ds = train_ds, val_ds
     return task
 
 
@@ -358,7 +392,9 @@ def assign_random_paths(M: int, N: int, L: int, k: int,
     falls back to calling `rng.choice` per row, from the state it was
     given, when the bit generator is not PCG64, when M > 10,000, or when
     any draw would be rejected (a chance of 4.4e-9 per row at M = 12,
-    N = 4).
+    N = 4). The one-read rows are strictly increasing Python ints by
+    construction, so their Paths are built without `Path`'s checks
+    (`Path._of_valid`); the fallback's rows go through them.
     """
     M, N, L, k = _check_integers(M=M, N=N, L=L, k=k)
     if not (1 <= N <= M):
@@ -368,8 +404,9 @@ def assign_random_paths(M: int, N: int, L: int, k: int,
     if k < 0:
         raise InputError(f"need k >= 0, got {k}")
     rows = _floyd_rows(M, N, k * L, rng.bit_generator)
-    if rows is None:
-        rows = [sorted(rng.choice(M, size=N, replace=False)) for _ in range(k * L)]
+    if rows is not None:
+        return [Path._of_valid(tuple(rows[t * L:(t + 1) * L])) for t in range(k)]
+    rows = [sorted(rng.choice(M, size=N, replace=False)) for _ in range(k * L)]
     return [Path(tuple(map(tuple, rows[t * L:(t + 1) * L]))) for t in range(k)]
 
 
@@ -377,7 +414,8 @@ def _floyd_rows(M: int, N: int, R: int, bitgen) -> Optional[list]:
     """The R sorted rows R `Generator.choice(M, N, replace=False)`
     calls on a PCG64 `bitgen` give, drawn from one read of its stream with
     its state advanced to match; None, with the state untouched, where
-    `assign_random_paths` falls back."""
+    `assign_random_paths` falls back. Each row is a tuple of N Python ints
+    in [0, M), strictly increasing: the members of a set, in order."""
     if type(bitgen) is not np.random.PCG64 or M > 10_000:
         return None
     first, lo = M - N, max(M - N, 1)    # Floyd's first j, and the first j that draws
@@ -408,7 +446,7 @@ def _floyd_rows(M: int, N: int, R: int, bitgen) -> Optional[list]:
     after["has_uint32"] = halves.size - need   # 1 when a half is left over
     after["uinteger"] = int(words[-1] >> 32) if words.size else state["uinteger"]
     bitgen.state = after
-    return np.nonzero(member.reshape(R, M))[1].reshape(R, N).tolist()
+    return list(map(tuple, np.nonzero(member.reshape(R, M))[1].reshape(R, N).tolist()))
 
 
 def build_controlled_paths(L: int, M: int = 4, N: int = 2,

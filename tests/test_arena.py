@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,72 @@ def test_a_new_grid_holds_one_draw_per_module_bit_for_bit(L, M, d_in, d_hid, nor
                  for _ in range(M)]
     assert grid.arena.tobytes() == np.concatenate(want).tobytes()
     assert grid.rng.bit_generator.state == rng.bit_generator.state
+
+
+def task_specs(grid):
+    return [(t.id, t.slice, t.name, t.c) for t in grid.tasks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(1, 3), M=st.integers(1, 4), d_in=st.integers(1, 5), d_hid=st.integers(1, 5),
+       norm_mode=st.sampled_from(["shared", "per-task"]), seed=st.integers(0, 2**63 - 1),
+       before=st.lists(st.integers(2, 6), max_size=3),
+       batch=st.lists(st.tuples(st.integers(2, 6), st.sampled_from(["", "a", "b"])), max_size=4))
+def test_one_registration_call_equals_one_call_per_task(L, M, d_in, d_hid, norm_mode, seed,
+                                                        before, batch):
+    batched, single = (ModuleGrid(L, M, d_in, d_hid, norm_mode=norm_mode, seed=seed)
+                       for _ in range(2))
+    for grid in (batched, single):
+        for c in before:
+            register_task(grid, c)
+    kept = {key: batched.get_param(key) for key in all_keys(batched)}
+    twin = copy.deepcopy(batched.rng)
+    tasks = net.register_tasks(batched, [c for c, _ in batch], [name for _, name in batch])
+    for c, name in batch:
+        register_task(single, c, name)
+    assert batched.arena.tobytes() == single.arena.tobytes()
+    assert batched.rng.bit_generator.state == single.rng.bit_generator.state
+    assert task_specs(batched) == task_specs(single)
+    assert all(a is b for a, b in zip(tasks, batched.tasks[len(before):], strict=True))
+    # by key: every old tensor is kept, each new head slice holds the next
+    # uniform draw and zero biases, each new norm instance starts at
+    # gamma 1, beta 0, run_mean 0, run_var 1
+    for key, value in kept.items():
+        np.testing.assert_array_equal(batched.get_param(key), value)
+    bound = 1.0 / np.sqrt(d_hid)
+    for task in tasks:
+        np.testing.assert_array_equal(batched.get_param(("head", task.id, "W")),
+                                      twin.uniform(-bound, bound, (d_hid, task.c)))
+        assert not batched.get_param(("head", task.id, "b")).any()
+        for l, m in cells(batched) if norm_mode == "per-task" else ():
+            for which, value in zip(NORM_PARAMS, (1.0, 0.0, 0.0, 1.0)):
+                assert (batched.get_param(("norm", l, m, task.id, which)) == value).all()
+    if batched.tasks:       # an empty head is no view of the arena
+        assert_checkpoint_order(batched)
+
+
+BAD_BATCHES = {
+    "below-two-first": ([1, 3, 4], None, "class count must be >= 2, got 1"),
+    "zero-last": ([3, 4, 0], None, "class count must be >= 2, got 0"),
+    "float-middle": ([3, 2.0, 4], None, "c must be an integer, got 2.0"),
+    "bool-last": ([3, 4, True], None, "c must be an integer, got True"),
+    "str-first": (["3", 3, 4], None, "c must be an integer, got '3'"),
+    "too-few-names": ([3, 4, 2], ["a"], "got 1 names for 3 class counts"),
+}
+
+
+@pytest.mark.parametrize("norm_mode", ["shared", "per-task"])
+@pytest.mark.parametrize("case", BAD_BATCHES)
+def test_one_bad_class_count_in_a_batch_leaves_the_grid_untouched(norm_mode, case):
+    cs, names, message = BAD_BATCHES[case]
+    grid = ModuleGrid(2, 3, 4, 5, norm_mode=norm_mode, seed=7)
+    register_task(grid, 3)
+    tasks, arena = list(grid.tasks), grid.arena
+    state = (arena_sha(grid), grid.version, grid.c_total, grid.rng.bit_generator.state)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        net.register_tasks(grid, cs, names)
+    assert (arena_sha(grid), grid.version, grid.c_total, grid.rng.bit_generator.state) == state
+    assert grid.tasks == tasks and grid.tasks[0] is tasks[0] and grid.arena is arena
 
 
 def test_assignment_cannot_change_a_shape():

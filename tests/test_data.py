@@ -134,6 +134,27 @@ def test_degenerate_parameters_rejected():
         gen_synthetic_task(rng, c=2, n_per_class=20, d=4, margin=0.0)
 
 
+@pytest.mark.parametrize("sizes, name", [
+    ((2.0, 10, 3), "c"), ((True, 10, 3), "c"), (("3", 10, 3), "c"),
+    ((2, 10.0, 3), "n_per_class"), ((2, np.float64(10), 3), "n_per_class"),
+    ((2, False, 3), "n_per_class"), ((2, 10, 3.0), "d"), ((2, 10, True), "d")])
+def test_synthetic_sizes_that_are_not_integers_are_input_errors(sizes, name):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InputError, match=f"^{name} must be an integer, got "):
+        gen_synthetic_task(rng, *sizes, 1.0)
+    assert rng.bit_generator.state == state
+
+
+def test_numpy_integer_synthetic_sizes_give_the_python_int_bits():
+    got = gen_synthetic_task(np.random.default_rng(4), np.int32(3), np.int64(12), np.uint8(4), 2.0)
+    want = gen_synthetic_task(np.random.default_rng(4), 3, 12, 4, 2.0)
+    for a, b in zip(got, want):
+        assert a.features.tobytes() == b.features.tobytes()
+        assert np.array_equal(a.labels, b.labels) and a.labels.dtype == b.labels.dtype
+        assert type(a.c) is int and a.c == b.c
+
+
 @pytest.mark.parametrize("features, labels, c, message", [
     ([1.0, 2.0], [0, 1], 2, r"dataset 'd' features must be 2-D, got shape \(2,\)"),
     ([[1.0], [2.0]], [0, 1, 1], 2, "dataset 'd' labels must be one per sample"),

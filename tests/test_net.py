@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from part import (
     softmax_xent_slice,
     trainable_keys,
 )
-from part.net import NORM_EPS, NORM_PARAMS, SHARED, forward_kernel, path_index
+from part.net import NORM_EPS, NORM_PARAMS, SHARED, _floyd_rows, forward_kernel, path_index
 from part.training import freeze_fingerprint
 
 from conftest import cells, make_grid, norm_keys
@@ -119,6 +120,46 @@ def test_batched_paths_fall_back_on_a_rejected_draw():
     # Floyd bound j+1 = M-N+1 = 9, not a power of two: numpy draws again
     assert (2**32 - 9) % 9 > 0
     assert_paths_match_choice(12, 4, 8, 10, *pcg64_pair(5, buffered=0))
+
+
+@st.composite
+def sampler_branches(draw):
+    """A path request and a generator pair for one of the sampler's three
+    branches: PCG64's one read, the per-row fallback on another bit
+    generator, and the fallback after a rejected draw."""
+    branch = draw(st.sampled_from(["one read", "mt19937", "rejected"]))
+    seed = draw(st.integers(0, 2**63 - 1))
+    L, k = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    if branch == "rejected":
+        # a buffered u = 0 is rejected by the first Floyd bound M-N+1 when
+        # that is not a power of two
+        N = draw(st.integers(1, 8))
+        M = N + draw(st.sampled_from([2, 4, 5, 6, 9]))
+        rngs = pcg64_pair(seed, buffered=0)
+    else:
+        M = draw(st.integers(1, 16))
+        N = draw(st.integers(1, M))
+        rngs = (pcg64_pair(seed) if branch == "one read"
+                else tuple(np.random.Generator(np.random.MT19937(seed)) for _ in range(2)))
+    return branch, M, N, L, k, rngs
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampler_branches())
+def test_sampled_paths_equal_checked_paths(request):
+    branch, M, N, L, k, (rng, twin) = request
+    probe = np.random.Generator(type(rng.bit_generator)())
+    probe.bit_generator.state = rng.bit_generator.state
+    assert (_floyd_rows(M, N, k * L, probe.bit_generator) is None) == (branch != "one read")
+    paths = assign_random_paths(M, N, L, k, rng)
+    assert [list(p.rows) for p in paths] == reference_paths(M, N, L, k, twin)
+    for path in paths:
+        checked = Path(path.rows)
+        assert path == checked and hash(path) == hash(checked)
+        assert type(path.rows) is tuple and all(type(row) is tuple for row in path.rows)
+        assert all(type(m) is int for row in path.rows for m in row)
+        copied = pickle.loads(pickle.dumps(path))
+        assert copied == path and hash(copied) == hash(path) and copied.rows == path.rows
 
 
 def test_invalid_path_requests():
