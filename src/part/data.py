@@ -54,6 +54,17 @@ class Dataset:
             raise InputError(f"dataset {self.name!r} is missing classes: "
                              f"expected {self.c}, saw {present}")
 
+    @classmethod
+    def _of_valid(cls, features: np.ndarray, labels: np.ndarray, c: int, name: str) -> Dataset:
+        """The Dataset of these fields, without `__post_init__`'s checks:
+        they must already be what it stores and pass every one of them
+        (finite 2-D float64 features, one int64 label per sample in [0, c),
+        every class present, an `int` c >= 1), as `gen_synthetic_task`
+        builds them."""
+        ds = object.__new__(cls)
+        ds.features, ds.labels, ds.c, ds.name = features, labels, c, name
+        return ds
+
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -103,6 +114,10 @@ def gen_synthetic_task(rng: np.random.Generator, c: int, n_per_class: int,
     of each class's samples, class after class, whose first
     round(0.2 * n_per_class) entries (at least 1) go to val. Each split
     lists its samples class by class, in permutation order.
+
+    Both splits are valid by construction but for their features' finiteness
+    (a non-finite or overflowing margin), which is checked here; they are
+    built through `Dataset._of_valid`, without the other checks.
     """
     c, n_per_class, d = _check_integers(c=c, n_per_class=n_per_class, d=d)
     if c < 2:
@@ -127,9 +142,12 @@ def gen_synthetic_task(rng: np.random.Generator, c: int, n_per_class: int,
     n_val = max(1, round(0.2 * n_per_class))
     train_X, val_X = _standardize(X[perm[:, n_val:].ravel()], X[perm[:, :n_val].ravel()])
     classes = np.arange(c, dtype=np.int64)
-    return (Dataset(features=train_X, labels=np.repeat(classes, n_per_class - n_val), c=c,
-                    name=f"{name}-train"),
-            Dataset(features=val_X, labels=np.repeat(classes, n_val), c=c, name=f"{name}-val"))
+    splits = ((train_X, n_per_class - n_val, f"{name}-train"), (val_X, n_val, f"{name}-val"))
+    for features, _, split in splits:
+        if not np.isfinite(features).all():
+            raise InputError(f"dataset {split!r} has non-finite features")
+    return tuple(Dataset._of_valid(features, np.repeat(classes, per_class), c, split)
+                 for features, per_class, split in splits)
 
 
 def oversample_to_equal(datasets: list[Dataset], rng: np.random.Generator) -> list[Dataset]:

@@ -37,10 +37,13 @@ parameters, every layer's and then the head slice's, with one gather and in
 no other way. A layer runs its N blocks on one C-contiguous sample-major
 (n, N, d_hid) array, that is (n, N*d_hid) with column block k for path
 module k: a batched matmul writes each module's block, batch norm reduces
-over the samples (axis 0) and broadcasts (N, d_hid) vectors, and the ReLU
-output is made module-major, (N, n, d_hid), which the module sum reduces
-over axis 0. A train pass stacks every layer's batch moments and writes the
-running statistics with one update and one scatter after the last layer.
+over the samples and broadcasts (1, N, d_hid) vectors, and the ReLU output
+is made module-major, (N, n, d_hid), which the module sum reduces. One
+function, `_layer`, holds this math for any leading axes: a pass runs it
+on one batch, and `forward_prefix` on a stack of B batches, (B, n, N,
+d_hid), each reduced over its own samples, with the same bits per batch. A
+train pass stacks every layer's batch moments and writes the running
+statistics with one update and one scatter after the last layer.
 The pass's `Tape` holds the mode, the path rows and the head slice's W
 once, and one `LayerRecord` (the layer's six arrays) per layer. The
 backward reads that tape and the task-width loss gradient, nothing of the
@@ -60,10 +63,16 @@ makes the tape, `backward_kernel` reads it) behind a checked entry point
 kernel. Both take and give the task's own arrays: the (n, c) logits, and
 the (n, c) gradient `softmax_xent_slice` returns for them; `backward_task`
 reads the flat vector by parameter key, as a dict of views. The trainer
-checks its inputs once per call, then runs the kernels. An eval forward may
-resume at a later layer from the input that layer took in an earlier pass
-over the same parameters below it; validation does so when only later
-layers changed.
+checks its inputs once per call, then runs the kernels. A forward may
+resume at a later layer from that layer's input, taken over the same
+parameters below it; its tape records the layers from there on, and
+`backward_task` refuses it. Validation resumes eval passes when only later
+layers changed. Training resumes train passes at a phase's frozen prefix:
+below the lowest layer where any of the phase's tasks trains, nothing
+changes for the whole phase and no running statistic tracks, so the
+trainer runs those layers once per epoch for all of a task's batches
+(`forward_prefix`), and each batch's pass starts above them; the backward
+reads nothing below `PathIndex.lowest`, so it needs no more of the tape.
 """
 
 from __future__ import annotations
@@ -660,12 +669,12 @@ class LayerRecord(NamedTuple):
     """One layer's forward intermediates over its N path modules, in
     path-row order. Sample-major arrays are C-contiguous (n, N, d_hid), the
     layout of (n, N*d_hid) with module k in column block k; per-feature
-    ones are (N, d_hid)."""
+    ones are (1, N, d_hid), broadcast over the samples."""
 
     Ws: np.ndarray        # (N, d_in, d_hid) weights as read by the forward
-    gamma: np.ndarray     # (N, d_hid) norm scale as read by the forward
+    gamma: np.ndarray     # (1, N, d_hid) norm scale as read by the forward
     zhat: np.ndarray      # (n, N, d_hid) normalized pre-activation
-    inv_std: np.ndarray   # (N, d_hid) 1/sqrt(var + eps) actually applied
+    inv_std: np.ndarray   # (1, N, d_hid) 1/sqrt(var + eps) actually applied
     y: np.ndarray         # (n, N, d_hid) gamma*zhat + beta (pre-ReLU)
     out: np.ndarray       # (N, n, d_hid) relu(y), the pre-sum module outputs
 
@@ -673,14 +682,19 @@ class LayerRecord(NamedTuple):
 @dataclass
 class Tape:
     """Activation record of one forward pass: with its `LayerRecord`s and
-    `head_W`, every parameter the backward reads, as the forward read it."""
+    `head_W`, every parameter the backward reads, as the forward read it.
+    A pass resumed at layer `start` records the layers from `start` on:
+    `rows[i]`, `inputs[i]` and `layers[i]` are layer start + i's. Only a
+    whole pass's tape (start 0) leaves the trainer; `backward_task` refuses
+    any other."""
 
     task_id: int
     grid_version: int
     train: bool             # normalized with batch statistics (train mode)
-    rows: tuple             # the path's module rows, one per layer
-    inputs: list            # h_0 .. h_{L-1}: the input each layer consumed
-    layers: list            # one LayerRecord per layer
+    start: int              # the first layer the pass ran
+    rows: tuple             # the path's module rows, one per layer run
+    inputs: list            # h_start .. h_{L-1}: the input each layer consumed
+    layers: list            # one LayerRecord per layer run
     h_final: np.ndarray
     head_W: np.ndarray      # (d_hid, c) the task's head weights as read by the forward
 
@@ -721,12 +735,70 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
     return forward_kernel(grid, index, x, train)
 
 
-def _column_sums(a: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """np.add.reduce(a, 0, out=out) for an (n, N, 1) array, rounded as each
-    module's own (n, 1) column sum. numpy adds the rows of an (n, N) array
-    one by one but sums a lone contiguous column pairwise (from 9 rows up
-    the two differ), so the columns are summed from a module-major copy."""
-    return np.add.reduce(np.moveaxis(a, axis, -1).copy(), axis=-1, out=out)
+def _column_sums(a: np.ndarray, axis: int, out=None, keepdims=False) -> np.ndarray:
+    """np.add.reduce(a, axis, out=out, keepdims=keepdims) for an array whose
+    last axis has length 1, (..., n, N, 1) reduced over its sample axis,
+    rounded as each module's own (n, 1) column sum. numpy adds the rows of
+    an (n, N) array one by one but sums a lone contiguous column pairwise
+    (from 9 rows up the two differ), so the columns are summed from a
+    module-major copy. With keepdims, `out` is required."""
+    if keepdims:
+        out = np.moveaxis(out, axis, -1)
+    return np.add.reduce(np.moveaxis(a, axis, -1).copy(), axis=-1, out=out, keepdims=keepdims)
+
+
+def _layer_params(params: np.ndarray, rows, fan_in: int, d: int):
+    """Per row of `rows`, the views (Ws, gamma, beta, run_mean, run_var)
+    into `params`, a gather that opens at the first row's layer, whose
+    input width is fan_in: Ws (N, fan_in, d_hid), the others (1, N, d_hid),
+    which broadcast over the samples. Also the offset just past them."""
+    views, at = [], 0
+    for row in rows:
+        N = len(row)
+        Ws = params[at:at + N * fan_in * d].reshape(N, fan_in, d)
+        at += Ws.size
+        views.append((Ws, *params[at:at + 4 * N * d].reshape(4, 1, N, d)))
+        at += 4 * N * d
+        fan_in = d
+    return views, at
+
+
+def _layer(h: np.ndarray, Ws: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+           mean: np.ndarray, var: np.ndarray, train: bool):
+    """One layer's N blocks over a stack of batches: h is (..., n, fan_in),
+    any leading axes, each batch normalized on its own, and the per-feature
+    arrays keep a length-1 sample axis, (..., 1, N, d_hid), so they
+    broadcast over it. Returns the LayerRecord (sample-major (..., n, N,
+    d_hid) arrays) and the summed output (..., n, d_hid), the next layer's
+    input. In train mode the batch moments are written into mean and var;
+    in eval mode they are the running statistics, only read. A pass runs
+    this on one batch and `forward_prefix` on a stack, so a batch gets the
+    same bits either way."""
+    # every temporary below is fresh, so the in-place forms and out= only
+    # save allocations: each value goes through the same operations
+    reduce = np.add.reduce
+    n, (N, _, d) = h.shape[-2], Ws.shape
+    z = np.empty(h.shape[:-1] + (N, d))
+    np.matmul(h[..., None, :, :], Ws, out=z.swapaxes(-3, -2))
+    if train:
+        # z.mean and z.var over the batch (sum / n), sharing the centred z
+        sample_sum = reduce if d > 1 else _column_sums
+        sample_sum(z, -3, out=mean, keepdims=True)
+        mean /= n
+    z -= mean
+    if train:
+        sample_sum(z * z, -3, out=var, keepdims=True)
+        var /= n
+    inv_std = var + NORM_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    z *= inv_std
+    zhat = z
+    y = gamma * zhat
+    y += beta
+    out = np.empty(h.shape[:-2] + (N, n, d))
+    np.maximum(y, 0.0, out=out.swapaxes(-3, -2))
+    return LayerRecord(Ws, gamma, zhat, inv_std, y, out), reduce(out, axis=-3)
 
 
 def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: bool,
@@ -737,71 +809,68 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
     Tape, stamped with the task and `grid.version`, that the backward reads.
 
     One gather reads every parameter the pass uses, the head slice's last, a
-    layer runs on one sample-major (n, N, d_hid) array (see the module
-    docstring), and a train pass writes every layer's running statistics
-    with one scatter after the last.
+    layer runs on one sample-major (n, N, d_hid) array (`_layer`, see the
+    module docstring), and a train pass writes every layer's running
+    statistics with one scatter after the last.
 
-    An eval pass may resume at layer `start` (grid.n_layers: the head
-    alone): x is then the input that layer took in an earlier eval pass
-    whose parameters below it are the current ones, and the logits are
-    those of the whole pass. Its tape records the layers from `start` on,
-    for their inputs and the logits, not for a backward."""
-    # every temporary below is fresh, so the in-place forms and out= only
-    # save allocations: each value goes through the same operations
-    reduce = np.add.reduce
+    A pass may resume at layer `start` (grid.n_layers: the head alone): x is
+    then the (n, d_hid) input that layer took, or would take, in a pass of
+    the same mode over the current parameters below it, and the logits are
+    those of the whole pass. An eval pass resumes from an earlier pass's
+    input (validation). A train pass resumes from `forward_prefix`'s output
+    and needs start <= `index.lowest`: no running statistic below it
+    tracks, so the stack of batch moments keeps its whole-path offsets,
+    `index.live` still picks from it, and only the entries from `start` on
+    are filled. The tape records the layers from `start` on; the backward
+    reads nothing below `index.lowest`."""
     arena = grid.arena
     d = grid.d_hid
-    n = x.shape[0]
-    sample_sum = reduce if d > 1 else _column_sums
     rows = index.path.rows[start:]
     params = arena[index.positions[index.starts[start]:]]
     if train:   # per layer the batch mean, then the variance: (2, N, d_hid)
-        moments = np.empty(2 * d * sum(map(len, rows)))
+        moments = np.empty(index.norm_stats.size)
+        m_at = 2 * d * sum(map(len, index.path.rows[:start]))
+    views, at = _layer_params(params, rows, x.shape[1], d)
     inputs, layers = [], []
     h = x
-    at = m_at = 0
-    for row in rows:
+    for Ws, gamma, beta, run_mean, run_var in views:
         inputs.append(h)
-        N, fan_in = len(row), h.shape[1]
-        Ws = params[at:at + N * fan_in * d].reshape(N, fan_in, d)
-        at += Ws.size
-        gamma, beta, run_mean, run_var = params[at:at + 4 * N * d].reshape(4, N, d)
-        at += 4 * N * d
-        z = np.empty((n, N, d))
-        np.matmul(h, Ws, out=z.transpose(1, 0, 2))
         if train:
-            # z.mean and z.var over the batch (sum / n), sharing the centred z
-            mu, var = moments[m_at:m_at + 2 * N * d].reshape(2, N, d)
+            N = Ws.shape[0]
+            mean, var = moments[m_at:m_at + 2 * N * d].reshape(2, 1, N, d)
             m_at += 2 * N * d
-            sample_sum(z, 0, out=mu)
-            mu /= n
-            z -= mu
-            sample_sum(z * z, 0, out=var)
-            var /= n
-            inv_std = var + NORM_EPS
         else:
-            z -= run_mean
-            inv_std = run_var + NORM_EPS
-        np.sqrt(inv_std, out=inv_std)
-        np.divide(1.0, inv_std, out=inv_std)
-        z *= inv_std
-        zhat = z
-        y = gamma * zhat
-        y += beta
-        out = np.empty((N, n, d))
-        np.maximum(y, 0.0, out=out.transpose(1, 0, 2))
-        layers.append(LayerRecord(Ws, gamma, zhat, inv_std, y, out))
-        h = reduce(out, axis=0)
+            mean, var = run_mean, run_var
+        record, h = _layer(h, Ws, gamma, beta, mean, var, train)
+        layers.append(record)
     if train and index.stats.size:
         new = (1 - NORM_MOMENTUM) * arena[index.stats]
-        moments *= NORM_MOMENTUM
-        new += moments if index.live is None else moments[index.live]
+        tracked = moments if index.live is None else moments[index.live]
+        tracked *= NORM_MOMENTUM
+        new += tracked
         arena[index.stats] = new
     head = params[at:].reshape(d + 1, -1)       # the head slice's W rows, then b
     logits = h @ head[:d]
     logits += head[d]
-    tape = Tape(index.task_id, grid.version, train, rows, inputs, layers, h, head[:d])
+    tape = Tape(index.task_id, grid.version, train, start, rows, inputs, layers, h, head[:d])
     return logits, tape
+
+
+def forward_prefix(grid: ModuleGrid, index: PathIndex, xs: np.ndarray, stop: int) -> np.ndarray:
+    """The train-mode pass of layers [0, stop) over a stack of batches,
+    unchecked: xs is a finite float64 (B, n, d_in) array, n >= 2, and stop
+    <= `index.lowest`. Returns the (B, n, d_hid) stack of each batch's input
+    to layer `stop`, the bits `forward_kernel`'s train pass of that batch
+    alone records there. Batch moments are taken per batch; nothing is
+    written, since no running statistic below `index.lowest` tracks."""
+    d = grid.d_hid
+    params = grid.arena[index.positions[:index.starts[stop]]]
+    views, _ = _layer_params(params, index.path.rows[:stop], xs.shape[-1], d)
+    h = xs
+    for Ws, gamma, beta, _, _ in views:
+        mean, var = np.empty((2, xs.shape[0], 1, Ws.shape[0], d))
+        _, h = _layer(h, Ws, gamma, beta, mean, var, True)
+    return h
 
 
 def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
@@ -822,9 +891,9 @@ def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
         raise ContractError(f"tape belongs to task {tape.task_id}, not {task.id}")
     if tape.grid_version != grid.version:
         raise ContractError("stale tape: grid parameters changed since forward")
-    if len(tape.layers) != grid.n_layers:
-        raise ContractError(f"tape covers {len(tape.layers)} of {grid.n_layers} layers: "
-                            "a resumed eval pass has no backward")
+    if tape.start:
+        raise ContractError(f"tape starts at layer {tape.start} of {grid.n_layers}: "
+                            "a resumed pass has no backward here")
     n = tape.h_final.shape[0]
     dslice = np.ascontiguousarray(dslice, dtype=np.float64)
     if dslice.shape != (n, task.c):
@@ -848,7 +917,9 @@ def backward_kernel(grid: ModuleGrid, index: PathIndex, tape: Tape,
     the task's trainable tensors; every parameter it reads is the tape's, as
     the forward read it, and nothing is read from the arena. Nothing is
     computed below the lowest layer that holds a trainable tensor, and a
-    layer without one above it only passes the gradient down. Batch norm's gradient runs on the forward's sample-major
+    layer without one above it only passes the gradient down; so a train
+    tape resumed at a layer no higher than `index.lowest` serves as well as
+    a whole one. Batch norm's gradient runs on the forward's sample-major
     layout; dz is then made module-contiguous for the weight and input
     gradients, whose products round differently on a strided dz."""
     # fresh temporaries are updated in place and reductions written into
@@ -866,7 +937,8 @@ def backward_kernel(grid: ModuleGrid, index: PathIndex, tape: Tape,
     if index.lowest < grid.n_layers:
         dh = dslice @ tape.head_W.T
     for l in range(grid.n_layers - 1, index.lowest - 1, -1):
-        h_prev, (Ws, gamma, zhat, inv_std, y, _) = tape.inputs[l], tape.layers[l]
+        i = l - tape.start
+        h_prev, (Ws, gamma, zhat, inv_std, y, _) = tape.inputs[i], tape.layers[i]
         N, dd = Ws.shape[0], h_prev.shape[1] * d
         offset -= N * (dd + 2 * d)
         grads = work[offset:offset + N * (dd + 2 * d)].reshape(N, dd + 2 * d)

@@ -1,11 +1,13 @@
 """Training: `train`, one loop over `Phase` values, and `SCHEDULES`, each mode's
-phases. A freezing phase's report keeps `net.freeze_fingerprint` of its tasks."""
+phases. A freezing phase's report keeps `net.freeze_fingerprint` of its tasks.
+A phase's frozen prefix runs once per epoch per task (`net.forward_prefix`)."""
 
 from __future__ import annotations
 
 import bisect
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -20,6 +22,7 @@ from .net import (
     backward_kernel,
     backward_task,  # noqa: F401
     forward_kernel,
+    forward_prefix,
     forward_task,
     freeze,
     freeze_fingerprint,
@@ -213,16 +216,48 @@ class _ValidationMemo:
         return acc
 
 
-def _train_batch(grid, task, idx, adam, lr, epoch) -> float:
-    """Forward, loss and backward kernels, then one fused Adam step over the
-    task's trainable tensors in the backward's order. Checks no input:
-    `_check_ready` did, once per call, and every planned batch has >= 2
-    samples. A non-finite loss, or a non-finite value anywhere in the arena
-    afterwards (parameters or running statistics), fails the run."""
-    index = path_index(grid, task)
+def _frozen_prefix(grid: ModuleGrid, tasks) -> int:
+    """The phase's frozen prefix: the lowest `PathIndex.lowest` over its
+    tasks. No task of the phase trains a tensor below it, nor tracks a
+    running statistic there (a statistic tracks only while its gamma
+    trains), so each task's train pass over those layers depends on its
+    batch alone for the whole phase. 0 when a task trains at layer 0: in
+    parallel training, with per-task norms, and on a grid with nothing
+    frozen."""
+    return min(path_index(grid, t).lowest for t in tasks)
+
+
+def _epoch_batches(grid: ModuleGrid, task: TaskSpec, plan: BatchPlan, stop: int) -> list:
+    """The task's batches for one epoch, in plan order, from one
+    `next_batches` call: each a pair (sample indices, the batch's input to
+    layer `stop`). With stop 0 that input is the batch's features. Else the
+    batches of one size, full ones and then the odd last one, each run
+    layers [0, stop) as one stack (`forward_prefix`), the bits each batch's
+    own pass would give."""
     ds = task.train_ds
-    logits, tape = forward_kernel(grid, index, ds.features[idx], True)
-    loss, dslice = softmax_xent_kernel(logits, ds.labels[idx])
+    batches = next_batches(ds, plan, plan.n_batches)
+    if not stop:
+        return [(idx, ds.features[idx]) for idx in batches]
+    index = path_index(grid, task)
+    inputs = [None] * len(batches)
+    for size in dict.fromkeys(map(len, batches)):
+        same = [i for i, idx in enumerate(batches) if len(idx) == size]
+        hs = forward_prefix(grid, index, ds.features[np.stack([batches[i] for i in same])], stop)
+        for i, h in zip(same, hs):
+            inputs[i] = h
+    return list(zip(batches, inputs))
+
+
+def _train_batch(grid, task, idx, h, start, adam, lr, epoch) -> float:
+    """Forward from layer `start` (h: the batch's input there), loss and
+    backward kernels, then one fused Adam step over the task's trainable
+    tensors in the backward's order. Checks no input: `_check_ready` did,
+    once per call, and every planned batch has >= 2 samples. A non-finite
+    loss, or a non-finite value anywhere in the arena afterwards
+    (parameters or running statistics), fails the run."""
+    index = path_index(grid, task)
+    logits, tape = forward_kernel(grid, index, h, True, start)
+    loss, dslice = softmax_xent_kernel(logits, task.train_ds.labels[idx])
     grads = backward_kernel(grid, index, tape, dslice)
     if index.segments.index.size:
         adam.step(grid.arena, grads, index.segments, lr)
@@ -314,7 +349,14 @@ def train(grid: ModuleGrid, mode: str, phases: list[Phase], report_tasks: list[T
           cfg: TrainConfig, config_hash: str | None = None, log=None) -> RunReport:
     """Runs `phases` in order, every epoch row reporting on `report_tasks`,
     and names the report `mode`. One scheduler stream, optimizer and
-    validation memo serve the whole call."""
+    validation memo serve the whole call.
+
+    At each epoch start every task of the phase takes all its batches
+    (`_epoch_batches`). The layers below the phase's frozen prefix
+    (`_frozen_prefix`) run then, once for all of a task's same-size batches,
+    and each batch's train pass resumes above them; a phase in which some
+    task trains at layer 0 runs every batch whole. Either way a batch gets
+    the bits of its own whole pass."""
     _check_ready(grid, phases, report_tasks)
     t0 = time.perf_counter()
     sched_rng = derive_rng(cfg.seed, STREAM_SCHED)
@@ -325,6 +367,7 @@ def train(grid: ModuleGrid, mode: str, phases: list[Phase], report_tasks: list[T
     for label, tasks, freezes in phases:
         by_id = {t.id: t for t in tasks}
         rngs = {t.id: batch_rng(cfg.seed, t.id) for t in tasks}
+        stop = _frozen_prefix(grid, tasks)
         for phase_epoch in range(1, cfg.epochs + 1):
             epoch = len(rows) + 1
             lr = cfg.effective_lr(phase_epoch)
@@ -335,10 +378,13 @@ def train(grid: ModuleGrid, mode: str, phases: list[Phase], report_tasks: list[T
             # the scheduler grants each task of the phase all n_batches (>= 1)
             # of its plan, so the average below divides by that count
             loss_sum = dict.fromkeys(by_id, 0.0)
+            # each batch's arrays are released once it has trained
+            batches = {t.id: deque(_epoch_batches(grid, t, plans[t.id], stop)) for t in tasks}
             while (grant := schedule_round(sched)) is not None:
                 tid, count = grant
-                for idx in next_batches(by_id[tid].train_ds, plans[tid], count):
-                    loss_sum[tid] += _train_batch(grid, by_id[tid], idx, adam, lr, epoch)
+                for _ in range(count):
+                    idx, h = batches[tid].popleft()
+                    loss_sum[tid] += _train_batch(grid, by_id[tid], idx, h, stop, adam, lr, epoch)
             rows.append({"epoch": epoch, "lr": lr, "per_task": [
                 {"loss": loss_sum[t.id] / plans[t.id].n_batches if t.id in by_id else None,
                  "val_acc": memo.accuracy(grid, t, t.id in by_id)} for t in report_tasks]})

@@ -155,6 +155,39 @@ def test_numpy_integer_synthetic_sizes_give_the_python_int_bits():
         assert type(a.c) is int and a.c == b.c
 
 
+@settings(max_examples=60, deadline=None)
+@given(c=st.integers(2, 8), n_per_class=st.integers(5, 60), d=st.integers(2, 10),
+       margin=st.floats(0.01, 50.0), seed=st.integers(0, 2**63 - 1))
+def test_synthetic_splits_pass_the_checked_constructor_unchanged(c, n_per_class, d, margin,
+                                                                 seed):
+    # the splits skip Dataset's checks; each passes them, and the checked
+    # constructor stores the same fields
+    for ds in gen_synthetic_task(np.random.default_rng(seed), c, n_per_class, d, margin):
+        checked = Dataset(features=ds.features, labels=ds.labels, c=ds.c, name=ds.name)
+        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
+        assert type(ds.c) is int
+        for field in ("features", "labels"):
+            got, want = getattr(ds, field), getattr(checked, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (type(checked.c), checked.c, checked.name) == (int, ds.c, ds.name)
+
+
+def test_synthetic_splits_skip_the_dataset_checks(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Dataset checks ran")
+
+    monkeypatch.setattr(Dataset, "__post_init__", refuse)
+    train, val = gen_synthetic_task(np.random.default_rng(3), 3, 10, 4, 2.0)
+    assert (train.n, val.n) == (24, 6)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), 1e308])
+def test_a_margin_that_gives_non_finite_features_is_refused(margin):
+    with pytest.raises(InputError, match="^dataset 'synthetic-train' has non-finite features$"):
+        gen_synthetic_task(np.random.default_rng(0), 3, 10, 4, margin)
+
+
 @pytest.mark.parametrize("features, labels, c, message", [
     ([1.0, 2.0], [0, 1], 2, r"dataset 'd' features must be 2-D, got shape \(2,\)"),
     ([[1.0], [2.0]], [0, 1, 1], 2, "dataset 'd' labels must be one per sample"),

@@ -621,10 +621,10 @@ def test_one_sample_tail_never_trains_alone(monkeypatch):
     sizes = []
     real = training.forward_kernel
 
-    def spy(grid, index, x, train):
+    def spy(grid, index, x, train, start=0):
         if train:
             sizes.append(len(x))
-        return real(grid, index, x, train)
+        return real(grid, index, x, train, start)
 
     monkeypatch.setattr(training, "forward_kernel", spy)
     cfg = TrainConfig(epochs=2, batch_size=5, batch_set_size=3, lr0=3e-3, seed=4)
