@@ -115,8 +115,9 @@ def gen_synthetic_task(rng: np.random.Generator, c: int, n_per_class: int,
     round(0.2 * n_per_class) entries (at least 1) go to val. Each split
     lists its samples class by class, in permutation order.
 
-    Both splits are valid by construction but for their features' finiteness
-    (a non-finite or overflowing margin), which is checked here; they are
+    A margin that is not finite is refused before any draw. Both splits
+    are valid by construction but for their features' finiteness (a margin
+    so large that the features overflow), which is checked here; they are
     built through `Dataset._of_valid`, without the other checks.
     """
     c, n_per_class, d = _check_integers(c=c, n_per_class=n_per_class, d=d)
@@ -124,6 +125,8 @@ def gen_synthetic_task(rng: np.random.Generator, c: int, n_per_class: int,
         raise InputError(f"need c >= 2, got {c}")
     if d < 2:
         raise InputError(f"need d >= 2, got {d}")
+    if not math.isfinite(margin):
+        raise InputError(f"margin must be finite, got {margin}")
     if margin <= 0:
         raise InputError(f"need margin > 0, got {margin}")
     if n_per_class < 5:

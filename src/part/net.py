@@ -41,9 +41,10 @@ over the samples and broadcasts (1, N, d_hid) vectors, and the ReLU output
 is made module-major, (N, n, d_hid), which the module sum reduces. One
 function, `_layer`, holds this math for any leading axes: a pass runs it
 on one batch, and `forward_prefix` on a stack of B batches, (B, n, N,
-d_hid), each reduced over its own samples, with the same bits per batch. A
-train pass stacks every layer's batch moments and writes the running
-statistics with one update and one scatter after the last layer.
+d_hid), each reduced over its own samples, with the same bits per batch. It
+writes into arrays it is handed, as `backward_kernel` does. A train pass
+stacks every layer's batch moments and writes the running statistics with
+one update and one scatter after the last layer.
 The pass's `Tape` holds the mode, the path rows and the head slice's W
 once, and one `LayerRecord` (the layer's six arrays) per layer. The
 backward reads that tape and the task-width loss gradient, nothing of the
@@ -73,6 +74,15 @@ changes for the whole phase and no running statistic tracks, so the
 trainer runs those layers once per epoch for all of a task's batches
 (`forward_prefix`), and each batch's pass starts above them; the backward
 reads nothing below `PathIndex.lowest`, so it needs no more of the tape.
+
+Every array a pass writes, and every view it reads them through, belongs
+to a `Workspace` built for the pass's shape. The trainer builds one per
+shape in a phase (the row widths, c, the batch size and `start`) and hands
+it to each step's forward and backward, so their layers make no array or
+view of their own, and each step overwrites the last one's tape and
+gradient. Every other caller (`forward_task`, `backward_task`, validation,
+analysis, `forward_prefix`) gets a fresh workspace per call, so no array
+it keeps is written again.
 """
 
 from __future__ import annotations
@@ -735,74 +745,145 @@ def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "e
     return forward_kernel(grid, index, x, train)
 
 
-def _column_sums(a: np.ndarray, axis: int, out=None, keepdims=False) -> np.ndarray:
-    """np.add.reduce(a, axis, out=out, keepdims=keepdims) for an array whose
-    last axis has length 1, (..., n, N, 1) reduced over its sample axis,
-    rounded as each module's own (n, 1) column sum. numpy adds the rows of
-    an (n, N) array one by one but sums a lone contiguous column pairwise
-    (from 9 rows up the two differ), so the columns are summed from a
-    module-major copy. With keepdims, `out` is required."""
-    if keepdims:
-        out = np.moveaxis(out, axis, -1)
-    return np.add.reduce(np.moveaxis(a, axis, -1).copy(), axis=-1, out=out, keepdims=keepdims)
+def _column_sums(a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """np.add.reduce(a, axis, out=out) for an array whose last axis has
+    length 1, (..., n, N, 1) reduced over its sample axis, rounded as each
+    module's own (n, 1) column sum. numpy adds the rows of an (n, N) array
+    one by one but sums a lone contiguous column pairwise (from 9 rows up
+    the two differ), so the columns are summed from a module-major copy."""
+    return np.add.reduce(np.moveaxis(a, axis, -1).copy(), axis=-1, out=out)
 
 
-def _layer_params(params: np.ndarray, rows, fan_in: int, d: int):
-    """Per row of `rows`, the views (Ws, gamma, beta, run_mean, run_var)
-    into `params`, a gather that opens at the first row's layer, whose
-    input width is fan_in: Ws (N, fan_in, d_hid), the others (1, N, d_hid),
-    which broadcast over the samples. Also the offset just past them."""
-    views, at = [], 0
-    for row in rows:
-        N = len(row)
-        Ws = params[at:at + N * fan_in * d].reshape(N, fan_in, d)
-        at += Ws.size
-        views.append((Ws, *params[at:at + 4 * N * d].reshape(4, 1, N, d)))
-        at += 4 * N * d
-        fan_in = d
-    return views, at
+def _array(pool: Optional[dict], role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A new array; or, given a pool, the pool's array for this role, shape
+    and dtype, made on the first request, so that one array serves every
+    layer that writes and reads it before the next layer runs."""
+    if pool is None:
+        return np.empty(shape, dtype)
+    key = (role, shape, dtype)
+    if key not in pool:
+        pool[key] = np.empty(shape, dtype)
+    return pool[key]
 
 
-def _layer(h: np.ndarray, Ws: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-           mean: np.ndarray, var: np.ndarray, train: bool):
-    """One layer's N blocks over a stack of batches: h is (..., n, fan_in),
+class Workspace:
+    """Every array a pass of one shape writes, and every view it reads them
+    through: the parameter gather and its per-layer views, each layer's
+    LayerRecord arrays, batch moments and summed output, the logits, and
+    (made by the first backward through it) the backward's work vector and
+    per-layer arrays. Who owns one: see the module docstring.
+
+    A shape is the input's shape (..., n, fan_in), the path's row widths
+    and head width, the layers run (from `start`; to `stop`, or through the
+    head when it is None) and the mode. Nothing else of a task is kept:
+    positions, running statistics and the freeze come from the PathIndex
+    at each call, so tasks whose passes have one shape share a workspace.
+    Given `x`, the workspace is built for that one input (a kernel's fresh
+    workspace) and binds it; else it owns `x`, and each pass copies its
+    input there.
+
+    A train pass through the head stacks its batch moments in `moments`,
+    in `PathIndex.norm_stats` order (only the entries from `start` on are
+    written), and leaves the running statistics it wrote in `stats`. A
+    stacked pass (`forward_prefix`) keeps no tape, so its layers share
+    every array but their summed outputs."""
+
+    def __init__(self, grid: ModuleGrid, index: PathIndex, shape: tuple, train: bool,
+                 start: int = 0, stop: Optional[int] = None, x: Optional[np.ndarray] = None):
+        d = grid.d_hid
+        lead, n = shape[:-2], shape[-2]
+        sample_sum = np.add.reduce if d > 1 else _column_sums
+        self.x = np.empty(shape) if x is None else x
+        end = index.positions.size if stop is None else index.starts[stop]
+        self.params = np.empty(end - index.starts[start])
+        tracks = train and stop is None     # this pass writes running statistics
+        if tracks:
+            self.moments = np.empty(index.norm_stats.size)
+            self.new, self.tracked = np.empty((2, index.norm_stats.size))
+            self.stats = self.new[:0]
+            m_at = 2 * d * sum(map(len, index.path.rows[:start]))
+        self.steps, self.layers, self.inputs = [], [], []
+        pool = {}
+        kept = None if stop is None else pool   # a stacked prefix pass keeps no tape
+        h, at, fan_in = self.x, 0, shape[-1]
+        for row in index.path.rows[start:stop]:
+            N = len(row)
+            Ws = self.params[at:at + N * fan_in * d].reshape(N, fan_in, d)
+            at += Ws.size
+            # the per-feature vectors broadcast over the samples: (1, N, d_hid)
+            gamma, beta, mean, var = self.params[at:at + 4 * N * d].reshape(4, 1, N, d)
+            at += 4 * N * d
+            if tracks:
+                mean, var = self.moments[m_at:m_at + 2 * N * d].reshape(2, 1, N, d)
+                m_at += 2 * N * d
+            elif train:
+                mean, var = _array(pool, "moments", (2,) + lead + (1, N, d))
+            sample_major = shape[:-1] + (N, d)
+            z = _array(kept, "z", sample_major)     # z, then zhat in place
+            out = _array(kept, "out", lead + (N, n, d))
+            summed = np.empty(shape[:-1] + (d,))
+            record = LayerRecord(Ws, gamma, z, _array(kept, "inv_std", mean.shape),
+                                 _array(kept, "y", sample_major), out)
+            self.inputs.append(h)
+            self.layers.append(record)
+            self.steps.append((
+                h[..., None, :, :], Ws, z.swapaxes(-3, -2), z, mean, var,
+                # train mode: the moments without their sample axis
+                *((mean[..., 0, :, :], var[..., 0, :, :]) if train else (None, None)),
+                record.inv_std, gamma, beta, record.y, out.swapaxes(-3, -2), out, summed,
+                n, sample_sum))
+            h, fan_in = summed, d
+        self.h = h      # the last layer's summed output: the head's input
+        if stop is None:
+            head = self.params[at:].reshape(d + 1, -1)      # the head slice's W rows, then b
+            self.head_W, self.head_b = head[:d], head[d]
+            self.logits = np.empty((n, head.shape[1]))
+        self._backward = None
+
+    def backward(self, tape: Tape, size: int) -> tuple:
+        """The backward's arrays, made on the first call from `tape`, which
+        must be this workspace's (its arrays are the workspace's)."""
+        if self._backward is None:
+            self._backward = _backward_buffers(tape, size)
+        return self._backward
+
+
+def _layer(step: tuple, train: bool) -> None:
+    """One layer's N blocks over a stack of batches, written into the
+    arrays of `step` (a `Workspace` layer): the input h is (..., n, fan_in),
     any leading axes, each batch normalized on its own, and the per-feature
     arrays keep a length-1 sample axis, (..., 1, N, d_hid), so they
-    broadcast over it. Returns the LayerRecord (sample-major (..., n, N,
-    d_hid) arrays) and the summed output (..., n, d_hid), the next layer's
+    broadcast over it. Writes the LayerRecord's arrays (sample-major (...,
+    n, N, d_hid)) and the summed output (..., n, d_hid), the next layer's
     input. In train mode the batch moments are written into mean and var;
     in eval mode they are the running statistics, only read. A pass runs
     this on one batch and `forward_prefix` on a stack, so a batch gets the
     same bits either way."""
-    # every temporary below is fresh, so the in-place forms and out= only
-    # save allocations: each value goes through the same operations
-    reduce = np.add.reduce
-    n, (N, _, d) = h.shape[-2], Ws.shape
-    z = np.empty(h.shape[:-1] + (N, d))
-    np.matmul(h[..., None, :, :], Ws, out=z.swapaxes(-3, -2))
+    (h, Ws, z_mm, z, mean, var, mean_sum, var_sum, inv_std, gamma, beta, y, out_mm,
+     out, summed, n, sample_sum) = step
+    # each value goes through the operations of the expression in the comment
+    np.matmul(h, Ws, out=z_mm)                  # z = h @ W per module
     if train:
         # z.mean and z.var over the batch (sum / n), sharing the centred z
-        sample_sum = reduce if d > 1 else _column_sums
-        sample_sum(z, -3, out=mean, keepdims=True)
-        mean /= n
+        sample_sum(z, -3, out=mean_sum)
+        mean_sum /= n
     z -= mean
     if train:
-        sample_sum(z * z, -3, out=var, keepdims=True)
-        var /= n
-    inv_std = var + NORM_EPS
+        np.multiply(z, z, out=y)                # y holds z * z until y is computed
+        sample_sum(y, -3, out=var_sum)
+        var_sum /= n
+    np.add(var, NORM_EPS, out=inv_std)          # inv_std = 1 / sqrt(var + eps)
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
-    z *= inv_std
-    zhat = z
-    y = gamma * zhat
+    z *= inv_std                                # zhat
+    np.multiply(gamma, z, out=y)                # y = gamma * zhat + beta
     y += beta
-    out = np.empty(h.shape[:-2] + (N, n, d))
-    np.maximum(y, 0.0, out=out.swapaxes(-3, -2))
-    return LayerRecord(Ws, gamma, zhat, inv_std, y, out), reduce(out, axis=-3)
+    np.maximum(y, 0.0, out=out_mm)              # out = relu(y), module-major
+    np.add.reduce(out, axis=-3, out=summed)
 
 
 def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: bool,
-                   start: int = 0):
+                   start: int = 0, ws: Optional[Workspace] = None):
     """The forward pass of `forward_task`, unchecked: x is a finite float64
     (n, d_in) array, n >= 2 in train mode, and `index` the PathIndex of a
     task of this grid. Returns (logits, tape): the task-width logits and the
@@ -812,6 +893,11 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
     layer runs on one sample-major (n, N, d_hid) array (`_layer`, see the
     module docstring), and a train pass writes every layer's running
     statistics with one scatter after the last.
+
+    Every array the pass writes is `ws`'s, a Workspace of this pass's shape
+    and mode from layer `start` through the head, which the next pass
+    through it overwrites, logits and tape included. Without one, the pass
+    builds a fresh Workspace around x, and the logits and tape are its own.
 
     A pass may resume at layer `start` (grid.n_layers: the head alone): x is
     then the (n, d_hid) input that layer took, or would take, in a pass of
@@ -823,37 +909,30 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
     `index.live` still picks from it, and only the entries from `start` on
     are filled. The tape records the layers from `start` on; the backward
     reads nothing below `index.lowest`."""
+    if ws is None:
+        ws = Workspace(grid, index, x.shape, train, start, x=x)
+    else:
+        np.copyto(ws.x, x)
     arena = grid.arena
-    d = grid.d_hid
-    rows = index.path.rows[start:]
-    params = arena[index.positions[index.starts[start]:]]
-    if train:   # per layer the batch mean, then the variance: (2, N, d_hid)
-        moments = np.empty(index.norm_stats.size)
-        m_at = 2 * d * sum(map(len, index.path.rows[:start]))
-    views, at = _layer_params(params, rows, x.shape[1], d)
-    inputs, layers = [], []
-    h = x
-    for Ws, gamma, beta, run_mean, run_var in views:
-        inputs.append(h)
-        if train:
-            N = Ws.shape[0]
-            mean, var = moments[m_at:m_at + 2 * N * d].reshape(2, 1, N, d)
-            m_at += 2 * N * d
-        else:
-            mean, var = run_mean, run_var
-        record, h = _layer(h, Ws, gamma, beta, mean, var, train)
-        layers.append(record)
-    if train and index.stats.size:
-        new = (1 - NORM_MOMENTUM) * arena[index.stats]
-        tracked = moments if index.live is None else moments[index.live]
-        tracked *= NORM_MOMENTUM
-        new += tracked
-        arena[index.stats] = new
-    head = params[at:].reshape(d + 1, -1)       # the head slice's W rows, then b
-    logits = h @ head[:d]
-    logits += head[d]
-    tape = Tape(index.task_id, grid.version, train, start, rows, inputs, layers, h, head[:d])
-    return logits, tape
+    arena.take(index.positions[index.starts[start]:], out=ws.params, mode="clip")
+    for step in ws.steps:
+        _layer(step, train)
+    if train:
+        new = ws.stats = ws.new[:index.stats.size]
+        if new.size:
+            # new = (1 - momentum) * old + momentum * tracked moments
+            arena.take(index.stats, out=new, mode="clip")
+            new *= 1 - NORM_MOMENTUM
+            tracked = (ws.moments if index.live is None
+                       else ws.moments.take(index.live, out=ws.tracked[:new.size], mode="clip"))
+            tracked *= NORM_MOMENTUM
+            new += tracked
+            arena[index.stats] = new
+    np.matmul(ws.h, ws.head_W, out=ws.logits)
+    ws.logits += ws.head_b
+    tape = Tape(index.task_id, grid.version, train, start, index.path.rows[start:], ws.inputs,
+                ws.layers, ws.h, ws.head_W)
+    return ws.logits, tape
 
 
 def forward_prefix(grid: ModuleGrid, index: PathIndex, xs: np.ndarray, stop: int) -> np.ndarray:
@@ -861,16 +940,14 @@ def forward_prefix(grid: ModuleGrid, index: PathIndex, xs: np.ndarray, stop: int
     unchecked: xs is a finite float64 (B, n, d_in) array, n >= 2, and stop
     <= `index.lowest`. Returns the (B, n, d_hid) stack of each batch's input
     to layer `stop`, the bits `forward_kernel`'s train pass of that batch
-    alone records there. Batch moments are taken per batch; nothing is
-    written, since no running statistic below `index.lowest` tracks."""
-    d = grid.d_hid
-    params = grid.arena[index.positions[:index.starts[stop]]]
-    views, _ = _layer_params(params, index.path.rows[:stop], xs.shape[-1], d)
-    h = xs
-    for Ws, gamma, beta, _, _ in views:
-        mean, var = np.empty((2, xs.shape[0], 1, Ws.shape[0], d))
-        _, h = _layer(h, Ws, gamma, beta, mean, var, True)
-    return h
+    alone records there, in a fresh Workspace's array. Batch moments are
+    taken per batch; nothing is written, since no running statistic below
+    `index.lowest` tracks."""
+    ws = Workspace(grid, index, xs.shape, True, 0, stop, x=xs)
+    grid.arena.take(index.positions[:index.starts[stop]], out=ws.params, mode="clip")
+    for step in ws.steps:
+        _layer(step, True)
+    return ws.h
 
 
 def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
@@ -909,8 +986,41 @@ def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
     return grads
 
 
+def _backward_buffers(tape: Tape, size: int) -> tuple:
+    """The arrays `backward_kernel` writes for a tape of this shape, and its
+    views of the tape: the work vector of `size` (PathIndex.size) and its
+    head slice's W and b views, the transposed h_final and head W, the top
+    layer's input gradient, and per layer the `backward_kernel` loop's
+    arrays, in the tape's layer order."""
+    n, d = tape.h_final.shape
+    c = tape.head_W.shape[1]
+    work = np.empty(size)
+    offset = size - (d + 1) * c
+    head = work[offset:offset + d * c].reshape(d, c), work[offset + d * c:]
+    # dh[i]: the gradient of layer start + i's summed output; the layers
+    # share the rest, which each writes and reads before the next layer runs
+    dh = [np.empty((n, d)) for _ in tape.layers]
+    pool = {}
+    layers = [None] * len(tape.layers)
+    for i in range(len(tape.layers) - 1, -1, -1):
+        Ws, gamma, zhat, inv_std, y, _ = tape.layers[i]
+        N, fan_in = Ws.shape[:2]
+        dd = fan_in * d
+        offset -= N * (dd + 2 * d)
+        grads = work[offset:offset + N * (dd + 2 * d)].reshape(N, dd + 2 * d)
+        dy = _array(pool, "dy", (n, N, d))
+        layers[i] = (
+            tape.inputs[i].T, Ws.transpose(0, 2, 1), gamma, zhat, inv_std, y, dh[i][:, None],
+            _array(pool, "positive", (n, N, d), bool), dy, dy.transpose(1, 0, 2),
+            _array(pool, "scaled", (n, N, d)), _array(pool, "mean_dzhat", (N, d)),
+            _array(pool, "mean_scaled", (N, d)), _array(pool, "dz", (N, n, d)),
+            grads[:, dd:dd + d], grads[:, dd + d:], grads[:, :dd].reshape(N, fan_in, d),
+            _array(pool, "dz_W", (N, n, fan_in)), dh[i - 1] if i else None)
+    return work, head, tape.h_final.T, tape.head_W.T, dh[-1] if dh else None, layers
+
+
 def backward_kernel(grid: ModuleGrid, index: PathIndex, tape: Tape,
-                    dslice: np.ndarray) -> np.ndarray:
+                    dslice: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
     """The backward pass of `backward_task`, unchecked: `tape` is what
     `forward_kernel` returned for this grid state and `index`, and dslice
     the task-width (n, c) loss gradient. Returns the flat gradient over
@@ -921,48 +1031,50 @@ def backward_kernel(grid: ModuleGrid, index: PathIndex, tape: Tape,
     tape resumed at a layer no higher than `index.lowest` serves as well as
     a whole one. Batch norm's gradient runs on the forward's sample-major
     layout; dz is then made module-contiguous for the weight and input
-    gradients, whose products round differently on a strided dz."""
-    # fresh temporaries are updated in place and reductions written into
-    # the work vector: the same operations, in the same order, as the
-    # expressions in the comments
+    gradients, whose products round differently on a strided dz.
+
+    `ws` is the Workspace whose forward made the tape: the backward writes
+    into its arrays, and when every tensor trains the returned gradient is
+    its work vector, which the next backward through it overwrites. Without
+    one every array is fresh."""
     reduce = np.add.reduce
-    d = grid.d_hid
-    n, c = dslice.shape
-    sample_sum = reduce if d > 1 else _column_sums
-    work = np.empty(index.size)
-    offset = index.size - (d + 1) * c
+    n = dslice.shape[0]
+    sample_sum = reduce if grid.d_hid > 1 else _column_sums
+    work, (head_dW, head_db), h_final_T, head_W_T, dh_top, layers = (
+        _backward_buffers(tape, index.size) if ws is None else ws.backward(tape, index.size))
     if index.trainable is None or index.trainable[-1]:     # the head slice trains
-        np.matmul(tape.h_final.T, dslice, out=work[offset:offset + d * c].reshape(d, c))
-        reduce(dslice, axis=0, out=work[offset + d * c:])
+        np.matmul(h_final_T, dslice, out=head_dW)
+        reduce(dslice, axis=0, out=head_db)
     if index.lowest < grid.n_layers:
-        dh = dslice @ tape.head_W.T
+        np.matmul(dslice, head_W_T, out=dh_top)
+    # each value goes through the operations of the expression in the comment
     for l in range(grid.n_layers - 1, index.lowest - 1, -1):
-        i = l - tape.start
-        h_prev, (Ws, gamma, zhat, inv_std, y, _) = tape.inputs[i], tape.layers[i]
-        N, dd = Ws.shape[0], h_prev.shape[1] * d
-        offset -= N * (dd + 2 * d)
-        grads = work[offset:offset + N * (dd + 2 * d)].reshape(N, dd + 2 * d)
-        dy = dh[:, None] * (y > 0)
+        (h_prev_T, Ws_T, gamma, zhat, inv_std, y, dh, positive, dy, dy_mm, scaled, mean_dzhat,
+         mean_scaled, dz, d_gamma, d_beta, d_W, dz_W, dh_below) = layers[l - tape.start]
+        np.greater(y, 0, out=positive)
+        np.multiply(dh, positive, out=dy)           # dy = dh * (y > 0)
         if index.learns[l]:
-            sample_sum(dy * zhat, 0, out=grads[:, dd:dd + d])    # d gamma
-            sample_sum(dy, 0, out=grads[:, dd + d:])             # d beta
+            np.multiply(dy, zhat, out=scaled)
+            sample_sum(scaled, 0, out=d_gamma)      # (dy * zhat).sum(0)
+            sample_sum(dy, 0, out=d_beta)
         dy *= gamma
         dzhat = dy
         if tape.train:
             # dz = inv_std * (dzhat - mean(dzhat) - zhat * mean(dzhat * zhat)),
             # the means as sum / n, as .mean computes them
-            mean_dzhat = sample_sum(dzhat, 0)
+            sample_sum(dzhat, 0, out=mean_dzhat)
             mean_dzhat /= n
-            scaled = dzhat * zhat
-            mean_scaled = sample_sum(scaled, 0)
+            np.multiply(dzhat, zhat, out=scaled)
+            sample_sum(scaled, 0, out=mean_scaled)
             mean_scaled /= n
             np.multiply(zhat, mean_scaled, out=scaled)
             dzhat -= mean_dzhat
             dzhat -= scaled
         dzhat *= inv_std
-        dz = np.ascontiguousarray(dzhat.transpose(1, 0, 2))      # module-major
+        np.copyto(dz, dy_mm)                        # module-major
         if index.learns[l]:
-            np.matmul(h_prev.T, dz, out=grads[:, :dd].reshape(N, h_prev.shape[1], d))   # d W
+            np.matmul(h_prev_T, dz, out=d_W)
         if l > index.lowest:   # nothing consumes the gradient below the cut
-            dh = reduce(dz @ Ws.transpose(0, 2, 1), axis=0)
+            np.matmul(dz, Ws_T, out=dz_W)           # dh_below = (dz @ W.T).sum(0)
+            reduce(dz_W, axis=0, out=dh_below)
     return work if index.trainable is None else work[index.trainable]

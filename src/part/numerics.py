@@ -177,10 +177,11 @@ class FlatAdam:
         return self._table[:, top] if uniform else self._table[:, t]
 
     def step(self, params: np.ndarray, grads: np.ndarray, segments: Segments,
-             lr: float) -> None:
-        """Update params in place at segments.index with grads (same order).
-        Tensors whose gradient is identically zero keep their parameters and
-        moments; their counters advance."""
+             lr: float) -> np.ndarray:
+        """Update params in place at segments.index with grads (same order),
+        and return the values written there, in that order. Tensors whose
+        gradient is identically zero keep their parameters and moments, and
+        are not written; their counters advance."""
         if grads.shape != segments.index.shape:
             raise InputError(f"expected {segments.index.size} gradient values, got {grads.shape}")
         if self._held is None or self._held[0] is not segments:
@@ -194,19 +195,21 @@ class FlatAdam:
         t += 1
         corrections = self._corrections(t, uniform)
         index, lengths = segments.index, segments.lengths
-        active = np.logical_or.reduceat(grads != 0, segments.starts)
-        if active.all():
+        # with no zero element, no tensor's gradient is identically zero
+        active = None if grads.all() else np.logical_or.reduceat(grads != 0, segments.starts)
+        if active is None or active.all():
             c1, c2 = corrections if uniform else np.repeat(corrections, lengths, axis=1)
             p = params[index]
             adam_update(p, m, v, grads, lr, c1, c2)
             params[index] = p
-            return
+            return p
         keep = np.repeat(active, lengths)
         c1, c2 = (corrections if uniform
                   else np.repeat(corrections[:, active], lengths[active], axis=1))
         p, m_kept, v_kept = params[index[keep]], m[keep], v[keep]
         adam_update(p, m_kept, v_kept, grads[keep], lr, c1, c2)
         params[index[keep]], m[keep], v[keep] = p, m_kept, v_kept
+        return p
 
 
 def softmax_xent_slice(logits: np.ndarray, labels: np.ndarray):

@@ -1,6 +1,7 @@
 """Training: `train`, one loop over `Phase` values, and `SCHEDULES`, each mode's
 phases. A freezing phase's report keeps `net.freeze_fingerprint` of its tasks.
-A phase's frozen prefix runs once per epoch per task (`net.forward_prefix`)."""
+A phase's frozen prefix runs once per epoch per task (`net.forward_prefix`),
+and each training step runs in the phase's `net.Workspace` of its shape."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .errors import ContractError, InputError, NumericError
 from .net import (
     ModuleGrid,
     TaskSpec,
+    Workspace,
     _check_integers,
     backward_kernel,
     backward_task,  # noqa: F401
@@ -248,21 +250,48 @@ def _epoch_batches(grid: ModuleGrid, task: TaskSpec, plan: BatchPlan, stop: int)
     return list(zip(batches, inputs))
 
 
-def _train_batch(grid, task, idx, h, start, adam, lr, epoch) -> float:
+def _workspace(spaces: dict, grid: ModuleGrid, task: TaskSpec, n: int, start: int) -> Workspace:
+    """The phase's Workspace for a train pass of `task` over n samples from
+    layer `start`, found by (task id, n). There is one per pass shape, (row
+    widths, c, n, start), shared by every task of that shape; `spaces`
+    holds both keys. The freeze does not shape it: the backward reads
+    `PathIndex.lowest` and the rest of the freeze at each call."""
+    ws = spaces.get((task.id, n))
+    if ws is None:
+        index = path_index(grid, task)
+        shape = (tuple(map(len, index.path.rows)), task.c, n, start)
+        if shape not in spaces:
+            fan_in = grid.d_hid if start else grid.d_in
+            spaces[shape] = Workspace(grid, index, (n, fan_in), True, start)
+        ws = spaces[task.id, n] = spaces[shape]
+    return ws
+
+
+def _finite(a: np.ndarray, zeros: np.ndarray) -> bool:
+    """Whether every value of `a` is finite, from its dot product with
+    zeros (as long as a, or longer): each term is a zero for a finite value
+    and NaN for an infinity or a NaN, and a NaN term makes the sum NaN."""
+    return math.isfinite(a.dot(zeros[:a.size]))
+
+
+def _train_batch(grid, task, idx, h, start, adam, lr, epoch, ws, zeros) -> float:
     """Forward from layer `start` (h: the batch's input there), loss and
-    backward kernels, then one fused Adam step over the task's trainable
-    tensors in the backward's order. Checks no input: `_check_ready` did,
-    once per call, and every planned batch has >= 2 samples. A non-finite
-    loss, or a non-finite value anywhere in the arena afterwards
-    (parameters or running statistics), fails the run."""
+    backward kernels in `ws`, the Workspace of the pass's shape, then one
+    fused Adam step over the task's trainable tensors in the backward's
+    order. Checks no input: `_check_ready` did, once per call, and every
+    planned batch has >= 2 samples. A non-finite loss, or a non-finite value
+    among those the step wrote (the running statistics and the updated
+    parameters), fails the run: `train` checked the whole arena before the
+    first step, and nothing else writes it. `zeros` is as long as the arena."""
     index = path_index(grid, task)
-    logits, tape = forward_kernel(grid, index, h, True, start)
+    logits, tape = forward_kernel(grid, index, h, True, start, ws=ws)
     loss, dslice = softmax_xent_kernel(logits, task.train_ds.labels[idx])
-    grads = backward_kernel(grid, index, tape, dslice)
+    grads = backward_kernel(grid, index, tape, dslice, ws=ws)
+    finite = math.isfinite(loss) and _finite(ws.stats, zeros)
     if index.segments.index.size:
-        adam.step(grid.arena, grads, index.segments, lr)
+        finite = _finite(adam.step(grid.arena, grads, index.segments, lr), zeros) and finite
         grid.version += 1
-    if not (math.isfinite(loss) and np.isfinite(grid.arena).all()):
+    if not finite:
         raise NumericError(f"task {task.id} ({task.name}), epoch {epoch}: non-finite "
                            f"loss or parameters after the optimizer step (loss {loss})")
     return loss
@@ -356,11 +385,21 @@ def train(grid: ModuleGrid, mode: str, phases: list[Phase], report_tasks: list[T
     (`_frozen_prefix`) run then, once for all of a task's same-size batches,
     and each batch's train pass resumes above them; a phase in which some
     task trains at layer 0 runs every batch whole. Either way a batch gets
-    the bits of its own whole pass."""
+    the bits of its own whole pass.
+
+    Each step's forward and backward write into a `Workspace` of its pass
+    shape (`_workspace`), made on the phase's first step of that shape and
+    released when the next phase starts; validation's eval passes get fresh
+    arrays. The whole arena is checked for non-finite values once, before
+    the first step (NumericError), and each step then checks the values it
+    wrote."""
     _check_ready(grid, phases, report_tasks)
+    if not np.isfinite(grid.arena).all():
+        raise NumericError("non-finite parameters or running statistics before training")
     t0 = time.perf_counter()
     sched_rng = derive_rng(cfg.seed, STREAM_SCHED)
     adam = FlatAdam(grid.arena.size)
+    zeros = np.zeros(grid.arena.size)
     memo = _ValidationMemo()
     rows = []
     freeze_hashes = {} if any(phase.freeze for phase in phases) else None
@@ -368,6 +407,7 @@ def train(grid: ModuleGrid, mode: str, phases: list[Phase], report_tasks: list[T
         by_id = {t.id: t for t in tasks}
         rngs = {t.id: batch_rng(cfg.seed, t.id) for t in tasks}
         stop = _frozen_prefix(grid, tasks)
+        spaces = {}     # this phase's workspaces; the last phase's are released
         for phase_epoch in range(1, cfg.epochs + 1):
             epoch = len(rows) + 1
             lr = cfg.effective_lr(phase_epoch)
@@ -384,7 +424,9 @@ def train(grid: ModuleGrid, mode: str, phases: list[Phase], report_tasks: list[T
                 tid, count = grant
                 for _ in range(count):
                     idx, h = batches[tid].popleft()
-                    loss_sum[tid] += _train_batch(grid, by_id[tid], idx, h, stop, adam, lr, epoch)
+                    ws = _workspace(spaces, grid, by_id[tid], len(idx), stop)
+                    loss_sum[tid] += _train_batch(grid, by_id[tid], idx, h, stop, adam, lr,
+                                                  epoch, ws, zeros)
             rows.append({"epoch": epoch, "lr": lr, "per_task": [
                 {"loss": loss_sum[t.id] / plans[t.id].n_batches if t.id in by_id else None,
                  "val_acc": memo.accuracy(grid, t, t.id in by_id)} for t in report_tasks]})

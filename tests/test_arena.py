@@ -28,6 +28,7 @@ from part import (
     train,
     train_parallel,
     train_sequential,
+    train_single,
 )
 from part import net
 from part.net import NORM_PARAMS, SHARED, path_index, trainable_keys
@@ -455,6 +456,24 @@ def test_nonfinite_training_fails_loudly():
             train_parallel(grid, grid.tasks, TrainConfig(epochs=3, lr0=1e3, seed=0))
 
 
+@pytest.mark.parametrize("where", ["unused module", "untrained head"])
+def test_a_planted_nonfinite_value_no_step_writes_fails_the_call(where):
+    # each step checks only what it wrote; the whole arena is checked once,
+    # before the first step, so a bad value elsewhere still fails the call
+    grid = make_grid(L=2, M=4, N=2, d_in=6, seed=86, class_counts=(3, 3))
+    attach_synthetic(grid, np.random.default_rng(3), n_per_class=20, margin=5.0)
+    grid.tasks[0].path = grid.tasks[1].path = net.Path(((0, 1), (0, 1)))
+    if where == "unused module":
+        grid.set_param(("block", 1, 3, "W"), np.full((grid.d_hid, grid.d_hid), np.nan))
+    else:
+        grid.set_param(("head", 1, "b"), [0.0, np.inf, 0.0])
+    before = grid.arena.tobytes()
+    with pytest.raises(NumericError, match="^non-finite parameters or running statistics "
+                                           "before training$"):
+        train_single(grid, grid.tasks[0], TrainConfig(epochs=2, lr0=1e-2, seed=0))
+    assert grid.arena.tobytes() == before
+
+
 # ---------------------------------------------------------------------------
 # fused Adam step == public adam_step looped over tensors
 
@@ -469,6 +488,7 @@ def flat_problem(draw):
     steps = draw(st.lists(
         st.tuples(st.sets(st.integers(0, n_tensors - 1), min_size=1),   # tensors stepped
                   st.sets(st.integers(0, n_tensors - 1)),               # zero gradients
+                  st.sets(st.integers(0, n_tensors - 1)),               # a zero first element
                   st.floats(1e-4, 1.0)),                                 # lr
         min_size=1, max_size=5))
     return sizes, rows, widths, steps, draw(st.integers(0, 2**32 - 1))
@@ -476,17 +496,26 @@ def flat_problem(draw):
 
 # every tensor in every step: the counters stay equal (scalar corrections),
 # a zero gradient included
-EQUAL_COUNTERS = ([2, 3], 2, [1, 2], [({0, 1, 2, 3}, set(), 0.1), ({0, 1, 2, 3}, {1}, 0.01),
-                                      ({0, 1, 2, 3}, set(), 0.5)], 7)
+EQUAL_COUNTERS = ([2, 3], 2, [1, 2], [({0, 1, 2, 3}, set(), set(), 0.1),
+                                      ({0, 1, 2, 3}, {1}, set(), 0.01),
+                                      ({0, 1, 2, 3}, set(), set(), 0.5)], 7)
 # a subset first: the later full steps hold unequal counters
-UNEQUAL_COUNTERS = ([2, 3], 2, [1, 2], [({0, 2}, set(), 0.1), ({0, 1, 2, 3}, set(), 0.1),
-                                        ({0, 1, 2, 3}, {3}, 0.2)], 8)
+UNEQUAL_COUNTERS = ([2, 3], 2, [1, 2], [({0, 2}, set(), set(), 0.1),
+                                        ({0, 1, 2, 3}, set(), set(), 0.1),
+                                        ({0, 1, 2, 3}, {3}, set(), 0.2)], 8)
+# both branches of the step: no zero element (no per-tensor scan), a zero
+# element in tensors that still step (the scan finds every tensor active),
+# then a zero tensor among them (only the active ones are written)
+BOTH_BRANCHES = ([2, 3], 2, [2, 1], [({0, 1, 2, 3}, set(), set(), 0.1),
+                                     ({0, 1, 2, 3}, set(), {1, 2}, 0.1),
+                                     ({0, 1, 2, 3}, {0}, {3}, 0.2)], 9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(flat_problem())
 @example(EQUAL_COUNTERS)
 @example(UNEQUAL_COUNTERS)
+@example(BOTH_BRANCHES)
 def test_fused_step_matches_per_tensor_adam_step(problem):
     sizes, rows, widths, steps, seed = problem
     rng = np.random.default_rng(seed)
@@ -506,16 +535,21 @@ def test_fused_step_matches_per_tensor_adam_step(problem):
     ref = [flat[p].reshape(shape) for p, shape in zip(positions, shapes)]
     states = [AdamState.for_param(r, lr=1.0) for r in ref]
     fused = FlatAdam(flat.size)
-    for stepped, zero, lr in steps:
+    for stepped, zero, partly, lr in steps:
         order = sorted(stepped)           # tensors left out stand in for frozen ones
         grads = [np.zeros(shapes[i]) if i in zero
                  else rng.normal(size=shapes[i]) * 10.0 ** rng.uniform(-6, 3)
                  for i in order]
         for i, g in zip(order, grads):
+            if i in partly:
+                g.flat[0] = 0.0
             states[i].lr = lr
             ref[i], states[i] = adam_step(ref[i], g, states[i])
-        fused.step(flat, np.concatenate([g.ravel() for g in grads]),
-                   Segments.of([positions[i] for i in order]), lr)
+        written = fused.step(flat, np.concatenate([g.ravel() for g in grads]),
+                             Segments.of([positions[i] for i in order]), lr)
+        # the step returns the values it wrote: those of the tensors it moved
+        moved = [positions[i].ravel() for i, g in zip(order, grads) if g.any()]
+        np.testing.assert_array_equal(written, flat[np.concatenate([[], *moved]).astype(int)])
 
     for p, r, state in zip(positions, ref, states):
         np.testing.assert_array_equal(flat[p], r.ravel())

@@ -182,10 +182,20 @@ def test_synthetic_splits_skip_the_dataset_checks(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
-@pytest.mark.parametrize("margin", [float("nan"), float("inf"), 1e308])
+@pytest.mark.parametrize("margin", [1e308])
 def test_a_margin_that_gives_non_finite_features_is_refused(margin):
     with pytest.raises(InputError, match="^dataset 'synthetic-train' has non-finite features$"):
         gen_synthetic_task(np.random.default_rng(0), 3, 10, 4, margin)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_margin_is_refused_before_any_draw(margin):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InputError, match=f"^margin must be finite, got {margin}$"):
+        gen_synthetic_task(rng, 3, 10, 4, margin)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("features, labels, c, message", [

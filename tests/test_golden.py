@@ -115,10 +115,10 @@ def count_eval_forwards(monkeypatch, on_eval):
             on_eval(task)
         return real_task(grid, task, x, mode=mode)
 
-    def counting_kernel(grid, index, x, train, start=0):
+    def counting_kernel(grid, index, x, train, start=0, ws=None):
         if not train:
             on_eval(grid.tasks[index.task_id])
-        return real_kernel(grid, index, x, train, start)
+        return real_kernel(grid, index, x, train, start, ws)
 
     monkeypatch.setattr(part.training, "forward_task", counting_task)
     monkeypatch.setattr(part.training, "forward_kernel", counting_kernel)

@@ -184,8 +184,8 @@ def test_resumed_validation_matches_a_full_eval_pass(problem):
     resumed = []
     real = training.forward_kernel
 
-    def spy(grid, index, x, train, start=0):
-        logits, tape = real(grid, index, x, train, start)
+    def spy(grid, index, x, train, start=0, ws=None):
+        logits, tape = real(grid, index, x, train, start, ws)
         resumed.append((start, logits))
         return logits, tape
 
@@ -621,10 +621,10 @@ def test_one_sample_tail_never_trains_alone(monkeypatch):
     sizes = []
     real = training.forward_kernel
 
-    def spy(grid, index, x, train, start=0):
+    def spy(grid, index, x, train, start=0, ws=None):
         if train:
             sizes.append(len(x))
-        return real(grid, index, x, train, start)
+        return real(grid, index, x, train, start, ws)
 
     monkeypatch.setattr(training, "forward_kernel", spy)
     cfg = TrainConfig(epochs=2, batch_size=5, batch_set_size=3, lr0=3e-3, seed=4)
