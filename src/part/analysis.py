@@ -416,6 +416,13 @@ class CkaReport:
     both tasks' module representations at that layer (rows labelled
     t{id}:m{idx}); the cross-task heatmap of interest is its off-diagonal
     block. Raw values are kept as computed; clamp only for display.
+
+    The task curve, like the matrix's cross-task block, pairs row i of task
+    a's sample with row i of task b's: as `capture_activations` takes them,
+    different inputs matched only by class order. CKA compares
+    representations of the same examples (Kornblith et al. 2019,
+    arXiv:1905.00414), so the curve reads how alike the tasks' class-block
+    structures are, not same-input similarity.
     """
 
     setup: str
@@ -467,9 +474,11 @@ def layerwise_cka_report(set_a: list[ActivationSet], set_b: list[ActivationSet],
                          kernel: str = "rbf", rbf_frac: float = 0.5,
                          rbf_sigma: Optional[float] = None,
                          setup: str = "") -> CkaReport:
-    """Task-vs-task CKA per layer plus the all-pairs module matrix. Under
-    the RBF kernel every layer's Grams are built in one set of slots,
-    allocated once; the linear kernel needs none."""
+    """Task-vs-task CKA per layer plus the all-pairs module matrix, row i of
+    `set_a` paired with row i of `set_b` (for two tasks' captures, inputs
+    matched only by class order: see `CkaReport`). Under the RBF kernel
+    every layer's Grams are built in one set of slots, allocated once; the
+    linear kernel needs none."""
     if len(set_a) != len(set_b):
         raise InputError(f"layer counts differ: {len(set_a)} vs {len(set_b)}")
     if not set_a:

@@ -45,17 +45,25 @@ d_hid), each reduced over its own samples, with the same bits per batch. It
 writes into arrays it is handed, as `backward_kernel` does. A train pass
 stacks every layer's batch moments and writes the running statistics with
 one update and one scatter after the last layer.
-The pass's `Tape` holds the mode, the path rows and the head slice's W
-once, and one `LayerRecord` (the layer's six arrays) per layer. The
-backward reads that tape and the task-width loss gradient, nothing of the
-arena, and returns one flat gradient vector over the task's trainable
-surface only (the tensors `trainable_keys` names, in the same order: per
-layer and module W, gamma, beta, then the head slice's W and b); the
-trainer hands it to the optimizer as it is. The backward stops at the
-lowest layer that holds a trainable tensor, and a layer with none above it
-only carries the gradient through. This layout gives the same bits as
-running the blocks one by one (`_column_sums` covers the one shape that
-needs care).
+
+A pass's record, its tape, is the `Workspace` it ran in, built for its
+shape: every array the pass writes and every view it reads them through,
+the head slice's W once and one `LayerRecord` (the layer's six arrays) per
+layer, stamped by the forward with the task, `grid.version` and the path
+rows. The backward reads that record and the task-width loss gradient,
+nothing of the arena, writes into the record's backward arrays, and
+returns one flat gradient vector over the task's trainable surface only
+(the tensors `trainable_keys` names, in the same order: per layer and
+module W, gamma, beta, then the head slice's W and b); the trainer hands
+it to the optimizer as it is. The backward stops at the lowest layer that
+holds a trainable tensor, and a layer with none above it only carries the
+gradient through. This layout gives the same bits as running the blocks
+one by one (`_column_sums` covers the one shape that needs care). The
+trainer's workspaces, one per `pass_shape` in a phase, own their input:
+each step copies its batch in and overwrites the last step's record and
+gradient. Every other caller (`forward_task`, `backward_task`, validation,
+analysis, `forward_prefix`) gets a workspace bound to its input, and fresh
+backward arrays, per call, so no array it keeps is written again.
 
 Each pass is an unchecked kernel over a task's PathIndex (`forward_kernel`
 makes the tape, `backward_kernel` reads it) behind a checked entry point
@@ -74,15 +82,6 @@ changes for the whole phase and no running statistic tracks, so the
 trainer runs those layers once per epoch for all of a task's batches
 (`forward_prefix`), and each batch's pass starts above them; the backward
 reads nothing below `PathIndex.lowest`, so it needs no more of the tape.
-
-Every array a pass writes, and every view it reads them through, belongs
-to a `Workspace` built for the pass's shape. The trainer builds one per
-shape in a phase (the row widths, c, the batch size and `start`) and hands
-it to each step's forward and backward, so their layers make no array or
-view of their own, and each step overwrites the last one's tape and
-gradient. Every other caller (`forward_task`, `backward_task`, validation,
-analysis, `forward_prefix`) gets a fresh workspace per call, so no array
-it keeps is written again.
 """
 
 from __future__ import annotations
@@ -689,35 +688,6 @@ class LayerRecord(NamedTuple):
     out: np.ndarray       # (N, n, d_hid) relu(y), the pre-sum module outputs
 
 
-@dataclass
-class Tape:
-    """Activation record of one forward pass: with its `LayerRecord`s and
-    `head_W`, every parameter the backward reads, as the forward read it.
-    A pass resumed at layer `start` records the layers from `start` on:
-    `rows[i]`, `inputs[i]` and `layers[i]` are layer start + i's. Only a
-    whole pass's tape (start 0) leaves the trainer; `backward_task` refuses
-    any other."""
-
-    task_id: int
-    grid_version: int
-    train: bool             # normalized with batch statistics (train mode)
-    start: int              # the first layer the pass ran
-    rows: tuple             # the path's module rows, one per layer run
-    inputs: list            # h_start .. h_{L-1}: the input each layer consumed
-    layers: list            # one LayerRecord per layer run
-    h_final: np.ndarray
-    head_W: np.ndarray      # (d_hid, c) the task's head weights as read by the forward
-
-    def layer_sum(self, layer: int) -> np.ndarray:
-        """The summed output of a layer: the next layer's input."""
-        return self.inputs[layer + 1] if layer + 1 < len(self.inputs) else self.h_final
-
-    def module_outputs(self, layer: int) -> dict[int, np.ndarray]:
-        """Each path module's pre-sum output at a layer, by module index."""
-        out = self.layers[layer].out
-        return {m: out[i] for i, m in enumerate(self.rows[layer])}
-
-
 def forward_task(grid: ModuleGrid, task: TaskSpec, x: np.ndarray, mode: str = "eval"):
     """Run x through the task's path; returns (logits slice, tape).
 
@@ -767,11 +737,11 @@ def _array(pool: Optional[dict], role: str, shape: tuple, dtype=np.float64) -> n
 
 
 class Workspace:
-    """Every array a pass of one shape writes, and every view it reads them
-    through: the parameter gather and its per-layer views, each layer's
-    LayerRecord arrays, batch moments and summed output, the logits, and
-    (made by the first backward through it) the backward's work vector and
-    per-layer arrays. Who owns one: see the module docstring.
+    """One pass's record: every array a pass of one shape writes, and every
+    view it reads them through: the parameter gather and its per-layer
+    views, each layer's LayerRecord arrays, batch moments and summed
+    output, the logits, and the backward's work vector and per-layer arrays
+    (`_backward_buffers`). Who owns one: see the module docstring.
 
     A shape is the input's shape (..., n, fan_in), the path's row widths
     and head width, the layers run (from `start`; to `stop`, or through the
@@ -781,6 +751,11 @@ class Workspace:
     Given `x`, the workspace is built for that one input (a kernel's fresh
     workspace) and binds it; else it owns `x`, and each pass copies its
     input there.
+
+    As a tape it holds every parameter the backward reads, as the forward
+    read it (`layers`, `head_W`), and its last pass's stamps: `task_id`,
+    `grid_version` and `rows`. `rows[i]` (a path row), `inputs[i]` and
+    `layers[i]` are layer start + i's; `h_final` is the last summed output.
 
     A train pass through the head stacks its batch moments in `moments`,
     in `PathIndex.norm_stats` order (only the entries from `start` on are
@@ -793,6 +768,8 @@ class Workspace:
         d = grid.d_hid
         lead, n = shape[:-2], shape[-2]
         sample_sum = np.add.reduce if d > 1 else _column_sums
+        self.train, self.start, self.size = train, start, index.size
+        self.owns_input, self._backward = x is None, None
         self.x = np.empty(shape) if x is None else x
         end = index.positions.size if stop is None else index.starts[stop]
         self.params = np.empty(end - index.starts[start])
@@ -833,19 +810,28 @@ class Workspace:
                 record.inv_std, gamma, beta, record.y, out.swapaxes(-3, -2), out, summed,
                 n, sample_sum))
             h, fan_in = summed, d
-        self.h = h      # the last layer's summed output: the head's input
+        self.h_final = h      # the head's input in a pass through the head
         if stop is None:
             head = self.params[at:].reshape(d + 1, -1)      # the head slice's W rows, then b
             self.head_W, self.head_b = head[:d], head[d]
             self.logits = np.empty((n, head.shape[1]))
-        self._backward = None
 
-    def backward(self, tape: Tape, size: int) -> tuple:
-        """The backward's arrays, made on the first call from `tape`, which
-        must be this workspace's (its arrays are the workspace's)."""
-        if self._backward is None:
-            self._backward = _backward_buffers(tape, size)
-        return self._backward
+    def layer_sum(self, layer: int) -> np.ndarray:
+        """The summed output of a layer: the next layer's input."""
+        return self.inputs[layer + 1] if layer + 1 < len(self.inputs) else self.h_final
+
+    def module_outputs(self, layer: int) -> dict[int, np.ndarray]:
+        """Each path module's pre-sum output at a layer, by module index."""
+        out = self.layers[layer].out
+        return {m: out[i] for i, m in enumerate(self.rows[layer])}
+
+
+def pass_shape(grid: ModuleGrid, index: PathIndex, n: int, start: int) -> tuple:
+    """The key of a pass of `index`'s task over n samples from layer `start`
+    through the head: its input's shape (n, fan_in), which a `Workspace`
+    for it takes, then the path's row widths, head width and `start`."""
+    fan_in = grid.d_hid if start else grid.d_in
+    return (n, fan_in), tuple(map(len, index.path.rows)), grid.tasks[index.task_id].c, start
 
 
 def _layer(step: tuple, train: bool) -> None:
@@ -887,17 +873,16 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
     """The forward pass of `forward_task`, unchecked: x is a finite float64
     (n, d_in) array, n >= 2 in train mode, and `index` the PathIndex of a
     task of this grid. Returns (logits, tape): the task-width logits and the
-    Tape, stamped with the task and `grid.version`, that the backward reads.
+    Workspace the pass ran in, stamped, which is the tape the backward reads.
 
     One gather reads every parameter the pass uses, the head slice's last, a
     layer runs on one sample-major (n, N, d_hid) array (`_layer`, see the
     module docstring), and a train pass writes every layer's running
     statistics with one scatter after the last.
 
-    Every array the pass writes is `ws`'s, a Workspace of this pass's shape
-    and mode from layer `start` through the head, which the next pass
-    through it overwrites, logits and tape included. Without one, the pass
-    builds a fresh Workspace around x, and the logits and tape are its own.
+    Given `ws` (a Workspace that owns its input, of this pass's mode and
+    `pass_shape`), the pass copies x there, runs in it and returns it as the
+    tape; without one, it runs in a fresh Workspace bound to x.
 
     A pass may resume at layer `start` (grid.n_layers: the head alone): x is
     then the (n, d_hid) input that layer took, or would take, in a pass of
@@ -928,11 +913,10 @@ def forward_kernel(grid: ModuleGrid, index: PathIndex, x: np.ndarray, train: boo
             tracked *= NORM_MOMENTUM
             new += tracked
             arena[index.stats] = new
-    np.matmul(ws.h, ws.head_W, out=ws.logits)
+    np.matmul(ws.h_final, ws.head_W, out=ws.logits)
     ws.logits += ws.head_b
-    tape = Tape(index.task_id, grid.version, train, start, index.path.rows[start:], ws.inputs,
-                ws.layers, ws.h, ws.head_W)
-    return ws.logits, tape
+    ws.task_id, ws.grid_version, ws.rows = index.task_id, grid.version, index.path.rows[start:]
+    return ws.logits, ws
 
 
 def forward_prefix(grid: ModuleGrid, index: PathIndex, xs: np.ndarray, stop: int) -> np.ndarray:
@@ -947,10 +931,10 @@ def forward_prefix(grid: ModuleGrid, index: PathIndex, xs: np.ndarray, stop: int
     grid.arena.take(index.positions[:index.starts[stop]], out=ws.params, mode="clip")
     for step in ws.steps:
         _layer(step, True)
-    return ws.h
+    return ws.h_final
 
 
-def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
+def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Workspace,
                   dslice: np.ndarray) -> dict:
     """Gradients for exactly the task's trainable surface.
 
@@ -961,7 +945,8 @@ def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
     its head slice), to that tensor's view of the one flat vector
     `backward_kernel` returns. Checks the tape and dslice (its shape, and
     that it is finite), then runs the kernel on dslice as a contiguous
-    array, as the trainer does, so both give the same bits.
+    array, as the trainer does, so both give the same bits. On a
+    `forward_task` tape each call's gradient is in fresh arrays.
     """
     index = path_index(grid, task)
     if tape.task_id != task.id:
@@ -986,16 +971,19 @@ def backward_task(grid: ModuleGrid, task: TaskSpec, tape: Tape,
     return grads
 
 
-def _backward_buffers(tape: Tape, size: int) -> tuple:
-    """The arrays `backward_kernel` writes for a tape of this shape, and its
-    views of the tape: the work vector of `size` (PathIndex.size) and its
-    head slice's W and b views, the transposed h_final and head W, the top
-    layer's input gradient, and per layer the `backward_kernel` loop's
-    arrays, in the tape's layer order."""
+def _backward_buffers(tape: Workspace) -> tuple:
+    """The arrays `backward_kernel` writes for a pass through `tape`, and
+    its views of it: the work vector of `tape.size` (PathIndex.size) and
+    its head slice's W and b views, the transposed h_final and head W, the
+    top layer's input gradient, and per layer the `backward_kernel` loop's
+    arrays, in the tape's layer order: kept by a workspace that owns its
+    input, fresh on every call for one bound to its caller's."""
+    if tape._backward is not None:
+        return tape._backward
     n, d = tape.h_final.shape
     c = tape.head_W.shape[1]
-    work = np.empty(size)
-    offset = size - (d + 1) * c
+    work = np.empty(tape.size)
+    offset = tape.size - (d + 1) * c
     head = work[offset:offset + d * c].reshape(d, c), work[offset + d * c:]
     # dh[i]: the gradient of layer start + i's summed output; the layers
     # share the rest, which each writes and reads before the next layer runs
@@ -1016,11 +1004,14 @@ def _backward_buffers(tape: Tape, size: int) -> tuple:
             _array(pool, "mean_scaled", (N, d)), _array(pool, "dz", (N, n, d)),
             grads[:, dd:dd + d], grads[:, dd + d:], grads[:, :dd].reshape(N, fan_in, d),
             _array(pool, "dz_W", (N, n, fan_in)), dh[i - 1] if i else None)
-    return work, head, tape.h_final.T, tape.head_W.T, dh[-1] if dh else None, layers
+    buffers = work, head, tape.h_final.T, tape.head_W.T, dh[-1] if dh else None, layers
+    if tape.owns_input:
+        tape._backward = buffers
+    return buffers
 
 
-def backward_kernel(grid: ModuleGrid, index: PathIndex, tape: Tape,
-                    dslice: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
+def backward_kernel(grid: ModuleGrid, index: PathIndex, tape: Workspace,
+                    dslice: np.ndarray) -> np.ndarray:
     """The backward pass of `backward_task`, unchecked: `tape` is what
     `forward_kernel` returned for this grid state and `index`, and dslice
     the task-width (n, c) loss gradient. Returns the flat gradient over
@@ -1033,15 +1024,13 @@ def backward_kernel(grid: ModuleGrid, index: PathIndex, tape: Tape,
     layout; dz is then made module-contiguous for the weight and input
     gradients, whose products round differently on a strided dz.
 
-    `ws` is the Workspace whose forward made the tape: the backward writes
-    into its arrays, and when every tensor trains the returned gradient is
-    its work vector, which the next backward through it overwrites. Without
-    one every array is fresh."""
+    It writes into the tape's backward arrays (`_backward_buffers`): when
+    every tensor trains, a trainer workspace's work vector is returned, and
+    its next backward overwrites it."""
     reduce = np.add.reduce
     n = dslice.shape[0]
     sample_sum = reduce if grid.d_hid > 1 else _column_sums
-    work, (head_dW, head_db), h_final_T, head_W_T, dh_top, layers = (
-        _backward_buffers(tape, index.size) if ws is None else ws.backward(tape, index.size))
+    work, (head_dW, head_db), h_final_T, head_W_T, dh_top, layers = _backward_buffers(tape)
     if index.trainable is None or index.trainable[-1]:     # the head slice trains
         np.matmul(h_final_T, dslice, out=head_dW)
         reduce(dslice, axis=0, out=head_db)

@@ -28,6 +28,7 @@ from .net import (
     forward_task,
     freeze,
     freeze_fingerprint,
+    pass_shape,
     path_index,
     trainable_keys,  # noqa: F401
 )
@@ -252,17 +253,15 @@ def _epoch_batches(grid: ModuleGrid, task: TaskSpec, plan: BatchPlan, stop: int)
 
 def _workspace(spaces: dict, grid: ModuleGrid, task: TaskSpec, n: int, start: int) -> Workspace:
     """The phase's Workspace for a train pass of `task` over n samples from
-    layer `start`, found by (task id, n). There is one per pass shape, (row
-    widths, c, n, start), shared by every task of that shape; `spaces`
-    holds both keys. The freeze does not shape it: the backward reads
-    `PathIndex.lowest` and the rest of the freeze at each call."""
+    layer `start`, found by (task id, n): one per `pass_shape`, shared by
+    every task of that shape, and `spaces` holds both keys. The freeze does
+    not shape it: the backward reads it from the PathIndex at each call."""
     ws = spaces.get((task.id, n))
     if ws is None:
         index = path_index(grid, task)
-        shape = (tuple(map(len, index.path.rows)), task.c, n, start)
+        shape = pass_shape(grid, index, n, start)
         if shape not in spaces:
-            fan_in = grid.d_hid if start else grid.d_in
-            spaces[shape] = Workspace(grid, index, (n, fan_in), True, start)
+            spaces[shape] = Workspace(grid, index, shape[0], True, start)
         ws = spaces[task.id, n] = spaces[shape]
     return ws
 
@@ -276,17 +275,18 @@ def _finite(a: np.ndarray, zeros: np.ndarray) -> bool:
 
 def _train_batch(grid, task, idx, h, start, adam, lr, epoch, ws, zeros) -> float:
     """Forward from layer `start` (h: the batch's input there), loss and
-    backward kernels in `ws`, the Workspace of the pass's shape, then one
-    fused Adam step over the task's trainable tensors in the backward's
-    order. Checks no input: `_check_ready` did, once per call, and every
-    planned batch has >= 2 samples. A non-finite loss, or a non-finite value
-    among those the step wrote (the running statistics and the updated
-    parameters), fails the run: `train` checked the whole arena before the
-    first step, and nothing else writes it. `zeros` is as long as the arena."""
+    backward kernels in `ws`, the Workspace of the pass's shape, which the
+    forward returns as the tape the backward reads; then one fused Adam
+    step over the task's trainable tensors in the backward's order. Checks
+    no input: `_check_ready` did, once per call, and every planned batch
+    has >= 2 samples. A non-finite loss, or a non-finite value among those
+    the step wrote (the running statistics and the updated parameters),
+    fails the run: `train` checked the whole arena before the first step,
+    and nothing else writes it. `zeros` is as long as the arena."""
     index = path_index(grid, task)
     logits, tape = forward_kernel(grid, index, h, True, start, ws=ws)
     loss, dslice = softmax_xent_kernel(logits, task.train_ds.labels[idx])
-    grads = backward_kernel(grid, index, tape, dslice, ws=ws)
+    grads = backward_kernel(grid, index, tape, dslice)
     finite = math.isfinite(loss) and _finite(ws.stats, zeros)
     if index.segments.index.size:
         finite = _finite(adam.step(grid.arena, grads, index.segments, lr), zeros) and finite

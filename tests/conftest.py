@@ -1,5 +1,7 @@
+import ctypes
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,33 @@ import pytest
 from part import DegenerateRepresentation, ModuleGrid, assign_random_path, register_task
 from part.net import SHARED
 from part.data import Dataset, gen_synthetic_task
+
+
+# the OpenBLAS kernel the golden and bench-shape hashes were taken under;
+# another kernel rounds matrix products differently
+PINNED_CORE = "SkylakeX"
+NUMPY_LIBS = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+
+
+def blas_core(libs=NUMPY_LIBS):
+    """The core name of numpy's bundled OpenBLAS in `libs` ("SkylakeX", say):
+    the kernel it chose for this CPU, read through ctypes from
+    `scipy_openblas_get_corename64_` of the library numpy has loaded. None
+    where no library there has that symbol."""
+    for path in sorted(Path(libs).glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def pin_message() -> str:
+    """The failure message of a hash pin: the kernel this process loaded
+    against the one the pins were taken under."""
+    return f"OpenBLAS core {blas_core()}; the pins were taken under {PINNED_CORE}"
 
 
 def make_grid(L=2, M=4, N=2, d_in=6, d_hid=10, norm_mode="shared", seed=0,

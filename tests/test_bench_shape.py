@@ -6,13 +6,17 @@ uses (4 x 6 grid, path width 3, d_hid 16, batches of 16, 10 epochs). One
 report and checkpoint fingerprints pinned here, so a change to the
 training hot path that moves a bit at that shape fails Tier-1, not only
 the benchmark's fingerprint comparison. The module is imported the way
-`tests/test_tracer_names.py` imports the tracer.
+`tests/test_tracer_names.py` imports the tracer. Like the golden hashes,
+the pins hold for the OpenBLAS kernel they were taken under (SkylakeX),
+and a failure names the kernel this process loaded.
 """
 
 import importlib
 from pathlib import Path
 
 import pytest
+
+from conftest import pin_message
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,4 +36,4 @@ def test_a_bench_operation_keeps_its_fingerprints(monkeypatch, tmp_path, name):
     workloads = importlib.import_module("perfbench.workloads")
     op = workloads.run_op(workloads.WORKLOADS[name], 1, tmp_path)
     assert op.errors == []
-    assert op.fingerprint == PINS[name]
+    assert op.fingerprint == PINS[name], pin_message()

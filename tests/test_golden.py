@@ -9,10 +9,14 @@ cases pin `analyze`'s cka_report.json for both kernels the same way, and
 check every report entry against a per-pair copy of its arithmetic. A refactor that is
 meant to keep the numbers must keep these hashes; a change that alters bits
 on purpose re-pins them and says by how much the numbers moved. The hashes
-hold for numpy's bundled OpenBLAS on x86-64; another BLAS may round matrix
-products differently.
+were taken under numpy's bundled OpenBLAS running its SkylakeX kernel, and
+hold for that kernel: OpenBLAS picks a kernel per CPU, and kernels round
+matrix products differently (under Haswell 3 Tier-1 tests fail, under
+Sandybridge or Prescott 12). So every hash assertion's message names the
+kernel this process loaded (`conftest.blas_core`).
 """
 
+import _ctypes
 import hashlib
 import json
 import numpy as np
@@ -32,7 +36,7 @@ from part.experiment import (
 )
 from part.training import train_sequential
 
-from conftest import assert_matrix_is_per_pair, pair_cka
+from conftest import NUMPY_LIBS, assert_matrix_is_per_pair, blas_core, pair_cka, pin_message
 
 GOLDEN = {
     ("parallel", "per-task"): (
@@ -95,9 +99,10 @@ def test_golden_report_and_checkpoint(tmp_path, mode, norm_mode):
     assert report.config_hash == cfg.config_hash()
     got = (report_sha(tmp_path / REPORT_NAME),
            hashlib.sha256((tmp_path / CHECKPOINT_NAME).read_bytes()).hexdigest())
-    assert got == GOLDEN[(mode, norm_mode)]
+    assert got == GOLDEN[(mode, norm_mode)], pin_message()
     console = "".join(f"{line}\n" for line in lines)
-    assert hashlib.sha256(console.encode()).hexdigest() == CONSOLE_GOLDEN[(mode, norm_mode)]
+    assert (hashlib.sha256(console.encode()).hexdigest()
+            == CONSOLE_GOLDEN[(mode, norm_mode)]), pin_message()
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +145,7 @@ def test_memo_skips_unchanged_validations_and_keeps_the_pins(tmp_path, monkeypat
     assert len(evals) == MEMO_EVALS < UNMEMOISED_EVALS
     got = (report_sha(tmp_path / REPORT_NAME),
            hashlib.sha256((tmp_path / CHECKPOINT_NAME).read_bytes()).hexdigest())
-    assert got == GOLDEN[("sequential", norm_mode)]
+    assert got == GOLDEN[("sequential", norm_mode)], pin_message()
 
 
 @pytest.mark.parametrize("bump", [False, True])
@@ -195,7 +200,18 @@ def test_golden_cka_report(tmp_path, kernel):
     run_experiment(cfg)
     analyze_checkpoint(tmp_path / CHECKPOINT_NAME, cfg)
     doc = (tmp_path / "analysis" / "cka_report.json").read_bytes()
-    assert hashlib.sha256(doc).hexdigest() == CKA_GOLDEN[kernel]
+    assert hashlib.sha256(doc).hexdigest() == CKA_GOLDEN[kernel], pin_message()
+
+
+def test_blas_core_names_the_loaded_kernel(tmp_path):
+    if not list(NUMPY_LIBS.glob("libscipy_openblas*")):
+        pytest.skip("this numpy bundles no scipy-openblas library")
+    core = blas_core()
+    assert isinstance(core, str) and core and core in pin_message()
+    # no library there, or a library without the symbol: no name
+    assert blas_core(tmp_path) is None
+    (tmp_path / "libscipy_openblas64_.so").symlink_to(_ctypes.__file__)
+    assert blas_core(tmp_path) is None
 
 
 # The report's entries against `conftest.pair_cka`, the same arithmetic

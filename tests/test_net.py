@@ -22,7 +22,16 @@ from part import (
     softmax_xent_slice,
     trainable_keys,
 )
-from part.net import NORM_EPS, NORM_PARAMS, SHARED, _floyd_rows, forward_kernel, path_index
+from part.net import (
+    NORM_EPS,
+    NORM_PARAMS,
+    SHARED,
+    Workspace,
+    _floyd_rows,
+    forward_kernel,
+    pass_shape,
+    path_index,
+)
 from part.training import freeze_fingerprint
 
 from conftest import cells, make_grid, norm_keys
@@ -552,6 +561,30 @@ def test_tape_of_a_resumed_eval_pass_rejected(start):
                              start=start)
     with pytest.raises(ContractError):
         backward_task(grid, task, tape, np.zeros((4, task.c)))
+
+
+@pytest.mark.parametrize("case,match", [("another task", "belongs to task 1, not 0"),
+                                        ("stale", "stale tape"), ("resumed", "resumed pass")])
+def test_a_trainer_workspaces_tape_is_checked_as_its_last_pass(case, match):
+    # the trainer's workspace is shared by the tasks of one pass shape, and
+    # each pass through it stamps it anew
+    grid = make_grid(L=2, seed=19, class_counts=(3, 3))
+    start = 1 if case == "resumed" else 0
+    grid.frozen |= {(0, m) for m in range(grid.n_modules)}     # a train pass may resume at 1
+    ta, tb = grid.tasks
+    index = path_index(grid, ta)
+    shape = pass_shape(grid, index, 4, start)
+    assert shape == pass_shape(grid, path_index(grid, tb), 4, start)
+    ws = Workspace(grid, index, shape[0], True, start)
+    x = np.random.default_rng(19).normal(size=shape[0])
+    _, tape = forward_kernel(grid, index, x, True, start, ws=ws)
+    if case == "another task":
+        forward_kernel(grid, path_index(grid, tb), x, True, start, ws=ws)
+        backward_task(grid, tb, tape, np.zeros((4, tb.c)))    # the tape is now tb's
+    elif case == "stale":
+        grid.set_param(("head", ta.id, "b"), np.ones(ta.c))
+    with pytest.raises(ContractError, match=match):
+        backward_task(grid, ta, tape, np.zeros((4, ta.c)))
 
 
 def test_dslice_of_another_width_rejected():

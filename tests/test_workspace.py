@@ -2,10 +2,12 @@
 
 A pass through a reused `Workspace` gives the bits of a pass through a
 fresh one, whatever the workspace held before: another task's pass of the
-same shape, another batch, or NaN on its first build. A tape that a
-checked entry point returns is its own and is never written again. The
-trainer keeps only the current phase's workspaces, one per pass shape,
-shared by the tasks of that shape.
+same shape, another batch, or NaN on its first build. A pass's tape is
+the workspace it ran in: the trainer's backward reuses that workspace's
+arrays, while a tape that a checked entry point returns is its own, and
+neither it nor a gradient taken from it is ever written again. The trainer
+keeps only the current phase's workspaces, one per pass shape, shared by
+the tasks of that shape.
 """
 
 import copy
@@ -26,9 +28,10 @@ from part import (
     register_task,
     train_parallel,
     train_sequential,
+    trainable_keys,
 )
 from part import training
-from part.net import Workspace, backward_kernel, forward_kernel, path_index
+from part.net import Workspace, _backward_buffers, backward_kernel, forward_kernel, path_index
 
 from conftest import attach_synthetic, make_grid, randomize_norm_instances
 from test_fused_layer import same_bits
@@ -102,10 +105,10 @@ def test_a_reused_workspace_gives_a_fresh_passs_bits(p):
         if k == 0:
             # the backward's own arrays, NaN on their first build too
             forward = list(_float_arrays(list(vars(ws).values())))
-            for a in _float_arrays(ws.backward(tape, t_index.size)):
+            for a in _float_arrays(_backward_buffers(tape)):
                 if not any(np.shares_memory(a, f) for f in forward):
                     a.fill(np.nan)
-        grad = backward_kernel(grid, t_index, tape, dslice, ws=ws)
+        grad = backward_kernel(grid, t_index, tape, dslice)
 
         assert same_bits(logits, f_logits)
         assert same_bits(grid.arena, fresh_grid.arena)      # the running statistics
@@ -116,6 +119,36 @@ def test_a_reused_workspace_gives_a_fresh_passs_bits(p):
         assert all(same_bits(a, b) for a, b in zip(tape.inputs, f_tape.inputs))
         assert same_bits(tape.h_final, f_tape.h_final)
         assert same_bits(tape.head_W, f_tape.head_W)
+
+
+def test_the_trainers_backward_returns_its_workspaces_work_vector():
+    grid = make_grid(L=3, M=4, N=2, d_in=6, seed=47, class_counts=(3, 3))
+    task, other = grid.tasks
+    index = path_index(grid, task)
+    assert index.trainable is None                      # every tensor trains
+    ws = training._workspace({}, grid, task, 8, 0)
+    rng = np.random.default_rng(47)
+    grads = []
+    for t in (task, other, task):
+        t_index = path_index(grid, t)
+        logits, tape = forward_kernel(grid, t_index, rng.normal(size=(8, 6)), True, ws=ws)
+        assert tape is ws and logits is ws.logits and tape.task_id == t.id
+        grads.append(backward_kernel(grid, t_index, tape, rng.normal(size=(8, t.c))))
+    work = _backward_buffers(ws)[0]
+    assert all(grad is work for grad in grads)
+
+
+def test_backward_task_calls_on_one_tape_share_no_memory():
+    grid = make_grid(L=3, M=4, N=2, d_in=6, seed=53, class_counts=(3, 3))
+    task = grid.tasks[0]
+    rng = np.random.default_rng(53)
+    _, tape = forward_task(grid, task, rng.normal(size=(8, 6)), mode="train")
+    dslice = rng.normal(size=(8, task.c))
+    first, second = (backward_task(grid, task, tape, dslice) for _ in range(2))
+    assert list(first) == list(second) == trainable_keys(grid, task)
+    for key in first:
+        assert same_bits(first[key], second[key]), key
+        assert not np.shares_memory(first[key], second[key]), key
 
 
 def test_a_forward_task_tape_is_never_written_again():
