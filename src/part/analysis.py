@@ -4,7 +4,7 @@ CKA here is the biased HSIC estimator normalized to [0,1]:
 cka(X,Y) = hsic(Kx,Ky)/sqrt(hsic(Kx,Kx) hsic(Ky,Ky)) with
 hsic(K,L) = tr(K H L H)/(n-1)^2, H the centering matrix. Kernels: linear
 (K = X X^T) or RBF with bandwidth sigma = frac * median pairwise distance
-of the respective representation (an absolute sigma is also accepted).
+of the respective representation, as Kornblith et al. 2019 take it.
 
 Every Gram the package builds is symmetric bit for bit by construction:
 representations are made C-contiguous float64, so numpy computes X X^T
@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateRepresentation, InputError, NumericError
-from .net import ModuleGrid, Path, TaskSpec, forward_task
+from .net import ModuleGrid, Path, TaskSpec, _check_integers, forward_task
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,12 @@ def sharing_profile(paths: list[Path], M: int, L: int) -> SharingProfile:
 def expected_sharing_count(M: int, N: int, L: int, k: int, t: int) -> float:
     """Closed-form expected number of cells used by exactly t of k random
     paths: each cell is on a given task's path with probability N/M,
-    independently across tasks, so the count is Binomial(k, N/M) per cell."""
+    independently across tasks, so the count is Binomial(k, N/M) per cell.
+    Needs integers with 1 <= N <= M, L >= 1 and k, t >= 0."""
+    M, N, L, k, t = _check_integers(M=M, N=N, L=L, k=k, t=t)
+    if not (1 <= N <= M) or L < 1 or k < 0 or t < 0:
+        raise InputError(f"need 1 <= N <= M, L >= 1 and k, t >= 0, "
+                         f"got M={M}, N={N}, L={L}, k={k}, t={t}")
     p = N / M
     return L * M * math.comb(k, t) * p**t * (1 - p) ** (k - t)
 
@@ -180,12 +185,12 @@ def _gram_linear(X: np.ndarray) -> np.ndarray:
     return np.matmul(X.T, X)
 
 
-def _gram_rbf(X: np.ndarray, frac: float, sigma: Optional[float], *,
+def _gram_rbf(X: np.ndarray, frac: float, *,
               out: Optional[np.ndarray] = None) -> np.ndarray:
-    # exp(-d2 / (2 sigma^2)) with d2 the squared pairwise distances, built in
-    # place in one n x n array (`out`, or a new one); the row-block sums
-    # sq_i + sq_j and, while the median is taken, the upper triangle of d2
-    # are temporaries
+    # exp(-d2 / (2 sigma^2)) with d2 the squared pairwise distances and
+    # sigma = frac * the median distance, built in place in one n x n array
+    # (`out`, or a new one); the row-block sums sq_i + sq_j and, while the
+    # median is taken, the upper triangle of d2 are temporaries
     n = X.shape[0]
     sq = np.sum(X * X, axis=1)
     d2 = np.matmul(X, X.T, out=out)
@@ -194,27 +199,26 @@ def _gram_rbf(X: np.ndarray, frac: float, sigma: Optional[float], *,
         # (sq_i + sq_j) - 2 x_i.x_j
         np.subtract(sq[rows, None] + sq[None, :], d2[rows], out=d2[rows])
     np.maximum(d2, 0.0, out=d2)
-    if sigma is None:
-        # the median pairwise distance, exactly as np.median of the sqrt of
-        # the upper triangle: sqrt is correctly rounded and monotone, so the
-        # sqrt of an order statistic of d2 is that order statistic of the
-        # distances, and one partition of d2 at the middle finds it. An
-        # even count takes the mean of the two middle values, (lo + hi) / 2.
-        # NaNs partition to the end; like np.median, any NaN gives NaN.
-        d2u = d2[~np.tri(n, n, 0, dtype=bool)]
-        mid = d2u.size // 2
-        d2u.partition(mid)
-        if np.isnan(d2u[mid:]).any():
-            med = math.nan
-        else:
-            med = math.sqrt(d2u[mid])
-            if d2u.size % 2 == 0:
-                med = (math.sqrt(d2u[:mid].max()) + med) / 2.0
-        del d2u
-        if med == 0.0:
-            raise DegenerateRepresentation(
-                "zero median pairwise distance: representation is constant")
-        sigma = frac * med
+    # the median pairwise distance, exactly as np.median of the sqrt of the
+    # upper triangle: sqrt is correctly rounded and monotone, so the sqrt of
+    # an order statistic of d2 is that order statistic of the distances, and
+    # one partition of d2 at the middle finds it. An even count takes the
+    # mean of the two middle values, (lo + hi) / 2. NaNs partition to the
+    # end; like np.median, any NaN gives NaN.
+    d2u = d2[~np.tri(n, n, 0, dtype=bool)]
+    mid = d2u.size // 2
+    d2u.partition(mid)
+    if np.isnan(d2u[mid:]).any():
+        med = math.nan
+    else:
+        med = math.sqrt(d2u[mid])
+        if d2u.size % 2 == 0:
+            med = (math.sqrt(d2u[:mid].max()) + med) / 2.0
+    del d2u
+    if med == 0.0:
+        raise DegenerateRepresentation(
+            "zero median pairwise distance: representation is constant")
+    sigma = frac * med
     if sigma <= 0:
         raise InputError(f"rbf sigma must be positive, got {sigma}")
     d2 /= -(2.0 * sigma * sigma)          # the bits of -d2 / (2 sigma^2)
@@ -256,7 +260,7 @@ _CONSTANT = "constant representation: every sample is identical"
 
 
 def _cka_matrix(reps: list[np.ndarray], kernel: str, rbf_frac: float,
-                rbf_sigma: Optional[float], slots: Optional[np.ndarray]) -> tuple[list, list]:
+                slots: Optional[np.ndarray]) -> tuple[list, list]:
     """(all-pairs CKA matrix, per-representation flags) of checked
     representations. A flagged representation is constant (its flag says
     how) and its row and column are None. Each representation is scored
@@ -282,7 +286,7 @@ def _cka_matrix(reps: list[np.ndarray], kernel: str, rbf_frac: float,
             G = _gram_linear(F)
         else:
             try:
-                F = G = _center(_gram_rbf(X, rbf_frac, rbf_sigma, out=slots[j]))
+                F = G = _center(_gram_rbf(X, rbf_frac, out=slots[j]))
             except DegenerateRepresentation as e:
                 flag = str(e)
         if F is not None:
@@ -312,12 +316,12 @@ def _cka_matrix(reps: list[np.ndarray], kernel: str, rbf_frac: float,
 
 
 def cka(X: np.ndarray, Y: np.ndarray, kernel: str = "linear",
-        rbf_frac: float = 0.5, rbf_sigma: Optional[float] = None) -> float:
+        rbf_frac: float = 0.5) -> float:
     """Representation similarity in [0,1] between two sample-aligned sets.
 
     kernel 'linear' or 'rbf'; for 'rbf' the bandwidth is rbf_frac times
-    the median pairwise distance of each set separately, unless an
-    absolute rbf_sigma is given. The same routine as a report's
+    the median pairwise distance of each set separately (a non-positive
+    rbf_frac is an InputError). The same routine as a report's
     (`_cka_matrix`): linear CKA from the column-centred features, with no
     n x n array; RBF from two centred Grams in two n x n slots. Raises
     DegenerateRepresentation when a set is constant across samples (every
@@ -326,19 +330,14 @@ def cka(X: np.ndarray, Y: np.ndarray, kernel: str = "linear",
     """
     reps = _check_reps(X, Y)
     slots = _gram_slots(2, reps[0].shape[0]) if kernel == "rbf" else None
-    matrix, flags = _cka_matrix(reps, kernel, rbf_frac, rbf_sigma, slots)
+    matrix, flags = _cka_matrix(reps, kernel, rbf_frac, slots)
     if flags[0] or flags[1]:
         raise DegenerateRepresentation(flags[0] or flags[1])
     return matrix[0][1]
 
 
-def kernel_label(kernel: str, rbf_frac: float = 0.5,
-                 rbf_sigma: Optional[float] = None) -> str:
-    if kernel == "linear":
-        return "linear"
-    if rbf_sigma is not None:
-        return f"rbf(sigma={rbf_sigma:g})"
-    return f"rbf(frac={rbf_frac:g})"
+def kernel_label(kernel: str, rbf_frac: float = 0.5) -> str:
+    return "linear" if kernel == "linear" else f"rbf(frac={rbf_frac:g})"
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +358,10 @@ def balanced_sample(dataset, n: int, rng: Optional[np.random.Generator] = None):
     """Draw n samples with per-class quotas differing by at most one.
 
     Deterministic (first occurrences per class) unless an rng is given.
-    Errors out if any class cannot fill its quota; never truncates.
+    n must be an integer in [c, dataset.n]. Errors out if any class cannot
+    fill its quota; never truncates.
     """
+    (n,) = _check_integers(n=n)
     if n < dataset.c:
         raise InputError(f"need at least one sample per class: n={n} < c={dataset.c}")
     if n > dataset.n:
@@ -386,7 +387,7 @@ def capture_activations(grid: ModuleGrid, task: TaskSpec, n: int,
     drawn from the task's validation set (see `balanced_sample`)."""
     if task.val_ds is None:
         raise InputError(f"task {task.id} has no validation dataset to sample")
-    X, _ = balanced_sample(task.val_ds, int(n), rng)
+    X, _ = balanced_sample(task.val_ds, n, rng)
     _, tape = forward_task(grid, task, X, mode="eval")
     sets = []
     for l in range(grid.n_layers):
@@ -454,7 +455,7 @@ class CkaReport:
 
 
 def _layer_cka(la: ActivationSet, lb: ActivationSet, kernel: str, rbf_frac: float,
-               rbf_sigma: Optional[float], slots: Optional[np.ndarray]) -> LayerCka:
+               slots: Optional[np.ndarray]) -> LayerCka:
     """One layer of a report: the task pair's CKA, then the module matrix,
     RBF Grams each built in the report's slots."""
     entries = (
@@ -462,8 +463,8 @@ def _layer_cka(la: ActivationSet, lb: ActivationSet, kernel: str, rbf_frac: floa
         + [(f"t{lb.task_id}:m{m}", rep) for m, rep in lb.per_module.items()]
     )
     reps = _check_reps(la.rep, lb.rep, *(rep for _, rep in entries))
-    task_matrix, task_flags = _cka_matrix(reps[:2], kernel, rbf_frac, rbf_sigma, slots)
-    matrix, _ = _cka_matrix(reps[2:], kernel, rbf_frac, rbf_sigma, slots)
+    task_matrix, task_flags = _cka_matrix(reps[:2], kernel, rbf_frac, slots)
+    matrix, _ = _cka_matrix(reps[2:], kernel, rbf_frac, slots)
     return LayerCka(layer=la.layer, task_cka=task_matrix[0][1],
                     task_cka_flag=task_flags[0] or task_flags[1],
                     labels=[name for name, _ in entries], matrix=matrix,
@@ -472,7 +473,6 @@ def _layer_cka(la: ActivationSet, lb: ActivationSet, kernel: str, rbf_frac: floa
 
 def layerwise_cka_report(set_a: list[ActivationSet], set_b: list[ActivationSet],
                          kernel: str = "rbf", rbf_frac: float = 0.5,
-                         rbf_sigma: Optional[float] = None,
                          setup: str = "") -> CkaReport:
     """Task-vs-task CKA per layer plus the all-pairs module matrix, row i of
     `set_a` paired with row i of `set_b` (for two tasks' captures, inputs
@@ -488,9 +488,8 @@ def layerwise_cka_report(set_a: list[ActivationSet], set_b: list[ActivationSet],
         raise InputError("activation sets have different sample counts")
     p = max(2, *(len(la.per_module) + len(lb.per_module) for la, lb in zip(set_a, set_b)))
     slots = _gram_slots(p, n) if kernel == "rbf" else None
-    layers = [_layer_cka(la, lb, kernel, rbf_frac, rbf_sigma, slots)
-              for la, lb in zip(set_a, set_b)]
-    return CkaReport(setup=setup, kernel=kernel_label(kernel, rbf_frac, rbf_sigma),
+    layers = [_layer_cka(la, lb, kernel, rbf_frac, slots) for la, lb in zip(set_a, set_b)]
+    return CkaReport(setup=setup, kernel=kernel_label(kernel, rbf_frac),
                      task_a=set_a[0].task_id, task_b=set_b[0].task_id,
                      layers=layers, n_samples=n)
 

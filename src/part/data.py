@@ -245,6 +245,7 @@ class BatchPlan:
 
     @classmethod
     def for_dataset(cls, ds: Dataset, batch_size: int, rng: np.random.Generator) -> "BatchPlan":
+        (batch_size,) = _check_integers(batch_size=batch_size)
         if batch_size < 2:
             raise InputError(f"batch_size must be >= 2 (batch norm), got {batch_size}")
         return cls(batch_size=batch_size, order=rng.permutation(ds.n))
@@ -263,6 +264,7 @@ def next_batches(ds: Dataset, plan: BatchPlan, count: int) -> list[np.ndarray]:
     several (batch norm of one sample has zero variance): a one-sample tail
     joins the block before it. An exhausted plan yields [].
     """
+    (count,) = _check_integers(count=count)
     if len(plan.order) != ds.n:
         raise InputError("batch plan does not belong to this dataset")
     batches = []

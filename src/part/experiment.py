@@ -218,8 +218,7 @@ def analyze_checkpoint(ckpt_path, cfg: ExperimentConfig, out_dir=None) -> dict:
         set_b = capture_activations(grid, grid.tasks[b_id], cfg.analysis.capture_n, rng)
         setup = cfg.controlled_sharing if cfg.controlled_sharing is not None else "random"
         report = layerwise_cka_report(set_a, set_b, kernel=cfg.analysis.kernel,
-                                      rbf_frac=cfg.analysis.rbf_frac,
-                                      rbf_sigma=cfg.analysis.rbf_sigma, setup=setup)
+                                      rbf_frac=cfg.analysis.rbf_frac, setup=setup)
         path = out / "cka_report.json"
         write_json(path, asdict(report))
         artifacts["cka_report"] = str(path)

@@ -472,9 +472,12 @@ def build_controlled_paths(L: int, M: int = 4, N: int = 2,
     """Two-task paths for the controlled sharing setups.
 
     Layers in `shared_layers` give both tasks modules {0..N-1}; elsewhere
-    task A gets {0..N-1} and task B the disjoint {N..2N-1}. Requires M=2N
-    so full disjointness is possible.
+    task A gets {0..N-1} and task B the disjoint {N..2N-1}. Requires
+    integers L >= 1 and M = 2N, so full disjointness is possible.
     """
+    L, M, N = _check_integers(L=L, M=M, N=N)
+    if L < 1:
+        raise InputError(f"controlled setups need L >= 1, got {L}")
     if M != 2 * N:
         raise InputError(f"controlled setups need M = 2N, got M={M}, N={N}")
     shared = set(shared_layers)

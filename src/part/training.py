@@ -21,6 +21,7 @@ from .net import (
     TaskSpec,
     Workspace,
     _check_integers,
+    _is_integer,
     backward_kernel,
     backward_task,  # noqa: F401
     forward_kernel,
@@ -78,6 +79,9 @@ class TrainConfig:
         if not 0 < self.lr0 < math.inf:
             raise InputError(f"lr0 must be positive and finite, got {self.lr0}")
         halves = tuple(self.lr_halve_epochs)
+        if not all(map(_is_integer, halves)):
+            raise InputError(f"lr_halve_epochs must hold integers, got {halves!r}")
+        halves = tuple(map(int, halves))
         if list(halves) != sorted(set(halves)):
             raise InputError("lr_halve_epochs must be strictly increasing")
         self.lr_halve_epochs = halves

@@ -96,18 +96,17 @@ def attach_synthetic(grid, rng, n_per_class=30, margin=6.0):
 CONSTANT_FLAG = "constant representation: every sample is identical"
 
 
-def rbf_gram(X, frac, sigma):
+def rbf_gram(X, frac):
     """The RBF Gram in its direct form, with the bits of `_gram_rbf`."""
     sq = np.sum(X * X, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.maximum(d2, 0.0, out=d2)
-    if sigma is None:
-        iu = np.triu_indices(X.shape[0], k=1)
-        med = float(np.median(np.sqrt(d2[iu])))
-        if med == 0.0:
-            raise DegenerateRepresentation(
-                "zero median pairwise distance: representation is constant")
-        sigma = frac * med
+    iu = np.triu_indices(X.shape[0], k=1)
+    med = float(np.median(np.sqrt(d2[iu])))
+    if med == 0.0:
+        raise DegenerateRepresentation(
+            "zero median pairwise distance: representation is constant")
+    sigma = frac * med
     K = np.exp(-d2 / (2.0 * sigma * sigma))
     return (K + K.T) / 2.0
 
@@ -117,7 +116,7 @@ def centred_gram(K):
     return K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
 
 
-def pair_cka(X, Y, kernel, frac=0.5, sigma=None):
+def pair_cka(X, Y, kernel, frac=0.5):
     """(CKA, flag) of the pair (X, Y), taken in that order. Linear: from
     column-centred features, hsic(X, Y) = sum(C * C) / (n-1)^2 with
     C = X^T Y; RBF: from two centred Grams, sum(Kx * Ky) / (n-1)^2. Both
@@ -133,7 +132,7 @@ def pair_cka(X, Y, kernel, frac=0.5, sigma=None):
             G = F.T @ F
         else:
             try:
-                F = G = centred_gram(rbf_gram(R, frac, sigma))
+                F = G = centred_gram(rbf_gram(R, frac))
             except DegenerateRepresentation as e:
                 return None, None, str(e)
         h = float(np.einsum("ij,ij->", G, G) / (n - 1) ** 2)
@@ -154,13 +153,13 @@ def pair_cka(X, Y, kernel, frac=0.5, sigma=None):
     return hxy / math.sqrt(hx * hy), None
 
 
-def assert_matrix_is_per_pair(matrix, reps, kernel, frac=0.5, sigma=None):
+def assert_matrix_is_per_pair(matrix, reps, kernel, frac=0.5):
     """Every entry of an all-pairs matrix, bit for bit: entry (i, j) and
     (j, i) are both the pair taken in index order."""
     for i, X in enumerate(reps):
         for j, Y in enumerate(reps):
             first, second = (X, Y) if i <= j else (Y, X)
-            assert matrix[i][j] == pair_cka(first, second, kernel, frac, sigma)[0]
+            assert matrix[i][j] == pair_cka(first, second, kernel, frac)[0]
 
 
 @pytest.fixture

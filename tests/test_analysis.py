@@ -27,6 +27,7 @@ from part import (
     sharing_profile,
 )
 from part.analysis import ActivationSet
+from part.data import Dataset
 from part.net import (
     ModuleGrid,
     Path,
@@ -210,6 +211,22 @@ def test_hsic_input_validation():
     asym = np.triu(np.ones((4, 4)))
     with pytest.raises(InputError):
         hsic(asym, np.eye(4))
+    with pytest.raises(InputError, match=r"^K must be square, got \(3, 4\)$"):
+        hsic(np.ones((3, 4)), np.ones((3, 4)))
+
+
+_REP = np.random.default_rng(16).normal(size=(6, 3))
+
+
+@pytest.mark.parametrize("X, kwargs, message", [
+    (np.ones(6), {}, r"representations must be 2-D \(samples x features\)"),
+    (np.where(np.eye(6, 3) > 0, np.nan, _REP), {}, "representations contain non-finite values"),
+    (_REP, {"kernel": "rbf", "rbf_frac": 0}, "rbf sigma must be positive, got 0.0"),
+    (_REP, {"kernel": "rbf", "rbf_frac": -0.5}, r"rbf sigma must be positive, got -\d"),
+], ids=["1-D", "nan", "zero-frac", "negative-frac"])
+def test_bad_cka_input_is_an_input_error(X, kwargs, message):
+    with pytest.raises(InputError, match=f"^{message}"):
+        cka(X, _REP[:, ::-1], **kwargs)
 
 
 def test_cka_self_similarity_is_one():
@@ -315,7 +332,7 @@ def test_rbf_zero_median_of_a_varying_representation_is_still_flagged():
     assert cka(X, Y, kernel="linear") is not None
 
 
-def gram_rbf_reference(X, frac, sigma):
+def gram_rbf_reference(X, frac):
     """The RBF Gram in its direct form, which `analysis._gram_rbf` must match
     bit for bit: np.median of the sqrt of the upper-triangle gather, negate
     then divide, and an unconditional blockwise (K + K.T) / 2."""
@@ -325,15 +342,14 @@ def gram_rbf_reference(X, frac, sigma):
     for rows in analysis._blocks(X.shape[0]):
         np.subtract(sq[rows, None] + sq[None, :], d2[rows], out=d2[rows])
     np.maximum(d2, 0.0, out=d2)
-    if sigma is None:
-        n = X.shape[0]
-        dist = d2[np.triu(np.ones((n, n), dtype=bool), k=1)]
-        np.sqrt(dist, out=dist)
-        med = float(np.median(dist, overwrite_input=True))
-        if med == 0.0:
-            raise DegenerateRepresentation(
-                "zero median pairwise distance: representation is constant")
-        sigma = frac * med
+    n = X.shape[0]
+    dist = d2[np.triu(np.ones((n, n), dtype=bool), k=1)]
+    np.sqrt(dist, out=dist)
+    med = float(np.median(dist, overwrite_input=True))
+    if med == 0.0:
+        raise DegenerateRepresentation(
+            "zero median pairwise distance: representation is constant")
+    sigma = frac * med
     if sigma <= 0:
         raise InputError(f"rbf sigma must be positive, got {sigma}")
     np.negative(d2, out=d2)
@@ -366,35 +382,32 @@ def rbf_problem(draw):
     if not np.any(X != X[0]):
         X[0] += 1.0
     X *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    frac = draw(st.sampled_from([0.25, 0.5, 1.0]))
-    sigma = draw(st.one_of(st.none(), st.floats(1e-2, 1e2)))
-    return X, frac, sigma
+    return X, draw(st.sampled_from([0.25, 0.5, 1.0]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(rbf_problem())
 def test_rbf_gram_matches_the_median_and_symmetrise_reference(problem):
-    X, frac, sigma = problem
+    X, frac = problem
     try:
-        ref = gram_rbf_reference(X, frac, sigma)
+        ref = gram_rbf_reference(X, frac)
     except DegenerateRepresentation as e:      # most pairs are repeats
         with pytest.raises(DegenerateRepresentation, match=str(e)):
-            analysis._gram_rbf(X, frac, sigma)
+            analysis._gram_rbf(X, frac)
         return
-    assert analysis._gram_rbf(X, frac, sigma).tobytes() == ref.tobytes()
+    assert analysis._gram_rbf(X, frac).tobytes() == ref.tobytes()
 
 
 def test_rbf_gram_constant_representation_message():
     const = np.full((7, 3), 2.5)
     with pytest.raises(DegenerateRepresentation) as new:
-        analysis._gram_rbf(const, 0.5, None)
+        analysis._gram_rbf(const, 0.5)
     with pytest.raises(DegenerateRepresentation) as ref:
-        gram_rbf_reference(const, 0.5, None)
+        gram_rbf_reference(const, 0.5)
     assert str(new.value) == str(ref.value)
 
 
-@pytest.mark.parametrize("sigma", [None, 1.0])
-def test_rbf_gram_overflowing_rows_propagate_nan_like_the_reference(sigma):
+def test_rbf_gram_overflowing_rows_propagate_nan_like_the_reference():
     # two rows near 1e200: their squared norms overflow, inf - inf puts a
     # NaN into the upper triangle, and the median (hence sigma) is NaN.
     # NaN sign bits are not compared: negating before dividing flips them.
@@ -402,12 +415,10 @@ def test_rbf_gram_overflowing_rows_propagate_nan_like_the_reference(sigma):
     X = np.random.default_rng(5).normal(size=(9, 3))
     X[[2, 6]] = 1e200
     with np.errstate(over="ignore", invalid="ignore"):
-        K, ref = analysis._gram_rbf(X, 0.5, sigma), gram_rbf_reference(X, 0.5, sigma)
+        K, ref = analysis._gram_rbf(X, 0.5), gram_rbf_reference(X, 0.5)
         with pytest.raises(NumericError, match="rbf Gram overflowed"):
-            cka(X, X, kernel="rbf", rbf_sigma=sigma)
-    assert np.isnan(K[2, 6])
-    if sigma is None:
-        assert np.isnan(K).all()
+            cka(X, X, kernel="rbf")
+    assert np.isnan(K).all()
     assert np.array_equal(K, ref, equal_nan=True)
 
 
@@ -430,8 +441,8 @@ def checked_reps(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(checked_reps(), st.one_of(st.none(), st.floats(1e-2, 1e2)))
-def test_grams_of_checked_reps_are_symmetric_bit_for_bit(X, sigma):
+@given(checked_reps())
+def test_grams_of_checked_reps_are_symmetric_bit_for_bit(X):
     # nothing symmetrises or checks a Gram the package builds: this is
     # what guards numpy computing X @ X.T (RBF) and X^T X (the linear
     # feature Gram) of a C-contiguous X with syrk and mirroring the triangle
@@ -443,9 +454,9 @@ def test_grams_of_checked_reps_are_symmetric_bit_for_bit(X, sigma):
     assert G.shape == (R.shape[1], R.shape[1])
     assert G.tobytes() == G.T.tobytes()
     slots = np.full((2, R.shape[0], R.shape[0]), np.nan)
-    K = analysis._gram_rbf(R, 0.5, sigma)
+    K = analysis._gram_rbf(R, 0.5)
     assert K.tobytes() == K.T.tobytes()
-    assert analysis._gram_rbf(R, 0.5, sigma, out=slots[0]).tobytes() == K.tobytes()
+    assert analysis._gram_rbf(R, 0.5, out=slots[0]).tobytes() == K.tobytes()
 
 
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
@@ -534,6 +545,19 @@ def test_balanced_sample_quotas():
         balanced_sample(ds, 3)  # below one per class
 
 
+def test_balanced_sample_refuses_a_class_short_of_its_quota():
+    ds = Dataset(features=np.arange(6.0)[:, None], labels=[0, 0, 0, 0, 1, 1], c=2)
+    with pytest.raises(InputError, match="^class 1 has 2 samples, quota is 3$"):
+        balanced_sample(ds, 6)
+
+
+def test_capture_needs_a_validation_set():
+    grid = _grid_with_val()
+    grid.tasks[1].val_ds = None
+    with pytest.raises(InputError, match="^task 1 has no validation dataset to sample$"):
+        capture_activations(grid, grid.tasks[1], 8)
+
+
 # ---------------------------------------------------------------------------
 # layerwise reports
 
@@ -603,6 +627,15 @@ def _random_sets(n, n_layers=2, seed=0):
     return sets
 
 
+@pytest.mark.parametrize("cut, message", [
+    (lambda sa, sb: (sa, sb[:1]), "layer counts differ: 2 vs 1"),
+    (lambda sa, sb: ([], []), "empty activation sets"),
+], ids=["layer-count", "empty"])
+def test_report_refuses_unpaired_or_empty_layer_sets(cut, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        layerwise_cka_report(*cut(*_random_sets(6)), kernel="linear")
+
+
 def test_report_rejects_layers_of_another_sample_count():
     # every layer's Grams share the report's n x n slots
     sa, sb = _random_sets(12)
@@ -639,21 +672,19 @@ def slot_problem(draw):
     layers = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4),
                                      st.sampled_from([None, "task", "module"])),
                            min_size=1, max_size=3))
-    kernel, sigma = draw(st.sampled_from([("linear", None), ("rbf", None), ("rbf", 0.7),
-                                          ("rbf", 3.0)]))
-    return n, d, layers, kernel, sigma, draw(st.integers(0, 2**32 - 1))
+    kernel = draw(st.sampled_from(["linear", "rbf"]))
+    return n, d, layers, kernel, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=40, deadline=None)
 @given(slot_problem())
-@example((5, 2, [(2, 1, "module"), (1, 1, None), (3, 2, "task")], "rbf", None, 0))
-@example((4, 3, [(1, 2, "task"), (4, 3, "module")], "linear", None, 1))
-@example((6, 1, [(2, 3, None), (1, 2, "module")], "rbf", 0.7, 2))
+@example((5, 2, [(2, 1, "module"), (1, 1, None), (3, 2, "task")], "rbf", 0))
+@example((4, 3, [(1, 2, "task"), (4, 3, "module")], "linear", 1))
 def test_reused_slots_hold_no_stale_data(problem):
     # every layer's RBF Grams reuse one set of slots, NaN-filled before the
     # report: each entry must equal the pair taken alone in fresh memory
     # (conftest.pair_cka), bit for bit
-    n, d, layers, kernel, sigma, seed = problem
+    n, d, layers, kernel, seed = problem
     rng = np.random.default_rng(seed)
     set_a, set_b = [], []
     for l, (count_a, count_b, constant) in enumerate(layers):
@@ -675,16 +706,16 @@ def test_reused_slots_hold_no_stale_data(problem):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_gram_slots", nan_slots)
-        report = layerwise_cka_report(set_a, set_b, kernel=kernel, rbf_sigma=sigma)
+        report = layerwise_cka_report(set_a, set_b, kernel=kernel)
     # the linear kernel works on features and takes no slots
     assert allocated == ([max(2, *(a + b for a, b, _ in layers))] if kernel == "rbf" else [])
     for la, lb, lc in zip(set_a, set_b, report.layers):
-        assert (lc.task_cka, lc.task_cka_flag) == pair_cka(la.rep, lb.rep, kernel, 0.5, sigma)
+        assert (lc.task_cka, lc.task_cka_flag) == pair_cka(la.rep, lb.rep, kernel, 0.5)
         reps = [*la.per_module.values(), *lb.per_module.values()]
-        assert_matrix_is_per_pair(lc.matrix, reps, kernel, 0.5, sigma)
+        assert_matrix_is_per_pair(lc.matrix, reps, kernel, 0.5)
 
 
-def gram_cka_reference(X, Y, kernel, sigma):
+def gram_cka_reference(X, Y, kernel):
     """(CKA, flag) of one pair by the n x n Gram formula, independent of the
     package's: K = X X^T or the direct RBF form, centred out of place,
     hsic(K, L) = sum(K * L) / (n-1)^2 as one product and pairwise sum."""
@@ -694,7 +725,7 @@ def gram_cka_reference(X, Y, kernel, sigma):
         if (R == R[0]).all():
             return None, CONSTANT_FLAG
         try:
-            K = R @ R.T if kernel == "linear" else gram_rbf_reference(R, 0.5, sigma)
+            K = R @ R.T if kernel == "linear" else gram_rbf_reference(R, 0.5)
         except DegenerateRepresentation as e:
             return None, str(e)
         grams.append(K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True)
@@ -711,7 +742,7 @@ def gram_cka_reference(X, Y, kernel, sigma):
 def gram_problem(draw):
     """p representations of n samples and d features (d > n too), each
     scaled and shifted, some constant (a fill or a tiled row), under either
-    kernel with a median or an absolute sigma."""
+    kernel."""
     n = draw(st.integers(3, 40))
     d = draw(st.integers(1, 48))
     p = draw(st.integers(2, 6))
@@ -726,33 +757,31 @@ def gram_problem(draw):
         else:
             reps.append(rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0)
                         + rng.uniform(-2.0, 2.0, d))
-    kernel, sigma = draw(st.sampled_from([("linear", None), ("rbf", None), ("rbf", 0.7),
-                                          ("rbf", 3.0), ("rbf", 20.0)]))
-    return reps, kernel, sigma
+    return reps, draw(st.sampled_from(["linear", "rbf"]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(gram_problem())
-@example(([np.full((5, 3), 0.1), np.arange(15.0).reshape(5, 3)], "linear", None))
-@example(([np.array([[0.0], [1e-170], [0.0]]), np.eye(3, 2)], "linear", None))  # underflow
+@example(([np.full((5, 3), 0.1), np.arange(15.0).reshape(5, 3)], "linear"))
+@example(([np.array([[0.0], [1e-170], [0.0]]), np.eye(3, 2)], "linear"))  # underflow
 @example(([np.arange(12.0).reshape(3, 4) ** 2, np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)),
-           np.eye(3, 4)], "rbf", None))
+           np.eye(3, 4)], "rbf"))
 def test_report_entries_match_the_gram_formula(problem):
     # the package takes linear HSIC from centred features and RBF pair sums
     # by einsum; the Gram formula gives the same numbers up to rounding
-    reps, kernel, sigma = problem
+    reps, kernel = problem
     per_module = dict(enumerate(reps))
     sa = [ActivationSet(task_id=0, layer=0, rep=reps[0], per_module=per_module)]
     sb = [ActivationSet(task_id=1, layer=0, rep=reps[1], per_module={})]
-    lc = layerwise_cka_report(sa, sb, kernel=kernel, rbf_sigma=sigma).layers[0]
-    value, flag = gram_cka_reference(reps[0], reps[1], kernel, sigma)
+    lc = layerwise_cka_report(sa, sb, kernel=kernel).layers[0]
+    value, flag = gram_cka_reference(reps[0], reps[1], kernel)
     assert lc.task_cka_flag == flag
     assert (lc.task_cka is None) == (value is None)
     if value is not None:
         assert abs(lc.task_cka - value) <= 1e-12
     for i, X in enumerate(reps):
         for j, Y in enumerate(reps):
-            value = gram_cka_reference(X, Y, kernel, sigma)[0]
+            value = gram_cka_reference(X, Y, kernel)[0]
             assert (lc.matrix[i][j] is None) == (value is None)
             if value is not None:
                 assert abs(lc.matrix[i][j] - value) <= 1e-12
@@ -850,6 +879,29 @@ def test_average_cka_reports_elementwise_mean():
         i, j = 0, 1
         expect_m = np.mean([r1.layers[l].matrix[i][j], r2.layers[l].matrix[i][j]])
         assert avg.layers[l].matrix[i][j] == pytest.approx(expect_m, abs=1e-12)
+
+
+def _report(setup="x", kernel="linear", n_layers=2, seed=0):
+    sa, sb = _random_sets(6, n_layers=n_layers, seed=seed)
+    return layerwise_cka_report(sa, sb, kernel=kernel, setup=setup)
+
+
+def _relabelled(report):
+    report.layers[0].labels = ["a"] + report.layers[0].labels[1:]
+    return report
+
+
+@pytest.mark.parametrize("reports, message", [
+    (lambda: [], "no reports to average"),
+    (lambda: [_report(), _report(setup="y")], "reports must share setup and kernel to average"),
+    (lambda: [_report(), _report(kernel="rbf")], "reports must share setup and kernel to average"),
+    (lambda: [_report(), _report(n_layers=1)], "reports must have the same layer count"),
+    (lambda: [_report(), _relabelled(_report(seed=1))],
+     "reports must have matching module labels to average"),
+], ids=["none", "setup", "kernel", "layer-count", "labels"])
+def test_average_refuses_reports_that_do_not_match(reports, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        average_cka_reports(reports())
 
 
 def test_heatmap_csv_shape_and_clamping():

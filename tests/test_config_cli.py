@@ -12,7 +12,7 @@ from part import ConfigError, ContractError, InputError, load_checkpoint, load_c
 from part.cli import build_parser, main
 from part.config import NORM_MODES, parse_config
 from part.data import Dataset, standardize_pair, write_csv
-from part.experiment import attach_datasets, build_datasets, run_experiment
+from part.experiment import attach_datasets, build_datasets, profile_sharing_trials, run_experiment
 from part.training import SCHEDULES
 
 
@@ -134,7 +134,7 @@ def _field_by_field_canonical_dict(cfg):
         },
         "single_task_index": cfg.single_task_index,
         "controlled_sharing": cfg.controlled_sharing,
-        "analysis": {**vars(cfg.analysis), "pair": list(cfg.analysis.pair)},
+        "analysis": {**vars(cfg.analysis), "pair": list(cfg.analysis.pair), "rbf_sigma": None},
     }
 
 
@@ -166,7 +166,7 @@ def config_docs(draw):
         "cka": st.booleans(), "sharing": st.booleans(),
         "pair": st.lists(st.integers(0, k - 1), min_size=2, max_size=2),
         "capture_n": st.integers(3, 500), "kernel": st.sampled_from(["linear", "rbf"]),
-        "rbf_frac": number, "rbf_sigma": st.one_of(st.none(), number)})
+        "rbf_frac": number})
     optional = {"mode": st.sampled_from(list(SCHEDULES)), "norm_mode": st.sampled_from(NORM_MODES),
                 "out_dir": st.just("runs/x"), "single_task_index": st.integers(0, k - 1),
                 "train": train, "analysis": analysis,
@@ -196,8 +196,8 @@ def test_absent_optional_fields_take_the_documented_defaults(tmp_path):
         == ("parallel", "shared", 0, None)
     assert (t.epochs, t.batch_size, t.batch_set_size, t.lr0, t.lr_halve_epochs) \
         == (30, 16, 10, 1e-3, (20, 30, 40))
-    assert (a.cka, a.sharing, a.pair, a.capture_n, a.kernel, a.rbf_frac, a.rbf_sigma) \
-        == (True, True, (0, 0), 200, "rbf", 0.5, None)
+    assert (a.cka, a.sharing, a.pair, a.capture_n, a.kernel, a.rbf_frac) \
+        == (True, True, (0, 0), 200, "rbf", 0.5)
 
 
 def test_controlled_sharing_needs_two_tasks(tmp_path):
@@ -324,6 +324,17 @@ def test_a_csv_task_that_does_not_fit_exits_2(tmp_path, capsys):
         assert not (tmp_path / "run").exists()      # no run directory left behind
 
 
+def test_a_malformed_csv_task_exits_2_naming_its_line(tmp_path, capsys):
+    data = _csv_files(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("label,f0\n0,1.0\n1,2.0,3.0\n", encoding="utf-8")
+    doc = _with_csv_task(tmp_path, bad, data / "b_val.csv")
+    code, err = _exit_and_stderr(["train", "--config", str(write_config(tmp_path, doc))],
+                                 capsys)
+    assert code == 2 and err == f"error: {bad}:3: expected 2 cells, got 3\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_subcommand(tmp_path, capsys):
     out = tmp_path / "run"
     cfgp = write_config(tmp_path, minimal_config(out))
@@ -420,6 +431,42 @@ def test_profile_sharing_subcommand(tmp_path, capsys):
     payload = json.loads(text[text.index("{"):])
     assert payload["trials"] == 50
     assert "mean_histogram" in payload and "expected_histogram" in payload
+
+
+def test_profile_sharing_writes_its_out_file(tmp_path, capsys):
+    cfgp = write_config(tmp_path, minimal_config(tmp_path / "ps"))
+    out = tmp_path / "profile.json"
+    assert main(["profile-sharing", "--config", str(cfgp), "--trials", "3",
+                 "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"wrote {out}\n")
+    assert json.loads(out.read_text()) == json.loads(text[text.index("{"):])
+
+
+def test_profile_sharing_of_no_trials_exits_2(tmp_path, capsys):
+    cfgp = write_config(tmp_path, minimal_config(tmp_path / "ps"))
+    with pytest.raises(InputError, match="^trials must be >= 1, got 0$"):
+        profile_sharing_trials(load_config(cfgp), trials=0)
+    code, err = _exit_and_stderr(["profile-sharing", "--config", str(cfgp), "--trials", "0"],
+                                 capsys)
+    assert code == 2 and err == "error: trials must be >= 1, got 0\n"
+
+
+def test_gen_data_with_no_synthetic_task_writes_nothing(tmp_path, capsys):
+    csv = {"type": "csv", "train": "absent_train.csv", "val": "absent_val.csv"}
+    cfgp = write_config(tmp_path, minimal_config(tmp_path / "gen", tasks=[csv]))
+    assert main(["gen-data", "--config", str(cfgp)]) == 0
+    assert capsys.readouterr().out == "no synthetic tasks in config; nothing to write\n"
+    assert not any((tmp_path / "gen" / "data").iterdir())
+
+
+def test_train_mode_flag_overrides_the_config_mode(tmp_path, capsys):
+    doc = minimal_config(tmp_path / "run", mode="parallel")
+    assert main(["train", "--config", str(write_config(tmp_path, doc)),
+                 "--mode", "single"]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["mode"] == "single"
+    assert report["config_hash"] == parse_config(dict(doc, mode="single")).config_hash()
 
 
 def test_sequential_report_shows_late_task_drop(tmp_path):
@@ -631,7 +678,9 @@ def test_nonfinite_or_nonpositive_config_numbers_exit_2(tmp_path, capsys, comman
     if command == "analyze":
         argv += ["--ckpt", str(tmp_path / "checkpoint.part")]
     code, err = _exit_and_stderr(argv, capsys)
-    assert code == 2 and err.startswith(f"error: config field '{field}': must be ")
+    # the absolute bandwidth `rbf_sigma` was removed: any value of it is an unknown field
+    reason = "unknown field" if field == "analysis.rbf_sigma" else "must be "
+    assert code == 2 and err.startswith(f"error: config field '{field}': {reason}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
@@ -687,8 +736,9 @@ def test_config_value_out_of_range_exits_2_naming_the_field(tmp_path, capsys, up
     ({"train.lr": 0.1}, "train.lr"),
     ({"train.seed": 5}, "train.seed"),
     ({"analysis.kernal": "linear"}, "analysis.kernal"),
+    ({"analysis.rbf_sigma": 1.0}, "analysis.rbf_sigma"),     # a removed field
 ], ids=["top-level", "grid", "synthetic-task", "csv-task", "train.epoch", "train.lr",
-        "train.seed", "analysis"])
+        "train.seed", "analysis", "analysis.rbf_sigma"])
 def test_an_unknown_config_key_exits_2_naming_it(tmp_path, capsys, updates, field):
     doc = minimal_config(tmp_path / "run")
     for name, value in updates.items():
@@ -963,7 +1013,7 @@ def test_wrongly_typed_optional_field_exits_2(tmp_path, capsys, field, value):
     ("analysis.sharing", "yes"),
     ("analysis.pair", [0, False]),
     ("analysis.rbf_frac", "0.5"),
-    ("analysis.rbf_sigma", "1"),
+    ("analysis.rbf_sigma", "1"),            # a removed field: refused as unknown
     ("analysis.kernel", 3),
     ("analysis", "rbf"),
     ("out_dir", 5),
@@ -980,17 +1030,17 @@ def test_optional_field_types_are_checked(tmp_path, field, value):
 def test_numbers_keep_the_type_the_file_gives_them(tmp_path):
     # integers where floats are expected are kept as integers, so the hash
     # of a config that parsed before its optional fields were type-checked
-    # is unchanged (this hash was taken before that check existed)
+    # is unchanged (this hash was taken by the code before `rbf_sigma` was
+    # removed, so it also shows that the removal left the hash alone)
     doc = {
         "seed": 7, "mode": "parallel",
         "grid": {"n_layers": 2, "n_modules": 4, "path_width": 2, "d_in": 4, "d_hid": 6},
         "tasks": [{"type": "synthetic", "c": 3, "n_per_class": 10, "margin": 4.0},
                   {"type": "synthetic", "c": 2, "n_per_class": 10, "margin": 4}],
         "train": {"epochs": 3, "batch_size": 8, "lr0": 1, "lr_halve_epochs": [2]},
-        "analysis": {"rbf_frac": 1, "rbf_sigma": 2, "capture_n": 9},
+        "analysis": {"rbf_frac": 1, "capture_n": 9},
     }
     cfg = parse_config(doc)
-    assert cfg.config_hash() == "c62fa2351c0c48891454b87b3c0532c9f6c46d0f71b49fb5c2fc887b709f3704"
-    assert [type(v) for v in (cfg.train.lr0, cfg.analysis.rbf_frac, cfg.analysis.rbf_sigma)] \
-        == [int, int, int]
+    assert cfg.config_hash() == "c9647fe88499beb8a9dd1ef8554c7ea01ac17987cfcd70ab7b1ad5e6eb88b86b"
+    assert [type(v) for v in (cfg.train.lr0, cfg.analysis.rbf_frac)] == [int, int]
     assert cfg.tasks[1].margin == 4.0 and type(cfg.tasks[1].margin) is float

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -132,6 +133,8 @@ def test_degenerate_parameters_rejected():
         gen_synthetic_task(rng, c=2, n_per_class=20, d=1, margin=1.0)
     with pytest.raises(InputError):
         gen_synthetic_task(rng, c=2, n_per_class=20, d=4, margin=0.0)
+    with pytest.raises(InputError, match="^need n_per_class >= 5 for a stratified split, got 4$"):
+        gen_synthetic_task(rng, c=2, n_per_class=4, d=4, margin=1.0)
 
 
 @pytest.mark.parametrize("sizes, name", [
@@ -230,6 +233,11 @@ def test_a_numpy_integer_class_count_is_stored_as_int(c):
 def _blob(rng, n, c=2, d=3, name="ds"):
     labels = np.arange(n) % c
     return Dataset(features=rng.normal(size=(n, d)), labels=labels, c=c, name=name)
+
+
+def test_oversample_of_nothing_is_an_input_error():
+    with pytest.raises(InputError, match="^no datasets to oversample$"):
+        oversample_to_equal([], np.random.default_rng(0))
 
 
 def test_oversample_to_max_size():
@@ -346,6 +354,22 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     p3.write_text("labels,f0\n0,1.0\n", encoding="utf-8")
     with pytest.raises(CsvParseError):
         load_csv(p3)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("label\n0\n", 1, "no feature columns"),
+    ("label,f1\n0,1.0\n", 1, "header must be label,f0"),
+    ("label,f0\n0,1.0\n1,2.0,3.0\n", 3, "expected 2 cells, got 3"),
+    ("label,f0\n0,1.0\none,2.0\n", 3, "non-integer label 'one'"),
+    ("label,f0\n\n", 2, "file has no samples"),
+    ("label,f0\n0,1.0\n-1,2.0\n", 1, "negative label"),
+], ids=["no-features", "header", "cell-count", "label-text", "no-samples", "negative-label"])
+def test_malformed_csv_is_a_parse_error_naming_its_line(tmp_path, text, line, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(CsvParseError, match=f"^{re.escape(str(p))}:{line}: {message}$") as exc:
+        load_csv(p)
+    assert exc.value.line == line
 
 
 def test_failed_csv_write_keeps_the_old_file(tmp_path, rng, monkeypatch):

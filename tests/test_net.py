@@ -188,6 +188,15 @@ def test_invalid_path_requests():
         Path(((2, 1),))
 
 
+@pytest.mark.parametrize("rows, message", [
+    (((0, 1), ()), "path row 1 is empty"),
+    (((-1, 2),), "path row 0 has negative module index"),
+], ids=["empty-row", "negative"])
+def test_path_rows_must_be_non_empty_and_non_negative(rows, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        Path(rows)
+
+
 @pytest.mark.parametrize("row", [(True, 2), (0, np.True_), ("0", "1"), (0, 0.5), (0, 1.0)])
 def test_path_entries_must_be_integers(row):
     with pytest.raises(InputError, match="path row 0 must hold integers"):
@@ -246,6 +255,16 @@ def _norm_instances(grid, l, m):
             continue
         found.append(nk)
     return found
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((0, 2, 4, 5), {}, "grid needs at least one layer and one module"),
+    ((2, 0, 4, 5), {}, "grid needs at least one layer and one module"),
+    ((2, 2, 4, 5), {"norm_mode": "batch"}, "norm_mode must be 'shared' or 'per-task', got 'batch'"),
+], ids=["no-layers", "no-modules", "norm-mode"])
+def test_a_grid_with_no_cells_or_an_unknown_norm_mode_is_refused(args, kwargs, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        ModuleGrid(*args, **kwargs)
 
 
 @pytest.mark.parametrize("d_in, d_hid", [(0, 4), (4, 0), (-1, 4), (4, -1)])
@@ -441,6 +460,19 @@ def test_one_sample_training_batch_rejected():
         forward_task(grid, task, x, mode="train")
     logits, _ = forward_task(grid, task, x, mode="eval")
     assert logits.shape == (1, task.c)
+
+
+@pytest.mark.parametrize("n, mode, message", [
+    (4, "test", "mode must be 'train' or 'eval', got 'test'"),
+    (0, "eval", "empty batch"),
+    (0, "train", "empty batch"),
+])
+def test_forward_refuses_an_unknown_mode_or_an_empty_batch(n, mode, message):
+    grid = make_grid(seed=7)
+    version = grid.version
+    with pytest.raises(InputError, match=f"^{message}$"):
+        forward_task(grid, grid.tasks[0], np.zeros((n, grid.d_in)), mode=mode)
+    assert grid.version == version
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from part import AdamState, InputError, NumericError, adam_step, finite_diff_check, softmax_xent_slice
+from part.numerics import FlatAdam, Segments
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,20 @@ def test_adam_shape_mismatch_rejected():
         adam_step(p, np.zeros((2, 3)), state)
     with pytest.raises(InputError):
         adam_step(np.zeros((3, 2)), np.zeros((3, 2)), state)
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-3])
+def test_adam_state_needs_a_positive_learning_rate(lr):
+    with pytest.raises(InputError, match=f"^lr must be positive, got {lr}$"):
+        AdamState.for_param(np.zeros(2), lr)
+
+
+def test_flat_adam_refuses_a_gradient_of_another_length():
+    adam, params = FlatAdam(5), np.zeros(5)
+    segments = Segments.of([np.array([0, 1]), np.array([3])])
+    with pytest.raises(InputError, match=r"^expected 3 gradient values, got \(2,\)$"):
+        adam.step(params, np.ones(2), segments, 1e-3)
+    assert not params.any() and not adam.steps.any()
 
 
 def test_adam_is_pure():
@@ -196,6 +211,8 @@ def test_mismatched_grad_shape_rejected():
 
     with pytest.raises(InputError):
         finite_diff_check(f, [np.zeros(3)], [np.zeros(2)])
+    with pytest.raises(InputError, match="^params and analytic_grads must pair up$"):
+        finite_diff_check(f, [np.zeros(3), np.zeros(2)], [np.zeros(3)])
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])

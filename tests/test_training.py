@@ -497,6 +497,14 @@ def test_report_round_trips_through_json(procedure):
     assert RunReport.from_json_dict(json.loads(json.dumps(d))) == report
 
 
+def test_final_accuracy_of_a_task_the_report_lacks_is_an_input_error():
+    report = RunReport(config_hash=None, seed=0, mode="parallel", tasks=[], epochs=[],
+                       final=[{"task": 0, "val_acc": 0.75}], wallclock_s=0.0)
+    assert report.final_accuracy(0) == 0.75
+    with pytest.raises(InputError, match="^no final entry for task 1$"):
+        report.final_accuracy(1)
+
+
 def test_zero_epoch_budget_stays_at_chance():
     accs = []
     for seed in (50, 51, 52):
