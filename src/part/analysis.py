@@ -79,7 +79,9 @@ class SharingProfile:
 
 
 def sharing_profile(paths: list[Path], M: int, L: int) -> SharingProfile:
-    """Count task-usage multiplicity of every (layer, module) cell."""
+    """Count task-usage multiplicity of every (layer, module) cell of an
+    L x M grid; M and L are integers >= 1, and each path must fit them."""
+    M, L = _check_integers(M=(M, 1), L=(L, 1))
     for path in paths:
         path.check(M, L)
     cells = [l * M + m for path in paths for l, row in enumerate(path.rows) for m in row]
@@ -104,10 +106,9 @@ def expected_sharing_count(M: int, N: int, L: int, k: int, t: int) -> float:
     paths: each cell is on a given task's path with probability N/M,
     independently across tasks, so the count is Binomial(k, N/M) per cell.
     Needs integers with 1 <= N <= M, L >= 1 and k, t >= 0."""
-    M, N, L, k, t = _check_integers(M=M, N=N, L=L, k=k, t=t)
-    if not (1 <= N <= M) or L < 1 or k < 0 or t < 0:
-        raise InputError(f"need 1 <= N <= M, L >= 1 and k, t >= 0, "
-                         f"got M={M}, N={N}, L={L}, k={k}, t={t}")
+    M, N, L, k, t = _check_integers(M=(M, 1), N=(N, 1), L=(L, 1), k=(k, 0), t=(t, 0))
+    if N > M:
+        raise InputError(f"need N <= M, got N={N}, M={M}")
     p = N / M
     return L * M * math.comb(k, t) * p**t * (1 - p) ** (k - t)
 
@@ -361,9 +362,7 @@ def balanced_sample(dataset, n: int, rng: Optional[np.random.Generator] = None):
     n must be an integer in [c, dataset.n]. Errors out if any class cannot
     fill its quota; never truncates.
     """
-    (n,) = _check_integers(n=n)
-    if n < dataset.c:
-        raise InputError(f"need at least one sample per class: n={n} < c={dataset.c}")
+    (n,) = _check_integers(n=(n, dataset.c))     # one sample per class at least
     if n > dataset.n:
         raise InputError(f"requested {n} samples but dataset has {dataset.n}")
     base, extra = divmod(n, dataset.c)

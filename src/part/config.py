@@ -171,7 +171,7 @@ def _parse_task(i: int, d: dict) -> TaskConfig:
     if kind == "synthetic":
         c = _get(d, "c", int, where)
         if c < 2:
-            raise ConfigError(f"{where}.c", f"class count must be >= 2, got {c}")
+            raise ConfigError(f"{where}.c", f"must be >= 2, got {c}")
         n_per_class = _get(d, "n_per_class", int, where)
         if n_per_class < 5:
             raise ConfigError(f"{where}.n_per_class", f"must be >= 5, got {n_per_class}")
@@ -224,9 +224,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         train = TrainConfig(**t, seed=seed)
     except ValueError as e:
         raise ConfigError("train", str(e)) from None
-    if train.batch_size < 2:
-        raise ConfigError("train.batch_size",
-                          f"must be >= 2 (batch norm of one sample), got {train.batch_size}")
 
     single_task_index = _get(doc, "single_task_index", int,
                              default=ExperimentConfig.single_task_index)

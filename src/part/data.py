@@ -115,22 +115,19 @@ def gen_synthetic_task(rng: np.random.Generator, c: int, n_per_class: int,
     round(0.2 * n_per_class) entries (at least 1) go to val. Each split
     lists its samples class by class, in permutation order.
 
-    A margin that is not finite is refused before any draw. Both splits
+    The sizes are integers with c >= 2, n_per_class >= 5 (so each class
+    gives its val split at least one sample and train at least four) and
+    d >= 2; they and a margin that is not finite or not positive are
+    refused before any draw. Both splits
     are valid by construction but for their features' finiteness (a margin
     so large that the features overflow), which is checked here; they are
     built through `Dataset._of_valid`, without the other checks.
     """
-    c, n_per_class, d = _check_integers(c=c, n_per_class=n_per_class, d=d)
-    if c < 2:
-        raise InputError(f"need c >= 2, got {c}")
-    if d < 2:
-        raise InputError(f"need d >= 2, got {d}")
+    c, n_per_class, d = _check_integers(c=(c, 2), n_per_class=(n_per_class, 5), d=(d, 2))
     if not math.isfinite(margin):
         raise InputError(f"margin must be finite, got {margin}")
     if margin <= 0:
         raise InputError(f"need margin > 0, got {margin}")
-    if n_per_class < 5:
-        raise InputError(f"need n_per_class >= 5 for a stratified split, got {n_per_class}")
 
     means = rng.normal(size=(c, d))
     # np.linalg.norm of a vector is sqrt(x.dot(x)), and sqrt is monotone
@@ -245,9 +242,7 @@ class BatchPlan:
 
     @classmethod
     def for_dataset(cls, ds: Dataset, batch_size: int, rng: np.random.Generator) -> "BatchPlan":
-        (batch_size,) = _check_integers(batch_size=batch_size)
-        if batch_size < 2:
-            raise InputError(f"batch_size must be >= 2 (batch norm), got {batch_size}")
+        (batch_size,) = _check_integers(batch_size=(batch_size, 2))    # batch norm
         return cls(batch_size=batch_size, order=rng.permutation(ds.n))
 
     @property
@@ -262,9 +257,10 @@ def next_batches(ds: Dataset, plan: BatchPlan, count: int) -> list[np.ndarray]:
 
     The final block of an epoch may be short, but never one sample out of
     several (batch norm of one sample has zero variance): a one-sample tail
-    joins the block before it. An exhausted plan yields [].
+    joins the block before it. An exhausted plan yields []. `count` is an
+    integer >= 0; the plan must be this dataset's.
     """
-    (count,) = _check_integers(count=count)
+    (count,) = _check_integers(count=(count, 0))
     if len(plan.order) != ds.n:
         raise InputError("batch plan does not belong to this dataset")
     batches = []

@@ -26,7 +26,13 @@ from .checkpoint import load_checkpoint, save_checkpoint, write_atomic, write_js
 from .config import ExperimentConfig
 from .data import gen_synthetic_task, load_csv, oversample_to_equal, standardize_pair, write_csv
 from .errors import ConfigError, InputError
-from .net import ModuleGrid, assign_random_paths, build_controlled_paths, register_tasks
+from .net import (
+    ModuleGrid,
+    _check_integers,
+    assign_random_paths,
+    build_controlled_paths,
+    register_tasks,
+)
 from .training import (
     STREAM_ANALYSIS,
     STREAM_DATA,
@@ -233,9 +239,9 @@ def analyze_checkpoint(ckpt_path, cfg: ExperimentConfig, out_dir=None) -> dict:
 
 def profile_sharing_trials(cfg: ExperimentConfig, trials: int = 1) -> dict:
     """Monte-Carlo sharing profile over `trials` random path assignments,
-    with the binomial expectation per multiplicity alongside."""
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
+    with the binomial expectation per multiplicity alongside; `trials` is
+    an integer >= 1."""
+    (trials,) = _check_integers(trials=(trials, 1))
     g = cfg.grid
     k = len(cfg.tasks)
     rng = derive_rng(cfg.seed, STREAM_PATHS)

@@ -186,13 +186,8 @@ class ModuleGrid:
         if norm_mode not in ("shared", "per-task"):
             raise InputError(f"norm_mode must be 'shared' or 'per-task', got {norm_mode!r}")
         n_layers, n_modules, d_in, d_hid, seed = _check_integers(
-            n_layers=n_layers, n_modules=n_modules, d_in=d_in, d_hid=d_hid, seed=seed)
-        if n_layers < 1 or n_modules < 1:
-            raise InputError("grid needs at least one layer and one module")
-        if d_in < 1 or d_hid < 1:
-            raise InputError(f"grid widths must be >= 1, got d_in={d_in}, d_hid={d_hid}")
-        if seed < 0:
-            raise InputError(f"seed must be >= 0, got {seed}")
+            n_layers=(n_layers, 1), n_modules=(n_modules, 1), d_in=(d_in, 1),
+            d_hid=(d_hid, 1), seed=(seed, 0))
         self.n_layers = n_layers
         self.n_modules = n_modules
         self.d_in = d_in
@@ -314,12 +309,18 @@ def _is_index(i, n: int) -> bool:
 
 
 def _check_integers(**sizes) -> list[int]:
-    """`sizes`' values as Python ints, in order; InputError naming the first
-    that is not an integer by `_is_integer`."""
-    for name, v in sizes.items():
+    """The values of `sizes`, each given as `name=(value, least)`, as Python
+    ints, in order. The one size rule: InputError naming the first value
+    that is not an integer by `_is_integer` ("<name> must be an integer,
+    got <value!r>"); then, in argument order, the first below its least
+    ("<name> must be >= <least>, got <value>")."""
+    for name, (v, _) in sizes.items():
         if not _is_integer(v):
             raise InputError(f"{name} must be an integer, got {v!r}")
-    return [int(v) for v in sizes.values()]
+    for name, (v, least) in sizes.items():
+        if v < least:
+            raise InputError(f"{name} must be >= {least}, got {v}")
+    return [int(v) for v, _ in sizes.values()]
 
 
 def register_tasks(grid: ModuleGrid, cs, names=None) -> list[TaskSpec]:
@@ -333,13 +334,10 @@ def register_tasks(grid: ModuleGrid, cs, names=None) -> list[TaskSpec]:
 
     The returned TaskSpecs have no path yet; assign one explicitly.
     """
-    cs = [_check_integers(c=c)[0] for c in cs]
+    cs = [_check_integers(c=(c, 2))[0] for c in cs]
     names = [""] * len(cs) if names is None else list(names)
     if len(names) != len(cs):
         raise InputError(f"got {len(names)} names for {len(cs)} class counts")
-    for c in cs:
-        if c < 2:
-            raise InputError(f"class count must be >= 2, got {c}")
     if not cs:
         return []
     d, start = grid.d_hid, grid.c_total
@@ -368,15 +366,12 @@ def register_tasks(grid: ModuleGrid, cs, names=None) -> list[TaskSpec]:
     return tasks
 
 
-def register_task(grid: ModuleGrid, c: int, name: str = "",
-                  train_ds=None, val_ds=None) -> TaskSpec:
-    """Add a task to the grid, with its datasets: `register_tasks(grid,
-    [c], [name])`'s one task. The returned TaskSpec has no path yet; assign
-    one explicitly.
+def register_task(grid: ModuleGrid, c: int, name: str = "") -> TaskSpec:
+    """Add one task to the grid: `register_tasks(grid, [c], [name])[0]`.
+    The returned TaskSpec has no path or datasets yet; assign them
+    explicitly.
     """
-    (task,) = register_tasks(grid, [c], [name])
-    task.train_ds, task.val_ds = train_ds, val_ds
-    return task
+    return register_tasks(grid, [c], [name])[0]
 
 
 def assign_random_path(M: int, N: int, L: int, rng: np.random.Generator) -> Path:
@@ -414,13 +409,9 @@ def assign_random_paths(M: int, N: int, L: int, k: int,
     construction, so their Paths are built without `Path`'s checks
     (`Path._of_valid`); the fallback's rows go through them.
     """
-    M, N, L, k = _check_integers(M=M, N=N, L=L, k=k)
-    if not (1 <= N <= M):
-        raise InputError(f"need 1 <= N <= M, got N={N}, M={M}")
-    if L < 1:
-        raise InputError(f"need L >= 1, got {L}")
-    if k < 0:
-        raise InputError(f"need k >= 0, got {k}")
+    M, N, L, k = _check_integers(M=(M, 1), N=(N, 1), L=(L, 1), k=(k, 0))
+    if N > M:
+        raise InputError(f"need N <= M, got N={N}, M={M}")
     rows = _floyd_rows(M, N, k * L, rng.bit_generator)
     if rows is not None:
         return [Path._of_valid(tuple(rows[t * L:(t + 1) * L])) for t in range(k)]
@@ -473,17 +464,16 @@ def build_controlled_paths(L: int, M: int = 4, N: int = 2,
 
     Layers in `shared_layers` give both tasks modules {0..N-1}; elsewhere
     task A gets {0..N-1} and task B the disjoint {N..2N-1}. Requires
-    integers L >= 1 and M = 2N, so full disjointness is possible.
+    integers L, N >= 1 and M = 2N, so full disjointness is possible, and
+    each shared layer an integer in [0, L).
     """
-    L, M, N = _check_integers(L=L, M=M, N=N)
-    if L < 1:
-        raise InputError(f"controlled setups need L >= 1, got {L}")
+    L, M, N = _check_integers(L=(L, 1), M=(M, 2), N=(N, 1))
     if M != 2 * N:
         raise InputError(f"controlled setups need M = 2N, got M={M}, N={N}")
     shared = set(shared_layers)
-    bad = [l for l in shared if not (0 <= l < L)]
+    bad = [l for l in shared if not _is_index(l, L)]
     if bad:
-        raise InputError(f"shared layer indices {bad} outside [0,{L})")
+        raise InputError(f"shared layers must be integers in [0,{L}), got {bad}")
     low = tuple(range(N))
     high = tuple(range(N, 2 * N))
     rows_a = tuple(low for _ in range(L))

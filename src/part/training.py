@@ -21,7 +21,6 @@ from .net import (
     TaskSpec,
     Workspace,
     _check_integers,
-    _is_integer,
     backward_kernel,
     backward_task,  # noqa: F401
     forward_kernel,
@@ -62,6 +61,13 @@ def batch_rng(seed: int, task_id: int) -> np.random.Generator:
 
 @dataclass
 class TrainConfig:
+    """One training call's settings. The sizes follow the one size rule
+    (`net._check_integers`) and are stored as Python ints: `epochs` >= 0,
+    `batch_size` >= 2 (batch norm of one sample has zero variance),
+    `batch_set_size` >= 1, `seed` >= 0, and each `lr_halve_epochs` entry
+    a 1-indexed epoch >= 1, the entries strictly increasing. `lr0` is
+    positive and finite."""
+
     epochs: int = 30
     batch_size: int = 16
     batch_set_size: int = 10
@@ -70,21 +76,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.epochs, self.batch_size, self.batch_set_size = _check_integers(
-            epochs=self.epochs, batch_size=self.batch_size, batch_set_size=self.batch_set_size)
-        if self.epochs < 0:
-            raise InputError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_set_size < 1:
-            raise InputError(f"batch_set_size must be >= 1, got {self.batch_set_size}")
+        halves = tuple(self.lr_halve_epochs)
+        self.epochs, self.batch_size, self.batch_set_size, self.seed, *halves = _check_integers(
+            epochs=(self.epochs, 0), batch_size=(self.batch_size, 2),
+            batch_set_size=(self.batch_set_size, 1), seed=(self.seed, 0),
+            **{f"lr_halve_epochs[{i}]": (h, 1) for i, h in enumerate(halves)})
         if not 0 < self.lr0 < math.inf:
             raise InputError(f"lr0 must be positive and finite, got {self.lr0}")
-        halves = tuple(self.lr_halve_epochs)
-        if not all(map(_is_integer, halves)):
-            raise InputError(f"lr_halve_epochs must hold integers, got {halves!r}")
-        halves = tuple(map(int, halves))
-        if list(halves) != sorted(set(halves)):
+        if halves != sorted(set(halves)):
             raise InputError("lr_halve_epochs must be strictly increasing")
-        self.lr_halve_epochs = halves
+        self.lr_halve_epochs = tuple(halves)
 
     def effective_lr(self, epoch: int) -> float:
         """Learning rate at a 1-indexed epoch: lr0 halved once per schedule
@@ -95,11 +96,16 @@ class TrainConfig:
 
 @dataclass
 class EpochScheduler:
-    """Tracks untrained batches per task within one epoch."""
+    """Tracks untrained batches per task within one epoch. `batch_set_size`
+    is an integer >= 1, so each round grants at least one batch and an
+    epoch ends."""
 
     remaining: dict[int, int]
     batch_set_size: int
     rng: np.random.Generator
+
+    def __post_init__(self):
+        (self.batch_set_size,) = _check_integers(batch_set_size=(self.batch_set_size, 1))
 
 
 def schedule_round(sched: EpochScheduler):

@@ -319,6 +319,11 @@ def test_constant_representation_is_flagged_in_a_report(kernel, name):
     matrix = report.layers[1].matrix
     assert matrix[-1] == [None] * 6 and [row[-1] for row in matrix] == [None] * 6
     assert all(v is not None for row in matrix[:-1] for v in row[:-1])
+    assert report.task_curve() == [l.task_cka for l in report.layers]
+    # the flagged module's row and column read nan in the heatmap
+    rows = [line.split(",") for line in report.heatmap_csv(1).splitlines()[2:]]
+    assert rows[-1][1:] == ["nan"] * 6 and [row[-1] for row in rows] == ["nan"] * 6
+    assert all(v != "nan" for row in rows[:-1] for v in row[1:-1])
 
 
 def test_rbf_zero_median_of_a_varying_representation_is_still_flagged():

@@ -151,8 +151,8 @@ def test_one_registration_call_equals_one_call_per_task(L, M, d_in, d_hid, norm_
 
 
 BAD_BATCHES = {
-    "below-two-first": ([1, 3, 4], None, "class count must be >= 2, got 1"),
-    "zero-last": ([3, 4, 0], None, "class count must be >= 2, got 0"),
+    "below-two-first": ([1, 3, 4], None, "c must be >= 2, got 1"),
+    "zero-last": ([3, 4, 0], None, "c must be >= 2, got 0"),
     "float-middle": ([3, 2.0, 4], None, "c must be an integer, got 2.0"),
     "bool-last": ([3, 4, True], None, "c must be an integer, got True"),
     "str-first": (["3", 3, 4], None, "c must be an integer, got '3'"),

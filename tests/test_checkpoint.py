@@ -176,7 +176,7 @@ def test_path_that_does_not_fit_the_grid_is_rejected_at_load(tmp_path, path, mes
     ({"id": 0}, "task registry in checkpoint is inconsistent"),
     ({"slice": [3, 6]}, "task registry in checkpoint is inconsistent"),
     ({"c": 3}, "task registry in checkpoint is inconsistent"),
-    ({"c": 1}, "invalid checkpoint metadata .*: class count must be >= 2, got 1"),
+    ({"c": 1}, "invalid checkpoint metadata .*: c must be >= 2, got 1"),
     ({"c": 2.0}, "invalid checkpoint metadata .*: c must be an integer, got 2.0"),
 ], ids=["repeated-id", "shifted-slice", "wider-c", "c-below-two", "float-c"])
 def test_a_later_task_row_that_does_not_fit_is_rejected_at_load(tmp_path, update, message):

@@ -842,7 +842,7 @@ def test_nonfinite_features_exit_2_before_training(tmp_path, capsys, monkeypatch
 def test_batch_size_below_two_exits_2(tmp_path, capsys):
     doc = minimal_config(tmp_path / "run")
     doc["train"]["batch_size"] = 1
-    with pytest.raises(ConfigError, match="train.batch_size"):
+    with pytest.raises(ConfigError, match="^config field 'train': batch_size must be >= 2, got 1$"):
         parse_config(doc)
     code, err = _exit_and_stderr(["train", "--config", str(write_config(tmp_path, doc))],
                                  capsys)

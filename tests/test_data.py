@@ -133,7 +133,7 @@ def test_degenerate_parameters_rejected():
         gen_synthetic_task(rng, c=2, n_per_class=20, d=1, margin=1.0)
     with pytest.raises(InputError):
         gen_synthetic_task(rng, c=2, n_per_class=20, d=4, margin=0.0)
-    with pytest.raises(InputError, match="^need n_per_class >= 5 for a stratified split, got 4$"):
+    with pytest.raises(InputError, match="^n_per_class must be >= 5, got 4$"):
         gen_synthetic_task(rng, c=2, n_per_class=4, d=4, margin=1.0)
 
 

@@ -258,8 +258,8 @@ def _norm_instances(grid, l, m):
 
 
 @pytest.mark.parametrize("args, kwargs, message", [
-    ((0, 2, 4, 5), {}, "grid needs at least one layer and one module"),
-    ((2, 0, 4, 5), {}, "grid needs at least one layer and one module"),
+    ((0, 2, 4, 5), {}, "n_layers must be >= 1, got 0"),
+    ((2, 0, 4, 5), {}, "n_modules must be >= 1, got 0"),
     ((2, 2, 4, 5), {"norm_mode": "batch"}, "norm_mode must be 'shared' or 'per-task', got 'batch'"),
 ], ids=["no-layers", "no-modules", "norm-mode"])
 def test_a_grid_with_no_cells_or_an_unknown_norm_mode_is_refused(args, kwargs, message):
@@ -269,7 +269,8 @@ def test_a_grid_with_no_cells_or_an_unknown_norm_mode_is_refused(args, kwargs, m
 
 @pytest.mark.parametrize("d_in, d_hid", [(0, 4), (4, 0), (-1, 4), (4, -1)])
 def test_grid_widths_below_one_rejected(d_in, d_hid):
-    with pytest.raises(InputError, match="grid widths must be >= 1"):
+    name, v = ("d_in", d_in) if d_in < 1 else ("d_hid", d_hid)
+    with pytest.raises(InputError, match=f"^{name} must be >= 1, got {v}$"):
         ModuleGrid(2, 2, d_in, d_hid, seed=0)
 
 
